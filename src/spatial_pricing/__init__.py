@@ -1,6 +1,6 @@
 """Discrete solvers for optimal spatial pricing under transportation costs."""
 
-from ._search import BudgetExceededError
+from ._search import BudgetExceededError, SearchConfig, SearchMode
 from .ctransform import (
     AssignmentMap,
     NotCConcaveError,
@@ -31,8 +31,6 @@ from .geometry import (
 )
 from .model_one import (
     ModelOneSolveReport,
-    SearchConfig,
-    SearchMode,
     quadratic_1d_reference,
     solve_general,
     solve_metric,

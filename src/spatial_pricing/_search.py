@@ -3,22 +3,76 @@
 Both searches maximize a batched objective over vectors u with 0 <= u_i <=
 caps_i.  Candidate evaluation is pure, so batches can be evaluated in any
 order; ties are resolved deterministically (lexicographically first candidate
-for the exhaustive scan, no-move for the ascent).
+for the exhaustive scan, no-move for the ascent).  Both return the best
+vector, its value, and diagnostics: `mode` and `evaluations`, plus `starts`
+for the ascent or `levels` and `search_space` for the exhaustive scan.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["BudgetExceededError", "exhaustive_product", "coordinate_ascent"]
+__all__ = [
+    "BudgetExceededError",
+    "SearchMode",
+    "SearchConfig",
+    "seeded_starts",
+    "exhaustive_product",
+    "coordinate_ascent",
+]
 
 EvalBatch = Callable[[np.ndarray], np.ndarray]  # (B, m) -> (B,)
+
+# candidates per exhaustive-scan batch; the batched objectives' temporaries
+# grow with it, so it sets the scan's peak memory
+CHUNK = 4096
 
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive scan was refused because the candidate count exceeds the budget."""
+
+
+class SearchMode(enum.Enum):
+    EXHAUSTIVE = "exhaustive"
+    ASCENT = "ascent"
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Knobs for the discrete solvers.
+
+    levels       : quantization levels per point (exhaustive grid, initial
+                   ascent step = cap / (levels - 1)).
+    multistarts  : total number of ascent starts (a few deterministic ones
+                   plus seeded random ones).
+    grid_n       : per-axis resolution of the low-dimensional scans
+                   (two-parameter interval solver, boundary controls).
+    price_cap    : optional absolute cap overriding the derived per-point caps.
+    """
+
+    mode: SearchMode = SearchMode.ASCENT
+    levels: int = 8
+    multistarts: int = 16
+    seed: int = 0
+    max_candidates: int = 2_000_000
+    max_sweeps: int = 8
+    refine_halvings: int = 6
+    grid_n: int = 201
+    price_cap: Optional[float] = None
+
+
+def seeded_starts(caps: np.ndarray, search: SearchConfig, *extra: np.ndarray) -> list[np.ndarray]:
+    """Ascent starts: zero, the caps, half the caps, then `extra`, topped up
+    to `search.multistarts` with uniform draws seeded by `search.seed`."""
+    rng = np.random.default_rng(search.seed)
+    starts = [np.zeros_like(caps), caps, 0.5 * caps, *extra]
+    while len(starts) < search.multistarts:
+        starts.append(rng.uniform(0.0, caps))
+    return starts
 
 
 def exhaustive_product(
@@ -27,12 +81,10 @@ def exhaustive_product(
     levels: int,
     max_candidates: int,
     feasible: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    chunk: int = 4096,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, dict]:
     """Scan all level combinations u_i in linspace(0, caps_i, levels).
 
-    Returns (best_u, best_value, evaluations).  Ties keep the
-    lexicographically first candidate.
+    Ties keep the lexicographically first candidate.
     """
     caps = np.asarray(caps, dtype=float)
     m = caps.size
@@ -45,8 +97,8 @@ def exhaustive_product(
     best_u, best_val = None, -np.inf
     n_eval = 0
     radix = levels ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, CHUNK):
+        ids = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
         digits = (ids[:, None] // radix[None, :]) % levels
         cand = digits * scale[None, :]
         if feasible is not None:
@@ -62,28 +114,29 @@ def exhaustive_product(
             best_u = cand[j].copy()
     if best_u is None:
         raise ValueError("no feasible candidate in the exhaustive scan")
-    return best_u, best_val, n_eval
+    return best_u, best_val, {"mode": "exhaustive", "evaluations": n_eval, "levels": levels, "search_space": total}
 
 
 def coordinate_ascent(
     eval_batch: EvalBatch,
     caps: np.ndarray,
     starts: list[np.ndarray],
-    step0: float,
-    min_step: float,
-    max_sweeps: int = 8,
+    search: SearchConfig,
     feasible: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[np.ndarray, float, dict]:
     """Multi-start coordinate ascent with step halving.
 
     Each coordinate tries moves of +-step and +-2*step (plus the box
     endpoints) while the others are held; accepted moves must improve
-    strictly.  The step halves whenever a full sweep makes no progress,
-    down to min_step.
+    strictly.  The step starts at max(caps) / (levels - 1) and halves
+    whenever a full sweep makes no progress, `refine_halvings` times.
     """
     caps = np.asarray(caps, dtype=float)
     m = caps.size
-    accept_eps = 1e-13 * (1.0 + float(np.max(caps, initial=0.0)))
+    cap_max = float(np.max(caps, initial=0.0))
+    step0 = cap_max / max(search.levels - 1, 1)
+    min_step = max(step0 / 2**search.refine_halvings, 1e-12)
+    accept_eps = 1e-13 * (1.0 + cap_max)
     best_u, best_val = None, -np.inf
     n_eval = 0
     for u0 in starts:
@@ -94,7 +147,7 @@ def coordinate_ascent(
         n_eval += 1
         step = step0
         while step >= min_step:
-            for _ in range(max_sweeps):
+            for _ in range(search.max_sweeps):
                 improved = False
                 for i in range(m):
                     base = u[i]
@@ -130,4 +183,4 @@ def coordinate_ascent(
             best_u = u.copy()
     if best_u is None:
         raise ValueError("no feasible start for the coordinate ascent")
-    return best_u, best_val, n_eval
+    return best_u, best_val, {"mode": "ascent", "evaluations": n_eval, "starts": len(starts)}

@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, ctransform, model_one, model_two, nash
+from . import __version__, model_one, model_two, nash
 from ._search import BudgetExceededError
-from .geometry import Mask, PricePattern, uniform_cdf
+from .geometry import Mask, PricePattern, eval_cost, uniform_cdf
 from .model_two import PartitionContext
 from .nash import GameContext, NashSearchConfig
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -50,16 +50,9 @@ def _solve(sc: Scenario):
         elif sc.method == "general_search":
             rep = model_one.solve_general(sc.p0, kernel, region, f, sc.search)
         else:  # quadratic_reference
-            x = region.coords_1d()
-            v, p, _ = model_one.quadratic_1d_reference(x)
-            price = PricePattern(p)
-            rep = model_one.ModelOneSolveReport(
-                optimal_price=price,
-                optimal_value=ctransform.ValueFunction(v),
-                profit=model_one.profit_from_prices(price, kernel, region, f),
-                assignment=ctransform.assignment(price, kernel, region),
-                method=model_one.METHOD_QUADRATIC_REFERENCE,
-                diagnostics={},
+            v, p, _ = model_one.quadratic_1d_reference(region.coords_1d())
+            rep = model_one.price_report(
+                PricePattern(p), v, eval_cost(kernel, region), f, model_one.METHOD_QUADRATIC_REFERENCE, {}
             )
         summary = {"profit": rep.profit, "method": rep.method}
         series = _series_model_one_two(sc, rep.optimal_price, rep.optimal_value.values, rep.assignment.choice, None)
@@ -174,23 +167,31 @@ def _trace_rows(trace) -> list[list[str]]:
     return rows
 
 
+def _load_and_solve(scenario_path: str, context: str = "", **overrides):
+    """(scenario, solved, seconds), or the exit code of a refusal, reported on stderr.
+
+    `run` and `compare` share this mapping: a validation error (ScenarioError
+    is a ValueError) exits 2, a budget refusal exits 3.
+    """
+    try:
+        sc = load_scenario(scenario_path, **overrides)
+        t0 = time.perf_counter()
+        solved = _solve(sc)
+    except BudgetExceededError as e:
+        print(f"solver refused{context}: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except ValueError as e:
+        print(f"scenario error{context}: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return sc, solved, time.perf_counter() - t0
+
+
 def run(scenario_path: str, out_dir: str, method: Optional[str] = None, seed: Optional[int] = None, fmt: str = "both") -> int:
     """Run one scenario; returns the process exit code."""
-    try:
-        sc = load_scenario(scenario_path, method_override=method, seed_override=seed)
-    except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    t0 = time.perf_counter()
-    try:
-        rep, summary, series = _solve(sc)
-    except BudgetExceededError as e:
-        print(f"solver refused: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ScenarioError, ValueError) as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    elapsed = time.perf_counter() - t0
+    outcome = _load_and_solve(scenario_path, method_override=method, seed_override=seed)
+    if isinstance(outcome, int):
+        return outcome
+    sc, (rep, summary, series), elapsed = outcome
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,18 +224,10 @@ def compare(scenario_path: str, methods: list[str], out_dir: Optional[str] = Non
     rows = []
     first_price = None
     for m in methods:
-        try:
-            sc = load_scenario(scenario_path, method_override=m)
-        except ScenarioError as e:
-            print(f"scenario error for method {m!r}: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
-        t0 = time.perf_counter()
-        try:
-            rep, summary, _ = _solve(sc)
-        except BudgetExceededError as e:
-            print(f"solver refused for method {m!r}: {e}", file=sys.stderr)
-            return EXIT_BUDGET
-        elapsed = time.perf_counter() - t0
+        outcome = _load_and_solve(scenario_path, f" for method {m!r}", method_override=m)
+        if isinstance(outcome, int):
+            return outcome
+        _, (rep, summary, _), elapsed = outcome
         price = getattr(rep, "optimal_price", None)
         if price is not None and first_price is None:
             first_price = price.values
@@ -270,7 +263,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--method", default=None, help="override the solver method")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--threads", type=int, default=None, help="informational; solvers are vectorized in-process")
     p_run.add_argument("--format", choices=("csv", "structured", "both"), default="both")
 
     p_cmp = sub.add_parser("compare", help="run several methods on one scenario")

@@ -22,13 +22,18 @@ __all__ = [
     "AssignmentMap",
     "NotCConcaveError",
     "scale_tol",
+    "value_table",
     "value_function",
+    "c_transform_table",
     "c_transform",
-    "back_transform",
+    "back_transform_table",
+    "double_transform_table",
     "double_transform",
+    "is_c_concave_table",
     "is_c_concave",
-    "superdifferential",
     "superdifferential_mask",
+    "superdifferential",
+    "assignment_table",
     "assignment",
     "tie_break",
 ]
@@ -69,9 +74,6 @@ class ValueFunction:
             g = np.sort(np.asarray(self.generators, dtype=int))
             object.__setattr__(self, "generators", g)
 
-    def generator_indices(self, n: int) -> np.ndarray:
-        return np.arange(n) if self.generators is None else self.generators
-
 
 def _prices_array(p, n: Optional[int] = None) -> np.ndarray:
     v = p.values if isinstance(p, PricePattern) else np.asarray(p, dtype=float)
@@ -84,7 +86,8 @@ def _values_array(v) -> np.ndarray:
     return v.values if isinstance(v, ValueFunction) else np.asarray(v, dtype=float)
 
 
-def _min_plus(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.ndarray]) -> np.ndarray:
+def value_table(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.ndarray] = None) -> np.ndarray:
+    """v(x) = min over candidate y of {c(x, y) + p(y)}; +inf prices are skipped."""
     cols = cost if candidates is None else cost[:, candidates]
     pvals = prices if candidates is None else prices[candidates]
     if not np.isfinite(pvals).any():
@@ -98,17 +101,10 @@ def value_function(
     region: Region,
     restrict_to: Optional[np.ndarray] = None,
 ) -> ValueFunction:
-    """v(x) = min over candidate y of {c(x, y) + p(y)}; +inf prices are skipped.
-
-    With `restrict_to` the minimum runs over that subset only, which yields
-    the subregion value function.
-    """
-    cost = eval_cost(kernel, region)
-    prices = _prices_array(p, region.size)
-    vals = _min_plus(prices, cost, restrict_to)
-    if restrict_to is None:
-        return ValueFunction(vals, ValueKind.FULL, None)
-    return ValueFunction(vals, ValueKind.SUBREGION, np.asarray(restrict_to, dtype=int))
+    """Value function of p; with `restrict_to`, the subregion value function."""
+    vals = value_table(_prices_array(p, region.size), eval_cost(kernel, region), restrict_to)
+    kind = ValueKind.FULL if restrict_to is None else ValueKind.SUBREGION
+    return ValueFunction(vals, kind, None if restrict_to is None else np.asarray(restrict_to, dtype=int))
 
 
 def c_transform_table(values: np.ndarray, cost: np.ndarray, target: Optional[np.ndarray] = None) -> np.ndarray:
@@ -136,13 +132,7 @@ def c_transform(
     region: Region,
     target: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    cost = eval_cost(kernel, region)
-    return c_transform_table(_values_array(v), cost, target)
-
-
-def back_transform(vc: np.ndarray, kernel: CostKernel, region: Region, generators: Optional[np.ndarray] = None) -> np.ndarray:
-    cost = eval_cost(kernel, region)
-    return back_transform_table(np.asarray(vc, dtype=float), cost, generators)
+    return c_transform_table(_values_array(v), eval_cost(kernel, region), target)
 
 
 def double_transform(
@@ -151,11 +141,16 @@ def double_transform(
     region: Region,
     generators: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    cost = eval_cost(kernel, region)
-    return double_transform_table(_values_array(v), cost, generators)
+    return double_transform_table(_values_array(v), eval_cost(kernel, region), generators)
 
 
-def _is_c_concave_table(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray], tol: Optional[float]) -> bool:
+def is_c_concave_table(
+    values: np.ndarray,
+    cost: np.ndarray,
+    within: Optional[np.ndarray] = None,
+    tol: Optional[float] = None,
+) -> bool:
+    """True iff the double transform (over `within`) reproduces the values up to tol."""
     tol = scale_tol(cost) if tol is None else tol
     return bool(np.max(np.abs(double_transform_table(values, cost, within) - values)) <= tol)
 
@@ -167,9 +162,7 @@ def is_c_concave(
     within: Optional[np.ndarray] = None,
     tol: Optional[float] = None,
 ) -> bool:
-    """True iff the double transform (over `within`) reproduces v up to tol."""
-    cost = eval_cost(kernel, region)
-    return _is_c_concave_table(_values_array(v), cost, within, tol)
+    return is_c_concave_table(_values_array(v), eval_cost(kernel, region), within, tol)
 
 
 def superdifferential_mask(
@@ -233,10 +226,9 @@ class AssignmentMap:
         return self.candidates[self.member[x]]
 
 
-def assignment(
-    p: PricePattern | np.ndarray,
-    kernel: CostKernel,
-    region: Region,
+def assignment_table(
+    prices: np.ndarray,
+    cost: np.ndarray,
     candidates: Optional[np.ndarray] = None,
     tol: Optional[float] = None,
 ) -> AssignmentMap:
@@ -245,10 +237,8 @@ def assignment(
     The choice maximizes the price over the argmin set (equivalently minimizes
     transport); remaining ties go to the smallest point index.
     """
-    cost = eval_cost(kernel, region)
-    prices = _prices_array(p, region.size)
     tol = scale_tol(cost) if tol is None else tol
-    cand = np.arange(region.size) if candidates is None else np.sort(np.asarray(candidates, dtype=int))
+    cand = np.arange(cost.shape[1]) if candidates is None else np.sort(np.asarray(candidates, dtype=int))
     if not np.isfinite(prices[cand]).any():
         raise ValueError("improper prices: no finite value inside the candidate set")
     totals = cost[:, cand] + prices[cand][None, :]
@@ -257,6 +247,16 @@ def assignment(
     priced = np.where(member, prices[cand][None, :], -np.inf)
     choice = cand[np.argmax(priced, axis=1)]  # argmax takes the first max: smallest index
     return AssignmentMap(candidates=cand, member=member, expenditure=expenditure, choice=choice)
+
+
+def assignment(
+    p: PricePattern | np.ndarray,
+    kernel: CostKernel,
+    region: Region,
+    candidates: Optional[np.ndarray] = None,
+    tol: Optional[float] = None,
+) -> AssignmentMap:
+    return assignment_table(_prices_array(p, region.size), eval_cost(kernel, region), candidates, tol)
 
 
 def tie_break(

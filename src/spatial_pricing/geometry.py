@@ -367,10 +367,6 @@ class PricePattern:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
     def is_proper(self, subset: Optional[np.ndarray] = None) -> bool:
         """True when at least one value inside the subset is finite."""
         vals = self.values if subset is None else self.values[subset]

@@ -10,19 +10,16 @@ transform, so the search never leaves the admissible class.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import ctransform as ct
-from ._search import BudgetExceededError, coordinate_ascent, exhaustive_product
+from ._search import BudgetExceededError, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
 
 __all__ = [
-    "SearchMode",
-    "SearchConfig",
     "ModelOneSolveReport",
     "BudgetExceededError",
     "profit_from_prices",
@@ -37,35 +34,6 @@ METHOD_GENERAL = "general_search"
 METHOD_QUADRATIC_REFERENCE = "quadratic_1d_reference"
 
 
-class SearchMode(enum.Enum):
-    EXHAUSTIVE = "exhaustive"
-    ASCENT = "ascent"
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs for the discrete solvers.
-
-    levels       : quantization levels per point (exhaustive grid, initial
-                   ascent step = cap / (levels - 1)).
-    multistarts  : total number of ascent starts (a few deterministic ones
-                   plus seeded random ones).
-    grid_n       : per-axis resolution of the low-dimensional scans
-                   (two-parameter interval solver, boundary controls).
-    price_cap    : optional absolute cap overriding the derived per-point caps.
-    """
-
-    mode: SearchMode = SearchMode.ASCENT
-    levels: int = 8
-    multistarts: int = 16
-    seed: int = 0
-    max_candidates: int = 2_000_000
-    max_sweeps: int = 8
-    refine_halvings: int = 6
-    grid_n: int = 201
-    price_cap: Optional[float] = None
-
-
 @dataclass
 class ModelOneSolveReport:
     optimal_price: PricePattern
@@ -76,6 +44,15 @@ class ModelOneSolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+def price_report(
+    price: PricePattern, value: np.ndarray, cost: np.ndarray, f: CustomerMeasure, method: str, diagnostics: dict
+) -> ModelOneSolveReport:
+    """Report for a chosen price: assignment on the cost table and price-side profit."""
+    assign = ct.assignment_table(price.values, cost)
+    profit = float(np.dot(f.weights, price.values[assign.choice]))
+    return ModelOneSolveReport(price, ct.ValueFunction(value), profit, assign, method, diagnostics)
+
+
 def profit_from_prices(
     p: PricePattern | np.ndarray,
     kernel: CostKernel,
@@ -84,8 +61,8 @@ def profit_from_prices(
     tol: Optional[float] = None,
 ) -> float:
     """Total income: each customer pays the price at their tie-broken choice."""
-    assign = ct.assignment(p, kernel, region, tol=tol)
-    prices = p.values if isinstance(p, PricePattern) else np.asarray(p, dtype=float)
+    prices = ct._prices_array(p, region.size)
+    assign = ct.assignment_table(prices, eval_cost(kernel, region), tol=tol)
     return float(np.dot(f.weights, prices[assign.choice]))
 
 
@@ -102,9 +79,9 @@ def profit_from_values(
     superdifferential at x.  Rejects inputs that fail the concavity check.
     """
     cost = eval_cost(kernel, region)
-    values = v.values if isinstance(v, ct.ValueFunction) else np.asarray(v, dtype=float)
+    values = ct._values_array(v)
     tol = ct.scale_tol(cost) if tol is None else tol
-    if not ct._is_c_concave_table(values, cost, None, tol):
+    if not ct.is_c_concave_table(values, cost, None, tol):
         raise ct.NotCConcaveError("profit_from_values requires a cost-concave input")
     member = ct.superdifferential_mask(values, cost, tol=tol)
     delta = np.where(member, cost, np.inf).min(axis=1)
@@ -125,22 +102,10 @@ def solve_metric(
     if not kernel.is_metric:
         raise ValueError("the closed form needs a metric cost kernel")
     cost = eval_cost(kernel, region)
-    bound = p0.values
-    if not np.isfinite(bound).any():
+    if not p0.is_proper():
         raise ValueError("improper price bound: +inf everywhere")
-    popt = np.min(cost + bound[None, :], axis=1)
-    price = PricePattern(popt)
-    value = ct.value_function(price, kernel, region)
-    assign = ct.assignment(price, kernel, region)
-    profit = float(np.dot(f.weights, popt[assign.choice]))
-    return ModelOneSolveReport(
-        optimal_price=price,
-        optimal_value=value,
-        profit=profit,
-        assignment=assign,
-        method=METHOD_METRIC,
-        diagnostics={"f_independent": True},
-    )
+    popt = ct.value_table(p0.values, cost)
+    return price_report(PricePattern(popt), ct.value_table(popt, cost), cost, f, METHOD_METRIC, {"f_independent": True})
 
 
 def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, tol: float):
@@ -161,11 +126,8 @@ def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, t
         return ((VP - delta) * weights[None, :]).sum(axis=1)
 
     def project(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = np.min(cost + g[None, :], axis=1)
-        v = np.clip(v, 0.0, v0)
-        vc = np.min(cost - v[:, None], axis=0)
-        vp = np.min(cost - vc[None, :], axis=1)
-        return vp, vc
+        vc = ct.c_transform_table(np.clip(ct.value_table(g, cost), 0.0, v0), cost)
+        return ct.back_transform_table(vc, cost), vc
 
     return eval_batch, project
 
@@ -188,59 +150,33 @@ def solve_general(
     tol = ct.scale_tol(cost)
     if not p0.is_proper():
         raise ValueError("improper price bound: +inf everywhere")
-    v0 = np.min(cost + p0.values[None, :], axis=1)
+    v0 = ct.value_table(p0.values, cost)
     if search.price_cap is not None:
         caps = np.full(region.size, float(search.price_cap))
     else:
         # pricing above the reservation cap -v0^c never attracts a customer
-        caps = -np.min(cost - v0[:, None], axis=0)
-        caps = np.maximum(caps, 0.0)
+        caps = np.maximum(-ct.c_transform_table(v0, cost), 0.0)
     eval_batch, project = _batch_value_profit(cost, v0, f.weights, tol)
 
     if search.mode is SearchMode.EXHAUSTIVE:
-        g_best, val_best, n_eval = exhaustive_product(
-            eval_batch, caps, search.levels, search.max_candidates
-        )
-        diagnostics = {"mode": "exhaustive", "evaluations": n_eval, "search_space": search.levels ** region.size}
+        g_best, val_best, diagnostics = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
-        rng = np.random.default_rng(search.seed)
-        starts = [np.zeros_like(caps), caps, 0.5 * caps, v0.copy(), 0.5 * v0]
-        while len(starts) < search.multistarts:
-            starts.append(rng.uniform(0.0, caps))
-        cap_global = float(caps.max()) if caps.size else 0.0
-        step0 = cap_global / max(search.levels - 1, 1)
-        min_step = step0 / 2**search.refine_halvings if step0 > 0 else 0.0
-        if step0 == 0.0:
-            g_best, val_best, n_eval = np.zeros_like(caps), float(eval_batch(np.zeros((1, caps.size)))[0]), 1
-        else:
-            g_best, val_best, n_eval = coordinate_ascent(
-                eval_batch, caps, starts, step0, max(min_step, 1e-12), search.max_sweeps
-            )
-        diagnostics = {"mode": "ascent", "evaluations": n_eval, "starts": len(starts)}
+        starts = seeded_starts(caps, search, v0, 0.5 * v0)
+        g_best, val_best, diagnostics = coordinate_ascent(eval_batch, caps, starts, search)
+    diagnostics["profit_value_form"] = val_best
 
     v_best, vc_best = project(g_best)
-    price = PricePattern(-vc_best)
-    value = ct.ValueFunction(v_best, ct.ValueKind.FULL, None)
-    assign = ct.assignment(price, kernel, region, tol=tol)
-    profit = float(np.dot(f.weights, price.values[assign.choice]))
+    report = price_report(PricePattern(-vc_best), v_best, cost, f, METHOD_GENERAL, diagnostics)
     check_tol = 10.0 * tol * (1.0 + f.total_mass)
-    if abs(profit - val_best) > check_tol:
+    if abs(report.profit - val_best) > check_tol:
         raise RuntimeError(
-            f"price-side and value-side profits disagree: {profit} vs {val_best}"
+            f"price-side and value-side profits disagree: {report.profit} vs {val_best}"
         )
-    if np.any(price.values > p0.values + tol):
+    if np.any(report.optimal_price.values > p0.values + tol):
         raise RuntimeError("optimal price exceeds the bound")
     if np.any(v_best < -tol) or np.any(v_best > v0 + tol):
         raise RuntimeError("optimal value leaves [0, v0]")
-    diagnostics["profit_value_form"] = val_best
-    return ModelOneSolveReport(
-        optimal_price=price,
-        optimal_value=value,
-        profit=profit,
-        assignment=assign,
-        method=METHOD_GENERAL,
-        diagnostics=diagnostics,
-    )
+    return report
 
 
 def quadratic_1d_reference(x):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import coordinate_ascent, exhaustive_product
+from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts
 from .geometry import (
     CostKernel,
     CustomerMeasure,
@@ -27,7 +27,6 @@ from .geometry import (
     eval_cost,
     step_cdf,
 )
-from .model_one import SearchConfig, SearchMode
 
 __all__ = [
     "PartitionContext",
@@ -75,7 +74,7 @@ class PartitionContext:
         if np.any(vals[fixed][finite_fixed] < 0):
             raise ValueError("imposed prices must be nonnegative")
         cost = eval_cost(kernel, region)
-        v0 = np.min(cost[:, fixed] + vals[fixed][None, :], axis=1)
+        v0 = ct.value_table(vals, cost, fixed)
         return cls(region=region, kernel=kernel, p0=p0, cost=cost, v0=v0)
 
     @property
@@ -137,7 +136,7 @@ def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasu
     paid vs expenditure minus transport) must agree up to tolerance.
     """
     vals = ctx.check_admissible(p)
-    assign = ct.assignment(p, ctx.kernel, ctx.region, tol=tol)
+    assign = ct.assignment_table(vals, ctx.cost, tol=tol)
     free = ctx.free
     choice = ct.tie_break(assign, p, within=free)
     captured = choice >= 0
@@ -183,10 +182,6 @@ def clamp_nonnegative(
     return clamped, after
 
 
-def _subregion_value(ctx: PartitionContext, free_prices: np.ndarray) -> np.ndarray:
-    return np.min(ctx.cost[:, ctx.free] + free_prices[None, :], axis=1)
-
-
 def reformulate(
     p: PricePattern,
     ctx: PartitionContext,
@@ -207,31 +202,30 @@ def reformulate(
     free = ctx.free
     if np.any(vals[free] < -tol):
         raise ValueError("reformulation expects nonnegative prices; clamp first")
-    w = _subregion_value(ctx, vals[free])
-    u_t = np.min(ctx.cost[:, free] - w[:, None], axis=0)
+    w = ct.value_table(vals, ctx.cost, free)
+    u_t = ct.c_transform_table(w, ctx.cost, free)
     p_t = ctx.full_prices(-u_t)
     wfun = ct.ValueFunction(w, ct.ValueKind.SUBREGION, free)
     if check:
         slack = 10.0 * tol
-        v_p = np.min(ctx.cost + vals[None, :], axis=1)
-        v_pt = np.min(ctx.cost + p_t.values[None, :], axis=1)
+        v_p = ct.value_table(vals, ctx.cost)
+        v_pt = ct.value_table(p_t.values, ctx.cost)
         if np.max(np.abs(v_p - v_pt)) > slack:
             raise RuntimeError("reformulation changed the customer value function")
         if np.any(p_t.values[free] > vals[free] + slack):
             raise RuntimeError("reformulated prices exceed the originals on the free part")
         if np.any(p_t.values[free] < -slack):
             raise RuntimeError("reformulated prices are negative")
-        cap1 = ct.tie_break(ct.assignment(p, ctx.kernel, ctx.region, tol=tol), p, within=free) >= 0
-        assign_t = ct.assignment(p_t, ctx.kernel, ctx.region, tol=tol)
+        cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost, tol=tol), p, within=free) >= 0
+        assign_t = ct.assignment_table(p_t.values, ctx.cost, tol=tol)
         cap2 = ct.tie_break(assign_t, p_t, within=free) >= 0
         if np.any(cap1 & ~cap2):
             raise RuntimeError("reformulation lost captured customers")
         if np.any(cap2 != (w <= ctx.v0 + tol)):
             raise RuntimeError("capture set differs from {w <= v0}")
         member_t = assign_t.member[:, np.isin(assign_t.candidates, free)]
-        superdiff = np.abs(w[:, None] + u_t[None, :] - ctx.cost[:, free]) <= tol
-        rows = cap2
-        if np.any(member_t[rows] != superdiff[rows]):
+        superdiff = ct.superdifferential_mask(w, ctx.cost, free, tol, vc=u_t)
+        if np.any(member_t[cap2] != superdiff[cap2]):
             raise RuntimeError("argmin sets and superdifferentials disagree on captured customers")
         if f is not None:
             before = profit_from_prices(p, ctx, f, tol)
@@ -253,14 +247,11 @@ def profit_from_values(
     the free-part superdifferential; the rest shop in the fixed part.
     """
     tol = ctx.tol if tol is None else tol
-    values = w.values if isinstance(w, ct.ValueFunction) else np.asarray(w, dtype=float)
+    values = ct._values_array(w)
     free = ctx.free
-    if not ct._is_c_concave_table(values, ctx.cost, free, tol):
+    if not ct.is_c_concave_table(values, ctx.cost, free, tol):
         raise ct.NotCConcaveError("profit needs a subregion-concave value function")
-    wc = ct.c_transform_table(values, ctx.cost, free)
-    member = np.abs(values[:, None] + wc[None, :] - ctx.cost[:, free]) <= tol
-    if not member.any(axis=1).all():
-        raise ct.NotCConcaveError("empty free-part superdifferential")
+    member = ct.superdifferential_mask(values, ctx.cost, free, tol)
     delta = np.where(member, ctx.cost[:, free], np.inf).min(axis=1)
     captured = values <= ctx.v0 + tol
     return float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))
@@ -283,17 +274,14 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
 
 def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> ModelTwoSolveReport:
     tol = ctx.tol
-    w = _subregion_value(ctx, g_best)
-    u_t = np.min(ctx.cost[:, ctx.free] - w[:, None], axis=0)
-    price = ctx.full_prices(-u_t)
-    wfun = ct.ValueFunction(w, ct.ValueKind.SUBREGION, ctx.free)
+    wfun, price = reformulate(ctx.full_prices(g_best), ctx, check=False)
+    w = wfun.values
     captured, choice, assign, profit, _ = _capture_and_profit(ctx, price, f, tol)
     j_value = profit_from_values(wfun, ctx, f, tol)
     if abs(profit - j_value) > 10.0 * tol * (1.0 + f.total_mass):
         raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
     if np.any(captured != (w <= ctx.v0 + tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
-    diagnostics = dict(diagnostics)
     diagnostics["profit_value_form"] = j_value
     return ModelTwoSolveReport(
         optimal_price=price,
@@ -323,29 +311,9 @@ def solve_w_search(
     caps = np.maximum(ctx.v0[ctx.free], 0.0)
     eval_batch = _batch_subregion_profit(ctx, f.weights, tol)
     if search.mode is SearchMode.EXHAUSTIVE:
-        g_best, val_best, n_eval = exhaustive_product(
-            eval_batch, caps, search.levels, search.max_candidates
-        )
-        diag = {"mode": "exhaustive", "evaluations": n_eval, "search_space": search.levels ** caps.size}
+        g_best, _, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
-        rng = np.random.default_rng(search.seed)
-        starts = [np.zeros_like(caps), caps, 0.5 * caps]
-        while len(starts) < search.multistarts:
-            starts.append(rng.uniform(0.0, caps))
-        cap_global = float(caps.max()) if caps.size else 0.0
-        step0 = cap_global / max(search.levels - 1, 1)
-        if step0 == 0.0:
-            g_best, val_best, n_eval = np.zeros_like(caps), float(eval_batch(np.zeros((1, caps.size)))[0]), 1
-        else:
-            g_best, val_best, n_eval = coordinate_ascent(
-                eval_batch,
-                caps,
-                starts,
-                step0,
-                max(step0 / 2**search.refine_halvings, 1e-12),
-                search.max_sweeps,
-            )
-        diag = {"mode": "ascent", "evaluations": n_eval, "starts": len(starts)}
+        g_best, _, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search)
     return _w_search_report(ctx, f, g_best, METHOD_W_SEARCH, diag)
 
 
@@ -401,36 +369,17 @@ def solve_boundary_control(
         return free_part + fixed_part
 
     k = ctrl.size
-    if search.grid_n**k <= search.max_candidates:
-        phi_best, val_best, n_eval = exhaustive_product(
-            eval_batch, caps, search.grid_n, search.max_candidates, feasible=feasible
+    levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
+    if levels**k <= search.max_candidates:
+        phi_best, val_best, diag = exhaustive_product(
+            eval_batch, caps, levels, search.max_candidates, feasible=feasible
         )
-        diag = {"mode": "exhaustive", "evaluations": n_eval, "levels": search.grid_n}
-    elif search.levels**k <= search.max_candidates:
-        phi_best, val_best, n_eval = exhaustive_product(
-            eval_batch, caps, search.levels, search.max_candidates, feasible=feasible
-        )
-        diag = {"mode": "exhaustive", "evaluations": n_eval, "levels": search.levels}
     else:
-        rng = np.random.default_rng(search.seed)
-        starts = [np.zeros_like(caps), _lipschitz_project(caps, dctrl), _lipschitz_project(0.5 * caps, dctrl)]
-        while len(starts) < search.multistarts:
-            starts.append(_lipschitz_project(rng.uniform(0.0, caps), dctrl))
-        cap_global = float(caps.max())
-        step0 = cap_global / max(search.levels - 1, 1)
-        phi_best, val_best, n_eval = coordinate_ascent(
-            eval_batch,
-            caps,
-            starts,
-            step0,
-            max(step0 / 2**search.refine_halvings, 1e-12),
-            search.max_sweeps,
-            feasible=feasible,
-        )
-        diag = {"mode": "ascent", "evaluations": n_eval}
+        starts = [_lipschitz_project(u, dctrl) for u in seeded_starts(caps, search)]
+        phi_best, val_best, diag = coordinate_ascent(eval_batch, caps, starts, search, feasible=feasible)
 
-    w = np.min(cost_ctrl + phi_best[None, :], axis=1)
-    g_free = np.min(ctx.cost[np.ix_(ctrl, free)] + phi_best[:, None], axis=0)
+    w = ct.value_table(phi_best, cost_ctrl)
+    g_free = ct.value_table(phi_best, ctx.cost[np.ix_(ctrl, free)].T)
     report = _w_search_report(ctx, f, g_free, METHOD_BOUNDARY, diag)
     report.diagnostics.update(
         {
@@ -446,7 +395,7 @@ def solve_boundary_control(
 
 def _lipschitz_project(phi: np.ndarray, dctrl: np.ndarray) -> np.ndarray:
     """Largest 1-Lipschitz function below phi on the control set."""
-    return np.min(phi[None, :] + dctrl, axis=1)
+    return ct.value_table(phi, dctrl)
 
 
 def _stieltjes(cdf: Callable, g: Callable, lo: float, hi: float, m: int = 20001) -> float:

@@ -132,10 +132,6 @@ def _strategy_values(p: PricePattern | np.ndarray, idx: np.ndarray, n: int) -> n
     return v
 
 
-def _offer(ctx: GameContext, idx: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    return np.min(ctx.cost[:, idx] + prices[idx][None, :], axis=1)
-
-
 def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
     cost_my = ctx.cost[:, my_idx]
     weights = ctx.f.weights
@@ -167,8 +163,8 @@ def payoffs(
     a_idx, b_idx = ctx.indices("A"), ctx.indices("B")
     pv = _strategy_values(p, a_idx, ctx.region.size)
     qv = _strategy_values(q, b_idx, ctx.region.size)
-    offer_a = _offer(ctx, a_idx, pv)
-    offer_b = _offer(ctx, b_idx, qv)
+    offer_a = ct.value_table(pv, ctx.cost, a_idx)
+    offer_b = ct.value_table(qv, ctx.cost, b_idx)
     pay_a = _player_payoff_batch(ctx, a_idx, offer_b, ctx.tie_home("A"), tol)
     pay_b = _player_payoff_batch(ctx, b_idx, offer_a, ctx.tie_home("B"), tol)
     return float(pay_a(pv[a_idx][None, :])[0]), float(pay_b(qv[b_idx][None, :])[0])
@@ -207,7 +203,7 @@ def best_response(
     my_idx = ctx.indices(player)
     opp_idx = ctx.indices("B" if player == "A" else "A")
     opp_vals = _strategy_values(opponent_price, opp_idx, ctx.region.size)
-    opp_offer = _offer(ctx, opp_idx, opp_vals)
+    opp_offer = ct.value_table(opp_vals, ctx.cost, opp_idx)
     if ctx.kernel.is_metric:
         caps = opp_offer[my_idx].copy()
     else:
@@ -327,7 +323,7 @@ def best_response_dynamics(
         pv[a_idx] = p
         qv = np.zeros(n)
         qv[b_idx] = q
-        scale = max(float(_offer(ctx, b_idx, qv).max()), float(_offer(ctx, a_idx, pv).max()))
+        scale = max(float(ct.value_table(qv, ctx.cost, b_idx).max()), float(ct.value_table(pv, ctx.cost, a_idx).max()))
         if ctx.price_cap is not None:
             scale = min(scale, float(ctx.price_cap) + float(ctx.cost.max()))
         search = NashSearchConfig(
@@ -402,7 +398,7 @@ def verify_equilibrium(
     gain_b = rb.payoff - pi_b
     if tol is None:
         step = max(ra.diagnostics["price_step"], rb.diagnostics["price_step"])
-        tol = step * ctx.f.total_mass + ct.scale_tol(ctx.cost)
+        tol = step * ctx.f.total_mass + ctx.tol
     return EquilibriumReport(
         is_equilibrium=bool(gain_a <= tol and gain_b <= tol),
         best_deviation_gain_a=float(gain_a),

@@ -21,7 +21,7 @@ from .geometry import (
     build_grid_region,
     build_interval_region,
 )
-from .model_one import SearchConfig, SearchMode
+from ._search import SearchConfig, SearchMode
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario"]
 

@@ -181,6 +181,13 @@ class TestCompare:
         path = write_scenario(tmp_path, "win.json", window_scenario(0.4))
         assert compare(path, ["metric_closed_form"]) == EXIT_VALIDATION
 
+    def test_solver_error_uses_run_exit_code(self, tmp_path):
+        scen = window_scenario(0.4, n=21)
+        scen["measure"] = {"kind": "weights", "values": [0.0] * 21}
+        path = write_scenario(tmp_path, "massless.json", scen)
+        assert run(path, str(tmp_path / "out")) == EXIT_VALIDATION
+        assert compare(path, ["w_search"]) == EXIT_VALIDATION
+
 
 class TestScenarioValidation:
     def test_model_method_compatibility(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import spatial_pricing as sp
 from spatial_pricing.ctransform import (
     NotCConcaveError,
+    assignment_table,
     c_transform_table,
     double_transform_table,
     scale_tol,
@@ -156,6 +157,25 @@ class TestTieBreak:
         assign = sp.assignment(p, METRIC, region)
         chosen = sp.tie_break(assign, p, within=np.array([1]))
         assert chosen[0] == -1  # customer 0 never shops at the expensive far shop
+
+
+class TestAssignmentTable:
+    @settings(max_examples=120, deadline=None)
+    @given(values_arrays)
+    def test_matches_assignment(self, data):
+        n, vals, seed = data
+        rng = np.random.default_rng(seed)
+        region, kern, cost = small_instance(rng, n)
+        prices = np.round(np.asarray(vals), 1)  # a coarse grid makes ties common
+        prices[rng.uniform(size=n) < 0.3] = np.inf
+        cand = None if rng.uniform() < 0.5 else rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        admissible = np.arange(n) if cand is None else cand
+        if not np.isfinite(prices[admissible]).any():
+            prices[admissible[0]] = 0.0
+        expected = sp.assignment(sp.PricePattern(prices), kern, region, candidates=cand)
+        got = assignment_table(prices, cost, cand)
+        for name in ("candidates", "member", "expenditure", "choice"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
 
 
 class TestIsCConcave:
