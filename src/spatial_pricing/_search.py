@@ -6,6 +6,11 @@ order; ties are resolved deterministically (lexicographically first candidate
 for the exhaustive scan, no-move for the ascent).  Both return the best
 vector, its value, and diagnostics: `mode` and `evaluations`, plus `starts`
 for the ascent or `levels` and `search_space` for the exhaustive scan.
+
+`EvalBatch` contract: a row's score must not depend on the other rows of its
+batch, bit for bit.  The ascent relies on it to reuse scores it already holds
+instead of asking for them again.  `evaluations` counts the candidates
+compared, reused scores included, so it does not depend on that reuse.
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ class SearchConfig:
 
     levels       : quantization levels per point (exhaustive grid, initial
                    ascent step = cap / (levels - 1)).
-    multistarts  : total number of ascent starts (a few deterministic ones
-                   plus seeded random ones).
+    multistarts  : ascent starts, counting the deterministic ones (zero, the
+                   caps, half the caps, solver extras) and topped up with
+                   seeded random ones; when the deterministic ones are more,
+                   all of them run (model one with multistarts=4 runs 5).
     grid_n       : per-axis resolution of the low-dimensional scans
                    (two-parameter interval solver, boundary controls).
     price_cap    : optional absolute cap overriding the derived per-point caps.
@@ -130,54 +137,72 @@ def coordinate_ascent(
     endpoints) while the others are held; accepted moves must improve
     strictly.  The step starts at max(caps) / (levels - 1) and halves
     whenever a full sweep makes no progress, `refine_halvings` times.
+
+    No score is requested twice where the answer is already known: trials
+    scored at the current point are remembered until the point moves, and a
+    start that reaches the (point, step) state an earlier start held at the
+    top of a step level takes over that start's outcome.  Both rest on the
+    row independence of `eval_batch` and leave the result unchanged.
     """
     caps = np.asarray(caps, dtype=float)
     m = caps.size
+    cap_list = caps.tolist()
     cap_max = float(np.max(caps, initial=0.0))
     step0 = cap_max / max(search.levels - 1, 1)
     min_step = max(step0 / 2**search.refine_halvings, 1e-12)
     accept_eps = 1e-13 * (1.0 + cap_max)
     best_u, best_val = None, -np.inf
     n_eval = 0
+    # (point bytes, step) at the top of a step level -> (final point, final
+    # value, evaluations from that state on) of the start that held it
+    outcomes: dict[tuple[bytes, float], tuple[np.ndarray, float, int]] = {}
     for u0 in starts:
         u = np.clip(np.asarray(u0, dtype=float), 0.0, caps)
         if feasible is not None and not feasible(u[None])[0]:
             continue
         cur = float(eval_batch(u[None])[0])
         n_eval += 1
+        visited = []
+        known: dict[tuple[int, float], float] = {}  # (coordinate, trial) -> score at u
         step = step0
         while step >= min_step:
+            state = (u.tobytes(), step)
+            if state in outcomes:
+                u, cur, n_rest = outcomes[state]
+                n_eval += n_rest
+                break
+            visited.append((state, n_eval))
             for _ in range(search.max_sweeps):
                 improved = False
                 for i in range(m):
-                    base = u[i]
-                    trials = np.unique(
-                        np.clip(
-                            np.array([base - 2 * step, base - step, base + step, base + 2 * step, 0.0, caps[i]]),
-                            0.0,
-                            caps[i],
-                        )
-                    )
-                    trials = trials[np.abs(trials - base) > 1e-15]
-                    if trials.size == 0:
+                    base, cap = float(u[i]), cap_list[i]
+                    moves = (base - 2 * step, base - step, base + step, base + 2 * step, 0.0, cap)
+                    trials = [t for t in sorted({min(max(x, 0.0), cap) for x in moves}) if abs(t - base) > 1e-15]
+                    fresh = [t for t in trials if (i, t) not in known]
+                    if fresh:
+                        batch = np.repeat(u[None, :], len(fresh), axis=0)
+                        batch[:, i] = fresh
+                        if feasible is not None:
+                            batch = batch[feasible(batch)]
+                        if len(batch):
+                            for t, score in zip(batch[:, i].tolist(), eval_batch(batch).tolist()):
+                                known[i, t] = score
+                    trials = [t for t in trials if (i, t) in known]
+                    if not trials:
                         continue
-                    batch = np.repeat(u[None, :], trials.size, axis=0)
-                    batch[:, i] = trials
-                    if feasible is not None:
-                        keep = feasible(batch)
-                        batch, trials = batch[keep], trials[keep]
-                        if trials.size == 0:
-                            continue
-                    vals = eval_batch(batch)
-                    n_eval += len(batch)
+                    vals = [known[i, t] for t in trials]
+                    n_eval += len(vals)
                     j = int(np.argmax(vals))
                     if vals[j] > cur + accept_eps:
-                        cur = float(vals[j])
+                        cur = vals[j]
                         u[i] = trials[j]
+                        known.clear()
                         improved = True
                 if not improved:
                     break
             step *= 0.5
+        for state, n_then in visited:
+            outcomes[state] = (u, cur, n_eval - n_then)
         if cur > best_val:
             best_val = cur
             best_u = u.copy()

@@ -121,7 +121,10 @@ def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, t
         V = np.clip(V, 0.0, v0[None, :])
         VC = np.min(cost[None, :, :] - V[:, :, None], axis=1)
         VP = np.min(cost[None, :, :] - VC[:, None, :], axis=2)
-        member = VP[:, :, None] + VC[:, None, :] - cost[None, :, :] >= -tol
+        gap = VP[:, :, None] + VC[:, None, :]
+        gap -= cost[None, :, :]
+        member = gap >= -tol
+        del gap
         delta = np.where(member, cost[None, :, :], np.inf).min(axis=2)
         return ((VP - delta) * weights[None, :]).sum(axis=1)
 

@@ -264,7 +264,10 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
     def eval_batch(G: np.ndarray) -> np.ndarray:
         W = np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        member = W[:, :, None] + WC[:, None, :] - cost_free[None, :, :] >= -tol
+        gap = W[:, :, None] + WC[:, None, :]
+        gap -= cost_free[None, :, :]
+        member = gap >= -tol
+        del gap
         delta = np.where(member, cost_free[None, :, :], np.inf).min(axis=2)
         captured = W <= v0[None, :] + tol
         return (np.where(captured, W - delta, 0.0) * weights[None, :]).sum(axis=1)
@@ -358,7 +361,10 @@ def solve_boundary_control(
     def eval_batch(PHI: np.ndarray) -> np.ndarray:
         W = np.min(cost_ctrl[None, :, :] + PHI[:, None, :], axis=2)
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        member = W[:, :, None] + WC[:, None, :] - cost_free[None, :, :] >= -tol
+        gap = W[:, :, None] + WC[:, None, :]
+        gap -= cost_free[None, :, :]
+        member = gap >= -tol
+        del gap
         delta = np.where(member, cost_free[None, :, :], np.inf).min(axis=2)
         captured = W <= ctx.v0[None, :] + tol
         # the free-side term also carries the capture condition: on coarse 2D

@@ -64,3 +64,178 @@ def test_ascent_with_zero_caps_returns_zero():
     u, val, diag = coordinate_ascent(lambda U: -U.sum(axis=1), caps, seeded_starts(caps, cfg), cfg)
     assert np.array_equal(u, caps) and val == 0.0
     assert diag == {"mode": "ascent", "evaluations": 4, "starts": 4}
+
+
+def _ascent_oracle(eval_batch, caps, starts, search, feasible=None):
+    """The coordinate ascent before score reuse, kept verbatim as the reference."""
+    caps = np.asarray(caps, dtype=float)
+    m = caps.size
+    cap_max = float(np.max(caps, initial=0.0))
+    step0 = cap_max / max(search.levels - 1, 1)
+    min_step = max(step0 / 2**search.refine_halvings, 1e-12)
+    accept_eps = 1e-13 * (1.0 + cap_max)
+    best_u, best_val = None, -np.inf
+    n_eval = 0
+    for u0 in starts:
+        u = np.clip(np.asarray(u0, dtype=float), 0.0, caps)
+        if feasible is not None and not feasible(u[None])[0]:
+            continue
+        cur = float(eval_batch(u[None])[0])
+        n_eval += 1
+        step = step0
+        while step >= min_step:
+            for _ in range(search.max_sweeps):
+                improved = False
+                for i in range(m):
+                    base = u[i]
+                    trials = np.unique(
+                        np.clip(
+                            np.array([base - 2 * step, base - step, base + step, base + 2 * step, 0.0, caps[i]]),
+                            0.0,
+                            caps[i],
+                        )
+                    )
+                    trials = trials[np.abs(trials - base) > 1e-15]
+                    if trials.size == 0:
+                        continue
+                    batch = np.repeat(u[None, :], trials.size, axis=0)
+                    batch[:, i] = trials
+                    if feasible is not None:
+                        keep = feasible(batch)
+                        batch, trials = batch[keep], trials[keep]
+                        if trials.size == 0:
+                            continue
+                    vals = eval_batch(batch)
+                    n_eval += len(batch)
+                    j = int(np.argmax(vals))
+                    if vals[j] > cur + accept_eps:
+                        cur = float(vals[j])
+                        u[i] = trials[j]
+                        improved = True
+                if not improved:
+                    break
+            step *= 0.5
+        if cur > best_val:
+            best_val = cur
+            best_u = u.copy()
+    if best_u is None:
+        raise ValueError("no feasible start for the coordinate ascent")
+    return best_u, best_val, {"mode": "ascent", "evaluations": n_eval, "starts": len(starts)}
+
+
+def _objective(rng, m, quantized):
+    """A seeded objective whose row scores do not depend on the batch: a
+    concave quadratic with a coupling term, or that rounded to a coarse grid
+    (many ties and plateaus)."""
+    centre = rng.uniform(0.0, 1.5, m)
+    weight = rng.uniform(0.5, 2.0, m)
+    coupling = rng.uniform(-0.3, 0.3, m)
+    levels = float(rng.integers(3, 12))
+
+    def eval_batch(U):
+        val = -((U - centre) ** 2 * weight).sum(axis=1) + (U * np.roll(U, 1, axis=1) * coupling).sum(axis=1)
+        return np.floor(val * levels) / levels if quantized else val
+
+    return eval_batch
+
+
+def _budget(caps):
+    """Feasible set: total price at most half the caps' sum."""
+    limit = 0.5 * float(caps.sum())
+    return lambda U: U.sum(axis=1) <= limit
+
+
+def _ascent_case(seed, quantized, filtered):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    caps = rng.uniform(0.2, 2.0, m)
+    if seed % 5 == 0:
+        caps[0] = 0.0
+    cfg = SearchConfig(
+        levels=int(rng.integers(2, 9)),
+        multistarts=int(rng.integers(3, 12)),
+        seed=seed,
+        max_sweeps=int(rng.integers(1, 6)),
+        refine_halvings=int(rng.integers(0, 7)),
+    )
+    starts = seeded_starts(caps, cfg, np.round(rng.uniform(0.0, caps) * 4) / 4)
+    # repeated starts share their whole trajectory
+    starts += [starts[int(k)] for k in rng.integers(0, len(starts), 2)]
+    feasible = _budget(caps) if filtered else None
+    return _objective(rng, m, quantized), caps, starts, cfg, feasible
+
+
+class _RowCounter:
+    def __init__(self, fn):
+        self.fn, self.rows = fn, 0
+
+    def __call__(self, U):
+        self.rows += len(U)
+        return self.fn(U)
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
+@pytest.mark.parametrize("quantized", [False, True], ids=["smooth", "quantized"])
+def test_ascent_matches_reference(quantized, filtered):
+    rows = evaluations = 0
+    for seed in range(40):
+        eval_batch, caps, starts, cfg, feasible = _ascent_case(seed, quantized, filtered)
+        counter = _RowCounter(eval_batch)
+        expected = _ascent_oracle(eval_batch, caps, starts, cfg, feasible)
+        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, feasible)
+        assert np.array_equal(u, expected[0]), seed
+        assert val == expected[1], seed
+        assert diag == expected[2], seed
+        rows += counter.rows
+        evaluations += diag["evaluations"]
+    assert rows < evaluations
+
+
+def _capture_ascent(monkeypatch, module):
+    """Route `module`'s ascent through a row counter; returns the call record."""
+    record = {}
+
+    def ascent(eval_batch, caps, starts, search, feasible=None):
+        counter = _RowCounter(eval_batch)
+        record.update(eval_batch=eval_batch, caps=caps, starts=starts, search=search, counter=counter)
+        return coordinate_ascent(counter, caps, starts, search, feasible)
+
+    monkeypatch.setattr(module, "coordinate_ascent", ascent)
+    return record
+
+
+def _ascent_solve(solver):
+    if solver == "solve_general":
+        # under a constant bound the start at v0 clips to the start at the caps
+        region = sp.build_interval_region(9, 0.0, 1.0)
+        f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 9))
+        cfg = SearchConfig(levels=5, multistarts=10, seed=1)
+        return model_one, lambda: model_one.solve_general(
+            sp.PricePattern.constant(9, 0.8), sp.CostKernel.quadratic(), region, f, cfg
+        )
+    ctx, f = _window()
+    return model_two, lambda: model_two.solve_w_search(ctx, f, SearchConfig(levels=5, multistarts=10, seed=1))
+
+
+@pytest.mark.parametrize("solver", ["solve_general", "solve_w_search"])
+def test_solver_ascent_reuses_scores(monkeypatch, solver):
+    module, solve = _ascent_solve(solver)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "coordinate_ascent", _ascent_oracle)
+        expected = solve()
+    record = _capture_ascent(monkeypatch, module)
+    report = solve()
+    assert report.profit == expected.profit
+    assert np.array_equal(report.optimal_price.values, expected.optimal_price.values)
+    assert report.diagnostics == expected.diagnostics
+    # the kernel scored fewer rows than the ascent compared
+    rows = record["counter"].rows
+    assert rows < report.diagnostics["evaluations"]
+    # a start run alone cannot adopt another start's outcome, so fewer rows
+    # for all starts together than for the starts one by one means one did
+    alone = 0
+    for u0 in record["starts"]:
+        counter = _RowCounter(record["eval_batch"])
+        coordinate_ascent(counter, record["caps"], [u0], record["search"])
+        alone += counter.rows
+    assert rows < alone
