@@ -9,8 +9,9 @@ for the ascent or `levels` and `search_space` for the exhaustive scan.
 
 `EvalBatch` contract: a row's score must not depend on the other rows of its
 batch, bit for bit.  The ascent relies on it to reuse scores it already holds
-instead of asking for them again.  `evaluations` counts the candidates
-compared, reused scores included, so it does not depend on that reuse.
+instead of asking for them again, and `within_budget` to score a batch in
+row slices.  `evaluations` counts the candidates compared, reused scores
+included, so it does not depend on that reuse.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ __all__ = [
 
 EvalBatch = Callable[[np.ndarray], np.ndarray]  # (B, m) -> (B,)
 
-# candidates per exhaustive-scan batch; the batched objectives' temporaries
-# grow with it, so it sets the scan's peak memory
-CHUNK = 4096
+CHUNK = 4096  # candidates per exhaustive-scan batch; CELL_BUDGET, not CHUNK, bounds memory
+# cells (rows x n x m) one batched-objective call may span: 32 MiB per float64 temporary
+CELL_BUDGET = 1 << 22
 
 
 class BudgetExceededError(RuntimeError):
@@ -80,6 +81,19 @@ def seeded_starts(caps: np.ndarray, search: SearchConfig, *extra: np.ndarray) ->
     while len(starts) < search.multistarts:
         starts.append(rng.uniform(0.0, caps))
     return starts
+
+
+def within_budget(eval_batch: EvalBatch, n: int, m: int) -> EvalBatch:
+    """`eval_batch`, whose rows span (n, m) temporaries, scored in row slices
+    of at most CELL_BUDGET cells; exact by the `EvalBatch` contract."""
+    rows = max(1, CELL_BUDGET // (n * m))
+
+    def sliced(batch: np.ndarray) -> np.ndarray:
+        if len(batch) <= rows:
+            return eval_batch(batch)
+        return np.concatenate([eval_batch(batch[k : k + rows]) for k in range(0, len(batch), rows)])
+
+    return sliced
 
 
 def exhaustive_product(

@@ -26,7 +26,6 @@ __all__ = [
     "value_function",
     "c_transform_table",
     "c_transform",
-    "back_transform_table",
     "double_transform_table",
     "double_transform",
     "is_c_concave_table",
@@ -115,15 +114,11 @@ def c_transform_table(values: np.ndarray, cost: np.ndarray, target: Optional[np.
     return np.min(cols - values[:, None], axis=0)
 
 
-def back_transform_table(vc: np.ndarray, cost: np.ndarray, generators: Optional[np.ndarray] = None) -> np.ndarray:
-    """Envelope min over generator y of {c(x, y) - v^c(y)} for every x."""
-    cols = cost if generators is None else cost[:, generators]
-    return np.min(cols - vc[None, :], axis=1)
-
-
 def double_transform_table(values: np.ndarray, cost: np.ndarray, generators: Optional[np.ndarray] = None) -> np.ndarray:
-    """Smallest cost-concave (w.r.t. the generators) function above `values`."""
-    return back_transform_table(c_transform_table(values, cost, generators), cost, generators)
+    """Smallest cost-concave (w.r.t. the generators) function above `values`:
+    min over generator y of {c(x, y) - v^c(y)} for every x."""
+    cols = cost if generators is None else cost[:, generators]
+    return np.min(cols - c_transform_table(values, cost, generators)[None, :], axis=1)
 
 
 def c_transform(
@@ -185,6 +180,18 @@ def superdifferential_mask(
     if not member.any(axis=1).all():
         raise NotCConcaveError("empty superdifferential: values are not cost-concave on the given set")
     return member
+
+
+def _transport(values: np.ndarray, vc: np.ndarray, cols: np.ndarray, tol: float) -> np.ndarray:
+    """Cheapest c(x, y) into the superdifferential at each x (+inf if empty).
+
+    Membership v(x) + v^c(y) - c(x, y) >= -tol is one-sided, since v^c bounds
+    it above by 0; leading axes of `values` and `vc` are a batch."""
+    gap = values[..., :, None] + vc[..., None, :]
+    gap -= cols
+    member = gap >= -tol
+    del gap
+    return np.where(member, cols, np.inf).min(axis=-1)
 
 
 def superdifferential(

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import BudgetExceededError, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts
+from ._search import BudgetExceededError, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts, within_budget
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
 
 __all__ = [
@@ -83,8 +83,7 @@ def profit_from_values(
     tol = ct.scale_tol(cost) if tol is None else tol
     if not ct.is_c_concave_table(values, cost, None, tol):
         raise ct.NotCConcaveError("profit_from_values requires a cost-concave input")
-    member = ct.superdifferential_mask(values, cost, tol=tol)
-    delta = np.where(member, cost, np.inf).min(axis=1)
+    delta = ct._transport(values, ct.c_transform_table(values, cost), cost, tol)
     return float(np.dot(f.weights, values - delta))
 
 
@@ -116,23 +115,17 @@ def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, t
     transform, which keeps it cost concave without leaving [0, v0].
     """
 
+    def project(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(projected value, its c-transform); leading axes of G are a batch."""
+        V = np.clip(np.min(cost + G[..., None, :], axis=-1), 0.0, v0)
+        VC = np.min(cost - V[..., :, None], axis=-2)
+        return np.min(cost - VC[..., None, :], axis=-1), VC
+
     def eval_batch(G: np.ndarray) -> np.ndarray:
-        V = np.min(cost[None, :, :] + G[:, None, :], axis=2)
-        V = np.clip(V, 0.0, v0[None, :])
-        VC = np.min(cost[None, :, :] - V[:, :, None], axis=1)
-        VP = np.min(cost[None, :, :] - VC[:, None, :], axis=2)
-        gap = VP[:, :, None] + VC[:, None, :]
-        gap -= cost[None, :, :]
-        member = gap >= -tol
-        del gap
-        delta = np.where(member, cost[None, :, :], np.inf).min(axis=2)
-        return ((VP - delta) * weights[None, :]).sum(axis=1)
+        VP, VC = project(G)
+        return ((VP - ct._transport(VP, VC, cost, tol)) * weights[None, :]).sum(axis=1)
 
-    def project(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vc = ct.c_transform_table(np.clip(ct.value_table(g, cost), 0.0, v0), cost)
-        return ct.back_transform_table(vc, cost), vc
-
-    return eval_batch, project
+    return within_budget(eval_batch, *cost.shape), project
 
 
 def solve_general(

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts
+from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts, within_budget
 from .geometry import (
     CostKernel,
     CustomerMeasure,
@@ -251,8 +251,7 @@ def profit_from_values(
     free = ctx.free
     if not ct.is_c_concave_table(values, ctx.cost, free, tol):
         raise ct.NotCConcaveError("profit needs a subregion-concave value function")
-    member = ct.superdifferential_mask(values, ctx.cost, free, tol)
-    delta = np.where(member, ctx.cost[:, free], np.inf).min(axis=1)
+    delta = ct._transport(values, ct.c_transform_table(values, ctx.cost, free), ctx.cost[:, free], tol)
     captured = values <= ctx.v0 + tol
     return float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))
 
@@ -264,15 +263,11 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
     def eval_batch(G: np.ndarray) -> np.ndarray:
         W = np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        gap = W[:, :, None] + WC[:, None, :]
-        gap -= cost_free[None, :, :]
-        member = gap >= -tol
-        del gap
-        delta = np.where(member, cost_free[None, :, :], np.inf).min(axis=2)
+        delta = ct._transport(W, WC, cost_free, tol)
         captured = W <= v0[None, :] + tol
         return (np.where(captured, W - delta, 0.0) * weights[None, :]).sum(axis=1)
 
-    return eval_batch
+    return within_budget(eval_batch, *cost_free.shape)
 
 
 def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> ModelTwoSolveReport:
@@ -361,11 +356,7 @@ def solve_boundary_control(
     def eval_batch(PHI: np.ndarray) -> np.ndarray:
         W = np.min(cost_ctrl[None, :, :] + PHI[:, None, :], axis=2)
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        gap = W[:, :, None] + WC[:, None, :]
-        gap -= cost_free[None, :, :]
-        member = gap >= -tol
-        del gap
-        delta = np.where(member, cost_free[None, :, :], np.inf).min(axis=2)
+        delta = ct._transport(W, WC, cost_free, tol)
         captured = W <= ctx.v0[None, :] + tol
         # the free-side term also carries the capture condition: on coarse 2D
         # grids an interface-generated value can exceed the outside option at
@@ -374,14 +365,14 @@ def solve_boundary_control(
         fixed_part = (np.where(captured & fixed_mask[None, :], W - delta, 0.0) * weights[None, :]).sum(axis=1)
         return free_part + fixed_part
 
+    eval_batch = within_budget(eval_batch, *cost_free.shape)
     k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
-        phi_best, val_best, diag = exhaustive_product(
-            eval_batch, caps, levels, search.max_candidates, feasible=feasible
-        )
+        phi_best, val_best, diag = exhaustive_product(eval_batch, caps, levels, search.max_candidates, feasible=feasible)
     else:
-        starts = [_lipschitz_project(u, dctrl) for u in seeded_starts(caps, search)]
+        # each start becomes the largest 1-Lipschitz function below it on the control set
+        starts = [ct.value_table(u, dctrl) for u in seeded_starts(caps, search)]
         phi_best, val_best, diag = coordinate_ascent(eval_batch, caps, starts, search, feasible=feasible)
 
     w = ct.value_table(phi_best, cost_ctrl)
@@ -397,11 +388,6 @@ def solve_boundary_control(
     if np.max(np.abs(report.w_opt.values - w)) > 10.0 * tol:
         raise RuntimeError("interface-generated value function is inconsistent")
     return report
-
-
-def _lipschitz_project(phi: np.ndarray, dctrl: np.ndarray) -> np.ndarray:
-    """Largest 1-Lipschitz function below phi on the control set."""
-    return ct.value_table(phi, dctrl)
 
 
 def _stieltjes(cdf: Callable, g: Callable, lo: float, hi: float, m: int = 20001) -> float:

@@ -10,12 +10,13 @@ are scored with the home-region tie rule throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import ctransform as ct
+from ._search import within_budget
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
 
 __all__ = [
@@ -146,7 +147,7 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
         )
         return (np.where(mine, paid, 0.0) * weights[None, :]).sum(axis=1)
 
-    return payoff
+    return within_budget(payoff, *cost_my.shape)
 
 
 def payoffs(
@@ -315,41 +316,29 @@ def best_response_dynamics(
         raise ValueError("the dynamics need at least one round")
     a_idx, b_idx = ctx.indices("A"), ctx.indices("B")
     n = ctx.region.size
-    p = _strategy_values(p_init, a_idx, n)[a_idx].copy()
-    q = _strategy_values(q_init, b_idx, n)[b_idx].copy()
+    # strategies are full-length vectors read only on the owner's points
+    pv = _strategy_values(p_init, a_idx, n)
+    qv = _strategy_values(q_init, b_idx, n)
+    p, q = pv[a_idx], qv[b_idx]
     if search.price_scale is None:
         # pin one price grid for the whole run so undercuts step uniformly
-        pv = np.zeros(n)
-        pv[a_idx] = p
-        qv = np.zeros(n)
-        qv[b_idx] = q
         scale = max(float(ct.value_table(qv, ctx.cost, b_idx).max()), float(ct.value_table(pv, ctx.cost, a_idx).max()))
         if ctx.price_cap is not None:
             scale = min(scale, float(ctx.price_cap) + float(ctx.cost.max()))
-        search = NashSearchConfig(
-            grid_n=search.grid_n, polish_sweeps=search.polish_sweeps, price_scale=scale
-        )
+        search = replace(search, price_scale=scale)
     history: list[tuple[np.ndarray, np.ndarray]] = [(p.copy(), q.copy())]
     trace: list[RoundRecord] = []
     converged = False
     oscillation = None
     for r in range(1, rounds + 1):
-        qa_full = np.zeros(n)
-        qa_full[b_idx] = q
-        ra = best_response("A", qa_full, ctx, search)
-        p_new = ra.prices
-        pb_full = np.zeros(n)
-        pb_full[a_idx] = p_new
-        rb = best_response("B", pb_full, ctx, search)
-        q_new = rb.prices
-        delta_p = float(np.max(np.abs(p_new - p))) if p.size else 0.0
-        delta_q = float(np.max(np.abs(q_new - q))) if q.size else 0.0
-        p, q = p_new, q_new
-        pa_full = np.zeros(n)
-        pa_full[a_idx] = p
-        qb_full = np.zeros(n)
-        qb_full[b_idx] = q
-        pi_a, pi_b = payoffs(pa_full, qb_full, ctx)
+        ra = best_response("A", qv, ctx, search)
+        pv = ra.pattern(ctx)
+        rb = best_response("B", pv, ctx, search)
+        qv = rb.pattern(ctx)
+        delta_p = float(np.max(np.abs(ra.prices - p))) if p.size else 0.0
+        delta_q = float(np.max(np.abs(rb.prices - q))) if q.size else 0.0
+        p, q = ra.prices, rb.prices
+        pi_a, pi_b = payoffs(pv, qv, ctx)
         trace.append(RoundRecord(r, p.copy(), q.copy(), pi_a, pi_b, delta_p, delta_q))
         if max(delta_p, delta_q) <= eps:
             converged = True

@@ -167,6 +167,14 @@ def load_scenario(path: str, method_override: Optional[str] = None, seed_overrid
         raise ScenarioError(f"cannot read scenario: {e}") from e
     except json.JSONDecodeError as e:
         raise ScenarioError(f"scenario is not valid JSON: {e}") from e
+    try:
+        return _parse(raw, method_override, seed_override)
+    except TypeError as e:
+        # null, a list or an object where a number or a name belongs
+        raise ScenarioError(f"scenario: wrongly typed value: {e}") from e
+
+
+def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int]) -> Scenario:
     _require(isinstance(raw, dict), "scenario: top level must be an object")
     model = raw.get("model")
     _require(model in MODEL_METHODS, f"scenario: model must be one of {sorted(MODEL_METHODS)}")
@@ -177,6 +185,7 @@ def load_scenario(path: str, method_override: Optional[str] = None, seed_overrid
     measure = _build_measure(raw.get("measure"), region.size)
     seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
     solver = raw.get("solver") or {}
+    _require(isinstance(solver, dict), "solver: expected an object")
     method = method_override or solver.get("method")
     if method is None:
         method = MODEL_METHODS[model][0]

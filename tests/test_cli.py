@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
+from spatial_pricing import model_one
 from spatial_pricing.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, compare, run
 from spatial_pricing.model_one import profit_from_prices
 from spatial_pricing.scenario import ScenarioError, load_scenario
@@ -256,3 +257,46 @@ class TestScenarioValidation:
         header, rows = read_series(out)
         assert "y" in header
         assert len(rows) == 25
+
+
+def general_search_scenario():
+    return {
+        "model": "one",
+        "region": {"dimension": 1, "n": 5, "bounds": [0, 1]},
+        "cost": {"kind": "metric_power", "alpha": 1.0},
+        "measure": {"kind": "uniform"},
+        "prices": {"p0": {"kind": "constant", "value": 1.0}},
+        "solver": {"method": "general_search", "search": {"mode": "exhaustive", "levels": 3}},
+    }
+
+
+class TestWronglyTypedValues:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["prices"]["p0"].update(value=None),
+            lambda s: s["solver"]["search"].update(levels=None),
+            lambda s: s["region"].update(n=[3]),
+            lambda s: s.update(model=["one"]),
+            lambda s: s.update(solver=[1]),
+        ],
+        ids=["null_value", "null_levels", "list_n", "list_model", "list_solver"],
+    )
+    def test_exit_2_and_nothing_written(self, tmp_path, edit):
+        scen = general_search_scenario()
+        edit(scen)
+        path = write_scenario(tmp_path, "typed.json", scen)
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert run(path, str(out)) == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_type_error_inside_a_solver_is_not_a_scenario_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("defect inside the solver")
+
+        monkeypatch.setattr(model_one, "solve_general", broken)
+        path = write_scenario(tmp_path, "ok.json", general_search_scenario())
+        with pytest.raises(TypeError, match="defect inside the solver"):
+            run(path, str(tmp_path / "out"))

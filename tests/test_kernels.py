@@ -1,13 +1,15 @@
 """The batched search objectives: the membership test built in one buffer
 gives the same scores as the one-expression form, and a row's score does not
 depend on the other rows of its batch, which the coordinate ascent's score
-reuse rests on."""
+reuse and the memory budget's row slices rest on."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import Mask, PartitionContext, model_one, model_two
+from spatial_pricing import GameContext, Mask, PartitionContext, _search, model_one, model_two, nash
 from spatial_pricing import ctransform as ct
 from spatial_pricing.geometry import eval_cost
 
@@ -67,6 +69,10 @@ def _boundary_control_objective(monkeypatch):
     region = sp.build_grid_region(6, 6, fixed_box=((0.2, 0.8), (0.2, 0.8)))
     ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern.constant(36, 0.6))
     f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 36))
+    return _captured_objective(monkeypatch, ctx, f, sp.SearchConfig(grid_n=3, levels=3))
+
+
+def _captured_objective(monkeypatch, ctx, f, search):
     captured = {}
 
     class Captured(Exception):
@@ -78,7 +84,7 @@ def _boundary_control_objective(monkeypatch):
 
     monkeypatch.setattr(model_two, "exhaustive_product", scan)
     with pytest.raises(Captured):
-        model_two.solve_boundary_control(ctx, f, sp.SearchConfig(grid_n=3, levels=3))
+        model_two.solve_boundary_control(ctx, f, search)
     return captured["eval_batch"], captured["caps"]
 
 
@@ -114,3 +120,142 @@ def test_boundary_control_rows_do_not_depend_on_the_batch(monkeypatch):
     eval_batch, caps = _boundary_control_objective(monkeypatch)
     G = np.random.default_rng(0).uniform(0.0, 1.0, (33, caps.size)) * caps
     _assert_rows_independent(eval_batch, G)
+
+
+def _transport_one_batch_axis(V, VC, cols, tol):
+    """The inline form the batched objectives used before the shared helper."""
+    gap = V[:, :, None] + VC[:, None, :]
+    gap -= cols[None, :, :]
+    member = gap >= -tol
+    del gap
+    return np.where(member, cols[None, :, :], np.inf).min(axis=2)
+
+
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+@pytest.mark.parametrize("seed", range(15))
+def test_transport_matches_the_inline_form(seed, lead):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 10))
+    cost = eval_cost(random_kernel(rng, n), region_from_points(random_points(rng, n)))
+    cols = cost[:, np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))]
+    m = cols.shape[1]
+    G = 0.25 * rng.integers(0, 5, (*lead, m))  # quantized: ties in the superdifferential
+    V = np.min(cols + G[..., None, :], axis=-1)
+    VC = np.min(cols - V[..., :, None], axis=-2)
+    VC[..., : m // 2] -= 0.1 * rng.integers(0, 2, (*lead, m // 2))  # some sets shrink or empty
+    tol = ct.scale_tol(cost)
+    flat = _transport_one_batch_axis(V.reshape(-1, n), VC.reshape(-1, m), cols, tol)
+    assert np.array_equal(ct._transport(V, VC, cols, tol), flat.reshape(V.shape))
+
+
+def _model_one_value_profit_instances():
+    """The value functions of test_model_one's reduction identities (seeds 8 and 9)."""
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        region = region_from_points(random_points(rng, n))
+        kern = random_kernel(rng, n)
+        f = sp.CustomerMeasure(rng.uniform(0, 1, n))
+        yield sp.value_function(sp.PricePattern(rng.uniform(0, 2, n)), kern, region).values, kern, region, f
+    rng = np.random.default_rng(9)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        region = region_from_points(random_points(rng, n))
+        kern = random_kernel(rng, n)
+        cost = sp.eval_cost(kern, region)
+        f = sp.CustomerMeasure(rng.uniform(0, 1, n))
+        yield np.min(cost + rng.uniform(0, 2, n)[None, :], axis=1), kern, region, f
+
+
+def _model_two_value_profit_instances():
+    """The reformulated value functions of test_model_two's TestValueProfit (seed 4)."""
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        n = int(rng.integers(3, 8))
+        region = random_partitioned_region(rng, n)
+        kern = random_kernel(rng, n)
+        p0 = sp.PricePattern(np.where(region.mask == Mask.FIXED, rng.uniform(0.0, 2.0, n), 0.0))
+        ctx = PartitionContext.build(region, kern, p0)
+        f = sp.CustomerMeasure(rng.uniform(0, 1, n))
+        w, _ = model_two.reformulate(ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size)), ctx, f)
+        yield w.values, ctx, f
+
+
+def test_model_one_value_profit_equals_the_mask_form():
+    for values, kern, region, f in _model_one_value_profit_instances():
+        cost = eval_cost(kern, region)
+        member = ct.superdifferential_mask(values, cost, tol=ct.scale_tol(cost))
+        expected = float(np.dot(f.weights, values - np.where(member, cost, np.inf).min(axis=1)))
+        assert model_one.profit_from_values(values, kern, region, f) == expected
+
+
+def test_model_two_value_profit_equals_the_mask_form():
+    for values, ctx, f in _model_two_value_profit_instances():
+        member = ct.superdifferential_mask(values, ctx.cost, ctx.free, ctx.tol)
+        delta = np.where(member, ctx.cost[:, ctx.free], np.inf).min(axis=1)
+        captured = values <= ctx.v0 + ctx.tol
+        expected = float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))
+        assert model_two.profit_from_values(values, ctx, f) == expected
+
+
+def test_within_budget_slices_rows(monkeypatch):
+    monkeypatch.setattr(_search, "CELL_BUDGET", 10)
+    sizes = []
+
+    def eval_batch(batch):
+        sizes.append(len(batch))
+        return batch.sum(axis=1)
+
+    batch = np.arange(20.0).reshape(10, 2)
+    assert np.array_equal(_search.within_budget(eval_batch, 1, 3)(batch), batch.sum(axis=1))
+    assert sizes == [3, 3, 3, 1]
+    sizes.clear()
+    _search.within_budget(eval_batch, 4, 4)(batch)  # 16 cells per row: one row per call
+    assert sizes == [1] * 10
+
+
+def _nash_payoff_case(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 15))
+    region = sp.build_interval_region(n, 0.0, 1.0)
+    ctx = GameContext.from_split(region, random_kernel(rng, n), 0.5, sp.CustomerMeasure(rng.uniform(0.1, 1.0, n)))
+    my_idx, opp_idx = ctx.indices("A"), ctx.indices("B")
+    opp_offer = ct.value_table(rng.uniform(0.0, 1.0, n), ctx.cost, opp_idx)
+    P = 0.1 * rng.integers(0, 8, (int(rng.integers(1, 40)), my_idx.size))
+    return (ctx, my_idx, opp_offer, ctx.tie_home("A"), ctx.tol), P
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scores_do_not_depend_on_the_budget(monkeypatch, seed):
+    one_args, G1 = _model_one_case(seed)
+    two_args, G2 = _model_two_case(seed)
+    nash_args, P = _nash_payoff_case(seed)
+    objectives = [
+        (lambda: model_one._batch_value_profit(*one_args)[0], G1),
+        (lambda: model_two._batch_subregion_profit(*two_args), G2),
+        (lambda: nash._player_payoff_batch(*nash_args), P),
+    ]
+    caps = _boundary_control_objective(monkeypatch)[1]
+    G = np.random.default_rng(seed).uniform(0.0, 1.0, (33, caps.size)) * caps
+    objectives.append((lambda: _boundary_control_objective(monkeypatch)[0], G))
+    for build, batch in objectives:
+        monkeypatch.setattr(_search, "CELL_BUDGET", 1 << 40)
+        whole = build()(batch)
+        monkeypatch.setattr(_search, "CELL_BUDGET", 1)  # one row per call
+        assert np.array_equal(build()(batch), whole)
+
+
+def test_boundary_control_memory_stays_within_the_budget(monkeypatch):
+    # 1D window (0.3, 0.7), n = 81: a 4096-row batch spans 4096 x 81 x 50
+    # cells, about four budgets, so it is scored in slices
+    region = sp.build_interval_region(81, 0.0, 1.0, fixed_window=(0.3, 0.7))
+    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern.constant(81, 0.4))
+    eval_batch, caps = _captured_objective(monkeypatch, ctx, sp.CustomerMeasure.uniform(81), sp.SearchConfig())
+    G = np.random.default_rng(0).uniform(0.0, 1.0, (4096, caps.size)) * caps
+    tracemalloc.start()
+    try:
+        eval_batch(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * _search.CELL_BUDGET * 8

@@ -178,6 +178,29 @@ class TestDynamics:
             assert (p_fin == finals[0][0]).all()
             assert (q_fin == finals[0][1]).all()
 
+    def test_initial_prices_are_read_on_the_owners_points_only(self):
+        _, ctx = split_game(21)
+        cfg = NashSearchConfig(grid_n=30)
+        p, q = np.ones(21), np.ones(21)
+        p_off, q_off = p.copy(), q.copy()
+        p_off[~ctx.a_mask] = 7.0
+        q_off[~ctx.b_mask] = np.inf
+        base = best_response_dynamics(p, q, ctx, rounds=6, eps=1e-9, search=cfg)
+        off = best_response_dynamics(p_off, q_off, ctx, rounds=6, eps=1e-9, search=cfg)
+        assert len(off.rounds) == len(base.rounds)
+        for r, s in zip(off.rounds, base.rounds):
+            assert np.array_equal(r.p, s.p) and np.array_equal(r.q, s.q)
+            assert (r.payoff_a, r.payoff_b) == (s.payoff_a, s.payoff_b)
+
+    def test_round_payoffs_score_the_round_prices(self):
+        _, ctx = split_game(21)
+        tr = best_response_dynamics(np.ones(21), np.ones(21), ctx, rounds=4, eps=1e-9, search=NashSearchConfig(grid_n=30))
+        assert not tr.converged  # every round moves, so a stale vector would show
+        for r in tr.rounds:
+            pv, qv = np.zeros(21), np.zeros(21)
+            pv[ctx.indices("A")], qv[ctx.indices("B")] = r.p, r.q
+            assert (r.payoff_a, r.payoff_b) == payoffs(pv, qv, ctx)
+
     def test_trace_records_rounds(self):
         _, ctx = split_game(11)
         tr = best_response_dynamics(np.ones(11), np.ones(11), ctx, rounds=5, eps=1e-9, search=NashSearchConfig(grid_n=10))
