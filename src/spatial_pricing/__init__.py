@@ -8,7 +8,6 @@ from .ctransform import (
     ValueKind,
     assignment,
     c_transform,
-    double_transform,
     is_c_concave,
     scale_tol,
     superdifferential,

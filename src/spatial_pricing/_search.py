@@ -17,6 +17,7 @@ included, so it does not depend on that reuse.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -144,13 +145,20 @@ def coordinate_ascent(
     starts: list[np.ndarray],
     search: SearchConfig,
     feasible: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    *,
+    step: Optional[float] = None,
+    on_grid_cap: bool = False,
 ) -> tuple[np.ndarray, float, dict]:
     """Multi-start coordinate ascent with step halving.
 
     Each coordinate tries moves of +-step and +-2*step (plus the box
     endpoints) while the others are held; accepted moves must improve
     strictly.  The step starts at max(caps) / (levels - 1) and halves
-    whenever a full sweep makes no progress, `refine_halvings` times.
+    whenever a full sweep makes no progress, `refine_halvings` times, but
+    not below 1e-12.  A positive `step` replaces that first step and always
+    runs its first level, however small.  With `on_grid_cap` each coordinate
+    also tries its cap rounded down to the step grid, floor(cap / step +
+    1e-12) * step.  The Nash best-response polish is one such level.
 
     No score is requested twice where the answer is already known: trials
     scored at the current point are remembered until the point moves, and a
@@ -162,8 +170,10 @@ def coordinate_ascent(
     m = caps.size
     cap_list = caps.tolist()
     cap_max = float(np.max(caps, initial=0.0))
-    step0 = cap_max / max(search.levels - 1, 1)
-    min_step = max(step0 / 2**search.refine_halvings, 1e-12)
+    step0 = cap_max / max(search.levels - 1, 1) if step is None else step
+    min_step = step0 / 2**search.refine_halvings
+    if step is None:
+        min_step = max(min_step, 1e-12)  # also ends the ascent when all caps are 0
     accept_eps = 1e-13 * (1.0 + cap_max)
     best_u, best_val = None, -np.inf
     n_eval = 0
@@ -191,6 +201,8 @@ def coordinate_ascent(
                 for i in range(m):
                     base, cap = float(u[i]), cap_list[i]
                     moves = (base - 2 * step, base - step, base + step, base + 2 * step, 0.0, cap)
+                    if on_grid_cap:
+                        moves += (math.floor(cap / step + 1e-12) * step,)
                     trials = [t for t in sorted({min(max(x, 0.0), cap) for x in moves}) if abs(t - base) > 1e-15]
                     fresh = [t for t in trials if (i, t) not in known]
                     if fresh:

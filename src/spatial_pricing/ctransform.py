@@ -27,7 +27,6 @@ __all__ = [
     "c_transform_table",
     "c_transform",
     "double_transform_table",
-    "double_transform",
     "is_c_concave_table",
     "is_c_concave",
     "superdifferential_mask",
@@ -114,11 +113,16 @@ def c_transform_table(values: np.ndarray, cost: np.ndarray, target: Optional[np.
     return np.min(cols - values[:, None], axis=0)
 
 
-def double_transform_table(values: np.ndarray, cost: np.ndarray, generators: Optional[np.ndarray] = None) -> np.ndarray:
+def double_transform_table(
+    values: np.ndarray, cost: np.ndarray, generators: Optional[np.ndarray] = None, vc: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Smallest cost-concave (w.r.t. the generators) function above `values`:
-    min over generator y of {c(x, y) - v^c(y)} for every x."""
+    min over generator y of {c(x, y) - v^c(y)} for every x.  `vc`, when
+    given, is v^c over the generators."""
+    if vc is None:
+        vc = c_transform_table(values, cost, generators)
     cols = cost if generators is None else cost[:, generators]
-    return np.min(cols - c_transform_table(values, cost, generators)[None, :], axis=1)
+    return np.min(cols - vc[None, :], axis=1)
 
 
 def c_transform(
@@ -130,24 +134,17 @@ def c_transform(
     return c_transform_table(_values_array(v), eval_cost(kernel, region), target)
 
 
-def double_transform(
-    v: ValueFunction | np.ndarray,
-    kernel: CostKernel,
-    region: Region,
-    generators: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    return double_transform_table(_values_array(v), eval_cost(kernel, region), generators)
-
-
 def is_c_concave_table(
     values: np.ndarray,
     cost: np.ndarray,
     within: Optional[np.ndarray] = None,
     tol: Optional[float] = None,
+    vc: Optional[np.ndarray] = None,
 ) -> bool:
-    """True iff the double transform (over `within`) reproduces the values up to tol."""
+    """True iff the double transform (over `within`) reproduces the values up
+    to tol; `vc`, when given, is v^c over `within`."""
     tol = scale_tol(cost) if tol is None else tol
-    return bool(np.max(np.abs(double_transform_table(values, cost, within) - values)) <= tol)
+    return bool(np.max(np.abs(double_transform_table(values, cost, within, vc) - values)) <= tol)
 
 
 def is_c_concave(
@@ -228,9 +225,6 @@ class AssignmentMap:
     member: np.ndarray
     expenditure: np.ndarray
     choice: np.ndarray
-
-    def argmin_set(self, x: int) -> np.ndarray:
-        return self.candidates[self.member[x]]
 
 
 def assignment_table(

@@ -81,9 +81,10 @@ def profit_from_values(
     cost = eval_cost(kernel, region)
     values = ct._values_array(v)
     tol = ct.scale_tol(cost) if tol is None else tol
-    if not ct.is_c_concave_table(values, cost, None, tol):
+    vc = ct.c_transform_table(values, cost)
+    if not ct.is_c_concave_table(values, cost, None, tol, vc):
         raise ct.NotCConcaveError("profit_from_values requires a cost-concave input")
-    delta = ct._transport(values, ct.c_transform_table(values, cost), cost, tol)
+    delta = ct._transport(values, vc, cost, tol)
     return float(np.dot(f.weights, values - delta))
 
 

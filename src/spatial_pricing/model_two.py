@@ -249,9 +249,10 @@ def profit_from_values(
     tol = ctx.tol if tol is None else tol
     values = ct._values_array(w)
     free = ctx.free
-    if not ct.is_c_concave_table(values, ctx.cost, free, tol):
+    vc = ct.c_transform_table(values, ctx.cost, free)
+    if not ct.is_c_concave_table(values, ctx.cost, free, tol, vc):
         raise ct.NotCConcaveError("profit needs a subregion-concave value function")
-    delta = ct._transport(values, ct.c_transform_table(values, ctx.cost, free), ctx.cost[:, free], tol)
+    delta = ct._transport(values, vc, ctx.cost[:, free], tol)
     captured = values <= ctx.v0 + tol
     return float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))
 

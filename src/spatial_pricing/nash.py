@@ -4,8 +4,10 @@ Each agent prices its own subregion; a customer buys from whichever side
 offers the lower total cost, and an exact tie sends the customer to the shop
 in their home region.  Best responses search a family of frontier-cone
 patterns (a margin plus the transport cost from the opponent's region,
-capped by the opponent's standing offer) refined by coordinate polish, and
-are scored with the home-region tie rule throughout.
+capped by the opponent's standing offer), then polish the best cone with
+one step level of the shared coordinate ascent: moves of one and two price
+steps, the on-grid cap as an extra trial.  Payoffs use the home-region tie
+rule throughout.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import within_budget
+from ._search import SearchConfig, coordinate_ascent, within_budget
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
 
 __all__ = [
@@ -117,6 +119,10 @@ class NashSearchConfig:
     Prices move on a fixed grid of step price_scale / grid_n (the scale
     defaults to the opponent's largest standing offer; the dynamics pin it
     once at the start so the grid does not drift between rounds).
+
+    polish_sweeps : sweeps of the coordinate polish, which runs one step
+                    level of `_search.coordinate_ascent` at the grid step,
+                    with the on-grid cap as an extra trial per point.
     """
 
     grid_n: int = 200
@@ -235,29 +241,9 @@ def best_response(
     n_eval = len(margins)
 
     if step > 0:
-        accept = 1e-13 * (1.0 + cap_global)
-        for _ in range(search.polish_sweeps):
-            improved = False
-            for i in range(my_idx.size):
-                base = best[i]
-                on_grid_cap = np.floor(caps[i] / step + 1e-12) * step
-                trials = np.unique(
-                    np.array([base - 2 * step, base - step, base + step, base + 2 * step, 0.0, on_grid_cap, caps[i]])
-                )
-                trials = trials[(trials >= 0.0) & (trials <= caps[i]) & (np.abs(trials - base) > 1e-15)]
-                if trials.size == 0:
-                    continue
-                batch = np.repeat(best[None, :], trials.size, axis=0)
-                batch[:, i] = trials
-                v = pay(batch)
-                n_eval += len(batch)
-                k = int(np.argmax(v))
-                if v[k] > best_val + accept:
-                    best_val = float(v[k])
-                    best[i] = trials[k]
-                    improved = True
-            if not improved:
-                break
+        polish = SearchConfig(max_sweeps=search.polish_sweeps, refine_halvings=0)
+        best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True)
+        n_eval += diag["evaluations"]
 
     pay_agent_ties = _player_payoff_batch(ctx, my_idx, opp_offer, np.ones(ctx.region.size, dtype=bool), tol)
     favorable = float(pay_agent_ties(best[None, :])[0])

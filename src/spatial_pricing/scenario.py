@@ -169,9 +169,10 @@ def load_scenario(path: str, method_override: Optional[str] = None, seed_overrid
         raise ScenarioError(f"scenario is not valid JSON: {e}") from e
     try:
         return _parse(raw, method_override, seed_override)
-    except TypeError as e:
-        # null, a list or an object where a number or a name belongs
-        raise ScenarioError(f"scenario: wrongly typed value: {e}") from e
+    except (TypeError, OverflowError) as e:
+        # null, a list or an object where a number or a name belongs, or an
+        # infinity (json reads 1e400 as one) where a count belongs
+        raise ScenarioError(f"scenario: wrongly typed or out-of-range value: {e}") from e
 
 
 def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int]) -> Scenario:

@@ -279,8 +279,12 @@ class TestWronglyTypedValues:
             lambda s: s["region"].update(n=[3]),
             lambda s: s.update(model=["one"]),
             lambda s: s.update(solver=[1]),
+            # json reads 1e400 as an infinity, which no count can hold
+            lambda s: s["region"].update(n=1e400),
+            lambda s: s.update(seed=1e400),
+            lambda s: s.update(model="nash", solver={}, game={"split": 0.5, "rounds": 1e400}),
         ],
-        ids=["null_value", "null_levels", "list_n", "list_model", "list_solver"],
+        ids=["null_value", "null_levels", "list_n", "list_model", "list_solver", "inf_n", "inf_seed", "inf_rounds"],
     )
     def test_exit_2_and_nothing_written(self, tmp_path, edit):
         scen = general_search_scenario()

@@ -3,7 +3,16 @@ import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import GameContext, NashSearchConfig
-from spatial_pricing.nash import best_response, best_response_dynamics, payoffs, verify_equilibrium
+from spatial_pricing import ctransform as ct
+from spatial_pricing.nash import (
+    BestResponseResult,
+    _player_payoff_batch,
+    _strategy_values,
+    best_response,
+    best_response_dynamics,
+    payoffs,
+    verify_equilibrium,
+)
 
 METRIC = sp.CostKernel.metric(1.0)
 
@@ -266,3 +275,99 @@ class TestVerifyEquilibrium:
         step = max(r.diagnostics["price_step"] for r in [best_response("A", qb, ctx, cfg)])
         assert tr.rounds[0].delta_p <= step + 1e-12
         assert tr.rounds[0].delta_q <= step + 1e-12
+
+
+def _best_response_oracle(player, opponent_price, ctx, search):
+    """`best_response` with its own coordinate polish, kept verbatim as the reference."""
+    tol = ctx.tol
+    my_idx = ctx.indices(player)
+    opp_idx = ctx.indices("B" if player == "A" else "A")
+    opp_vals = _strategy_values(opponent_price, opp_idx, ctx.region.size)
+    opp_offer = ct.value_table(opp_vals, ctx.cost, opp_idx)
+    if ctx.kernel.is_metric:
+        caps = opp_offer[my_idx].copy()
+    else:
+        caps = np.full(my_idx.size, float(opp_offer.max()))
+    if ctx.price_cap is not None:
+        caps = np.minimum(caps, ctx.price_cap)
+    caps = np.maximum(caps, 0.0)
+    frontier = ctx.cost[np.ix_(my_idx, opp_idx)].min(axis=1)
+    pay = _player_payoff_batch(ctx, my_idx, opp_offer, ctx.tie_home(player), tol)
+
+    cap_global = float(caps.max()) if caps.size else 0.0
+    scale = search.price_scale if search.price_scale is not None else cap_global
+    step = scale / search.grid_n if scale > 0 else 0.0
+    if step > 0:
+        margins = np.arange(0.0, cap_global + 0.5 * step, step)
+    else:
+        margins = np.zeros(1)
+    cones = np.minimum(caps[None, :], margins[:, None] + frontier[None, :])
+    vals = pay(cones)
+    tie_eps = 1e-11 * (1.0 + scale) * (1.0 + ctx.f.total_mass)
+    j = int(np.argmax(vals >= vals.max() - tie_eps))
+    best = cones[j].copy()
+    best_val = float(vals[j])
+    n_eval = len(margins)
+
+    if step > 0:
+        accept = 1e-13 * (1.0 + cap_global)
+        for _ in range(search.polish_sweeps):
+            improved = False
+            for i in range(my_idx.size):
+                base = best[i]
+                on_grid_cap = np.floor(caps[i] / step + 1e-12) * step
+                trials = np.unique(
+                    np.array([base - 2 * step, base - step, base + step, base + 2 * step, 0.0, on_grid_cap, caps[i]])
+                )
+                trials = trials[(trials >= 0.0) & (trials <= caps[i]) & (np.abs(trials - base) > 1e-15)]
+                if trials.size == 0:
+                    continue
+                batch = np.repeat(best[None, :], trials.size, axis=0)
+                batch[:, i] = trials
+                v = pay(batch)
+                n_eval += len(batch)
+                k = int(np.argmax(v))
+                if v[k] > best_val + accept:
+                    best_val = float(v[k])
+                    best[i] = trials[k]
+                    improved = True
+            if not improved:
+                break
+
+    pay_agent_ties = _player_payoff_batch(ctx, my_idx, opp_offer, np.ones(ctx.region.size, dtype=bool), tol)
+    favorable = float(pay_agent_ties(best[None, :])[0])
+    return BestResponseResult(
+        player=player,
+        prices=best,
+        payoff=best_val,
+        payoff_tie_favorable=favorable,
+        diagnostics={"evaluations": n_eval, "price_step": step, "tie_rule_gap": favorable - best_val},
+    )
+
+
+@pytest.mark.parametrize("grid_n", [7, 200])
+@pytest.mark.parametrize("price_cap", [None, 0.3, 1e-10])
+@pytest.mark.parametrize("kernel", [METRIC, sp.CostKernel.quadratic()], ids=["distance", "quadratic"])
+def test_best_response_matches_reference_polish(kernel, price_cap, grid_n):
+    # on regions 1e-8 and 1e-9 wide the polish moves distance-cost prices
+    # too, and under the 1e-10 cap it moves quadratic-cost prices in steps
+    # below 1e-12
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 14))
+        span = [1.0, 1e-8, 1e-9][seed % 3]
+        region = sp.build_interval_region(n, 0.0, span)
+        f = sp.CustomerMeasure(rng.uniform(0.5, 1.5, n))
+        ctx = GameContext.from_split(region, kernel, float(rng.uniform(0.3, 0.7)) * span, f, price_cap=price_cap)
+        opponent = rng.uniform(0.0, 1.0, n) * [1.0, span][seed % 2]
+        search = NashSearchConfig(grid_n=grid_n)
+        for player in "AB":
+            expected = _best_response_oracle(player, opponent, ctx, search)
+            got = best_response(player, opponent, ctx, search)
+            case = (seed, player)
+            assert np.array_equal(got.prices, expected.prices), case
+            assert repr(got.payoff) == repr(expected.payoff), case
+            assert repr(got.payoff_tie_favorable) == repr(expected.payoff_tie_favorable), case
+            assert got.diagnostics["price_step"] == expected.diagnostics["price_step"], case
+            # the shared ascent scores its start once more
+            assert got.diagnostics["evaluations"] == expected.diagnostics["evaluations"] + 1, case

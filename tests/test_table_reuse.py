@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import cli, geometry, model_one, model_two, nash
+from spatial_pricing import cli, ctransform, geometry, model_one, model_two, nash
 
 METRIC = sp.CostKernel.metric(1.0)
 QUADRATIC = sp.CostKernel.quadratic()
@@ -101,3 +101,24 @@ def test_game_context_calls_build_no_table(builds):
     nash.best_response_dynamics(p, q, ctx, 3, 1e-9, cfg)
     nash.verify_equilibrium(p, q, ctx, cfg)
     assert builds == []
+
+
+def test_profit_from_values_transforms_once(monkeypatch):
+    calls = []
+    original = ctransform.c_transform_table
+
+    def counting(values, cost, target=None):
+        calls.append(values.shape)
+        return original(values, cost, target)
+
+    monkeypatch.setattr(ctransform, "c_transform_table", counting)
+    region = sp.build_interval_region(15, 0.0, 1.0, fixed_window=(0.3, 0.7))
+    f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 15))
+    v = sp.value_function(np.linspace(0.4, 0.9, 15), QUADRATIC, region).values
+    model_one.profit_from_values(v, QUADRATIC, region, f)
+    assert len(calls) == 1
+    ctx = model_two.PartitionContext.build(region, METRIC, sp.PricePattern.constant(15, 0.5))
+    w, _ = model_two.reformulate(ctx.full_prices(np.linspace(0.1, 0.6, ctx.free.size)), ctx, f)
+    calls.clear()
+    model_two.profit_from_values(w, ctx, f)
+    assert len(calls) == 1
