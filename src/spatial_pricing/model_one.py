@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import BudgetExceededError, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts, within_budget
+from ._search import BudgetExceededError, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, scored_by_value, seeded_starts
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
 
 __all__ = [
@@ -113,20 +113,27 @@ def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, t
 
     A candidate price vector g induces v(x) = min_y {c(x, y) + g(y)}; the
     candidate value is clamped to [0, v0] and re-projected by a double
-    transform, which keeps it cost concave without leaving [0, v0].
+    transform, which keeps it cost concave without leaving [0, v0].  The
+    profit depends on g only through the clamped value, so each distinct one
+    is scored once.
     """
 
-    def project(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(projected value, its c-transform); leading axes of G are a batch."""
-        V = np.clip(np.min(cost + G[..., None, :], axis=-1), 0.0, v0)
+    def value(G: np.ndarray) -> np.ndarray:
+        return np.clip(np.min(cost + G[..., None, :], axis=-1), 0.0, v0)
+
+    def reproject(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         VC = np.min(cost - V[..., :, None], axis=-2)
         return np.min(cost - VC[..., None, :], axis=-1), VC
 
-    def eval_batch(G: np.ndarray) -> np.ndarray:
-        VP, VC = project(G)
+    def score(V: np.ndarray) -> np.ndarray:
+        VP, VC = reproject(V)
         return ((VP - ct._transport(VP, VC, cost, tol)) * weights[None, :]).sum(axis=1)
 
-    return within_budget(eval_batch, *cost.shape), project
+    def project(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(projected value, its c-transform); leading axes of G are a batch."""
+        return reproject(value(G))
+
+    return scored_by_value(value, score, *cost.shape), project
 
 
 def solve_general(

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts, within_budget
+from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, scored_by_value, seeded_starts
 from .geometry import (
     CostKernel,
     CustomerMeasure,
@@ -261,14 +261,16 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
     cost_free = ctx.cost[:, ctx.free]
     v0 = ctx.v0
 
-    def eval_batch(G: np.ndarray) -> np.ndarray:
-        W = np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
+    def value(G: np.ndarray) -> np.ndarray:
+        return np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
+
+    def score(W: np.ndarray) -> np.ndarray:
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
         delta = ct._transport(W, WC, cost_free, tol)
         captured = W <= v0[None, :] + tol
         return (np.where(captured, W - delta, 0.0) * weights[None, :]).sum(axis=1)
 
-    return within_budget(eval_batch, *cost_free.shape)
+    return scored_by_value(value, score, *cost_free.shape)
 
 
 def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> ModelTwoSolveReport:
@@ -354,8 +356,10 @@ def solve_boundary_control(
         gap = PHI[:, :, None] - PHI[:, None, :] - dctrl[None, :, :]
         return (gap <= tol).all(axis=(1, 2))
 
-    def eval_batch(PHI: np.ndarray) -> np.ndarray:
-        W = np.min(cost_ctrl[None, :, :] + PHI[:, None, :], axis=2)
+    def value(PHI: np.ndarray) -> np.ndarray:
+        return np.min(cost_ctrl[None, :, :] + PHI[:, None, :], axis=2)
+
+    def score(W: np.ndarray) -> np.ndarray:
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
         delta = ct._transport(W, WC, cost_free, tol)
         captured = W <= ctx.v0[None, :] + tol
@@ -366,7 +370,7 @@ def solve_boundary_control(
         fixed_part = (np.where(captured & fixed_mask[None, :], W - delta, 0.0) * weights[None, :]).sum(axis=1)
         return free_part + fixed_part
 
-    eval_batch = within_budget(eval_batch, *cost_free.shape)
+    eval_batch = scored_by_value(value, score, *cost_free.shape)
     k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:

@@ -41,6 +41,16 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _count(spec: dict, key: str, default: int, what: str) -> int:
+    """The integer >= 1 at `spec[key]`: a grid size, a level count or a budget."""
+    value = spec.get(key, default)
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1 and value == int(value),
+        f"{what}.{key}: must be an integer >= 1, got {value!r}",
+    )
+    return int(value)
+
+
 def _price_values(spec: Any, n: int, what: str, allow_inf: bool) -> np.ndarray:
     _require(isinstance(spec, dict) and "kind" in spec, f"{what}: expected an object with a 'kind'")
     kind = spec["kind"]
@@ -149,11 +159,11 @@ def _build_search(spec: Any, seed: int) -> SearchConfig:
     _require(mode in ("ascent", "exhaustive"), f"solver.search: unknown mode {mode!r}")
     return SearchConfig(
         mode=SearchMode.EXHAUSTIVE if mode == "exhaustive" else SearchMode.ASCENT,
-        levels=int(spec.get("levels", 8)),
+        levels=_count(spec, "levels", 8, "solver.search"),
         multistarts=int(spec.get("multistarts", 16)),
         seed=seed,
-        max_candidates=int(spec.get("max_candidates", 2_000_000)),
-        grid_n=int(spec.get("grid_n", 201)),
+        max_candidates=_count(spec, "max_candidates", 2_000_000, "solver.search"),
+        grid_n=_count(spec, "grid_n", 201, "solver.search"),
         price_cap=None if spec.get("price_cap") is None else float(spec["price_cap"]),
     )
 
@@ -268,7 +278,7 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
             "init_q": _price_values(game.get("init_q", {"kind": "constant", "value": 1.0}), region.size, "game.init_q", allow_inf=False),
             "rounds": int(game.get("rounds", 30)),
             "eps": float(game.get("eps", 1e-9)),
-            "grid_n": int(game.get("grid_n", 200)),
+            "grid_n": _count(game, "grid_n", 200, "game"),
             "price_cap": None if game.get("price_cap") is None else float(game["price_cap"]),
             "verify": bool(game.get("verify", False)),
         }

@@ -304,3 +304,50 @@ class TestWronglyTypedValues:
         path = write_scenario(tmp_path, "ok.json", general_search_scenario())
         with pytest.raises(TypeError, match="defect inside the solver"):
             run(path, str(tmp_path / "out"))
+
+
+def boundary_control_scenario():
+    return {
+        "model": "two",
+        "region": {"dimension": 1, "n": 11, "bounds": [0, 1], "fixed_window": [0.3, 0.7]},
+        "cost": {"kind": "metric_power", "alpha": 1.0},
+        "measure": {"kind": "uniform"},
+        "fixed_price": {"kind": "constant", "value": 0.5},
+        "solver": {"method": "boundary_control", "search": {"grid_n": 11}},
+    }
+
+
+def nash_scenario():
+    return {
+        "model": "nash",
+        "region": {"dimension": 1, "n": 11, "bounds": [0, 1]},
+        "cost": {"kind": "metric_power", "alpha": 1.0},
+        "measure": {"kind": "uniform"},
+        "game": {"split": 0.5, "rounds": 2, "grid_n": 20},
+    }
+
+
+class TestOutOfRangeCounts:
+    @pytest.mark.parametrize(
+        "scenario, edit",
+        [
+            (nash_scenario, lambda s: s["game"].update(grid_n=0)),
+            (nash_scenario, lambda s: s["game"].update(grid_n=-5)),
+            (boundary_control_scenario, lambda s: s["solver"]["search"].update(grid_n=-2)),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(levels=-3)),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(max_candidates=0)),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(levels=2.5)),
+        ],
+        ids=["zero_game_grid_n", "negative_game_grid_n", "negative_grid_n", "negative_levels", "zero_max_candidates", "fractional_levels"],
+    )
+    def test_exit_2_and_nothing_written(self, tmp_path, scenario, edit):
+        scen = scenario()
+        path = write_scenario(tmp_path, "counts.json", scen)
+        assert run(path, str(tmp_path / "unedited")) == EXIT_OK
+        edit(scen)
+        path = write_scenario(tmp_path, "counts.json", scen)
+        with pytest.raises(ScenarioError, match="must be an integer >= 1"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert run(path, str(out)) == EXIT_VALIDATION
+        assert not out.exists()

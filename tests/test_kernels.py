@@ -1,7 +1,8 @@
 """The batched search objectives: the membership test built in one buffer
 gives the same scores as the one-expression form, and a row's score does not
 depend on the other rows of its batch, which the coordinate ascent's score
-reuse and the memory budget's row slices rest on."""
+reuse and the memory budget's row slices rest on; the value-keyed memo
+returns the dense objective's scores."""
 
 import tracemalloc
 
@@ -259,3 +260,123 @@ def test_boundary_control_memory_stays_within_the_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 3 * _search.CELL_BUDGET * 8
+
+
+# The value-keyed memo behind the three objectives
+
+
+def _count_scored(monkeypatch, module):
+    """Route `module`'s memoized objectives through a counter of the rows
+    their `score` sees; the counter also keeps the last (value, score) pair."""
+    record = {"rows": 0}
+
+    def counted(value, score, n, m):
+        def counted_score(V):
+            record["rows"] += len(V)
+            return score(V)
+
+        record.update(value=value, score=score, n=n, m=m)
+        return _search.scored_by_value(value, counted_score, n, m)
+
+    monkeypatch.setattr(module, "scored_by_value", counted)
+    return record
+
+
+def _dense(monkeypatch, module):
+    """Build `module`'s objectives without the memo: score(value(G)) on every row."""
+    monkeypatch.setattr(module, "scored_by_value", lambda value, score, n, m: lambda G: score(value(G)))
+
+
+def _ascent_batches(rng, caps, inactive, count=6):
+    """Batches as the coordinate ascent asks for them: a quantized base row
+    with one coordinate moved to its neighbours, to 0 and to two prices at
+    which the generator is nowhere the argmin, which repeat one value."""
+    for _ in range(count):
+        base = np.minimum(0.25 * rng.integers(0, 8, caps.size), caps)
+        for i in range(caps.size):
+            batch = np.repeat(base[None, :], 5, axis=0)
+            batch[:, i] = [max(base[i] - 0.25, 0.0), base[i] + 0.25, 0.0, inactive, 2 * inactive]
+            yield batch
+
+
+def _memo_cases(monkeypatch, seed):
+    """(memoized objective, dense oracle, batches, score counter) of all three objectives."""
+    rng = np.random.default_rng(100 + seed)
+    (cost, v0, weights, tol), _ = _model_one_case(seed)
+    v0 = 0.5 * v0  # the clip at v0 binds on many rows
+    record = _count_scored(monkeypatch, model_one)
+    one = model_one._batch_value_profit(cost, v0, weights, tol)[0]
+    inactive = 2.0 * cost.max() + 4.0
+    yield one, _value_profit_reference(cost, v0, weights, tol), list(_ascent_batches(rng, np.full(len(v0), 2.0), inactive)), record
+
+    args, _ = _model_two_case(seed)
+    record = _count_scored(monkeypatch, model_two)
+    two = model_two._batch_subregion_profit(*args)
+    inactive = 2.0 * args[0].cost.max() + 4.0
+    yield two, _subregion_profit_reference(*args), list(_ascent_batches(rng, np.full(args[0].free.size, 2.0), inactive)), record
+
+    record = _count_scored(monkeypatch, model_two)
+    bc, caps = _boundary_control_objective(monkeypatch)
+    with monkeypatch.context() as patch:
+        _dense(patch, model_two)
+        dense = _boundary_control_objective(patch)[0]
+    yield bc, dense, list(_ascent_batches(rng, caps, 10.0)), record
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_memo_matches_the_dense_objective(monkeypatch, seed):
+    for memoized, oracle, batches, record in _memo_cases(monkeypatch, seed):
+        asked = 0
+        for batch in batches + batches[::-3]:
+            assert np.array_equal(memoized(batch), oracle(batch))
+            asked += len(batch)
+        assert 0 < record["rows"] < asked
+
+
+def _keys(V):
+    """Value bytes of each row, in order of first appearance."""
+    return list(dict.fromkeys(row.tobytes() for row in V))
+
+
+def test_memo_keys_on_value_bytes_not_on_value_equality(monkeypatch):
+    for _memoized, _oracle, batches, record in _memo_cases(monkeypatch, 0):
+        # the captured pair, memoized over the value functions themselves
+        value, score = record["value"], record["score"]
+        V = value(np.concatenate(batches))
+        flipped = V.copy()
+        flipped[flipped == 0.0] = -0.0
+        scored = []
+        by_value = _search.scored_by_value(lambda W: W, lambda W: scored.append(len(W)) or score(W), record["n"], record["m"])
+        first, second = by_value(V), by_value(flipped)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, score(V))
+        # equal values, other bytes: a miss, never another score
+        other = set(_keys(flipped)) - set(_keys(V))
+        assert other
+        assert sum(scored) == len(_keys(V)) + len(other)
+
+
+def test_memo_scores_a_batch_larger_than_itself(monkeypatch):
+    args, G = _model_one_case(3)
+    n = len(args[1])
+    monkeypatch.setattr(_search, "MEMO_CELLS", 2 * n)  # two entries
+    record = _count_scored(monkeypatch, model_one)
+    memoized = model_one._batch_value_profit(*args)[0]
+    G = np.concatenate([G, G[:5]])
+    keys = _keys(record["value"](G))
+    assert len(keys) > 2
+    expected = _value_profit_reference(*args)(G)
+    assert np.array_equal(memoized(G), expected)
+    assert record["rows"] == len(keys)
+    # first in, first out: the first value was evicted, the last one kept
+    assert np.array_equal(memoized(G[:1]), expected[:1]) and record["rows"] == len(keys) + 1
+    last = [row.tobytes() for row in record["value"](G)].index(keys[-1])
+    assert np.array_equal(memoized(G[last : last + 1]), expected[last : last + 1])
+    assert record["rows"] == len(keys) + 1
+
+
+def test_repeats_inside_a_batch_are_scored_once(monkeypatch):
+    for memoized, oracle, batches, record in _memo_cases(monkeypatch, 1):
+        batch = np.concatenate(batches[:3])[[0, 5, 10, 0, 5, 0, 11]]
+        assert np.array_equal(memoized(batch), oracle(batch))
+        assert record["rows"] == len(_keys(record["value"](batch))) < len(batch)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import model_one, model_two
+from spatial_pricing import _search, model_one, model_two
 from spatial_pricing._search import SearchConfig, SearchMode, coordinate_ascent, seeded_starts
 
 SEARCH_KEYS = {
@@ -239,3 +239,28 @@ def test_solver_ascent_reuses_scores(monkeypatch, solver):
         coordinate_ascent(counter, record["caps"], [u0], record["search"])
         alone += counter.rows
     assert rows < alone
+
+
+@pytest.mark.parametrize("solver", ["solve_general", "solve_w_search"])
+def test_solver_scores_each_value_function_once(monkeypatch, solver):
+    module, solve = _ascent_solve(solver)
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "scored_by_value", lambda value, score, n, m: lambda G: score(value(G)))
+        expected = solve()
+    scored = {"rows": 0}
+
+    def counted(value, score, n, m):
+        def counted_score(V):
+            scored["rows"] += len(V)
+            return score(V)
+
+        return _search.scored_by_value(value, counted_score, n, m)
+
+    monkeypatch.setattr(module, "scored_by_value", counted)
+    record = _capture_ascent(monkeypatch, module)
+    report = solve()
+    assert report.profit == expected.profit
+    assert np.array_equal(report.optimal_price.values, expected.optimal_price.values)
+    assert report.diagnostics == expected.diagnostics
+    # the callback was asked for rows whose value function it had scored
+    assert 0 < scored["rows"] < record["counter"].rows
