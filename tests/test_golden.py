@@ -85,6 +85,26 @@ SCENARIOS = {
     # on a region 1e-9 wide the dynamics and the equilibrium check polish
     # prices in steps of 5e-13, and the polish still moves them there
     "nash_verify_tiny_cap": _nash(QUADRATIC, 13, {"rounds": 4, "grid_n": 200, "price_cap": 1e-10}, span=1e-9),
+    # a uniform measure sends one_d through the continuum cumulative function
+    "two_one_d_uniform": {
+        **_two({"method": "one_d", "search": {"grid_n": 41}}, fixed_price=0.5, n=21, window=(0.2, 0.6)),
+        "measure": {"kind": "uniform"},
+    },
+    # the grid's y = 0.6000000000000001 sits on the box edge only within the
+    # edge tolerance, so it is free: 2 fixed points, not 4
+    "two_w_search_2d_box": {
+        **_two({"method": "w_search", "search": {"levels": 4, "multistarts": 4}}),
+        "region": {"dimension": 2, "nx": 6, "ny": 6, "fixed_box": [[0.2, 0.8], [0.6, 1.0]]},
+        "measure": {"kind": "uniform"},
+    },
+    "nash_masks": {
+        **_nash(METRIC, 15, {"rounds": 6, "grid_n": 20}),
+        "game": {
+            "masks": {"a": [i <= 4 or i >= 10 for i in range(15)], "b": [4 <= i <= 10 for i in range(15)]},
+            "rounds": 6,
+            "grid_n": 20,
+        },
+    },
 }
 
 GOLDEN = {
@@ -133,6 +153,19 @@ GOLDEN = {
         "result.json": "3b19310ed14866c4cbc1dc53ec7d062272ec8b7074ae83b33f278dc6081aa417",
         "series.csv": "5678ab0282346618730c1b7c793e92dfe410540c7bdc3213fc2c158360e8f3ee",
         "trace.csv": "16dc153b48d7870a6b5bcafb64671bafa11711af773a7ff1b514b4da004339d6",
+    },
+    "two_one_d_uniform": {
+        "result.json": "fc5416fd766c2e1550e6bb9062d27b9b63ac7644a1475bef5046afa9f72d06bd",
+        "series.csv": "786d7510bc28462ca909febe6757acdebfebd17b23646f343629a28826e654e5",
+    },
+    "two_w_search_2d_box": {
+        "result.json": "080604313f26d4ca66289db17caabd573f2aac2089f28c94c3ee318e4c1cd795",
+        "series.csv": "17e49ecadf97a9b04ead6e90873e610f19fac6aa17d6a0d475b7b578de13709f",
+    },
+    "nash_masks": {
+        "result.json": "e62f5793b77752f654dd08102ca6a199bb9472212eed4f3e295b69d6552a293f",
+        "series.csv": "7ca893a32a3b5a839bf4084698daa040551442854f80f2b63986fc9cc03ed7bf",
+        "trace.csv": "5ed9844519d1164ca7e5790d6696df0fdb5f08f352fcb7b6ffd377b1324acce1",
     },
 }
 
