@@ -47,8 +47,13 @@ class NotCConcaveError(ValueError):
 
 
 def scale_tol(cost: np.ndarray) -> float:
-    """Scale-aware equality tolerance used for all argmin/profit comparisons."""
+    """Scale-aware equality tolerance of a cost table: every argmin/profit comparison derives it, none takes it."""
     return 1e-9 * (1.0 + float(np.max(np.abs(cost))))
+
+
+def _check_slack(tol: float, mass: float = 0.0) -> float:
+    """Slack of the runtime self-checks: 10 tolerances per unit of mass, plus 10."""
+    return 10.0 * tol * (1.0 + mass)
 
 
 @dataclass(frozen=True)
@@ -138,13 +143,11 @@ def is_c_concave_table(
     values: np.ndarray,
     cost: np.ndarray,
     within: Optional[np.ndarray] = None,
-    tol: Optional[float] = None,
     vc: Optional[np.ndarray] = None,
 ) -> bool:
     """True iff the double transform (over `within`) reproduces the values up
-    to tol; `vc`, when given, is v^c over `within`."""
-    tol = scale_tol(cost) if tol is None else tol
-    return bool(np.max(np.abs(double_transform_table(values, cost, within, vc) - values)) <= tol)
+    to the table's tolerance; `vc`, when given, is v^c over `within`."""
+    return bool(np.max(np.abs(double_transform_table(values, cost, within, vc) - values)) <= scale_tol(cost))
 
 
 def is_c_concave(
@@ -152,16 +155,14 @@ def is_c_concave(
     kernel: CostKernel,
     region: Region,
     within: Optional[np.ndarray] = None,
-    tol: Optional[float] = None,
 ) -> bool:
-    return is_c_concave_table(_values_array(v), eval_cost(kernel, region), within, tol)
+    return is_c_concave_table(_values_array(v), eval_cost(kernel, region), within)
 
 
 def superdifferential_mask(
     values: np.ndarray,
     cost: np.ndarray,
     within: Optional[np.ndarray] = None,
-    tol: Optional[float] = None,
     vc: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Boolean (n, |within|) membership table of y in the superdifferential at x.
@@ -169,7 +170,7 @@ def superdifferential_mask(
     Raises NotCConcaveError when some point has an empty superdifferential,
     which signals that `values` is not cost-concave w.r.t. `within`.
     """
-    tol = scale_tol(cost) if tol is None else tol
+    tol = scale_tol(cost)
     if vc is None:
         vc = c_transform_table(values, cost, within)
     cols = cost if within is None else cost[:, within]
@@ -197,15 +198,13 @@ def superdifferential(
     region: Region,
     x: int,
     within: Optional[np.ndarray] = None,
-    tol: Optional[float] = None,
 ) -> np.ndarray:
-    """Global indices y in `within` with v(x) + v^c(y) = c(x, y) up to tol."""
+    """Global indices y in `within` with v(x) + v^c(y) = c(x, y) up to the table's tolerance."""
     cost = eval_cost(kernel, region)
     values = _values_array(v)
-    tol = scale_tol(cost) if tol is None else tol
     vc = c_transform_table(values, cost, within)
     cols = cost[x] if within is None else cost[x, within]
-    local = np.nonzero(np.abs(values[x] + vc - cols) <= tol)[0]
+    local = np.nonzero(np.abs(values[x] + vc - cols) <= scale_tol(cost))[0]
     if local.size == 0:
         raise NotCConcaveError(f"empty superdifferential at point {x}")
     return local if within is None else np.asarray(within)[local]
@@ -231,14 +230,13 @@ def assignment_table(
     prices: np.ndarray,
     cost: np.ndarray,
     candidates: Optional[np.ndarray] = None,
-    tol: Optional[float] = None,
 ) -> AssignmentMap:
     """Argmin sets of c(x, y) + p(y) over the candidate set, with tie-broken choice.
 
     The choice maximizes the price over the argmin set (equivalently minimizes
     transport); remaining ties go to the smallest point index.
     """
-    tol = scale_tol(cost) if tol is None else tol
+    tol = scale_tol(cost)
     cand = np.arange(cost.shape[1]) if candidates is None else np.sort(np.asarray(candidates, dtype=int))
     if not np.isfinite(prices[cand]).any():
         raise ValueError("improper prices: no finite value inside the candidate set")
@@ -255,9 +253,8 @@ def assignment(
     kernel: CostKernel,
     region: Region,
     candidates: Optional[np.ndarray] = None,
-    tol: Optional[float] = None,
 ) -> AssignmentMap:
-    return assignment_table(_prices_array(p, region.size), eval_cost(kernel, region), candidates, tol)
+    return assignment_table(_prices_array(p, region.size), eval_cost(kernel, region), candidates)
 
 
 def tie_break(

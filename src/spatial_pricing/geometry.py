@@ -190,6 +190,14 @@ def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
     return _readonly(c)
 
 
+def _edge_tol(*ends: float) -> float:
+    """Distance within which a grid point is on an edge: 1e-12 * (1 + |end| + ...), left to right."""
+    total = 1.0
+    for end in ends:
+        total += abs(end)
+    return 1e-12 * total
+
+
 def build_interval_region(
     n: int,
     a: float,
@@ -214,7 +222,7 @@ def build_interval_region(
         if not (a <= alpha < beta <= b):
             raise ValueError("fixed window must satisfy a <= alpha < beta <= b")
         # grid points numerically on the window edge belong to the free part
-        edge = 1e-12 * (1.0 + abs(a) + abs(b))
+        edge = _edge_tol(a, b)
         inside = (x > alpha + edge) & (x < beta - edge)
         mask[:] = Mask.FREE
         mask[inside] = Mask.FIXED
@@ -254,7 +262,7 @@ def build_grid_region(
         (wx0, wx1), (wy0, wy1) = fixed_box
         if not (ax <= wx0 < wx1 <= bx and ay <= wy0 < wy1 <= by):
             raise ValueError("fixed box must sit inside the grid bounds")
-        edge = 1e-12 * (1.0 + abs(ax) + abs(bx) + abs(ay) + abs(by))
+        edge = _edge_tol(ax, bx, ay, by)
         inside = (
             (pts[:, 0] > wx0 + edge)
             & (pts[:, 0] < wx1 - edge)

@@ -11,7 +11,6 @@ transform, so the search never leaves the admissible class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -58,11 +57,10 @@ def profit_from_prices(
     kernel: CostKernel,
     region: Region,
     f: CustomerMeasure,
-    tol: Optional[float] = None,
 ) -> float:
     """Total income: each customer pays the price at their tie-broken choice."""
     prices = ct._prices_array(p, region.size)
-    assign = ct.assignment_table(prices, eval_cost(kernel, region), tol=tol)
+    assign = ct.assignment_table(prices, eval_cost(kernel, region))
     return float(np.dot(f.weights, prices[assign.choice]))
 
 
@@ -71,7 +69,6 @@ def profit_from_values(
     kernel: CostKernel,
     region: Region,
     f: CustomerMeasure,
-    tol: Optional[float] = None,
 ) -> float:
     """Profit evaluated from a cost-concave value function.
 
@@ -80,11 +77,10 @@ def profit_from_values(
     """
     cost = eval_cost(kernel, region)
     values = ct._values_array(v)
-    tol = ct.scale_tol(cost) if tol is None else tol
     vc = ct.c_transform_table(values, cost)
-    if not ct.is_c_concave_table(values, cost, None, tol, vc):
+    if not ct.is_c_concave_table(values, cost, vc=vc):
         raise ct.NotCConcaveError("profit_from_values requires a cost-concave input")
-    delta = ct._transport(values, vc, cost, tol)
+    delta = ct._transport(values, vc, cost, ct.scale_tol(cost))
     return float(np.dot(f.weights, values - delta))
 
 
@@ -171,8 +167,7 @@ def solve_general(
 
     v_best, vc_best = project(g_best)
     report = price_report(PricePattern(-vc_best), v_best, cost, f, METHOD_GENERAL, diagnostics)
-    check_tol = 10.0 * tol * (1.0 + f.total_mass)
-    if abs(report.profit - val_best) > check_tol:
+    if abs(report.profit - val_best) > ct._check_slack(tol, f.total_mass):
         raise RuntimeError(
             f"price-side and value-side profits disagree: {report.profit} vs {val_best}"
         )

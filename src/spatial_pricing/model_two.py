@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,7 +86,7 @@ class PartitionContext:
     def fixed(self) -> np.ndarray:
         return self.region.fixed_indices
 
-    @property
+    @cached_property
     def tol(self) -> float:
         return ct.scale_tol(self.cost)
 
@@ -129,14 +130,14 @@ class ModelTwoSolveReport:
         return idx[~self.captured], idx[self.captured]
 
 
-def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasure, tol: float):
+def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasure):
     """Split customers by whether their argmin set touches the free part.
 
     Returns (captured mask, choice, both profit forms).  The two forms (price
     paid vs expenditure minus transport) must agree up to tolerance.
     """
     vals = ctx.check_admissible(p)
-    assign = ct.assignment_table(vals, ctx.cost, tol=tol)
+    assign = ct.assignment_table(vals, ctx.cost)
     free = ctx.free
     choice = ct.tie_break(assign, p, within=free)
     captured = choice >= 0
@@ -148,7 +149,7 @@ def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasu
     net = np.where(captured, assign.expenditure - transport, 0.0)
     profit_value_form = float(np.dot(w, net))
     gap = abs(profit_price_form - profit_value_form)
-    if gap > 10.0 * tol * (1.0 + f.total_mass):
+    if gap > ct._check_slack(ctx.tol, f.total_mass):
         raise RuntimeError(
             f"profit forms disagree by {gap}: tie handling is inconsistent"
         )
@@ -159,11 +160,9 @@ def profit_from_prices(
     p: PricePattern,
     ctx: PartitionContext,
     f: CustomerMeasure,
-    tol: Optional[float] = None,
 ) -> float:
     """Agent profit: price paid by every customer captured by the free part."""
-    tol = ctx.tol if tol is None else tol
-    _, _, _, profit, _ = _capture_and_profit(ctx, p, f, tol)
+    _, _, _, profit, _ = _capture_and_profit(ctx, p, f)
     return profit
 
 
@@ -173,11 +172,10 @@ def clamp_nonnegative(
     f: CustomerMeasure,
 ) -> tuple[PricePattern, float]:
     """Clamp free prices at zero; the profit never drops."""
-    tol = ctx.tol
-    before = profit_from_prices(p, ctx, f, tol)
+    before = profit_from_prices(p, ctx, f)
     clamped = ctx.full_prices(np.maximum(p.values[ctx.free], 0.0))
-    after = profit_from_prices(clamped, ctx, f, tol)
-    if after < before - 10.0 * tol * (1.0 + f.total_mass):
+    after = profit_from_prices(clamped, ctx, f)
+    if after < before - ct._check_slack(ctx.tol, f.total_mass):
         raise RuntimeError("clamping at zero lowered the profit")
     return clamped, after
 
@@ -197,17 +195,16 @@ def reformulate(
     With `check`, all of these conclusions are verified on the instance and a
     violation raises (it would indicate a defect, not a recoverable error).
     """
-    tol = ctx.tol
     vals = ctx.check_admissible(p)
     free = ctx.free
-    if np.any(vals[free] < -tol):
+    if np.any(vals[free] < -ctx.tol):
         raise ValueError("reformulation expects nonnegative prices; clamp first")
     w = ct.value_table(vals, ctx.cost, free)
     u_t = ct.c_transform_table(w, ctx.cost, free)
     p_t = ctx.full_prices(-u_t)
     wfun = ct.ValueFunction(w, ct.ValueKind.SUBREGION, free)
     if check:
-        slack = 10.0 * tol
+        slack = ct._check_slack(ctx.tol)
         v_p = ct.value_table(vals, ctx.cost)
         v_pt = ct.value_table(p_t.values, ctx.cost)
         if np.max(np.abs(v_p - v_pt)) > slack:
@@ -216,21 +213,21 @@ def reformulate(
             raise RuntimeError("reformulated prices exceed the originals on the free part")
         if np.any(p_t.values[free] < -slack):
             raise RuntimeError("reformulated prices are negative")
-        cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost, tol=tol), p, within=free) >= 0
-        assign_t = ct.assignment_table(p_t.values, ctx.cost, tol=tol)
+        cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost), p, within=free) >= 0
+        assign_t = ct.assignment_table(p_t.values, ctx.cost)
         cap2 = ct.tie_break(assign_t, p_t, within=free) >= 0
         if np.any(cap1 & ~cap2):
             raise RuntimeError("reformulation lost captured customers")
-        if np.any(cap2 != (w <= ctx.v0 + tol)):
+        if np.any(cap2 != (w <= ctx.v0 + ctx.tol)):
             raise RuntimeError("capture set differs from {w <= v0}")
         member_t = assign_t.member[:, np.isin(assign_t.candidates, free)]
-        superdiff = ct.superdifferential_mask(w, ctx.cost, free, tol, vc=u_t)
+        superdiff = ct.superdifferential_mask(w, ctx.cost, free, vc=u_t)
         if np.any(member_t[cap2] != superdiff[cap2]):
             raise RuntimeError("argmin sets and superdifferentials disagree on captured customers")
         if f is not None:
-            before = profit_from_prices(p, ctx, f, tol)
-            after = profit_from_prices(p_t, ctx, f, tol)
-            if after < before - 10.0 * tol * (1.0 + f.total_mass):
+            before = profit_from_prices(p, ctx, f)
+            after = profit_from_prices(p_t, ctx, f)
+            if after < before - ct._check_slack(ctx.tol, f.total_mass):
                 raise RuntimeError("reformulation lowered the profit")
     return wfun, p_t
 
@@ -239,21 +236,19 @@ def profit_from_values(
     w: ct.ValueFunction | np.ndarray,
     ctx: PartitionContext,
     f: CustomerMeasure,
-    tol: Optional[float] = None,
 ) -> float:
     """Profit from a subregion-concave value function.
 
     Customers with w <= v0 contribute w(x) minus the cheapest transport into
     the free-part superdifferential; the rest shop in the fixed part.
     """
-    tol = ctx.tol if tol is None else tol
     values = ct._values_array(w)
     free = ctx.free
     vc = ct.c_transform_table(values, ctx.cost, free)
-    if not ct.is_c_concave_table(values, ctx.cost, free, tol, vc):
+    if not ct.is_c_concave_table(values, ctx.cost, free, vc):
         raise ct.NotCConcaveError("profit needs a subregion-concave value function")
-    delta = ct._transport(values, vc, ctx.cost[:, free], tol)
-    captured = values <= ctx.v0 + tol
+    delta = ct._transport(values, vc, ctx.cost[:, free], ctx.tol)
+    captured = values <= ctx.v0 + ctx.tol
     return float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))
 
 
@@ -274,14 +269,13 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
 
 
 def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> ModelTwoSolveReport:
-    tol = ctx.tol
     wfun, price = reformulate(ctx.full_prices(g_best), ctx, check=False)
     w = wfun.values
-    captured, choice, assign, profit, _ = _capture_and_profit(ctx, price, f, tol)
-    j_value = profit_from_values(wfun, ctx, f, tol)
-    if abs(profit - j_value) > 10.0 * tol * (1.0 + f.total_mass):
+    captured, choice, assign, profit, _ = _capture_and_profit(ctx, price, f)
+    j_value = profit_from_values(wfun, ctx, f)
+    if abs(profit - j_value) > ct._check_slack(ctx.tol, f.total_mass):
         raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
-    if np.any(captured != (w <= ctx.v0 + tol)):
+    if np.any(captured != (w <= ctx.v0 + ctx.tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
     diagnostics["profit_value_form"] = j_value
     return ModelTwoSolveReport(
@@ -308,9 +302,8 @@ def solve_w_search(
     """
     if f.total_mass <= 0:
         raise ValueError("the customer measure must have positive mass")
-    tol = ctx.tol
     caps = np.maximum(ctx.v0[ctx.free], 0.0)
-    eval_batch = _batch_subregion_profit(ctx, f.weights, tol)
+    eval_batch = _batch_subregion_profit(ctx, f.weights, ctx.tol)
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, _, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
@@ -390,7 +383,7 @@ def solve_boundary_control(
             "control_prices": phi_best.tolist(),
         }
     )
-    if np.max(np.abs(report.w_opt.values - w)) > 10.0 * tol:
+    if np.max(np.abs(report.w_opt.values - w)) > ct._check_slack(tol):
         raise RuntimeError("interface-generated value function is inconsistent")
     return report
 
@@ -507,7 +500,7 @@ def one_d_reduction(
         cone = np.minimum(p1 + np.abs(coords[free] - xa), p2 + np.abs(coords[free] - xb))
         price = ctx.full_prices(cone)
         wfun, price_t = reformulate(price, ctx, check=False)
-        captured, choice, assign, profit, _ = _capture_and_profit(ctx, price_t, f, ctx.tol)
+        captured, choice, assign, profit, _ = _capture_and_profit(ctx, price_t, f)
         diagnostics["interface_points"] = [float(xa), float(xb)]
         return ModelTwoSolveReport(
             optimal_price=price_t,

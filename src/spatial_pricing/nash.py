@@ -13,13 +13,14 @@ rule throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from . import ctransform as ct
 from ._search import SearchConfig, coordinate_ascent, within_budget
-from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
+from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, _edge_tol, eval_cost
 
 __all__ = [
     "GameContext",
@@ -91,7 +92,7 @@ class GameContext:
     ) -> "GameContext":
         """1D convenience: A owns points <= split, B owns points >= split."""
         x = region.coords_1d()
-        eps = 1e-12 * (1.0 + abs(split))
+        eps = _edge_tol(split)
         return cls.build(region, kernel, x <= split + eps, x >= split - eps, f, price_cap)
 
     def indices(self, player: str) -> np.ndarray:
@@ -107,7 +108,7 @@ class GameContext:
             return self.a_mask
         return self.b_mask & ~self.a_mask
 
-    @property
+    @cached_property
     def tol(self) -> float:
         return ct.scale_tol(self.cost)
 
@@ -166,14 +167,13 @@ def payoffs(
     Captured customers pay the price at the tie-broken (price-maximizing)
     location inside the winning player's region.
     """
-    tol = ctx.tol
     a_idx, b_idx = ctx.indices("A"), ctx.indices("B")
     pv = _strategy_values(p, a_idx, ctx.region.size)
     qv = _strategy_values(q, b_idx, ctx.region.size)
     offer_a = ct.value_table(pv, ctx.cost, a_idx)
     offer_b = ct.value_table(qv, ctx.cost, b_idx)
-    pay_a = _player_payoff_batch(ctx, a_idx, offer_b, ctx.tie_home("A"), tol)
-    pay_b = _player_payoff_batch(ctx, b_idx, offer_a, ctx.tie_home("B"), tol)
+    pay_a = _player_payoff_batch(ctx, a_idx, offer_b, ctx.tie_home("A"), ctx.tol)
+    pay_b = _player_payoff_batch(ctx, b_idx, offer_a, ctx.tie_home("B"), ctx.tol)
     return float(pay_a(pv[a_idx][None, :])[0]), float(pay_b(qv[b_idx][None, :])[0])
 
 
@@ -206,7 +206,6 @@ def best_response(
     the opponent's standing offer (and the optional global cap): charging
     more there can never win a customer.
     """
-    tol = ctx.tol
     my_idx = ctx.indices(player)
     opp_idx = ctx.indices("B" if player == "A" else "A")
     opp_vals = _strategy_values(opponent_price, opp_idx, ctx.region.size)
@@ -219,7 +218,7 @@ def best_response(
         caps = np.minimum(caps, ctx.price_cap)
     caps = np.maximum(caps, 0.0)
     frontier = ctx.cost[np.ix_(my_idx, opp_idx)].min(axis=1)
-    pay = _player_payoff_batch(ctx, my_idx, opp_offer, ctx.tie_home(player), tol)
+    pay = _player_payoff_batch(ctx, my_idx, opp_offer, ctx.tie_home(player), ctx.tol)
 
     cap_global = float(caps.max()) if caps.size else 0.0
     scale = search.price_scale if search.price_scale is not None else cap_global
@@ -245,7 +244,7 @@ def best_response(
         best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True)
         n_eval += diag["evaluations"]
 
-    pay_agent_ties = _player_payoff_batch(ctx, my_idx, opp_offer, np.ones(ctx.region.size, dtype=bool), tol)
+    pay_agent_ties = _player_payoff_batch(ctx, my_idx, opp_offer, np.ones(ctx.region.size, dtype=bool), ctx.tol)
     favorable = float(pay_agent_ties(best[None, :])[0])
     return BestResponseResult(
         player=player,
@@ -359,9 +358,9 @@ def verify_equilibrium(
     q_star: PricePattern | np.ndarray,
     ctx: GameContext,
     search: NashSearchConfig = NashSearchConfig(),
-    tol: Optional[float] = None,
 ) -> EquilibriumReport:
-    """Check that neither player gains from a unilateral family deviation."""
+    """Check that neither player gains from a unilateral family deviation by
+    more than one price step per unit of customer mass plus the tolerance."""
     a_idx, b_idx = ctx.indices("A"), ctx.indices("B")
     n = ctx.region.size
     pv = _strategy_values(p_star, a_idx, n)
@@ -371,9 +370,8 @@ def verify_equilibrium(
     rb = best_response("B", pv, ctx, search)
     gain_a = ra.payoff - pi_a
     gain_b = rb.payoff - pi_b
-    if tol is None:
-        step = max(ra.diagnostics["price_step"], rb.diagnostics["price_step"])
-        tol = step * ctx.f.total_mass + ctx.tol
+    step = max(ra.diagnostics["price_step"], rb.diagnostics["price_step"])
+    tol = step * ctx.f.total_mass + ctx.tol
     return EquilibriumReport(
         is_equilibrium=bool(gain_a <= tol and gain_b <= tol),
         best_deviation_gain_a=float(gain_a),

@@ -8,6 +8,7 @@ ScenarioError with a readable message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -51,25 +52,39 @@ def _count(spec: dict, key: str, default: int, what: str) -> int:
     return int(value)
 
 
+def _price_cap(spec: dict, what: str) -> Optional[float]:
+    """The optional cap at `spec["price_cap"]`: None or a finite number >= 0."""
+    value = spec.get("price_cap")
+    _require(
+        value is None or (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value >= 0),
+        f"{what}.price_cap: must be a finite number >= 0, got {value!r}",
+    )
+    return None if value is None else float(value)
+
+
 def _price_values(spec: Any, n: int, what: str, allow_inf: bool) -> np.ndarray:
     _require(isinstance(spec, dict) and "kind" in spec, f"{what}: expected an object with a 'kind'")
     kind = spec["kind"]
     if kind == "constant":
         _require("value" in spec, f"{what}: constant price needs a 'value'")
-        return np.full(n, float(spec["value"]))
-    if kind == "per_point":
+        out = np.full(n, float(spec["value"]))
+    elif kind == "per_point":
         vals = spec.get("values")
         _require(isinstance(vals, list) and len(vals) == n, f"{what}: per_point needs {n} values")
-        out = np.empty(n)
-        for i, v in enumerate(vals):
-            if isinstance(v, str):
-                _require(v in ("+inf", "inf"), f"{what}: unknown price token {v!r}")
-                _require(allow_inf, f"{what}: +inf is only allowed in bound patterns")
-                out[i] = np.inf
-            else:
-                out[i] = float(v)
-        return out
-    raise ScenarioError(f"{what}: unknown price kind {kind!r}")
+        for v in vals:
+            _require(not isinstance(v, str) or v in ("+inf", "inf"), f"{what}: unknown price token {v!r}")
+        out = np.array([np.inf if isinstance(v, str) else float(v) for v in vals])
+    else:
+        raise ScenarioError(f"{what}: unknown price kind {kind!r}")
+    _require(not np.isnan(out).any() and not (out == -np.inf).any(), f"{what}: prices must be real numbers or +inf")
+    _require(allow_inf or np.isfinite(out).all(), f"{what}: +inf is only allowed in bound patterns")
+    return out
+
+
+def _on_unit_interval(region: Region) -> bool:
+    """True when the 1D region runs from 0 to 1 (each end within 1e-12)."""
+    x = region.coords_1d()
+    return abs(x[0]) < 1e-12 and abs(x[-1] - 1.0) < 1e-12
 
 
 @dataclass
@@ -164,7 +179,7 @@ def _build_search(spec: Any, seed: int) -> SearchConfig:
         seed=seed,
         max_candidates=_count(spec, "max_candidates", 2_000_000, "solver.search"),
         grid_n=_count(spec, "grid_n", 201, "solver.search"),
-        price_cap=None if spec.get("price_cap") is None else float(spec["price_cap"]),
+        price_cap=_price_cap(spec, "solver.search"),
     )
 
 
@@ -219,19 +234,14 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
         _require("prices" in raw and isinstance(raw["prices"], dict), "scenario: model one needs a 'prices' object")
         _require("p0" in raw["prices"], "prices: model one needs the bound 'p0'")
         vals = _price_values(raw["prices"]["p0"], region.size, "prices.p0", allow_inf=True)
-        if not np.isfinite(vals).any():
-            raise ScenarioError("prices.p0: bound is +inf everywhere")
-        if np.isfinite(vals).any() and np.nanmin(np.where(np.isfinite(vals), vals, np.nan)) < 0:
-            raise ScenarioError("prices.p0: bound must be nonnegative")
+        _require(bool(np.isfinite(vals).any()), "prices.p0: bound is +inf everywhere")
+        _require(not (vals < 0).any(), "prices.p0: bound must be nonnegative")
         sc.p0 = PricePattern(vals)
         if method == "quadratic_reference":
             _require(kernel.kind.value == "quadratic", "quadratic_reference needs the quadratic cost")
             _require(region.dimension == 1, "quadratic_reference needs a 1D region")
+            _require(_on_unit_interval(region), "quadratic_reference needs the region [0, 1]")
             x = region.coords_1d()
-            _require(
-                abs(x[0]) < 1e-12 and abs(x[-1] - 1.0) < 1e-12,
-                "quadratic_reference needs the region [0, 1]",
-            )
             _require(
                 bool(np.all(np.abs(vals - (x - 0.5 * x**2)) <= 1e-9)),
                 "quadratic_reference needs the bound x - x^2/2",
@@ -250,8 +260,7 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
             _require(window is not None, "one_d needs a fixed_window")
             _require(sc.p0_constant is not None, "one_d needs a constant fixed_price")
             _require(kernel.is_metric and kernel.alpha == 1.0, "one_d needs the distance cost")
-            a, b = region.coords_1d()[0], region.coords_1d()[-1]
-            _require(abs(a) < 1e-12 and abs(b - 1.0) < 1e-12, "one_d needs the region [0, 1]")
+            _require(_on_unit_interval(region), "one_d needs the region [0, 1]")
         if method == "boundary_control":
             _require(kernel.is_metric and kernel.alpha == 1.0, "boundary_control needs the distance cost")
     else:  # nash
@@ -276,11 +285,10 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
             "masks": masks,
             "init_p": _price_values(game.get("init_p", {"kind": "constant", "value": 1.0}), region.size, "game.init_p", allow_inf=False),
             "init_q": _price_values(game.get("init_q", {"kind": "constant", "value": 1.0}), region.size, "game.init_q", allow_inf=False),
-            "rounds": int(game.get("rounds", 30)),
+            "rounds": _count(game, "rounds", 30, "game"),
             "eps": float(game.get("eps", 1e-9)),
             "grid_n": _count(game, "grid_n", 200, "game"),
-            "price_cap": None if game.get("price_cap") is None else float(game["price_cap"]),
+            "price_cap": _price_cap(game, "game"),
             "verify": bool(game.get("verify", False)),
         }
-        _require(sc.game["rounds"] >= 1, "game: rounds must be >= 1")
     return sc

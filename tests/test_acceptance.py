@@ -194,7 +194,7 @@ def test_criterion_5_reformulation_suite():
         assert pi_raw <= pi_plus + tol
         assert pi_plus <= pi_tilde + tol
         assert abs(pi_tilde - j) <= tol
-        assign = sp.assignment(p_t, ctx.kernel, ctx.region, tol=ctx.tol)
+        assign = sp.assignment(p_t, ctx.kernel, ctx.region)
         captured = sp.tie_break(assign, p_t, within=ctx.free) >= 0
         assert np.array_equal(captured, w.values <= ctx.v0 + ctx.tol)
         done += 1

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -337,8 +338,17 @@ class TestOutOfRangeCounts:
             (general_search_scenario, lambda s: s["solver"]["search"].update(levels=-3)),
             (general_search_scenario, lambda s: s["solver"]["search"].update(max_candidates=0)),
             (general_search_scenario, lambda s: s["solver"]["search"].update(levels=2.5)),
+            (nash_scenario, lambda s: s["game"].update(rounds=2.7)),
         ],
-        ids=["zero_game_grid_n", "negative_game_grid_n", "negative_grid_n", "negative_levels", "zero_max_candidates", "fractional_levels"],
+        ids=[
+            "zero_game_grid_n",
+            "negative_game_grid_n",
+            "negative_grid_n",
+            "negative_levels",
+            "zero_max_candidates",
+            "fractional_levels",
+            "fractional_rounds",
+        ],
     )
     def test_exit_2_and_nothing_written(self, tmp_path, scenario, edit):
         scen = scenario()
@@ -347,6 +357,52 @@ class TestOutOfRangeCounts:
         edit(scen)
         path = write_scenario(tmp_path, "counts.json", scen)
         with pytest.raises(ScenarioError, match="must be an integer >= 1"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert run(path, str(out)) == EXIT_VALIDATION
+        assert not out.exists()
+
+
+NAN, NEG_INF = float("nan"), float("-inf")  # json writes them as NaN and -Infinity
+
+
+class TestNonRealPricesAndCaps:
+    @pytest.mark.parametrize(
+        "scenario, edit, message",
+        [
+            (general_search_scenario, lambda s: s["prices"]["p0"].update(value=NAN), "prices.p0: prices must be real numbers or +inf"),
+            (general_search_scenario, lambda s: s["prices"]["p0"].update(value=NEG_INF), "prices.p0: prices must be real numbers or +inf"),
+            (
+                general_search_scenario,
+                lambda s: s["prices"].update(p0={"kind": "per_point", "values": [1.0, NAN, "+inf", 1.0, 1.0]}),
+                "prices.p0: prices must be real numbers or +inf",
+            ),
+            (boundary_control_scenario, lambda s: s["fixed_price"].update(value=NAN), "fixed_price: prices must be real numbers or +inf"),
+            (boundary_control_scenario, lambda s: s["fixed_price"].update(value=NEG_INF), "fixed_price: prices must be real numbers or +inf"),
+            (nash_scenario, lambda s: s["game"].update(init_p={"kind": "constant", "value": NAN}), "game.init_p: prices must be real numbers or +inf"),
+            (nash_scenario, lambda s: s["game"].update(init_q={"kind": "constant", "value": NEG_INF}), "game.init_q: prices must be real numbers or +inf"),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(price_cap=-1.0), "solver.search.price_cap: must be a finite number >= 0"),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(price_cap=NAN), "solver.search.price_cap: must be a finite number >= 0"),
+            (nash_scenario, lambda s: s["game"].update(price_cap=-0.5), "game.price_cap: must be a finite number >= 0"),
+        ],
+        ids=[
+            "nan_bound",
+            "minus_inf_bound",
+            "nan_per_point_bound",
+            "nan_fixed_price",
+            "minus_inf_fixed_price",
+            "nan_init_p",
+            "minus_inf_init_q",
+            "negative_search_cap",
+            "nan_search_cap",
+            "negative_game_cap",
+        ],
+    )
+    def test_exit_2_names_the_key_and_nothing_written(self, tmp_path, scenario, edit, message):
+        scen = scenario()
+        edit(scen)
+        path = write_scenario(tmp_path, "numbers.json", scen)
+        with pytest.raises(ScenarioError, match="^" + re.escape(message)):
             load_scenario(path)
         out = tmp_path / "out"
         assert run(path, str(out)) == EXIT_VALIDATION

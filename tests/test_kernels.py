@@ -185,14 +185,14 @@ def _model_two_value_profit_instances():
 def test_model_one_value_profit_equals_the_mask_form():
     for values, kern, region, f in _model_one_value_profit_instances():
         cost = eval_cost(kern, region)
-        member = ct.superdifferential_mask(values, cost, tol=ct.scale_tol(cost))
+        member = ct.superdifferential_mask(values, cost)
         expected = float(np.dot(f.weights, values - np.where(member, cost, np.inf).min(axis=1)))
         assert model_one.profit_from_values(values, kern, region, f) == expected
 
 
 def test_model_two_value_profit_equals_the_mask_form():
     for values, ctx, f in _model_two_value_profit_instances():
-        member = ct.superdifferential_mask(values, ctx.cost, ctx.free, ctx.tol)
+        member = ct.superdifferential_mask(values, ctx.cost, ctx.free)
         delta = np.where(member, ctx.cost[:, ctx.free], np.inf).min(axis=1)
         captured = values <= ctx.v0 + ctx.tol
         expected = float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))

@@ -367,7 +367,7 @@ class TestImprovementChain:
             f = sp.CustomerMeasure(rng.uniform(0, 1, ctx.region.size))
             p = ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size))
             w, p_t = reformulate(p, ctx, f)  # internal checks assert the identity
-            assign = sp.assignment(p_t, ctx.kernel, ctx.region, tol=ctx.tol)
+            assign = sp.assignment(p_t, ctx.kernel, ctx.region)
             captured = sp.tie_break(assign, p_t, within=ctx.free) >= 0
             assert np.array_equal(captured, w.values <= ctx.v0 + ctx.tol)
 
