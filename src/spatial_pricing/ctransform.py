@@ -47,7 +47,7 @@ class NotCConcaveError(ValueError):
 
 
 def scale_tol(cost: np.ndarray) -> float:
-    """Scale-aware equality tolerance of a cost table: every argmin/profit comparison derives it, none takes it."""
+    """Scale-aware equality tolerance of a cost table; comparisons derive it from their table, callers never pass one."""
     return 1e-9 * (1.0 + float(np.max(np.abs(cost))))
 
 
