@@ -1,19 +1,7 @@
 """Discrete solvers for optimal spatial pricing under transportation costs."""
 
 from ._search import BudgetExceededError, SearchConfig, SearchMode
-from .ctransform import (
-    AssignmentMap,
-    NotCConcaveError,
-    ValueFunction,
-    ValueKind,
-    assignment,
-    c_transform,
-    is_c_concave,
-    scale_tol,
-    superdifferential,
-    tie_break,
-    value_function,
-)
+from .ctransform import AssignmentMap, NotCConcaveError, scale_tol, tie_break
 from .geometry import (
     CostKernel,
     CustomerMeasure,

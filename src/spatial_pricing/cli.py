@@ -55,7 +55,7 @@ def _solve(sc: Scenario):
                 PricePattern(p), v, eval_cost(kernel, region), f, model_one.METHOD_QUADRATIC_REFERENCE, {}
             )
         summary = {"profit": rep.profit, "method": rep.method}
-        series = _series_model_one_two(sc, rep.optimal_price, rep.optimal_value.values, rep.assignment.choice, None)
+        series = _series_model_one_two(sc, rep.optimal_price, rep.optimal_value, rep.assignment.choice, None)
         return rep, summary, series
 
     if sc.model == "two":
@@ -74,7 +74,7 @@ def _solve(sc: Scenario):
         for key in ("p1", "p2", "objective_two_term"):
             if key in rep.diagnostics:
                 summary[key] = rep.diagnostics[key]
-        series = _series_model_one_two(sc, rep.optimal_price, rep.w_opt.values, rep.assignment.choice, rep.captured)
+        series = _series_model_one_two(sc, rep.optimal_price, rep.w_opt, rep.assignment.choice, rep.captured)
         return rep, summary, series
 
     # nash
@@ -106,6 +106,7 @@ def _solve(sc: Scenario):
         summary["best_deviation_gain_a"] = ver.best_deviation_gain_a
         summary["best_deviation_gain_b"] = ver.best_deviation_gain_b
     series = _series_nash(sc, ctx, last)
+    series["trace.csv"] = _trace_rows(trace)
     return trace, summary, series
 
 
@@ -191,7 +192,7 @@ def run(scenario_path: str, out_dir: str, method: Optional[str] = None, seed: Op
     outcome = _load_and_solve(scenario_path, method_override=method, seed_override=seed)
     if isinstance(outcome, int):
         return outcome
-    sc, (rep, summary, series), elapsed = outcome
+    sc, (_, summary, series), elapsed = outcome
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -212,9 +213,6 @@ def run(scenario_path: str, out_dir: str, method: Optional[str] = None, seed: Op
         for name, rows in series.items():
             with open(out / name, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows(rows)
-        if sc.model == "nash":
-            with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(_trace_rows(rep))
     print(f"ok: model={sc.model} method={sc.method} profit={summary.get('profit')} runtime={elapsed:.3f}s")
     return EXIT_OK
 

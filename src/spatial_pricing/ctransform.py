@@ -4,42 +4,29 @@ Everything here reduces to exact min-plus arithmetic on the finite cost
 table: the customer value function v(x) = min_y {c(x, y) + p(y)}, the
 c-transform v^c(y) = min_x {c(x, y) - v(x)}, superdifferentials, and the
 tie-breaking rule used when several purchase locations are cost-equivalent.
+Every function takes the (n, m) cost table and plain arrays; callers build
+the table once (`geometry.eval_cost`) and keep it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .geometry import CostKernel, PricePattern, Region, eval_cost
-
 __all__ = [
-    "ValueKind",
-    "ValueFunction",
     "AssignmentMap",
     "NotCConcaveError",
     "scale_tol",
     "value_table",
-    "value_function",
     "c_transform_table",
-    "c_transform",
     "double_transform_table",
     "is_c_concave_table",
-    "is_c_concave",
     "superdifferential_mask",
-    "superdifferential",
     "assignment_table",
-    "assignment",
     "tie_break",
 ]
-
-
-class ValueKind(enum.Enum):
-    FULL = "full"          # concave w.r.t. generators on the whole region
-    SUBREGION = "subregion"  # generators restricted to a point subset
 
 
 class NotCConcaveError(ValueError):
@@ -56,39 +43,6 @@ def _check_slack(tol: float, mass: float = 0.0) -> float:
     return 10.0 * tol * (1.0 + mass)
 
 
-@dataclass(frozen=True)
-class ValueFunction:
-    """Pointwise minimal-expenditure function over the region.
-
-    values     : one real per region point.
-    kind       : FULL when generated over the whole region, SUBREGION when
-                 generated over `generators` only.
-    generators : index set of admissible purchase points (None = all).
-    """
-
-    values: np.ndarray
-    kind: ValueKind = ValueKind.FULL
-    generators: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if self.generators is not None:
-            g = np.sort(np.asarray(self.generators, dtype=int))
-            object.__setattr__(self, "generators", g)
-
-
-def _prices_array(p, n: Optional[int] = None) -> np.ndarray:
-    v = p.values if isinstance(p, PricePattern) else np.asarray(p, dtype=float)
-    if n is not None and v.shape != (n,):
-        raise ValueError("price vector does not match the region size")
-    return v
-
-
-def _values_array(v) -> np.ndarray:
-    return v.values if isinstance(v, ValueFunction) else np.asarray(v, dtype=float)
-
-
 def value_table(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.ndarray] = None) -> np.ndarray:
     """v(x) = min over candidate y of {c(x, y) + p(y)}; +inf prices are skipped."""
     cols = cost if candidates is None else cost[:, candidates]
@@ -96,18 +50,6 @@ def value_table(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.nd
     if not np.isfinite(pvals).any():
         raise ValueError("improper prices: no finite value inside the candidate set")
     return np.min(cols + pvals[None, :], axis=1)
-
-
-def value_function(
-    p: PricePattern | np.ndarray,
-    kernel: CostKernel,
-    region: Region,
-    restrict_to: Optional[np.ndarray] = None,
-) -> ValueFunction:
-    """Value function of p; with `restrict_to`, the subregion value function."""
-    vals = value_table(_prices_array(p, region.size), eval_cost(kernel, region), restrict_to)
-    kind = ValueKind.FULL if restrict_to is None else ValueKind.SUBREGION
-    return ValueFunction(vals, kind, None if restrict_to is None else np.asarray(restrict_to, dtype=int))
 
 
 def c_transform_table(values: np.ndarray, cost: np.ndarray, target: Optional[np.ndarray] = None) -> np.ndarray:
@@ -130,15 +72,6 @@ def double_transform_table(
     return np.min(cols - vc[None, :], axis=1)
 
 
-def c_transform(
-    v: ValueFunction | np.ndarray,
-    kernel: CostKernel,
-    region: Region,
-    target: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    return c_transform_table(_values_array(v), eval_cost(kernel, region), target)
-
-
 def is_c_concave_table(
     values: np.ndarray,
     cost: np.ndarray,
@@ -148,15 +81,6 @@ def is_c_concave_table(
     """True iff the double transform (over `within`) reproduces the values up
     to the table's tolerance; `vc`, when given, is v^c over `within`."""
     return bool(np.max(np.abs(double_transform_table(values, cost, within, vc) - values)) <= scale_tol(cost))
-
-
-def is_c_concave(
-    v: ValueFunction | np.ndarray,
-    kernel: CostKernel,
-    region: Region,
-    within: Optional[np.ndarray] = None,
-) -> bool:
-    return is_c_concave_table(_values_array(v), eval_cost(kernel, region), within)
 
 
 def superdifferential_mask(
@@ -190,24 +114,6 @@ def _transport(values: np.ndarray, vc: np.ndarray, cols: np.ndarray, tol: float)
     member = gap >= -tol
     del gap
     return np.where(member, cols, np.inf).min(axis=-1)
-
-
-def superdifferential(
-    v: ValueFunction | np.ndarray,
-    kernel: CostKernel,
-    region: Region,
-    x: int,
-    within: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Global indices y in `within` with v(x) + v^c(y) = c(x, y) up to the table's tolerance."""
-    cost = eval_cost(kernel, region)
-    values = _values_array(v)
-    vc = c_transform_table(values, cost, within)
-    cols = cost[x] if within is None else cost[x, within]
-    local = np.nonzero(np.abs(values[x] + vc - cols) <= scale_tol(cost))[0]
-    if local.size == 0:
-        raise NotCConcaveError(f"empty superdifferential at point {x}")
-    return local if within is None else np.asarray(within)[local]
 
 
 @dataclass(frozen=True)
@@ -248,18 +154,9 @@ def assignment_table(
     return AssignmentMap(candidates=cand, member=member, expenditure=expenditure, choice=choice)
 
 
-def assignment(
-    p: PricePattern | np.ndarray,
-    kernel: CostKernel,
-    region: Region,
-    candidates: Optional[np.ndarray] = None,
-) -> AssignmentMap:
-    return assignment_table(_prices_array(p, region.size), eval_cost(kernel, region), candidates)
-
-
 def tie_break(
     assign: AssignmentMap,
-    p: PricePattern | np.ndarray,
+    prices: np.ndarray,
     within: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Chosen purchase point per customer, restricted to `within`.
@@ -268,7 +165,6 @@ def tie_break(
     point, then the smallest index.  Customers whose intersection is empty get
     -1 (they are lost to the outside option).
     """
-    prices = _prices_array(p)
     if within is None:
         keep = np.ones(len(assign.candidates), dtype=bool)
     else:

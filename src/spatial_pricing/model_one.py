@@ -36,7 +36,7 @@ METHOD_QUADRATIC_REFERENCE = "quadratic_1d_reference"
 @dataclass
 class ModelOneSolveReport:
     optimal_price: PricePattern
-    optimal_value: ct.ValueFunction
+    optimal_value: np.ndarray  # (n,) customer value function of optimal_price
     profit: float
     assignment: ct.AssignmentMap
     method: str
@@ -49,23 +49,25 @@ def price_report(
     """Report for a chosen price: assignment on the cost table and price-side profit."""
     assign = ct.assignment_table(price.values, cost)
     profit = float(np.dot(f.weights, price.values[assign.choice]))
-    return ModelOneSolveReport(price, ct.ValueFunction(value), profit, assign, method, diagnostics)
+    return ModelOneSolveReport(price, value, profit, assign, method, diagnostics)
 
 
 def profit_from_prices(
-    p: PricePattern | np.ndarray,
+    p: PricePattern,
     kernel: CostKernel,
     region: Region,
     f: CustomerMeasure,
 ) -> float:
     """Total income: each customer pays the price at their tie-broken choice."""
-    prices = ct._prices_array(p, region.size)
+    prices = p.values
+    if len(prices) != region.size:
+        raise ValueError("price vector does not match the region size")
     assign = ct.assignment_table(prices, eval_cost(kernel, region))
     return float(np.dot(f.weights, prices[assign.choice]))
 
 
 def profit_from_values(
-    v: ct.ValueFunction | np.ndarray,
+    values: np.ndarray,
     kernel: CostKernel,
     region: Region,
     f: CustomerMeasure,
@@ -76,7 +78,6 @@ def profit_from_values(
     superdifferential at x.  Rejects inputs that fail the concavity check.
     """
     cost = eval_cost(kernel, region)
-    values = ct._values_array(v)
     vc = ct.c_transform_table(values, cost)
     if not ct.is_c_concave_table(values, cost, vc=vc):
         raise ct.NotCConcaveError("profit_from_values requires a cost-concave input")

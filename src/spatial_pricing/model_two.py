@@ -114,7 +114,7 @@ class PartitionContext:
 @dataclass
 class ModelTwoSolveReport:
     optimal_price: Optional[PricePattern]
-    w_opt: Optional[ct.ValueFunction]
+    w_opt: Optional[np.ndarray]  # (n,) value function generated by the free part
     profit: float
     captured: Optional[np.ndarray]  # bool per point: customer shops in the free part
     assignment: Optional[ct.AssignmentMap]
@@ -139,7 +139,7 @@ def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasu
     vals = ctx.check_admissible(p)
     assign = ct.assignment_table(vals, ctx.cost)
     free = ctx.free
-    choice = ct.tie_break(assign, p, within=free)
+    choice = ct.tie_break(assign, vals, within=free)
     captured = choice >= 0
     member_free = assign.member[:, np.isin(assign.candidates, free)]
     transport = np.where(member_free, ctx.cost[:, free], np.inf).min(axis=1)
@@ -185,11 +185,12 @@ def reformulate(
     ctx: PartitionContext,
     f: Optional[CustomerMeasure] = None,
     check: bool = True,
-) -> tuple[ct.ValueFunction, PricePattern]:
+) -> tuple[np.ndarray, PricePattern]:
     """Canonical price pattern generating the same value function.
 
-    Builds w(x) = min over free y of {c(x, y) + p(y)}, transforms it onto the
-    free part, and replaces the free prices by minus the transform.  The new
+    Returns (w, new pattern).  Builds w(x) = min over free y of
+    {c(x, y) + p(y)}, transforms it onto the free part, and replaces the
+    free prices by minus the transform.  The new
     pattern never prices above the old one on the free part, stays
     nonnegative, and captures at least the same customers at no lower profit.
     With `check`, all of these conclusions are verified on the instance and a
@@ -202,7 +203,6 @@ def reformulate(
     w = ct.value_table(vals, ctx.cost, free)
     u_t = ct.c_transform_table(w, ctx.cost, free)
     p_t = ctx.full_prices(-u_t)
-    wfun = ct.ValueFunction(w, ct.ValueKind.SUBREGION, free)
     if check:
         slack = ct._check_slack(ctx.tol)
         v_p = ct.value_table(vals, ctx.cost)
@@ -213,9 +213,9 @@ def reformulate(
             raise RuntimeError("reformulated prices exceed the originals on the free part")
         if np.any(p_t.values[free] < -slack):
             raise RuntimeError("reformulated prices are negative")
-        cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost), p, within=free) >= 0
+        cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost), vals, within=free) >= 0
         assign_t = ct.assignment_table(p_t.values, ctx.cost)
-        cap2 = ct.tie_break(assign_t, p_t, within=free) >= 0
+        cap2 = ct.tie_break(assign_t, p_t.values, within=free) >= 0
         if np.any(cap1 & ~cap2):
             raise RuntimeError("reformulation lost captured customers")
         if np.any(cap2 != (w <= ctx.v0 + ctx.tol)):
@@ -229,11 +229,11 @@ def reformulate(
             after = profit_from_prices(p_t, ctx, f)
             if after < before - ct._check_slack(ctx.tol, f.total_mass):
                 raise RuntimeError("reformulation lowered the profit")
-    return wfun, p_t
+    return w, p_t
 
 
 def profit_from_values(
-    w: ct.ValueFunction | np.ndarray,
+    w: np.ndarray,
     ctx: PartitionContext,
     f: CustomerMeasure,
 ) -> float:
@@ -242,14 +242,13 @@ def profit_from_values(
     Customers with w <= v0 contribute w(x) minus the cheapest transport into
     the free-part superdifferential; the rest shop in the fixed part.
     """
-    values = ct._values_array(w)
     free = ctx.free
-    vc = ct.c_transform_table(values, ctx.cost, free)
-    if not ct.is_c_concave_table(values, ctx.cost, free, vc):
+    vc = ct.c_transform_table(w, ctx.cost, free)
+    if not ct.is_c_concave_table(w, ctx.cost, free, vc):
         raise ct.NotCConcaveError("profit needs a subregion-concave value function")
-    delta = ct._transport(values, vc, ctx.cost[:, free], ctx.tol)
-    captured = values <= ctx.v0 + ctx.tol
-    return float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))
+    delta = ct._transport(w, vc, ctx.cost[:, free], ctx.tol)
+    captured = w <= ctx.v0 + ctx.tol
+    return float(np.dot(f.weights, np.where(captured, w - delta, 0.0)))
 
 
 def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: float):
@@ -269,10 +268,9 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
 
 
 def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> ModelTwoSolveReport:
-    wfun, price = reformulate(ctx.full_prices(g_best), ctx, check=False)
-    w = wfun.values
+    w, price = reformulate(ctx.full_prices(g_best), ctx, check=False)
     captured, choice, assign, profit, _ = _capture_and_profit(ctx, price, f)
-    j_value = profit_from_values(wfun, ctx, f)
+    j_value = profit_from_values(w, ctx, f)
     if abs(profit - j_value) > ct._check_slack(ctx.tol, f.total_mass):
         raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
     if np.any(captured != (w <= ctx.v0 + ctx.tol)):
@@ -280,7 +278,7 @@ def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarr
     diagnostics["profit_value_form"] = j_value
     return ModelTwoSolveReport(
         optimal_price=price,
-        w_opt=wfun,
+        w_opt=w,
         profit=profit,
         captured=captured,
         assignment=assign,
@@ -383,7 +381,7 @@ def solve_boundary_control(
             "control_prices": phi_best.tolist(),
         }
     )
-    if np.max(np.abs(report.w_opt.values - w)) > ct._check_slack(tol):
+    if np.max(np.abs(report.w_opt - w)) > ct._check_slack(tol):
         raise RuntimeError("interface-generated value function is inconsistent")
     return report
 
@@ -499,12 +497,12 @@ def one_d_reduction(
         xb = coords[free][np.argmin(np.abs(coords[free] - beta))]
         cone = np.minimum(p1 + np.abs(coords[free] - xa), p2 + np.abs(coords[free] - xb))
         price = ctx.full_prices(cone)
-        wfun, price_t = reformulate(price, ctx, check=False)
+        w, price_t = reformulate(price, ctx, check=False)
         captured, choice, assign, profit, _ = _capture_and_profit(ctx, price_t, f)
         diagnostics["interface_points"] = [float(xa), float(xb)]
         return ModelTwoSolveReport(
             optimal_price=price_t,
-            w_opt=wfun,
+            w_opt=w,
             profit=profit,
             captured=captured,
             assignment=assign,

@@ -42,24 +42,37 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def _count(spec: dict, key: str, default: int, what: str) -> int:
-    """The integer >= 1 at `spec[key]`: a grid size, a level count or a budget."""
+def _is_number(value: Any) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _count(spec: dict, key: str, default: int, what: str, least: int = 1) -> int:
+    """The integer >= `least` at `spec[key]`: a grid size, a level count, a budget or a seed."""
     value = spec.get(key, default)
     _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 1 and value == int(value),
-        f"{what}.{key}: must be an integer >= 1, got {value!r}",
+        _is_number(value) and math.isfinite(value) and value >= least and value == int(value),
+        f"{what}.{key}: must be an integer >= {least}, got {value!r}",
     )
     return int(value)
 
 
-def _price_cap(spec: dict, what: str) -> Optional[float]:
-    """The optional cap at `spec["price_cap"]`: None or a finite number >= 0."""
-    value = spec.get("price_cap")
+def _nonnegative(spec: dict, key: str, what: str, default: Optional[float] = None) -> Optional[float]:
+    """The finite number >= 0 at `spec[key]`; None only when the key is absent or null and there is no default."""
+    value = spec.get(key, default)
     _require(
-        value is None or (isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value) and value >= 0),
-        f"{what}.price_cap: must be a finite number >= 0, got {value!r}",
+        (value is None and default is None) or (_is_number(value) and math.isfinite(value) and value >= 0),
+        f"{what}.{key}: must be a finite number >= 0, got {value!r}",
     )
     return None if value is None else float(value)
+
+
+def _price_token(value: Any, what: str) -> float:
+    """One price: a JSON number, or "+inf"/"inf" for no bound."""
+    if isinstance(value, str) and value in ("+inf", "inf"):
+        return np.inf
+    _require(_is_number(value), f"{what}: unknown price token {value!r}")
+    return float(value)
 
 
 def _price_values(spec: Any, n: int, what: str, allow_inf: bool) -> np.ndarray:
@@ -67,13 +80,11 @@ def _price_values(spec: Any, n: int, what: str, allow_inf: bool) -> np.ndarray:
     kind = spec["kind"]
     if kind == "constant":
         _require("value" in spec, f"{what}: constant price needs a 'value'")
-        out = np.full(n, float(spec["value"]))
+        out = np.full(n, _price_token(spec["value"], what))
     elif kind == "per_point":
         vals = spec.get("values")
         _require(isinstance(vals, list) and len(vals) == n, f"{what}: per_point needs {n} values")
-        for v in vals:
-            _require(not isinstance(v, str) or v in ("+inf", "inf"), f"{what}: unknown price token {v!r}")
-        out = np.array([np.inf if isinstance(v, str) else float(v) for v in vals])
+        out = np.array([_price_token(v, what) for v in vals])
     else:
         raise ScenarioError(f"{what}: unknown price kind {kind!r}")
     _require(not np.isnan(out).any() and not (out == -np.inf).any(), f"{what}: prices must be real numbers or +inf")
@@ -175,11 +186,11 @@ def _build_search(spec: Any, seed: int) -> SearchConfig:
     return SearchConfig(
         mode=SearchMode.EXHAUSTIVE if mode == "exhaustive" else SearchMode.ASCENT,
         levels=_count(spec, "levels", 8, "solver.search"),
-        multistarts=int(spec.get("multistarts", 16)),
+        multistarts=_count(spec, "multistarts", 16, "solver.search"),
         seed=seed,
         max_candidates=_count(spec, "max_candidates", 2_000_000, "solver.search"),
         grid_n=_count(spec, "grid_n", 201, "solver.search"),
-        price_cap=_price_cap(spec, "solver.search"),
+        price_cap=_nonnegative(spec, "price_cap", "solver.search"),
     )
 
 
@@ -209,7 +220,7 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
     if kernel.kind.value == "custom_table":
         _require(kernel.table.shape[0] == region.size, "cost: custom table does not match the region size")
     measure = _build_measure(raw.get("measure"), region.size)
-    seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+    seed = _count(raw, "seed", 0, "scenario", least=0) if seed_override is None else seed_override
     solver = raw.get("solver") or {}
     _require(isinstance(solver, dict), "solver: expected an object")
     method = method_override or solver.get("method")
@@ -253,8 +264,8 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
         _require("fixed_price" in raw, "scenario: model two needs 'fixed_price'")
         vals = _price_values(raw["fixed_price"], region.size, "fixed_price", allow_inf=True)
         sc.p0 = PricePattern(vals)
-        if raw["fixed_price"].get("kind") == "constant":
-            sc.p0_constant = float(raw["fixed_price"]["value"])
+        if raw["fixed_price"]["kind"] == "constant":
+            sc.p0_constant = float(vals[0])
         if method == "one_d":
             _require(region.dimension == 1, "one_d needs a 1D region")
             _require(window is not None, "one_d needs a fixed_window")
@@ -280,15 +291,17 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
                 "game.masks: needs boolean lists 'a' and 'b' covering the region",
             )
             masks = (np.asarray(m["a"], dtype=bool), np.asarray(m["b"], dtype=bool))
+        verify = game.get("verify", False)
+        _require(isinstance(verify, bool), f"game.verify: must be true or false, got {verify!r}")
         sc.game = {
             "split": None if "split" not in game else float(game["split"]),
             "masks": masks,
             "init_p": _price_values(game.get("init_p", {"kind": "constant", "value": 1.0}), region.size, "game.init_p", allow_inf=False),
             "init_q": _price_values(game.get("init_q", {"kind": "constant", "value": 1.0}), region.size, "game.init_q", allow_inf=False),
             "rounds": _count(game, "rounds", 30, "game"),
-            "eps": float(game.get("eps", 1e-9)),
+            "eps": _nonnegative(game, "eps", "game", default=1e-9),
             "grid_n": _count(game, "grid_n", 200, "game"),
-            "price_cap": _price_cap(game, "game"),
-            "verify": bool(game.get("verify", False)),
+            "price_cap": _nonnegative(game, "price_cap", "game"),
+            "verify": verify,
         }
     return sc

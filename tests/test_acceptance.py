@@ -19,7 +19,7 @@ from spatial_pricing import (
     PartitionContext,
     SearchConfig,
 )
-from spatial_pricing.ctransform import c_transform_table, double_transform_table, scale_tol
+from spatial_pricing.ctransform import assignment_table, c_transform_table, double_transform_table, scale_tol
 from spatial_pricing.model_one import profit_from_prices
 from spatial_pricing.model_two import (
     clamp_nonnegative,
@@ -194,9 +194,9 @@ def test_criterion_5_reformulation_suite():
         assert pi_raw <= pi_plus + tol
         assert pi_plus <= pi_tilde + tol
         assert abs(pi_tilde - j) <= tol
-        assign = sp.assignment(p_t, ctx.kernel, ctx.region)
-        captured = sp.tie_break(assign, p_t, within=ctx.free) >= 0
-        assert np.array_equal(captured, w.values <= ctx.v0 + ctx.tol)
+        assign = assignment_table(p_t.values, sp.eval_cost(ctx.kernel, ctx.region))
+        captured = sp.tie_break(assign, p_t.values, within=ctx.free) >= 0
+        assert np.array_equal(captured, w <= ctx.v0 + ctx.tol)
         done += 1
     elapsed = time.time() - t0
     assert elapsed <= 60.0

@@ -7,7 +7,7 @@ import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import model_one
-from spatial_pricing.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, compare, run
+from spatial_pricing.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, compare, main, run
 from spatial_pricing.model_one import profit_from_prices
 from spatial_pricing.scenario import ScenarioError, load_scenario
 
@@ -284,8 +284,22 @@ class TestWronglyTypedValues:
             lambda s: s["region"].update(n=1e400),
             lambda s: s.update(seed=1e400),
             lambda s: s.update(model="nash", solver={}, game={"split": 0.5, "rounds": 1e400}),
+            # bool("false") and bool(0.5) are both True
+            lambda s: s.update(model="nash", solver={}, game={"split": 0.5, "verify": "false"}),
+            lambda s: s.update(model="nash", solver={}, game={"split": 0.5, "verify": 0.5}),
         ],
-        ids=["null_value", "null_levels", "list_n", "list_model", "list_solver", "inf_n", "inf_seed", "inf_rounds"],
+        ids=[
+            "null_value",
+            "null_levels",
+            "list_n",
+            "list_model",
+            "list_solver",
+            "inf_n",
+            "inf_seed",
+            "inf_rounds",
+            "string_verify",
+            "number_verify",
+        ],
     )
     def test_exit_2_and_nothing_written(self, tmp_path, edit):
         scen = general_search_scenario()
@@ -339,6 +353,9 @@ class TestOutOfRangeCounts:
             (general_search_scenario, lambda s: s["solver"]["search"].update(max_candidates=0)),
             (general_search_scenario, lambda s: s["solver"]["search"].update(levels=2.5)),
             (nash_scenario, lambda s: s["game"].update(rounds=2.7)),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(multistarts=2.7)),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(multistarts=0)),
+            (general_search_scenario, lambda s: s["solver"]["search"].update(multistarts=-3)),
         ],
         ids=[
             "zero_game_grid_n",
@@ -348,6 +365,9 @@ class TestOutOfRangeCounts:
             "zero_max_candidates",
             "fractional_levels",
             "fractional_rounds",
+            "fractional_multistarts",
+            "zero_multistarts",
+            "negative_multistarts",
         ],
     )
     def test_exit_2_and_nothing_written(self, tmp_path, scenario, edit):
@@ -357,6 +377,17 @@ class TestOutOfRangeCounts:
         edit(scen)
         path = write_scenario(tmp_path, "counts.json", scen)
         with pytest.raises(ScenarioError, match="must be an integer >= 1"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert run(path, str(out)) == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [1.5, -1], ids=["fractional_seed", "negative_seed"])
+    def test_seed_must_be_an_integer_at_least_0(self, tmp_path, seed):
+        scen = general_search_scenario()
+        scen["seed"] = seed
+        path = write_scenario(tmp_path, "seed.json", scen)
+        with pytest.raises(ScenarioError, match=re.escape(f"scenario.seed: must be an integer >= 0, got {seed!r}")):
             load_scenario(path)
         out = tmp_path / "out"
         assert run(path, str(out)) == EXIT_VALIDATION
@@ -384,6 +415,15 @@ class TestNonRealPricesAndCaps:
             (general_search_scenario, lambda s: s["solver"]["search"].update(price_cap=-1.0), "solver.search.price_cap: must be a finite number >= 0"),
             (general_search_scenario, lambda s: s["solver"]["search"].update(price_cap=NAN), "solver.search.price_cap: must be a finite number >= 0"),
             (nash_scenario, lambda s: s["game"].update(price_cap=-0.5), "game.price_cap: must be a finite number >= 0"),
+            (nash_scenario, lambda s: s["game"].update(eps=NAN), "game.eps: must be a finite number >= 0"),
+            (nash_scenario, lambda s: s["game"].update(eps=-1), "game.eps: must be a finite number >= 0"),
+            (general_search_scenario, lambda s: s["prices"]["p0"].update(value="abc"), "prices.p0: unknown price token 'abc'"),
+            (boundary_control_scenario, lambda s: s["fixed_price"].update(value="0.7"), "fixed_price: unknown price token '0.7'"),
+            (
+                general_search_scenario,
+                lambda s: s["prices"].update(p0={"kind": "per_point", "values": [1.0, True, "+inf", 1.0, 1.0]}),
+                "prices.p0: unknown price token True",
+            ),
         ],
         ids=[
             "nan_bound",
@@ -396,6 +436,11 @@ class TestNonRealPricesAndCaps:
             "negative_search_cap",
             "nan_search_cap",
             "negative_game_cap",
+            "nan_eps",
+            "negative_eps",
+            "word_price",
+            "string_number_price",
+            "bool_per_point_price",
         ],
     )
     def test_exit_2_names_the_key_and_nothing_written(self, tmp_path, scenario, edit, message):
@@ -407,3 +452,29 @@ class TestNonRealPricesAndCaps:
         out = tmp_path / "out"
         assert run(path, str(out)) == EXIT_VALIDATION
         assert not out.exists()
+
+
+class TestMain:
+    def test_run_structured_writes_only_the_result(self, tmp_path):
+        path = write_scenario(tmp_path, "game.json", nash_scenario())
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out), "--format", "structured"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["result.json"]
+
+    def test_compare_skips_blank_method_names(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "win.json", window_scenario(0.4, n=21))
+        assert main(["compare", "--scenario", path, "--methods", "one_d, ,w_search"]) == EXIT_OK
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+        assert [l.split()[0] for l in lines[1:]] == ["one_d", "w_search"]
+
+    def test_refusals_return_their_exit_codes(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"model": "five"}')
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path / "a")]) == EXIT_VALIDATION
+        assert main(["compare", "--scenario", str(bad), "--methods", "one_d"]) == EXIT_VALIDATION
+        scen = general_search_scenario()
+        scen["solver"]["search"].update(levels=8, max_candidates=1000)
+        big = write_scenario(tmp_path, "big.json", scen)
+        assert main(["run", "--scenario", big, "--out", str(tmp_path / "b")]) == EXIT_BUDGET
+        assert main(["compare", "--scenario", big, "--methods", "general_search"]) == EXIT_BUDGET
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()

@@ -9,7 +9,10 @@ from spatial_pricing.ctransform import (
     assignment_table,
     c_transform_table,
     double_transform_table,
+    is_c_concave_table,
     scale_tol,
+    superdifferential_mask,
+    value_table,
 )
 
 from helpers import random_kernel, random_points, region_from_points
@@ -36,43 +39,44 @@ values_arrays = st.integers(2, 7).flatmap(
 class TestValueFunction:
     def test_two_point_enumeration(self):
         region = region_from_points([0.0, 1.0])
-        v = sp.value_function(sp.PricePattern(np.array([0.2, 0.9])), METRIC, region)
+        v = value_table(np.array([0.2, 0.9]), sp.eval_cost(METRIC, region))
         # direct enumeration: min(0+0.2, 1+0.9) and min(1+0.2, 0+0.9)
-        assert np.allclose(v.values, [0.2, 0.9])
+        assert np.allclose(v, [0.2, 0.9])
 
     def test_zero_prices_give_zero_values(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 6):
-            region, kern, _ = small_instance(rng, n)
-            v = sp.value_function(sp.PricePattern.constant(n, 0.0), kern, region)
-            assert np.allclose(v.values, 0.0)
+            region, kern, cost = small_instance(rng, n)
+            v = value_table(np.zeros(n), cost)
+            assert np.allclose(v, 0.0)
 
     def test_single_finite_candidate(self):
         region = region_from_points([0.0, 0.5, 1.0])
         p0 = sp.PricePattern.unbounded(3, {0: 1.0})
-        v = sp.value_function(p0, METRIC, region)
-        assert np.allclose(v.values, [1.0, 1.5, 2.0])
+        v = value_table(p0.values, sp.eval_cost(METRIC, region))
+        assert np.allclose(v, [1.0, 1.5, 2.0])
 
     def test_restriction_and_improper_error(self):
         region = region_from_points([0.0, 0.5, 1.0])
         p0 = sp.PricePattern.unbounded(3, {0: 1.0})
-        v = sp.value_function(p0, METRIC, region, restrict_to=np.array([0, 1]))
-        assert v.kind is sp.ValueKind.SUBREGION
+        cost = sp.eval_cost(METRIC, region)
+        v = value_table(p0.values, cost, np.array([0, 1]))
+        assert np.allclose(v, [1.0, 1.5, 2.0])
         with pytest.raises(ValueError):
-            sp.value_function(p0, METRIC, region, restrict_to=np.array([1, 2]))
+            value_table(p0.values, cost, np.array([1, 2]))
 
 
 class TestCTransform:
     def test_zero_function_fixed_point(self):
         rng = np.random.default_rng(1)
-        region, kern, _ = small_instance(rng, 5)
-        vc = sp.c_transform(np.zeros(5), kern, region)
+        region, kern, cost = small_instance(rng, 5)
+        vc = c_transform_table(np.zeros(5), cost)
         assert np.allclose(vc, 0.0)
 
     def test_lipschitz_function_transforms_to_negation(self):
         region = region_from_points([0.0, 0.5, 1.0])
         v = np.array([0.0, 0.3, 0.1])  # 1-Lipschitz on this grid
-        vc = sp.c_transform(v, METRIC, region)
+        vc = c_transform_table(v, sp.eval_cost(METRIC, region))
         assert np.allclose(vc, -v)
 
     def test_double_transform_dominates(self):
@@ -86,24 +90,26 @@ class TestCTransform:
     def test_transform_requires_finite(self):
         region = region_from_points([0.0, 1.0])
         with pytest.raises(ValueError):
-            sp.c_transform(np.array([np.inf, 0.0]), METRIC, region)
+            c_transform_table(np.array([np.inf, 0.0]), sp.eval_cost(METRIC, region))
 
 
 class TestSuperdifferential:
     def test_metric_value_functions_contain_self(self):
         rng = np.random.default_rng(3)
         region = region_from_points(np.sort(rng.uniform(0, 1, 7)))
-        p = sp.PricePattern(sp.c_transform(np.zeros(7), METRIC, region) * 0 + rng.uniform(0, 1, 7))
-        v = sp.value_function(p, METRIC, region)
+        cost = sp.eval_cost(METRIC, region)
+        v = value_table(rng.uniform(0, 1, 7), cost)
+        member = superdifferential_mask(v, cost)
         for x in range(7):
-            sd = sp.superdifferential(v, METRIC, region, x)
+            sd = np.nonzero(member[x])[0]
             assert x in sd
 
     def test_zero_function_superdifferential_is_zero_cost_set(self):
         rng = np.random.default_rng(4)
         region, kern, cost = small_instance(rng, 5)
+        member = superdifferential_mask(np.zeros(5), cost)
         for x in range(5):
-            sd = sp.superdifferential(np.zeros(5), kern, region, x)
+            sd = np.nonzero(member[x])[0]
             assert x in sd
             assert (cost[x, sd] <= scale_tol(cost)).all()
 
@@ -114,21 +120,21 @@ class TestSuperdifferential:
         x = region.coords_1d()
         v_opt, _, _ = sp.quadratic_1d_reference(x)
         i = int(np.argmin(np.abs(x - 0.25)))
-        sd = sp.superdifferential(v_opt, sp.CostKernel.quadratic(), region, i)
+        sd = np.nonzero(superdifferential_mask(v_opt, sp.eval_cost(sp.CostKernel.quadratic(), region))[i])[0]
         assert list(sd) == [0]
 
     def test_non_concave_input_raises(self):
         region = region_from_points([0.0, 0.5, 1.0])
         v = np.array([0.0, 2.0, 0.0])  # not 1-Lipschitz: 4x slope
         with pytest.raises(NotCConcaveError):
-            sp.superdifferential(v, METRIC, region, 0)
+            superdifferential_mask(v, sp.eval_cost(METRIC, region))
 
 
 class TestTieBreak:
     def _assign(self, prices, cost_rows):
         region = region_from_points(np.arange(len(prices), dtype=float))
         kern = sp.CostKernel.custom(np.asarray(cost_rows, dtype=float))
-        return sp.assignment(sp.PricePattern(np.asarray(prices, float)), kern, region), region
+        return assignment_table(np.asarray(prices, float), sp.eval_cost(kern, region)), region
 
     def test_price_max_selection(self):
         # both shops cost-equivalent for customer 0: picks the pricier one
@@ -147,15 +153,15 @@ class TestTieBreak:
         region = region_from_points(np.sort(rng.uniform(0, 1, 9)))
         x = region.coords_1d()
         p = sp.PricePattern(0.5 + 0.3 * x)  # slope 0.3 < 1
-        assign = sp.assignment(p, METRIC, region)
+        assign = assignment_table(p.values, sp.eval_cost(METRIC, region))
         assert (assign.choice == np.arange(9)).all()
         assert np.allclose(assign.expenditure, p.values)
 
     def test_excluded_customers_marked(self):
         region = region_from_points([0.0, 1.0])
         p = sp.PricePattern(np.array([0.0, 5.0]))
-        assign = sp.assignment(p, METRIC, region)
-        chosen = sp.tie_break(assign, p, within=np.array([1]))
+        assign = assignment_table(p.values, sp.eval_cost(METRIC, region))
+        chosen = sp.tie_break(assign, p.values, within=np.array([1]))
         assert chosen[0] == -1  # customer 0 never shops at the expensive far shop
 
 
@@ -172,10 +178,18 @@ class TestAssignmentTable:
         admissible = np.arange(n) if cand is None else cand
         if not np.isfinite(prices[admissible]).any():
             prices[admissible[0]] = 0.0
-        expected = sp.assignment(sp.PricePattern(prices), kern, region, candidates=cand)
         got = assignment_table(prices, cost, cand)
-        for name in ("candidates", "member", "expenditure", "choice"):
-            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        # the rule enumerated customer by customer: the argmin set within the
+        # table's tolerance, then the highest price, then the smallest index
+        tol = scale_tol(cost)
+        assert np.array_equal(got.candidates, np.sort(admissible))
+        for x in range(n):
+            totals = [cost[x, y] + prices[y] for y in got.candidates]
+            best = min(totals)
+            argmin = [y for y, t in zip(got.candidates, totals) if t <= best + tol]
+            assert got.expenditure[x] == best
+            assert list(got.candidates[got.member[x]]) == argmin
+            assert got.choice[x] == max(argmin, key=lambda y: (prices[y], -y))
 
 
 class TestIsCConcave:
@@ -185,17 +199,17 @@ class TestIsCConcave:
             region, kern, cost = small_instance(rng, 6)
             u = rng.uniform(-1, 1, 6)
             v = np.min(cost - u[None, :], axis=1)
-            assert sp.is_c_concave(v, kern, region)
+            assert is_c_concave_table(v, cost)
 
     def test_steep_function_fails_metric_test(self):
         region = sp.build_interval_region(11, 0.0, 1.0)
         x = region.coords_1d()
-        assert not sp.is_c_concave(2.0 * x, METRIC, region)
+        assert not is_c_concave_table(2.0 * x, sp.eval_cost(METRIC, region))
 
     def test_constants_are_concave(self):
         rng = np.random.default_rng(7)
-        region, kern, _ = small_instance(rng, 5)
-        assert sp.is_c_concave(np.full(5, 0.7), kern, region)
+        region, kern, cost = small_instance(rng, 5)
+        assert is_c_concave_table(np.full(5, 0.7), cost)
 
 
 class TestAlgebraProperties:
@@ -249,7 +263,7 @@ class TestAlgebraProperties:
         v = np.asarray(vals)
         tol = scale_tol(cost)
         lip = bool((np.abs(v[:, None] - v[None, :]) <= cost + tol).all())
-        assert sp.is_c_concave(v, METRIC, region) == lip
+        assert is_c_concave_table(v, cost) == lip
 
     def test_subregion_equicontinuity(self):
         rng = np.random.default_rng(8)

@@ -157,7 +157,7 @@ def _model_one_value_profit_instances():
         region = region_from_points(random_points(rng, n))
         kern = random_kernel(rng, n)
         f = sp.CustomerMeasure(rng.uniform(0, 1, n))
-        yield sp.value_function(sp.PricePattern(rng.uniform(0, 2, n)), kern, region).values, kern, region, f
+        yield ct.value_table(rng.uniform(0, 2, n), sp.eval_cost(kern, region)), kern, region, f
     rng = np.random.default_rng(9)
     for _ in range(25):
         n = int(rng.integers(2, 7))
@@ -179,7 +179,7 @@ def _model_two_value_profit_instances():
         ctx = PartitionContext.build(region, kern, p0)
         f = sp.CustomerMeasure(rng.uniform(0, 1, n))
         w, _ = model_two.reformulate(ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size)), ctx, f)
-        yield w.values, ctx, f
+        yield w, ctx, f
 
 
 def test_model_one_value_profit_equals_the_mask_form():

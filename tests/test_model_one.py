@@ -3,7 +3,7 @@ import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import SearchConfig, SearchMode
-from spatial_pricing.ctransform import NotCConcaveError, c_transform_table, scale_tol
+from spatial_pricing.ctransform import NotCConcaveError, c_transform_table, scale_tol, value_table
 from spatial_pricing.model_one import (
     BudgetExceededError,
     profit_from_prices,
@@ -54,7 +54,7 @@ class TestValueProfit:
         region = region_from_points([0.0, 1.0])
         f = sp.CustomerMeasure(np.array([0.5, 0.5]))
         p = sp.PricePattern(np.array([0.2, 0.9]))
-        v = sp.value_function(p, METRIC, region)
+        v = value_table(p.values, sp.eval_cost(METRIC, region))
         assert np.isclose(profit_from_values(v, METRIC, region, f), 0.55)
 
     def test_quadratic_reference_value_profit(self):
@@ -168,10 +168,10 @@ class TestSolveGeneral:
         tol = scale_tol(cost)
         assert (rep.optimal_price.values <= p0.values + tol).all()
         v0 = np.min(cost + p0.values[None, :], axis=1)
-        assert (rep.optimal_value.values >= -tol).all()
-        assert (rep.optimal_value.values <= v0 + tol).all()
+        assert (rep.optimal_value >= -tol).all()
+        assert (rep.optimal_value <= v0 + tol).all()
         # canonical price: minus the transform of the optimal value
-        assert np.allclose(rep.optimal_price.values, -c_transform_table(rep.optimal_value.values, cost), atol=1e-9)
+        assert np.allclose(rep.optimal_price.values, -c_transform_table(rep.optimal_value, cost), atol=1e-9)
         assert np.isclose(rep.profit, rep.diagnostics["profit_value_form"], atol=10 * tol * (1 + f.total_mass))
 
 
@@ -185,7 +185,7 @@ class TestReductionIdentities:
             cost = sp.eval_cost(kern, region)
             f = sp.CustomerMeasure(rng.uniform(0, 1, n))
             p = sp.PricePattern(rng.uniform(0, 2, n))
-            v = sp.value_function(p, kern, region)
+            v = value_table(p.values, cost)
             F = profit_from_prices(p, kern, region, f)
             I = profit_from_values(v, kern, region, f)
             assert F <= I + 10 * scale_tol(cost) * (1 + f.total_mass)

@@ -3,7 +3,7 @@ import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import Mask, PartitionContext, SearchConfig, SearchMode
-from spatial_pricing.ctransform import NotCConcaveError
+from spatial_pricing.ctransform import NotCConcaveError, assignment_table, c_transform_table
 from spatial_pricing.model_two import (
     clamp_nonnegative,
     one_d_reduction,
@@ -226,7 +226,7 @@ class TestWSearch:
         f = sp.CustomerMeasure(rng.uniform(0.1, 1.0, 7))
         rep = solve_w_search(ctx, f, SearchConfig(levels=6, multistarts=6))
         tol = ctx.tol
-        assert np.array_equal(rep.captured, rep.w_opt.values <= ctx.v0 + tol)
+        assert np.array_equal(rep.captured, rep.w_opt <= ctx.v0 + tol)
         lost, captured = rep.capture_sets
         assert set(lost) | set(captured) == set(range(7))
         assert (rep.optimal_price.values[ctx.fixed] == ctx.p0.values[ctx.fixed]).all()
@@ -251,10 +251,10 @@ class TestBoundaryControl:
         ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(21, 0.6))
         f = sp.CustomerMeasure.uniform(21)
         rep = solve_boundary_control(ctx, f, SearchConfig(grid_n=61))
-        w = rep.w_opt.values
+        w = rep.w_opt
         x = region.coords_1d()
         xa, xb = x[rep.diagnostics["control_indices"]]
-        wc = sp.c_transform(w, METRIC, region, target=ctx.free)
+        wc = c_transform_table(w, sp.eval_cost(METRIC, region), ctx.free)
         member = np.abs(w[:, None] + wc[None, :] - ctx.cost[:, ctx.free]) <= ctx.tol
         delta = np.where(member, ctx.cost[:, ctx.free], np.inf).min(axis=1)
         inside = ctx.region.mask == Mask.FIXED
@@ -271,7 +271,7 @@ class TestBoundaryControl:
         assert np.allclose(w[ctrl], 0.0)
         # fixed-part integrand vanishes: the generating interface point is the
         # cheapest superdifferential element at its own distance
-        J = profit_from_values(sp.ValueFunction(w, sp.ValueKind.SUBREGION, ctx.free), ctx, f)
+        J = profit_from_values(w, ctx, f)
         free_part = float(np.dot(f.weights[ctx.free], w[ctx.free]))
         assert np.isclose(J, free_part, atol=1e-9)
 
@@ -367,14 +367,14 @@ class TestImprovementChain:
             f = sp.CustomerMeasure(rng.uniform(0, 1, ctx.region.size))
             p = ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size))
             w, p_t = reformulate(p, ctx, f)  # internal checks assert the identity
-            assign = sp.assignment(p_t, ctx.kernel, ctx.region)
-            captured = sp.tie_break(assign, p_t, within=ctx.free) >= 0
-            assert np.array_equal(captured, w.values <= ctx.v0 + ctx.tol)
+            assign = assignment_table(p_t.values, sp.eval_cost(ctx.kernel, ctx.region))
+            captured = sp.tie_break(assign, p_t.values, within=ctx.free) >= 0
+            assert np.array_equal(captured, w <= ctx.v0 + ctx.tol)
 
     def test_w_shape_on_interval_instances(self):
         ctx, f = window_context(n=41, p0=0.4, window=(0.0, 1.0))
         rep = solve_w_search(ctx, f, SearchConfig(levels=8, multistarts=8, seed=1))
-        w = rep.w_opt.values
+        w = rep.w_opt
         inside = ctx.region.mask == Mask.FIXED
         h = 1.0 / 40
         diffs = np.diff(w)[inside[:-1] & inside[1:]]

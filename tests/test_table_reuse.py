@@ -33,7 +33,7 @@ def _model_one_calls():
     region = sp.build_interval_region(7, 0.0, 1.0)
     f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 7))
     p0 = sp.PricePattern(np.linspace(0.4, 0.9, 7))
-    v = sp.value_function(p0, QUADRATIC, region).values
+    v = ctransform.value_table(p0.values, sp.eval_cost(QUADRATIC, region))
     return {
         "solve_metric": lambda: model_one.solve_metric(p0, METRIC, region, f),
         "solve_general_ascent": lambda: model_one.solve_general(
@@ -114,7 +114,7 @@ def test_profit_from_values_transforms_once(monkeypatch):
     monkeypatch.setattr(ctransform, "c_transform_table", counting)
     region = sp.build_interval_region(15, 0.0, 1.0, fixed_window=(0.3, 0.7))
     f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 15))
-    v = sp.value_function(np.linspace(0.4, 0.9, 15), QUADRATIC, region).values
+    v = ctransform.value_table(np.linspace(0.4, 0.9, 15), sp.eval_cost(QUADRATIC, region))
     model_one.profit_from_values(v, QUADRATIC, region, f)
     assert len(calls) == 1
     ctx = model_two.PartitionContext.build(region, METRIC, sp.PricePattern.constant(15, 0.5))
