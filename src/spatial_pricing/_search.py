@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 EvalBatch = Callable[[np.ndarray], np.ndarray]  # (B, m) -> (B,)
+TrialScores = Callable[[np.ndarray, int, list], np.ndarray]  # (u, i, ts) -> (len(ts),)
 
 CHUNK = 4096  # candidates per exhaustive-scan batch; CELL_BUDGET, not CHUNK, bounds memory
 # cells (rows x n x m) one batched-objective call may span: 32 MiB per float64 temporary
@@ -197,6 +198,7 @@ def coordinate_ascent(
     *,
     step: Optional[float] = None,
     on_grid_cap: bool = False,
+    trial_scores: Optional[TrialScores] = None,
 ) -> tuple[np.ndarray, float, dict]:
     """Multi-start coordinate ascent with step halving.
 
@@ -214,7 +216,17 @@ def coordinate_ascent(
     start that reaches the (point, step) state an earlier start held at the
     top of a step level takes over that start's outcome.  Both rest on the
     row independence of `eval_batch` and leave the result unchanged.
+
+    `trial_scores(u, i, ts)`, when given, scores the trials of coordinate i
+    in place of `eval_batch`: it returns the scores of u with u[i] replaced
+    by each t in ts, and they must be bit-equal to `eval_batch` on those
+    rows, so the result and `evaluations` do not depend on it.  An objective
+    that keeps state at u can score a one-coordinate move for less than a
+    full row.  Starts are still scored by `eval_batch`.  It does not combine
+    with `feasible`, which may drop trials.
     """
+    if feasible is not None and trial_scores is not None:
+        raise ValueError("trial_scores and feasible do not combine")
     caps = np.asarray(caps, dtype=float)
     m = caps.size
     cap_list = caps.tolist()
@@ -254,7 +266,9 @@ def coordinate_ascent(
                         moves += (math.floor(cap / step + 1e-12) * step,)
                     trials = [t for t in sorted({min(max(x, 0.0), cap) for x in moves}) if abs(t - base) > 1e-15]
                     fresh = [t for t in trials if (i, t) not in known]
-                    if fresh:
+                    if fresh and trial_scores is not None:
+                        known.update(zip([(i, t) for t in fresh], trial_scores(u, i, fresh).tolist()))
+                    elif fresh:
                         batch = np.repeat(u[None, :], len(fresh), axis=0)
                         batch[:, i] = fresh
                         if feasible is not None:

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, scored_by_value, seeded_starts
+from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, scored_by_value, seeded_starts, within_budget
 from .geometry import (
     CostKernel,
     CustomerMeasure,
@@ -361,14 +361,16 @@ def solve_boundary_control(
         fixed_part = (np.where(captured & fixed_mask[None, :], W - delta, 0.0) * weights[None, :]).sum(axis=1)
         return free_part + fixed_part
 
-    eval_batch = scored_by_value(value, score, *cost_free.shape)
     k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
+        # a product scan visits each candidate once and repeats no value function
+        eval_batch = within_budget(lambda PHI: score(value(PHI)), *cost_free.shape)
         phi_best, val_best, diag = exhaustive_product(eval_batch, caps, levels, search.max_candidates, feasible=feasible)
     else:
         # each start becomes the largest 1-Lipschitz function below it on the control set
         starts = [ct.value_table(u, dctrl) for u in seeded_starts(caps, search)]
+        eval_batch = scored_by_value(value, score, *cost_free.shape)
         phi_best, val_best, diag = coordinate_ascent(eval_batch, caps, starts, search, feasible=feasible)
 
     w = ct.value_table(phi_best, cost_ctrl)

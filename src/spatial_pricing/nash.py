@@ -8,6 +8,13 @@ capped by the opponent's standing offer), then polish the best cone with
 one step level of the shared coordinate ascent: moves of one and two price
 steps, the on-grid cap as an extra trial.  Payoffs use the home-region tie
 rule throughout.
+
+Each customer's income is written once (`_value_and_paid`, `_income`) and
+shared by the dense batch payoff and the polish's trial hook.  A polish
+trial moves one own price, so the hook scores it in O(n) from per-customer
+state at the current prices and re-scores densely only the customers whose
+unique best offer moved or whose best offer falls by at most the
+tolerance; its payoffs are bit-equal to the dense ones.
 """
 
 from __future__ import annotations
@@ -140,21 +147,101 @@ def _strategy_values(p: PricePattern | np.ndarray, idx: np.ndarray, n: int) -> n
     return v
 
 
+def _value_and_paid(totals: np.ndarray, P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each customer's best offer V over the last axis of `totals` and the
+    price paid there: the largest of the prices P whose offers tie with V."""
+    V = totals.min(axis=-1)
+    member = totals <= V[..., None] + tol
+    return V, np.where(member, P, -np.inf).max(axis=-1)
+
+
+def _income(V, paid, opp_offer, tie_home, weights, tol: float) -> np.ndarray:
+    """Weighted income from customers whose best offer V beats the opponent's
+    (exact ties go home)."""
+    mine = (V < opp_offer - tol) | ((np.abs(V - opp_offer) <= tol) & tie_home)
+    return np.where(mine, paid, 0.0) * weights
+
+
 def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
     cost_my = ctx.cost[:, my_idx]
     weights = ctx.f.weights
 
     def payoff(P: np.ndarray) -> np.ndarray:
-        totals = cost_my[None, :, :] + P[:, None, :]
-        V = totals.min(axis=2)
-        member = totals <= V[:, :, None] + tol
-        paid = np.where(member, P[:, None, :], -np.inf).max(axis=2)
-        mine = (V < opp_offer[None, :] - tol) | (
-            (np.abs(V - opp_offer[None, :]) <= tol) & tie_home[None, :]
-        )
-        return (np.where(mine, paid, 0.0) * weights[None, :]).sum(axis=1)
+        V, paid = _value_and_paid(cost_my[None, :, :] + P[:, None, :], P[:, None, :], tol)
+        return _income(V, paid, opp_offer, tie_home, weights, tol).sum(axis=1)
 
     return within_budget(payoff, *cost_my.shape)
+
+
+def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
+    """The `trial_scores` hook of `coordinate_ascent` for the payoff of
+    `_player_payoff_batch`: scores of u with u[i] replaced by each trial,
+    bit-equal to that payoff, in O(n) per trial from a cached base point.
+
+    The base state of u is rebuilt when u moves: its offers T = C + u, per
+    customer the best offer V, the second-smallest offer s2, the members M
+    (offers within tol of V), the price paid (the largest member price) and
+    the second-largest member price pm2.  A trial t at column i gives the
+    offer ci = C[:, i] + t:
+    - ci >= V keeps V; the price paid is the one without column i, raised
+      to t when ci is a member;
+    - ci + tol < V makes ci the only member, so t is paid at V' = ci;
+    - the other rows are scored densely: those whose unique best offer is
+      column i (moving it moves V to s2 and every membership with it), and
+      knife edges, where ci lowers V by at most tol.
+    Min, max and comparisons do not round, and every other entry takes the
+    dense path's float operations, so the per-customer incomes and their
+    sum are the dense ones.  (With a -0.0 price the max may pick the other
+    zero than the dense row does; that only flips the sign of a zero
+    income, which the sum drops.)
+    """
+    C = ctx.cost[:, my_idx]
+    n, m = C.shape
+    Ct = np.ascontiguousarray(C.T)
+    weights = ctx.f.weights
+    base: dict = {}
+
+    def rescore(trial_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        k, x = np.divmod(flat, n)
+        P = trial_rows[k]
+        V, paid = _value_and_paid(C[x] + P, P, tol)
+        return _income(V, paid, opp_offer[x], tie_home[x], weights[x], tol)
+
+    def state(u: np.ndarray) -> dict:
+        key = u.tobytes()
+        if base.get("key") != key:
+            T = C + u
+            V = T.min(axis=1)
+            M = T <= V[:, None] + tol
+            member_prices = np.where(M, u, -np.inf)
+            if m > 1:
+                s2 = np.partition(T, 1, axis=1)[:, 1]
+                top = np.partition(member_prices, m - 2, axis=1)
+                paid, pm2 = top[:, -1:], top[:, -2:-1]
+            else:
+                s2, paid, pm2 = np.full(n, np.inf), member_prices, np.full((n, 1), -np.inf)
+            unique = (T == V[:, None]) & (s2 > V)[:, None]
+            # per (column, customer): is it the unique best offer, and the price paid without it
+            paid_wo = np.where(M & (u == paid) & ~unique, pm2, paid)
+            base.update(key=key, V=V, Vtol=V + tol, unique=unique.T.copy(), paid_wo=paid_wo.T.copy())
+        return base
+
+    def trial_scores(u: np.ndarray, i: int, ts) -> np.ndarray:
+        b = state(u)
+        V, unique, paid_wo = b["V"], b["unique"][i], b["paid_wo"][i]
+        t = np.asarray(ts, dtype=float)[:, None]
+        ci = Ct[i] + t
+        lower = ci < V
+        paid = np.where(lower, t, np.where(ci <= b["Vtol"], np.maximum(paid_wo, t), paid_wo))
+        out = _income(np.where(lower, ci, V), paid, opp_offer, tie_home, weights, tol)
+        redo = np.flatnonzero((lower & (ci + tol >= V)) | unique)
+        if redo.size:
+            trial_rows = np.repeat(u[None, :], len(ts), axis=0)
+            trial_rows[:, i] = ts
+            out.flat[redo] = within_budget(lambda flat: rescore(trial_rows, flat), 1, m)(redo)
+        return out.sum(axis=1)
+
+    return trial_scores
 
 
 def payoffs(
@@ -241,7 +328,8 @@ def best_response(
 
     if step > 0:
         polish = SearchConfig(max_sweeps=search.polish_sweeps, refine_halvings=0)
-        best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True)
+        trials = _player_trial_scores(ctx, my_idx, opp_offer, ctx.tie_home(player), ctx.tol)
+        best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True, trial_scores=trials)
         n_eval += diag["evaluations"]
 
     pay_agent_ties = _player_payoff_batch(ctx, my_idx, opp_offer, np.ones(ctx.region.size, dtype=bool), ctx.tol)

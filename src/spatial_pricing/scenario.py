@@ -47,14 +47,25 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _count(spec: dict, key: str, default: int, what: str, least: int = 1) -> int:
-    """The integer >= `least` at `spec[key]`: a grid size, a level count, a budget or a seed."""
-    value = spec.get(key, default)
+def _integer(value: Any, least: int, name: str) -> int:
+    """`value` as an integer >= `least`; `name` is the key or flag it came from."""
     _require(
         _is_number(value) and math.isfinite(value) and value >= least and value == int(value),
-        f"{what}.{key}: must be an integer >= {least}, got {value!r}",
+        f"{name}: must be an integer >= {least}, got {value!r}",
     )
     return int(value)
+
+
+def _count(spec: dict, key: str, default: int, what: str, least: int = 1) -> int:
+    """The integer >= `least` at `spec[key]`: a grid size, a level count, a budget or a seed."""
+    return _integer(spec.get(key, default), least, f"{what}.{key}")
+
+
+def _finite(spec: dict, key: str, what: str) -> float:
+    """The finite number at `spec[key]`."""
+    value = spec[key]
+    _require(_is_number(value) and math.isfinite(value), f"{what}.{key}: must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _nonnegative(spec: dict, key: str, what: str, default: Optional[float] = None) -> Optional[float]:
@@ -220,7 +231,7 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
     if kernel.kind.value == "custom_table":
         _require(kernel.table.shape[0] == region.size, "cost: custom table does not match the region size")
     measure = _build_measure(raw.get("measure"), region.size)
-    seed = _count(raw, "seed", 0, "scenario", least=0) if seed_override is None else seed_override
+    seed = _count(raw, "seed", 0, "scenario", least=0) if seed_override is None else _integer(seed_override, 0, "--seed")
     solver = raw.get("solver") or {}
     _require(isinstance(solver, dict), "solver: expected an object")
     method = method_override or solver.get("method")
@@ -294,7 +305,7 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
         verify = game.get("verify", False)
         _require(isinstance(verify, bool), f"game.verify: must be true or false, got {verify!r}")
         sc.game = {
-            "split": None if "split" not in game else float(game["split"]),
+            "split": None if "split" not in game else _finite(game, "split", "game"),
             "masks": masks,
             "init_p": _price_values(game.get("init_p", {"kind": "constant", "value": 1.0}), region.size, "game.init_p", allow_inf=False),
             "init_q": _price_values(game.get("init_q", {"kind": "constant", "value": 1.0}), region.size, "game.init_q", allow_inf=False),

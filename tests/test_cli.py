@@ -287,6 +287,10 @@ class TestWronglyTypedValues:
             # bool("false") and bool(0.5) are both True
             lambda s: s.update(model="nash", solver={}, game={"split": 0.5, "verify": "false"}),
             lambda s: s.update(model="nash", solver={}, game={"split": 0.5, "verify": 0.5}),
+            lambda s: s.update(model="nash", solver={}, game={"split": "abc"}),
+            lambda s: s.update(model="nash", solver={}, game={"split": float("nan")}),
+            lambda s: s.update(model="nash", solver={}, game={"split": float("inf")}),
+            lambda s: s.update(model="nash", solver={}, game={"split": float("-inf")}),
         ],
         ids=[
             "null_value",
@@ -299,6 +303,10 @@ class TestWronglyTypedValues:
             "inf_rounds",
             "string_verify",
             "number_verify",
+            "string_split",
+            "nan_split",
+            "inf_split",
+            "minus_inf_split",
         ],
     )
     def test_exit_2_and_nothing_written(self, tmp_path, edit):
@@ -393,6 +401,15 @@ class TestOutOfRangeCounts:
         assert run(path, str(out)) == EXIT_VALIDATION
         assert not out.exists()
 
+    def test_seed_override_is_checked_like_the_seed(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, "seed.json", general_search_scenario())
+        with pytest.raises(ScenarioError, match=re.escape("--seed: must be an integer >= 0, got -1")):
+            load_scenario(path, seed_override=-1)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out), "--seed", "-1"]) == EXIT_VALIDATION
+        assert "--seed: must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 NAN, NEG_INF = float("nan"), float("-inf")  # json writes them as NaN and -Infinity
 
@@ -417,6 +434,8 @@ class TestNonRealPricesAndCaps:
             (nash_scenario, lambda s: s["game"].update(price_cap=-0.5), "game.price_cap: must be a finite number >= 0"),
             (nash_scenario, lambda s: s["game"].update(eps=NAN), "game.eps: must be a finite number >= 0"),
             (nash_scenario, lambda s: s["game"].update(eps=-1), "game.eps: must be a finite number >= 0"),
+            (nash_scenario, lambda s: s["game"].update(split="abc"), "game.split: must be a finite number, got 'abc'"),
+            (nash_scenario, lambda s: s["game"].update(split=NAN), "game.split: must be a finite number, got nan"),
             (general_search_scenario, lambda s: s["prices"]["p0"].update(value="abc"), "prices.p0: unknown price token 'abc'"),
             (boundary_control_scenario, lambda s: s["fixed_price"].update(value="0.7"), "fixed_price: unknown price token '0.7'"),
             (
@@ -438,6 +457,8 @@ class TestNonRealPricesAndCaps:
             "negative_game_cap",
             "nan_eps",
             "negative_eps",
+            "word_split",
+            "nan_split",
             "word_price",
             "string_number_price",
             "bool_per_point_price",

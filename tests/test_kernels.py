@@ -65,12 +65,13 @@ def _model_two_case(seed):
     return (ctx, weights, ctx.tol), G
 
 
-def _boundary_control_objective(monkeypatch):
-    """The boundary-control objective, captured on its way into the scan."""
+def _boundary_control_objective(monkeypatch, max_candidates=2_000_000):
+    """The boundary-control objective, captured on its way into the scan, or
+    into the ascent when the scan does not fit `max_candidates`."""
     region = sp.build_grid_region(6, 6, fixed_box=((0.2, 0.8), (0.2, 0.8)))
     ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern.constant(36, 0.6))
     f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 36))
-    return _captured_objective(monkeypatch, ctx, f, sp.SearchConfig(grid_n=3, levels=3))
+    return _captured_objective(monkeypatch, ctx, f, sp.SearchConfig(grid_n=3, levels=3, max_candidates=max_candidates))
 
 
 def _captured_objective(monkeypatch, ctx, f, search):
@@ -79,11 +80,12 @@ def _captured_objective(monkeypatch, ctx, f, search):
     class Captured(Exception):
         pass
 
-    def scan(eval_batch, caps, levels, max_candidates, feasible=None):
+    def scan(eval_batch, caps, *args, **kwargs):
         captured.update(eval_batch=eval_batch, caps=caps)
         raise Captured
 
     monkeypatch.setattr(model_two, "exhaustive_product", scan)
+    monkeypatch.setattr(model_two, "coordinate_ascent", scan)
     with pytest.raises(Captured):
         model_two.solve_boundary_control(ctx, f, search)
     return captured["eval_batch"], captured["caps"]
@@ -315,11 +317,12 @@ def _memo_cases(monkeypatch, seed):
     inactive = 2.0 * args[0].cost.max() + 4.0
     yield two, _subregion_profit_reference(*args), list(_ascent_batches(rng, np.full(args[0].free.size, 2.0), inactive)), record
 
+    # the memo sits on boundary control's ascent only; its product scan repeats no value
     record = _count_scored(monkeypatch, model_two)
-    bc, caps = _boundary_control_objective(monkeypatch)
+    bc, caps = _boundary_control_objective(monkeypatch, max_candidates=10)
     with monkeypatch.context() as patch:
         _dense(patch, model_two)
-        dense = _boundary_control_objective(patch)[0]
+        dense = _boundary_control_objective(patch, max_candidates=10)[0]
     yield bc, dense, list(_ascent_batches(rng, caps, 10.0)), record
 
 

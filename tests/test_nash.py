@@ -4,9 +4,11 @@ import pytest
 import spatial_pricing as sp
 from spatial_pricing import GameContext, NashSearchConfig
 from spatial_pricing import ctransform as ct
+from spatial_pricing._search import coordinate_ascent
 from spatial_pricing.nash import (
     BestResponseResult,
     _player_payoff_batch,
+    _player_trial_scores,
     _strategy_values,
     best_response,
     best_response_dynamics,
@@ -371,3 +373,159 @@ def test_best_response_matches_reference_polish(kernel, price_cap, grid_n):
             assert got.diagnostics["price_step"] == expected.diagnostics["price_step"], case
             # the shared ascent scores its start once more
             assert got.diagnostics["evaluations"] == expected.diagnostics["evaluations"] + 1, case
+
+
+def _trial_game(seed, kernel, price_cap=None):
+    """A seeded split game: some customers weigh 0, and odd seeds split on a
+    grid point, whose overlap point carries no customers; seed 2 gives A one
+    point."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 16))
+    region = sp.build_interval_region(n, 0.0, 1.0)
+    x = region.coords_1d()
+    w = rng.uniform(0.5, 1.5, n)
+    w[rng.uniform(size=n) < 0.25] = 0.0
+    if seed == 2:
+        split = 0.5 * (x[0] + x[1])
+    elif seed % 2:
+        split = float(x[int(rng.integers(1, n - 1))])
+    else:
+        split = float(rng.uniform(0.2, 0.8))
+    ctx = GameContext.from_split(region, kernel, split, sp.CustomerMeasure(w), price_cap=price_cap)
+    return rng, ctx
+
+
+def _trial_payoffs(ctx, player, opponent):
+    my_idx = ctx.indices(player)
+    opp_idx = ctx.indices("B" if player == "A" else "A")
+    args = (ctx, my_idx, ct.value_table(opponent, ctx.cost, opp_idx), ctx.tie_home(player), ctx.tol)
+    return my_idx, _player_payoff_batch(*args), _player_trial_scores(*args)
+
+
+def _assert_trials_match(dense, hook, u, i, ts):
+    rows = np.repeat(u[None, :], len(ts), axis=0)
+    rows[:, i] = ts
+    got, expected = hook(u, i, ts), dense(rows)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # the sign of a zero too
+
+
+@pytest.mark.parametrize("kernel", [METRIC, sp.CostKernel.quadratic()], ids=["distance", "quadratic"])
+def test_trial_scores_match_the_dense_payoff(kernel):
+    branches = {"unique": 0, "knife": 0, "tie": 0, "lower": 0}
+    for seed in range(12):
+        rng, ctx = _trial_game(seed, kernel)
+        step = 1.0 / [7, 10, 20][seed % 3]
+        for player in "AB":
+            opponent = np.round(rng.uniform(0.0, 1.0, ctx.region.size) / step) * step
+            my_idx, dense, hook = _trial_payoffs(ctx, player, opponent)
+            C = ctx.cost[:, my_idx]
+            for rep in range(8):
+                # prices on a step grid force ties; off the grid most rows have one best offer
+                u = rng.uniform(0.0, 1.0, my_idx.size)
+                if rep % 2:
+                    u = np.round(u / step) * step
+                if rep == 7:
+                    u[0] = -0.0
+                for i in rng.permutation(my_idx.size)[:4]:
+                    T = C + u
+                    V = T.min(axis=1)
+                    x = int(rng.integers(0, C.shape[0]))
+                    edge = V[x] - C[x, i]  # trial offers at customer x's best offer
+                    ts = np.unique(
+                        np.concatenate(
+                            [
+                                np.round(rng.uniform(0.0, 1.0, 4) / step) * step,
+                                rng.uniform(0.0, 1.0, 2),
+                                edge + np.array([-2.0, -0.5, 0.0, 0.5, 2.0]) * ctx.tol,
+                                [(V[x] + ctx.tol) - C[x, i], (V[x] - ctx.tol) - C[x, i]],
+                            ]
+                        )
+                    )
+                    ts = ts[ts > 0.0].tolist()
+                    _assert_trials_match(dense, hook, u, i, ts)
+                    ci = C[:, i][None, :] + np.array(ts)[:, None]
+                    branches["unique"] += int(((T[:, i] == V) & ((T == V[:, None]).sum(axis=1) == 1)).sum())
+                    branches["knife"] += int(((ci < V) & (ci + ctx.tol >= V)).sum())
+                    branches["tie"] += int(((ci >= V) & (ci <= V + ctx.tol)).sum())
+                    branches["lower"] += int((ci + ctx.tol < V).sum())
+    assert min(branches.values()) > 0, branches
+
+
+@pytest.mark.parametrize("price_cap", [None, 0.3, 1e-10])
+@pytest.mark.parametrize("kernel", [METRIC, sp.CostKernel.quadratic()], ids=["distance", "quadratic"])
+def test_polish_trials_match_the_dense_payoff(monkeypatch, kernel, price_cap):
+    # every trial the polish scores, checked against the dense payoff
+    import spatial_pricing.nash as nash_mod
+
+    calls = []
+
+    def checked(ctx, my_idx, opp_offer, tie_home, tol):
+        dense = _player_payoff_batch(ctx, my_idx, opp_offer, tie_home, tol)
+        hook = _player_trial_scores(ctx, my_idx, opp_offer, tie_home, tol)
+
+        def trial_scores(u, i, ts):
+            calls.append(i)
+            _assert_trials_match(dense, hook, u, i, ts)
+            return hook(u, i, ts)
+
+        return trial_scores
+
+    monkeypatch.setattr(nash_mod, "_player_trial_scores", checked)
+    for seed in range(4):
+        rng, ctx = _trial_game(seed, kernel, price_cap)
+        opponent = rng.uniform(0.0, 1.0, ctx.region.size)
+        for grid_n in (7, 40):
+            for player in "AB":
+                best_response(player, opponent, ctx, NashSearchConfig(grid_n=grid_n))
+    assert calls
+
+
+def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch):
+    # the distance-cost polish moves no price here; the dense payoff then
+    # scores the start row, and the hook only rows whose unique best offer
+    # is the moved column and knife edges
+    import spatial_pricing.nash as nash_mod
+
+    region = sp.build_interval_region(41, 0.0, 1.0)
+    f = sp.CustomerMeasure(np.random.default_rng(3).uniform(0.5, 1.5, 41))
+    ctx = GameContext.from_split(region, METRIC, 0.5, f)
+    opponent = np.ones(41)
+    rows = {"dense": 0}
+    record = {}
+    real_value_and_paid = nash_mod._value_and_paid
+
+    def counted(totals, P, tol):
+        rows["dense"] += int(np.prod(totals.shape[:-1]))
+        return real_value_and_paid(totals, P, tol)
+
+    def ascent(eval_batch, caps, starts, search, feasible=None, **kwargs):
+        hook = kwargs.pop("trial_scores")
+        record.update(start=starts[0].copy(), calls=[])
+
+        def recorded(u, i, ts):
+            record["calls"].append((u.copy(), i, list(ts)))
+            return hook(u, i, ts)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nash_mod, "_value_and_paid", counted)
+            out = coordinate_ascent(eval_batch, caps, starts, search, feasible, trial_scores=recorded, **kwargs)
+        record["u"] = out[0]
+        return out
+
+    monkeypatch.setattr(nash_mod, "coordinate_ascent", ascent)
+    r = best_response("A", opponent, ctx, NashSearchConfig(grid_n=40))
+    assert np.array_equal(record["u"], record["start"]) and np.array_equal(r.prices, record["start"])
+    C = ctx.cost[:, ctx.indices("A")]
+    expected = trials = 0
+    for u, i, ts in record["calls"]:
+        T = C + u
+        V = T.min(axis=1)
+        unique = (T[:, i] == V) & ((T == V[:, None]).sum(axis=1) == 1)
+        for t in ts:
+            ci = C[:, i] + t
+            expected += int((unique | ((ci < V) & (ci + ctx.tol >= V))).sum())
+            trials += 1
+    n = ctx.region.size
+    assert rows["dense"] == n + expected  # n: the start row's customers
+    assert expected < trials * n / 10

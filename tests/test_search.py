@@ -264,3 +264,26 @@ def test_solver_scores_each_value_function_once(monkeypatch, solver):
     assert report.diagnostics == expected.diagnostics
     # the callback was asked for rows whose value function it had scored
     assert 0 < scored["rows"] < record["counter"].rows
+
+
+@pytest.mark.parametrize("mode", list(SearchMode))
+def test_boundary_control_memo_only_on_the_ascent(monkeypatch, mode):
+    # a product scan visits each candidate once, so a memo there only holds keys
+    built = []
+
+    def spy(value, score, n, m):
+        built.append(mode)
+        return _search.scored_by_value(value, score, n, m)
+
+    monkeypatch.setattr(model_two, "scored_by_value", spy)
+    assert _solve("solve_boundary_control", mode).diagnostics["mode"] == mode.value
+    assert len(built) == (mode is SearchMode.ASCENT)
+
+
+def test_trial_scores_do_not_combine_with_feasible():
+    caps = np.ones(3)
+    with pytest.raises(ValueError, match="do not combine"):
+        coordinate_ascent(
+            lambda U: U.sum(axis=1), caps, [caps], SearchConfig(), lambda U: np.ones(len(U), bool),
+            trial_scores=lambda u, i, ts: np.zeros(len(ts)),
+        )
