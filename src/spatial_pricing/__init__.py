@@ -11,21 +11,18 @@ from .geometry import (
     Region,
     build_grid_region,
     build_interval_region,
-    cumulative_weights,
     eval_cost,
     step_cdf,
     uniform_cdf,
 )
 from .model_one import (
-    ModelOneSolveReport,
+    SolveReport,
     quadratic_1d_reference,
     solve_general,
     solve_metric,
 )
 from .model_two import (
-    ModelTwoSolveReport,
     PartitionContext,
-    clamp_nonnegative,
     one_d_reduction,
     reformulate,
     solve_boundary_control,

@@ -44,21 +44,18 @@ def _scenario_hash(path: str) -> str:
 def _solve(sc: Scenario):
     """Dispatch a validated scenario; returns (report-like, summary dict, series rows)."""
     region, kernel, f = sc.region, sc.kernel, sc.measure
-    if sc.model == "one":
-        if sc.method == "metric_closed_form":
-            rep = model_one.solve_metric(sc.p0, kernel, region, f)
-        elif sc.method == "general_search":
-            rep = model_one.solve_general(sc.p0, kernel, region, f, sc.search)
-        else:  # quadratic_reference
-            v, p, _ = model_one.quadratic_1d_reference(region.coords_1d())
-            rep = model_one.price_report(
-                PricePattern(p), v, eval_cost(kernel, region), f, model_one.METHOD_QUADRATIC_REFERENCE, {}
-            )
-        summary = {"profit": rep.profit, "method": rep.method}
-        series = _series_model_one_two(sc, rep.optimal_price, rep.optimal_value, rep.assignment.choice, None)
-        return rep, summary, series
-
-    if sc.model == "two":
+    if sc.model == "nash":
+        return _solve_nash(sc)
+    if sc.method == "metric_closed_form":
+        rep = model_one.solve_metric(sc.p0, kernel, region, f)
+    elif sc.method == "general_search":
+        rep = model_one.solve_general(sc.p0, kernel, region, f, sc.search)
+    elif sc.method == "quadratic_reference":
+        v, p, _ = model_one.quadratic_1d_reference(region.coords_1d())
+        rep = model_one.price_report(
+            PricePattern(p), v, eval_cost(kernel, region), f, model_one.METHOD_QUADRATIC_REFERENCE, {}
+        )
+    else:  # model two
         ctx = PartitionContext.build(region, kernel, sc.p0)
         if sc.method == "w_search":
             rep = model_two.solve_w_search(ctx, f, sc.search)
@@ -70,14 +67,15 @@ def _solve(sc: Scenario):
             rep = model_two.one_d_reduction(
                 alpha, beta, sc.p0_constant, cdf, ctx=ctx, f=f, grid_n=sc.search.grid_n
             )
-        summary = {"profit": rep.profit, "method": rep.method}
-        for key in ("p1", "p2", "objective_two_term"):
-            if key in rep.diagnostics:
-                summary[key] = rep.diagnostics[key]
-        series = _series_model_one_two(sc, rep.optimal_price, rep.w_opt, rep.assignment.choice, rep.captured)
-        return rep, summary, series
+    summary = {"profit": rep.profit, "method": rep.method}
+    for key in ("p1", "p2", "objective_two_term"):
+        if key in rep.diagnostics:
+            summary[key] = rep.diagnostics[key]
+    return rep, summary, _series_model_one_two(sc, rep)
 
-    # nash
+
+def _solve_nash(sc: Scenario):
+    region, kernel, f = sc.region, sc.kernel, sc.measure
     g = sc.game
     if g["masks"] is not None:
         ctx = GameContext.build(region, kernel, g["masks"][0], g["masks"][1], f, price_cap=g["price_cap"])
@@ -110,7 +108,8 @@ def _solve(sc: Scenario):
     return trace, summary, series
 
 
-def _series_model_one_two(sc: Scenario, price, values, choice, captured):
+def _series_model_one_two(sc: Scenario, rep):
+    """series.csv of a model-one or model-two report; model one captures every customer."""
     region = sc.region
     header = ["index"] + (["x"] if region.dimension == 1 else ["x", "y"]) + [
         "mask",
@@ -122,7 +121,8 @@ def _series_model_one_two(sc: Scenario, price, values, choice, captured):
     ]
     rows = [header]
     p0 = sc.p0.values
-    pv = price.values
+    pv = rep.optimal_price.values
+    choice = rep.assignment.choice
     for i in range(region.size):
         coords = [_fmt(c) for c in region.points[i]]
         rows.append(
@@ -132,9 +132,9 @@ def _series_model_one_two(sc: Scenario, price, values, choice, captured):
                 _MASK_NAMES[int(region.mask[i])],
                 _fmt(p0[i]) if np.isfinite(p0[i]) else "+inf",
                 _fmt(pv[i]),
-                _fmt(values[i]),
+                _fmt(rep.optimal_value[i]),
                 str(int(choice[i])),
-                str(1 if captured is None else int(bool(captured[i]))),
+                str(1 if rep.captured is None else int(bool(rep.captured[i]))),
             ]
         )
     return {"series.csv": rows}

@@ -120,57 +120,42 @@ def _transport(values: np.ndarray, vc: np.ndarray, cols: np.ndarray, tol: float)
 class AssignmentMap:
     """Customer assignment: argmin sets, tie-broken choices, expenditures.
 
-    candidates  : sorted global indices of admissible purchase points.
-    member      : (n, len(candidates)) bool, y in the argmin set of x.
+    member      : (n, n) bool, y in the argmin set of x.
     expenditure : (n,) minimal total expenditure v_p(x).
-    choice      : (n,) global index of the tie-broken purchase point.
+    choice      : (n,) index of the tie-broken purchase point.
     """
 
-    candidates: np.ndarray
     member: np.ndarray
     expenditure: np.ndarray
     choice: np.ndarray
 
 
-def assignment_table(
-    prices: np.ndarray,
-    cost: np.ndarray,
-    candidates: Optional[np.ndarray] = None,
-) -> AssignmentMap:
-    """Argmin sets of c(x, y) + p(y) over the candidate set, with tie-broken choice.
+def assignment_table(prices: np.ndarray, cost: np.ndarray) -> AssignmentMap:
+    """Argmin sets of c(x, y) + p(y) over all points, with tie-broken choice.
 
     The choice maximizes the price over the argmin set (equivalently minimizes
     transport); remaining ties go to the smallest point index.
     """
     tol = scale_tol(cost)
-    cand = np.arange(cost.shape[1]) if candidates is None else np.sort(np.asarray(candidates, dtype=int))
-    if not np.isfinite(prices[cand]).any():
-        raise ValueError("improper prices: no finite value inside the candidate set")
-    totals = cost[:, cand] + prices[cand][None, :]
+    if not np.isfinite(prices).any():
+        raise ValueError("improper prices: no finite value anywhere")
+    totals = cost + prices[None, :]
     expenditure = totals.min(axis=1)
     member = totals <= expenditure[:, None] + tol
-    priced = np.where(member, prices[cand][None, :], -np.inf)
-    choice = cand[np.argmax(priced, axis=1)]  # argmax takes the first max: smallest index
-    return AssignmentMap(candidates=cand, member=member, expenditure=expenditure, choice=choice)
+    priced = np.where(member, prices[None, :], -np.inf)
+    choice = np.argmax(priced, axis=1)  # argmax takes the first max: smallest index
+    return AssignmentMap(member=member, expenditure=expenditure, choice=choice)
 
 
-def tie_break(
-    assign: AssignmentMap,
-    prices: np.ndarray,
-    within: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Chosen purchase point per customer, restricted to `within`.
+def tie_break(assign: AssignmentMap, prices: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Chosen purchase point per customer, restricted to the indices `within`.
 
     Among the argmin set intersected with `within`, picks the price-maximizing
     point, then the smallest index.  Customers whose intersection is empty get
     -1 (they are lost to the outside option).
     """
-    if within is None:
-        keep = np.ones(len(assign.candidates), dtype=bool)
-    else:
-        keep = np.isin(assign.candidates, np.asarray(within, dtype=int))
+    keep = np.zeros(len(prices), dtype=bool)
+    keep[within] = True
     member = assign.member & keep[None, :]
-    priced = np.where(member, prices[assign.candidates][None, :], -np.inf)
-    has_any = member.any(axis=1)
-    choice = np.where(has_any, assign.candidates[np.argmax(priced, axis=1)], -1)
-    return choice
+    priced = np.where(member, prices[None, :], -np.inf)
+    return np.where(member.any(axis=1), np.argmax(priced, axis=1), -1)

@@ -24,7 +24,6 @@ __all__ = [
     "build_interval_region",
     "build_grid_region",
     "eval_cost",
-    "cumulative_weights",
     "step_cdf",
     "uniform_cdf",
 ]
@@ -318,14 +317,6 @@ class CustomerMeasure:
         return CustomerMeasure(np.full(n, mass / n))
 
 
-def cumulative_weights(region: Region, f: CustomerMeasure) -> np.ndarray:
-    """Prefix sums of the weights along a 1D region (nondecreasing, ends at the mass)."""
-    x = region.coords_1d()
-    if np.any(np.diff(x) < 0):
-        raise ValueError("cumulative weights need nondecreasing coordinates")
-    return np.cumsum(f.weights)
-
-
 def step_cdf(region: Region, f: CustomerMeasure) -> Callable[[np.ndarray], np.ndarray]:
     """Right-continuous cumulative function t -> f([min, t]) of an atomic measure."""
     x = region.coords_1d()
@@ -374,20 +365,3 @@ class PricePattern:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def is_proper(self, subset: Optional[np.ndarray] = None) -> bool:
-        """True when at least one value inside the subset is finite."""
-        vals = self.values if subset is None else self.values[subset]
-        return bool(np.isfinite(vals).any())
-
-    @staticmethod
-    def constant(n: int, value: float) -> "PricePattern":
-        return PricePattern(np.full(n, float(value)))
-
-    @staticmethod
-    def unbounded(n: int, finite: Optional[dict[int, float]] = None) -> "PricePattern":
-        """All +inf except the entries listed in `finite`."""
-        v = np.full(n, np.inf)
-        for i, val in (finite or {}).items():
-            v[i] = val
-        return PricePattern(v)

@@ -11,6 +11,7 @@ transform, so the search never leaves the admissible class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from ._search import BudgetExceededError, SearchConfig, SearchMode, coordinate_a
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
 
 __all__ = [
-    "ModelOneSolveReport",
+    "SolveReport",
     "BudgetExceededError",
     "profit_from_prices",
     "profit_from_values",
@@ -34,22 +35,33 @@ METHOD_QUADRATIC_REFERENCE = "quadratic_1d_reference"
 
 
 @dataclass
-class ModelOneSolveReport:
-    optimal_price: PricePattern
-    optimal_value: np.ndarray  # (n,) customer value function of optimal_price
+class SolveReport:
+    """What a model-one or model-two solver found.
+
+    optimal_price : the price pattern p (None only for the two-scalar
+                    `one_d_reduction` run on a cumulative function alone).
+    optimal_value : (n,) customer value function; in model two the one the
+                    free part generates, w(x) = min over free y of {c(x, y) + p(y)}.
+    captured      : model two only, bool per point: the customer shops in the
+                    free part.
+    """
+
+    optimal_price: Optional[PricePattern]
+    optimal_value: Optional[np.ndarray]
     profit: float
-    assignment: ct.AssignmentMap
+    assignment: Optional[ct.AssignmentMap]
     method: str
     diagnostics: dict = field(default_factory=dict)
+    captured: Optional[np.ndarray] = None
 
 
 def price_report(
     price: PricePattern, value: np.ndarray, cost: np.ndarray, f: CustomerMeasure, method: str, diagnostics: dict
-) -> ModelOneSolveReport:
+) -> SolveReport:
     """Report for a chosen price: assignment on the cost table and price-side profit."""
     assign = ct.assignment_table(price.values, cost)
     profit = float(np.dot(f.weights, price.values[assign.choice]))
-    return ModelOneSolveReport(price, value, profit, assign, method, diagnostics)
+    return SolveReport(price, value, profit, assign, method, diagnostics)
 
 
 def profit_from_prices(
@@ -90,7 +102,7 @@ def solve_metric(
     kernel: CostKernel,
     region: Region,
     f: CustomerMeasure,
-) -> ModelOneSolveReport:
+) -> SolveReport:
     """Closed form for metric costs: p(x) = min over y of {p0(y) + d(x, y)}.
 
     The optimal pattern does not depend on the customer distribution; f only
@@ -99,8 +111,6 @@ def solve_metric(
     if not kernel.is_metric:
         raise ValueError("the closed form needs a metric cost kernel")
     cost = eval_cost(kernel, region)
-    if not p0.is_proper():
-        raise ValueError("improper price bound: +inf everywhere")
     popt = ct.value_table(p0.values, cost)
     return price_report(PricePattern(popt), ct.value_table(popt, cost), cost, f, METHOD_METRIC, {"f_independent": True})
 
@@ -139,7 +149,7 @@ def solve_general(
     region: Region,
     f: CustomerMeasure,
     search: SearchConfig = SearchConfig(),
-) -> ModelOneSolveReport:
+) -> SolveReport:
     """Discrete maximization of the value-function profit over feasible values.
 
     EXHAUSTIVE enumerates quantized generator prices (refused beyond the
@@ -149,8 +159,6 @@ def solve_general(
     """
     cost = eval_cost(kernel, region)
     tol = ct.scale_tol(cost)
-    if not p0.is_proper():
-        raise ValueError("improper price bound: +inf everywhere")
     v0 = ct.value_table(p0.values, cost)
     if search.price_cap is not None:
         caps = np.full(region.size, float(search.price_cap))

@@ -11,7 +11,7 @@ one-dimensional window case collapses to two scalars.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -28,12 +28,11 @@ from .geometry import (
     eval_cost,
     step_cdf,
 )
+from .model_one import SolveReport
 
 __all__ = [
     "PartitionContext",
-    "ModelTwoSolveReport",
     "profit_from_prices",
-    "clamp_nonnegative",
     "reformulate",
     "profit_from_values",
     "solve_w_search",
@@ -111,25 +110,6 @@ class PartitionContext:
         return vals
 
 
-@dataclass
-class ModelTwoSolveReport:
-    optimal_price: Optional[PricePattern]
-    w_opt: Optional[np.ndarray]  # (n,) value function generated by the free part
-    profit: float
-    captured: Optional[np.ndarray]  # bool per point: customer shops in the free part
-    assignment: Optional[ct.AssignmentMap]
-    method: str
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def capture_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lost-to-fixed indices, captured indices)."""
-        if self.captured is None:
-            raise ValueError("this report carries no per-point capture data")
-        idx = np.arange(len(self.captured))
-        return idx[~self.captured], idx[self.captured]
-
-
 def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasure):
     """Split customers by whether their argmin set touches the free part.
 
@@ -141,8 +121,7 @@ def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasu
     free = ctx.free
     choice = ct.tie_break(assign, vals, within=free)
     captured = choice >= 0
-    member_free = assign.member[:, np.isin(assign.candidates, free)]
-    transport = np.where(member_free, ctx.cost[:, free], np.inf).min(axis=1)
+    transport = np.where(assign.member[:, free], ctx.cost[:, free], np.inf).min(axis=1)
     w = f.weights
     paid = np.where(captured, vals[np.maximum(choice, 0)], 0.0)
     profit_price_form = float(np.dot(w, paid))
@@ -166,26 +145,7 @@ def profit_from_prices(
     return profit
 
 
-def clamp_nonnegative(
-    p: PricePattern,
-    ctx: PartitionContext,
-    f: CustomerMeasure,
-) -> tuple[PricePattern, float]:
-    """Clamp free prices at zero; the profit never drops."""
-    before = profit_from_prices(p, ctx, f)
-    clamped = ctx.full_prices(np.maximum(p.values[ctx.free], 0.0))
-    after = profit_from_prices(clamped, ctx, f)
-    if after < before - ct._check_slack(ctx.tol, f.total_mass):
-        raise RuntimeError("clamping at zero lowered the profit")
-    return clamped, after
-
-
-def reformulate(
-    p: PricePattern,
-    ctx: PartitionContext,
-    f: Optional[CustomerMeasure] = None,
-    check: bool = True,
-) -> tuple[np.ndarray, PricePattern]:
+def reformulate(p: PricePattern, ctx: PartitionContext) -> tuple[np.ndarray, PricePattern]:
     """Canonical price pattern generating the same value function.
 
     Returns (w, new pattern).  Builds w(x) = min over free y of
@@ -193,8 +153,6 @@ def reformulate(
     free prices by minus the transform.  The new
     pattern never prices above the old one on the free part, stays
     nonnegative, and captures at least the same customers at no lower profit.
-    With `check`, all of these conclusions are verified on the instance and a
-    violation raises (it would indicate a defect, not a recoverable error).
     """
     vals = ctx.check_admissible(p)
     free = ctx.free
@@ -202,34 +160,7 @@ def reformulate(
         raise ValueError("reformulation expects nonnegative prices; clamp first")
     w = ct.value_table(vals, ctx.cost, free)
     u_t = ct.c_transform_table(w, ctx.cost, free)
-    p_t = ctx.full_prices(-u_t)
-    if check:
-        slack = ct._check_slack(ctx.tol)
-        v_p = ct.value_table(vals, ctx.cost)
-        v_pt = ct.value_table(p_t.values, ctx.cost)
-        if np.max(np.abs(v_p - v_pt)) > slack:
-            raise RuntimeError("reformulation changed the customer value function")
-        if np.any(p_t.values[free] > vals[free] + slack):
-            raise RuntimeError("reformulated prices exceed the originals on the free part")
-        if np.any(p_t.values[free] < -slack):
-            raise RuntimeError("reformulated prices are negative")
-        cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost), vals, within=free) >= 0
-        assign_t = ct.assignment_table(p_t.values, ctx.cost)
-        cap2 = ct.tie_break(assign_t, p_t.values, within=free) >= 0
-        if np.any(cap1 & ~cap2):
-            raise RuntimeError("reformulation lost captured customers")
-        if np.any(cap2 != (w <= ctx.v0 + ctx.tol)):
-            raise RuntimeError("capture set differs from {w <= v0}")
-        member_t = assign_t.member[:, np.isin(assign_t.candidates, free)]
-        superdiff = ct.superdifferential_mask(w, ctx.cost, free, vc=u_t)
-        if np.any(member_t[cap2] != superdiff[cap2]):
-            raise RuntimeError("argmin sets and superdifferentials disagree on captured customers")
-        if f is not None:
-            before = profit_from_prices(p, ctx, f)
-            after = profit_from_prices(p_t, ctx, f)
-            if after < before - ct._check_slack(ctx.tol, f.total_mass):
-                raise RuntimeError("reformulation lowered the profit")
-    return w, p_t
+    return w, ctx.full_prices(-u_t)
 
 
 def profit_from_values(
@@ -267,8 +198,8 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
     return scored_by_value(value, score, *cost_free.shape)
 
 
-def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> ModelTwoSolveReport:
-    w, price = reformulate(ctx.full_prices(g_best), ctx, check=False)
+def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> SolveReport:
+    w, price = reformulate(ctx.full_prices(g_best), ctx)
     captured, choice, assign, profit, _ = _capture_and_profit(ctx, price, f)
     j_value = profit_from_values(w, ctx, f)
     if abs(profit - j_value) > ct._check_slack(ctx.tol, f.total_mass):
@@ -276,14 +207,14 @@ def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarr
     if np.any(captured != (w <= ctx.v0 + ctx.tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
     diagnostics["profit_value_form"] = j_value
-    return ModelTwoSolveReport(
+    return SolveReport(
         optimal_price=price,
-        w_opt=w,
+        optimal_value=w,
         profit=profit,
-        captured=captured,
         assignment=assign,
         method=method,
         diagnostics=diagnostics,
+        captured=captured,
     )
 
 
@@ -291,7 +222,7 @@ def solve_w_search(
     ctx: PartitionContext,
     f: CustomerMeasure,
     search: SearchConfig = SearchConfig(),
-) -> ModelTwoSolveReport:
+) -> SolveReport:
     """Search over free-part price generators (value functions come for free).
 
     Candidate prices are capped per point by v0: charging more at a free point
@@ -320,7 +251,7 @@ def solve_boundary_control(
     ctx: PartitionContext,
     f: CustomerMeasure,
     search: SearchConfig = SearchConfig(),
-) -> ModelTwoSolveReport:
+) -> SolveReport:
     """Metric-cost solver controlling prices on the discrete interface only.
 
     Interface prices phi (1-Lipschitz, 0 <= phi <= v0 there) determine the
@@ -383,7 +314,7 @@ def solve_boundary_control(
             "control_prices": phi_best.tolist(),
         }
     )
-    if np.max(np.abs(report.w_opt - w)) > ct._check_slack(tol):
+    if np.max(np.abs(report.optimal_value - w)) > ct._check_slack(tol):
         raise RuntimeError("interface-generated value function is inconsistent")
     return report
 
@@ -407,7 +338,7 @@ def one_d_reduction(
     ctx: Optional[PartitionContext] = None,
     f: Optional[CustomerMeasure] = None,
     grid_n: int = 201,
-) -> ModelTwoSolveReport:
+) -> SolveReport:
     """Two-scalar solver for the interval window case on [0, 1].
 
     The interface prices (p1 at alpha, p2 at beta) must stay below the
@@ -499,23 +430,22 @@ def one_d_reduction(
         xb = coords[free][np.argmin(np.abs(coords[free] - beta))]
         cone = np.minimum(p1 + np.abs(coords[free] - xa), p2 + np.abs(coords[free] - xb))
         price = ctx.full_prices(cone)
-        w, price_t = reformulate(price, ctx, check=False)
+        w, price_t = reformulate(price, ctx)
         captured, choice, assign, profit, _ = _capture_and_profit(ctx, price_t, f)
         diagnostics["interface_points"] = [float(xa), float(xb)]
-        return ModelTwoSolveReport(
+        return SolveReport(
             optimal_price=price_t,
-            w_opt=w,
+            optimal_value=w,
             profit=profit,
-            captured=captured,
             assignment=assign,
             method=METHOD_ONE_D,
             diagnostics=diagnostics,
+            captured=captured,
         )
-    return ModelTwoSolveReport(
+    return SolveReport(
         optimal_price=None,
-        w_opt=None,
+        optimal_value=None,
         profit=four,
-        captured=None,
         assignment=None,
         method=METHOD_ONE_D,
         diagnostics=diagnostics,

@@ -135,9 +135,11 @@ def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
         window = spec.get("fixed_window")
         if window is not None:
             _require(isinstance(window, list) and len(window) == 2, "region: fixed_window must be [alpha, beta]")
-            window = (float(window[0]), float(window[1]))
+            ends = dict(zip(("alpha", "beta"), window))
+            window = (_finite(ends, "alpha", "region.fixed_window"), _finite(ends, "beta", "region.fixed_window"))
+        n = _count(spec, "n", 0, "region")
         try:
-            region = build_interval_region(int(spec["n"]), float(bounds[0]), float(bounds[1]), window)
+            region = build_interval_region(n, float(bounds[0]), float(bounds[1]), window)
         except ValueError as e:
             raise ScenarioError(f"region: {e}") from e
         return region, window
@@ -145,10 +147,11 @@ def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
         _require("nx" in spec and "ny" in spec, "region: 2D region needs 'nx' and 'ny'")
         bounds = spec.get("bounds", [[0.0, 1.0], [0.0, 1.0]])
         box = spec.get("fixed_box")
+        nx, ny = _count(spec, "nx", 0, "region"), _count(spec, "ny", 0, "region")
         try:
             region = build_grid_region(
-                int(spec["nx"]),
-                int(spec["ny"]),
+                nx,
+                ny,
                 ((float(bounds[0][0]), float(bounds[0][1])), (float(bounds[1][0]), float(bounds[1][1]))),
                 None if box is None else ((float(box[0][0]), float(box[0][1])), (float(box[1][0]), float(box[1][1]))),
             )
@@ -177,7 +180,7 @@ def _build_kernel(spec: Any) -> CostKernel:
 def _build_measure(spec: Any, n: int) -> CustomerMeasure:
     _require(isinstance(spec, dict) and "kind" in spec, "measure: expected an object with a 'kind'")
     if spec["kind"] == "uniform":
-        return CustomerMeasure.uniform(n, mass=float(spec.get("mass", 1.0)))
+        return CustomerMeasure.uniform(n, mass=_nonnegative(spec, "mass", "measure", default=1.0))
     if spec["kind"] == "weights":
         vals = spec.get("values")
         _require(isinstance(vals, list) and len(vals) == n, f"measure: weights need {n} values")

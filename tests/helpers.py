@@ -65,3 +65,51 @@ def brute_force_price_profit(prices_grid, kernel, region, f):
             best = val
             best_pattern = p
     return best, best_pattern
+
+
+def clamp_free_prices(p, ctx):
+    """The pattern with its free prices clamped at zero, the first step of the improvement chain."""
+    return ctx.full_prices(np.maximum(p.values[ctx.free], 0.0))
+
+
+def checked_reformulate(p, ctx, f=None):
+    """`model_two.reformulate`, with every conclusion of the reformulation lemma verified.
+
+    Checks on the instance that the canonical pattern keeps the customer value
+    function, never prices above the original on the free part, stays
+    nonnegative, loses no captured customer, captures exactly {w <= v0}, has
+    argmin sets equal to the superdifferentials of w on captured customers and,
+    with a measure `f`, lowers no profit.  A violation raises RuntimeError: it
+    is a defect, not a recoverable error.
+    """
+    from spatial_pricing import ctransform as ct
+    from spatial_pricing.model_two import profit_from_prices, reformulate
+
+    w, p_t = reformulate(p, ctx)
+    vals, free = p.values, ctx.free
+    slack = ct._check_slack(ctx.tol)
+    v_p = ct.value_table(vals, ctx.cost)
+    v_pt = ct.value_table(p_t.values, ctx.cost)
+    if np.max(np.abs(v_p - v_pt)) > slack:
+        raise RuntimeError("reformulation changed the customer value function")
+    if np.any(p_t.values[free] > vals[free] + slack):
+        raise RuntimeError("reformulated prices exceed the originals on the free part")
+    if np.any(p_t.values[free] < -slack):
+        raise RuntimeError("reformulated prices are negative")
+    cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost), vals, within=free) >= 0
+    assign_t = ct.assignment_table(p_t.values, ctx.cost)
+    cap2 = ct.tie_break(assign_t, p_t.values, within=free) >= 0
+    if np.any(cap1 & ~cap2):
+        raise RuntimeError("reformulation lost captured customers")
+    if np.any(cap2 != (w <= ctx.v0 + ctx.tol)):
+        raise RuntimeError("capture set differs from {w <= v0}")
+    member_t = assign_t.member[:, free]
+    superdiff = ct.superdifferential_mask(w, ctx.cost, free)
+    if np.any(member_t[cap2] != superdiff[cap2]):
+        raise RuntimeError("argmin sets and superdifferentials disagree on captured customers")
+    if f is not None:
+        before = profit_from_prices(p, ctx, f)
+        after = profit_from_prices(p_t, ctx, f)
+        if after < before - ct._check_slack(ctx.tol, f.total_mass):
+            raise RuntimeError("reformulation lowered the profit")
+    return w, p_t

@@ -22,17 +22,15 @@ from spatial_pricing import (
 from spatial_pricing.ctransform import assignment_table, c_transform_table, double_transform_table, scale_tol
 from spatial_pricing.model_one import profit_from_prices
 from spatial_pricing.model_two import (
-    clamp_nonnegative,
     one_d_reduction,
     profit_from_prices as subregion_profit,
     profit_from_values as subregion_value_profit,
-    reformulate,
     solve_boundary_control,
     solve_w_search,
 )
 from spatial_pricing.nash import best_response_dynamics, verify_equilibrium
 
-from helpers import region_from_points, random_kernel, random_points
+from helpers import checked_reformulate, clamp_free_prices, region_from_points, random_kernel, random_points
 
 METRIC = sp.CostKernel.metric(1.0)
 
@@ -187,8 +185,9 @@ def test_criterion_5_reformulation_suite():
         tol = 10.0 * ctx.tol * (1.0 + f.total_mass)
         p = ctx.full_prices(rng.uniform(-1.0, 2.5, ctx.free.size))
         pi_raw = subregion_profit(p, ctx, f)
-        p_plus, pi_plus = clamp_nonnegative(p, ctx, f)
-        w, p_t = reformulate(p_plus, ctx, f)  # internal capture-identity checks included
+        p_plus = clamp_free_prices(p, ctx)
+        pi_plus = subregion_profit(p_plus, ctx, f)
+        w, p_t = checked_reformulate(p_plus, ctx, f)  # the oracle's capture-identity checks included
         pi_tilde = subregion_profit(p_t, ctx, f)
         j = subregion_value_profit(w, ctx, f)
         assert pi_raw <= pi_plus + tol
@@ -286,7 +285,7 @@ def test_criterion_8_cross_method_agreement():
     for p0 in (0.4, 1.0, 2.0):
         n = 41
         region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.0, 1.0))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(n, p0))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(n, p0)))
         f = sp.CustomerMeasure.uniform(n)
         r_oned = one_d_reduction(0.0, 1.0, p0, ctx=ctx, f=f)
         r_w = solve_w_search(ctx, f, SearchConfig(levels=8, multistarts=8, seed=0))

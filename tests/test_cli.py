@@ -340,6 +340,17 @@ def boundary_control_scenario():
     }
 
 
+def grid_scenario():
+    return {
+        "model": "one",
+        "region": {"dimension": 2, "nx": 5, "ny": 5},
+        "cost": {"kind": "metric_power", "alpha": 1.0},
+        "measure": {"kind": "uniform"},
+        "prices": {"p0": {"kind": "constant", "value": 1.0}},
+        "solver": {"method": "metric_closed_form"},
+    }
+
+
 def nash_scenario():
     return {
         "model": "nash",
@@ -364,6 +375,8 @@ class TestOutOfRangeCounts:
             (general_search_scenario, lambda s: s["solver"]["search"].update(multistarts=2.7)),
             (general_search_scenario, lambda s: s["solver"]["search"].update(multistarts=0)),
             (general_search_scenario, lambda s: s["solver"]["search"].update(multistarts=-3)),
+            (boundary_control_scenario, lambda s: s["region"].update(n=11.7)),
+            (grid_scenario, lambda s: s["region"].update(nx=5.5)),
         ],
         ids=[
             "zero_game_grid_n",
@@ -376,6 +389,8 @@ class TestOutOfRangeCounts:
             "fractional_multistarts",
             "zero_multistarts",
             "negative_multistarts",
+            "fractional_n",
+            "fractional_nx",
         ],
     )
     def test_exit_2_and_nothing_written(self, tmp_path, scenario, edit):
@@ -443,6 +458,18 @@ class TestNonRealPricesAndCaps:
                 lambda s: s["prices"].update(p0={"kind": "per_point", "values": [1.0, True, "+inf", 1.0, 1.0]}),
                 "prices.p0: unknown price token True",
             ),
+            (
+                boundary_control_scenario,
+                lambda s: s["region"].update(fixed_window=["abc", 0.7]),
+                "region.fixed_window.alpha: must be a finite number, got 'abc'",
+            ),
+            (
+                boundary_control_scenario,
+                lambda s: s["region"].update(fixed_window=[0.3, NAN]),
+                "region.fixed_window.beta: must be a finite number, got nan",
+            ),
+            (general_search_scenario, lambda s: s["measure"].update(mass=-1), "measure.mass: must be a finite number >= 0, got -1"),
+            (general_search_scenario, lambda s: s["measure"].update(mass="x"), "measure.mass: must be a finite number >= 0, got 'x'"),
         ],
         ids=[
             "nan_bound",
@@ -462,6 +489,10 @@ class TestNonRealPricesAndCaps:
             "word_price",
             "string_number_price",
             "bool_per_point_price",
+            "word_window_end",
+            "nan_window_end",
+            "negative_mass",
+            "word_mass",
         ],
     )
     def test_exit_2_names_the_key_and_nothing_written(self, tmp_path, scenario, edit, message):

@@ -52,13 +52,13 @@ class TestValueFunction:
 
     def test_single_finite_candidate(self):
         region = region_from_points([0.0, 0.5, 1.0])
-        p0 = sp.PricePattern.unbounded(3, {0: 1.0})
+        p0 = sp.PricePattern(np.array([1.0, np.inf, np.inf]))
         v = value_table(p0.values, sp.eval_cost(METRIC, region))
         assert np.allclose(v, [1.0, 1.5, 2.0])
 
     def test_restriction_and_improper_error(self):
         region = region_from_points([0.0, 0.5, 1.0])
-        p0 = sp.PricePattern.unbounded(3, {0: 1.0})
+        p0 = sp.PricePattern(np.array([1.0, np.inf, np.inf]))
         cost = sp.eval_cost(METRIC, region)
         v = value_table(p0.values, cost, np.array([0, 1]))
         assert np.allclose(v, [1.0, 1.5, 2.0])
@@ -174,21 +174,18 @@ class TestAssignmentTable:
         region, kern, cost = small_instance(rng, n)
         prices = np.round(np.asarray(vals), 1)  # a coarse grid makes ties common
         prices[rng.uniform(size=n) < 0.3] = np.inf
-        cand = None if rng.uniform() < 0.5 else rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        admissible = np.arange(n) if cand is None else cand
-        if not np.isfinite(prices[admissible]).any():
-            prices[admissible[0]] = 0.0
-        got = assignment_table(prices, cost, cand)
+        if not np.isfinite(prices).any():
+            prices[0] = 0.0
+        got = assignment_table(prices, cost)
         # the rule enumerated customer by customer: the argmin set within the
         # table's tolerance, then the highest price, then the smallest index
         tol = scale_tol(cost)
-        assert np.array_equal(got.candidates, np.sort(admissible))
         for x in range(n):
-            totals = [cost[x, y] + prices[y] for y in got.candidates]
+            totals = [cost[x, y] + prices[y] for y in range(n)]
             best = min(totals)
-            argmin = [y for y, t in zip(got.candidates, totals) if t <= best + tol]
+            argmin = [y for y, t in enumerate(totals) if t <= best + tol]
             assert got.expenditure[x] == best
-            assert list(got.candidates[got.member[x]]) == argmin
+            assert list(np.flatnonzero(got.member[x])) == argmin
             assert got.choice[x] == max(argmin, key=lambda y: (prices[y], -y))
 
 

@@ -115,13 +115,6 @@ class TestCostKernel:
 
 
 class TestMeasureAndPrices:
-    def test_cumulative_monotone_ends_at_mass(self):
-        r = sp.build_interval_region(9, 0.0, 1.0)
-        f = sp.CustomerMeasure(np.random.default_rng(2).uniform(0, 1, 9))
-        cum = sp.cumulative_weights(r, f)
-        assert (np.diff(cum) >= 0).all()
-        assert np.isclose(cum[-1], f.total_mass)
-
     def test_step_cdf_right_continuous(self):
         r = sp.build_interval_region(3, 0.0, 1.0)  # points 0, 0.5, 1
         f = sp.CustomerMeasure(np.array([0.2, 0.3, 0.5]))
@@ -136,9 +129,8 @@ class TestMeasureAndPrices:
             sp.CustomerMeasure(np.array([0.1, -0.2]))
 
     def test_prices_allow_plus_inf_only(self):
-        p = sp.PricePattern.unbounded(3, {0: 1.0})
-        assert p.is_proper()
-        assert not p.is_proper(np.array([1, 2]))
+        p = sp.PricePattern(np.array([1.0, np.inf, np.inf]))
+        assert np.array_equal(p.values, [1.0, np.inf, np.inf])
         with pytest.raises(ValueError):
             sp.PricePattern(np.array([0.0, -np.inf]))
         with pytest.raises(ValueError):

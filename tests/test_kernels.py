@@ -14,7 +14,7 @@ from spatial_pricing import GameContext, Mask, PartitionContext, _search, model_
 from spatial_pricing import ctransform as ct
 from spatial_pricing.geometry import eval_cost
 
-from helpers import random_kernel, random_partitioned_region, random_points, region_from_points
+from helpers import checked_reformulate, random_kernel, random_partitioned_region, random_points, region_from_points
 
 
 def _value_profit_reference(cost, v0, weights, tol):
@@ -69,7 +69,7 @@ def _boundary_control_objective(monkeypatch, max_candidates=2_000_000):
     """The boundary-control objective, captured on its way into the scan, or
     into the ascent when the scan does not fit `max_candidates`."""
     region = sp.build_grid_region(6, 6, fixed_box=((0.2, 0.8), (0.2, 0.8)))
-    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern.constant(36, 0.6))
+    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(36, 0.6)))
     f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 36))
     return _captured_objective(monkeypatch, ctx, f, sp.SearchConfig(grid_n=3, levels=3, max_candidates=max_candidates))
 
@@ -180,7 +180,7 @@ def _model_two_value_profit_instances():
         p0 = sp.PricePattern(np.where(region.mask == Mask.FIXED, rng.uniform(0.0, 2.0, n), 0.0))
         ctx = PartitionContext.build(region, kern, p0)
         f = sp.CustomerMeasure(rng.uniform(0, 1, n))
-        w, _ = model_two.reformulate(ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size)), ctx, f)
+        w, _ = checked_reformulate(ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size)), ctx, f)
         yield w, ctx, f
 
 
@@ -252,7 +252,7 @@ def test_boundary_control_memory_stays_within_the_budget(monkeypatch):
     # 1D window (0.3, 0.7), n = 81: a 4096-row batch spans 4096 x 81 x 50
     # cells, about four budgets, so it is scored in slices
     region = sp.build_interval_region(81, 0.0, 1.0, fixed_window=(0.3, 0.7))
-    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern.constant(81, 0.4))
+    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(81, 0.4)))
     eval_batch, caps = _captured_objective(monkeypatch, ctx, sp.CustomerMeasure.uniform(81), sp.SearchConfig())
     G = np.random.default_rng(0).uniform(0.0, 1.0, (4096, caps.size)) * caps
     tracemalloc.start()

@@ -30,14 +30,14 @@ class TestPriceProfit:
             kern = random_kernel(rng, n)
             f = sp.CustomerMeasure(rng.uniform(0, 1, n))
             k = float(rng.uniform(0, 2))
-            got = profit_from_prices(sp.PricePattern.constant(n, k), kern, region, f)
+            got = profit_from_prices(sp.PricePattern(np.full(n, k)), kern, region, f)
             assert np.isclose(got, k * f.total_mass)
 
     def test_metric_bound_at_origin_fine_grid(self):
         # bound 1 at the left endpoint, +inf elsewhere: price 1 + x, all home
         region = sp.build_interval_region(51, 0.0, 1.0)
         f = sp.CustomerMeasure.uniform(51)
-        rep = sp.solve_metric(sp.PricePattern.unbounded(51, {0: 1.0}), METRIC, region, f)
+        rep = sp.solve_metric(sp.PricePattern(np.r_[1.0, np.full(50, np.inf)]), METRIC, region, f)
         assert np.allclose(rep.optimal_price.values, 1.0 + region.coords_1d())
         assert np.isclose(rep.profit, 1.5)  # mean of 1 + x on a symmetric grid
 
@@ -84,7 +84,7 @@ class TestSolveMetric:
     def test_single_finite_bound(self):
         region = sp.build_interval_region(11, 0.0, 1.0)
         rep = sp.solve_metric(
-            sp.PricePattern.unbounded(11, {0: 1.0}), METRIC, region, sp.CustomerMeasure.uniform(11)
+            sp.PricePattern(np.r_[1.0, np.full(10, np.inf)]), METRIC, region, sp.CustomerMeasure.uniform(11)
         )
         assert np.allclose(rep.optimal_price.values, 1.0 + region.coords_1d())
 
@@ -114,7 +114,14 @@ class TestSolveMetric:
     def test_requires_metric_kernel(self):
         region = region_from_points([0.0, 1.0])
         with pytest.raises(ValueError):
-            sp.solve_metric(sp.PricePattern.constant(2, 1.0), sp.CostKernel.quadratic(), region, sp.CustomerMeasure.uniform(2))
+            sp.solve_metric(sp.PricePattern(np.full(2, 1.0)), sp.CostKernel.quadratic(), region, sp.CustomerMeasure.uniform(2))
+
+
+@pytest.mark.parametrize("solve", [sp.solve_metric, sp.solve_general])
+def test_bound_of_only_inf_is_refused(solve):
+    region = sp.build_interval_region(5, 0.0, 1.0)
+    with pytest.raises(ValueError, match="improper prices"):
+        solve(sp.PricePattern(np.full(5, np.inf)), METRIC, region, sp.CustomerMeasure.uniform(5))
 
 
 class TestSolveGeneral:
@@ -146,7 +153,7 @@ class TestSolveGeneral:
         region = region_from_points(random_points(rng, 5))
         kern = random_kernel(rng, 5)
         f = sp.CustomerMeasure.uniform(5)
-        rep = sp.solve_general(sp.PricePattern.constant(5, 0.0), kern, region, f, SearchConfig(levels=4, multistarts=4))
+        rep = sp.solve_general(sp.PricePattern(np.full(5, 0.0)), kern, region, f, SearchConfig(levels=4, multistarts=4))
         assert np.isclose(rep.profit, 0.0, atol=1e-12)
         assert np.allclose(rep.optimal_price.values, 0.0, atol=1e-12)
 
@@ -155,7 +162,7 @@ class TestSolveGeneral:
         f = sp.CustomerMeasure.uniform(12)
         cfg = SearchConfig(mode=SearchMode.EXHAUSTIVE, levels=8, max_candidates=10**6)
         with pytest.raises(BudgetExceededError):
-            sp.solve_general(sp.PricePattern.constant(12, 1.0), METRIC, region, f, cfg)
+            sp.solve_general(sp.PricePattern(np.full(12, 1.0)), METRIC, region, f, cfg)
 
     def test_report_invariants(self):
         rng = np.random.default_rng(7)

@@ -5,7 +5,6 @@ import spatial_pricing as sp
 from spatial_pricing import Mask, PartitionContext, SearchConfig, SearchMode
 from spatial_pricing.ctransform import NotCConcaveError, assignment_table, c_transform_table
 from spatial_pricing.model_two import (
-    clamp_nonnegative,
     one_d_reduction,
     profit_from_prices,
     profit_from_values,
@@ -14,14 +13,21 @@ from spatial_pricing.model_two import (
     solve_w_search,
 )
 
-from helpers import brute_force_price_profit, random_kernel, random_partitioned_region, region_from_points
+from helpers import (
+    brute_force_price_profit,
+    checked_reformulate,
+    clamp_free_prices,
+    random_kernel,
+    random_partitioned_region,
+    region_from_points,
+)
 
 METRIC = sp.CostKernel.metric(1.0)
 
 
 def window_context(n=101, p0=0.4, window=(0.0, 1.0)):
     region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=window)
-    ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(n, p0))
+    ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(n, p0)))
     return ctx, sp.CustomerMeasure.uniform(n)
 
 
@@ -36,7 +42,7 @@ class TestContext:
     def test_rejects_missing_parts(self):
         region = sp.build_interval_region(5, 0.0, 1.0)  # no partition
         with pytest.raises(ValueError):
-            PartitionContext.build(region, METRIC, sp.PricePattern.constant(5, 1.0))
+            PartitionContext.build(region, METRIC, sp.PricePattern(np.full(5, 1.0)))
 
     def test_rejects_negative_or_improper_imposed_prices(self):
         region = sp.build_interval_region(5, 0.0, 1.0, fixed_window=(0.2, 0.8))
@@ -69,7 +75,7 @@ class TestProfit:
     def test_unreachable_free_prices_earn_nothing(self):
         # customers all strictly inside the fixed window with zero imposed price
         region = sp.build_interval_region(5, 0.0, 1.0, fixed_window=(0.2, 0.8))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(5, 0.0))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(5, 0.0)))
         w = np.zeros(5)
         w[list(region.fixed_indices)] = 1.0
         f = sp.CustomerMeasure(w / w.sum())
@@ -78,7 +84,7 @@ class TestProfit:
 
     def test_zero_free_prices_earn_nothing(self):
         region = sp.build_interval_region(5, 0.0, 1.0, fixed_window=(0.2, 0.8))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(5, 1.0))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(5, 1.0)))
         f = sp.CustomerMeasure.uniform(5)
         zero = ctx.full_prices(np.zeros(region.free_indices.size))
         assert np.isclose(profit_from_prices(zero, ctx, f), 0.0, atol=1e-12)
@@ -107,15 +113,16 @@ class TestClampAndReformulate:
     def test_clamp_keeps_nonnegative_patterns(self):
         ctx, f = window_context(n=21)
         p = ctx.full_prices(np.array([0.3, 0.1]))
-        clamped, profit = clamp_nonnegative(p, ctx, f)
+        clamped = clamp_free_prices(p, ctx)
         assert (clamped.values == p.values).all()
-        assert np.isclose(profit, profit_from_prices(p, ctx, f))
+        assert np.isclose(profit_from_prices(clamped, ctx, f), profit_from_prices(p, ctx, f))
 
     def test_clamp_rescues_negative_prices(self):
         ctx, f = window_context(n=21, p0=1.0)
         p = ctx.full_prices(np.array([-1.0, -1.0]))
         before = profit_from_prices(p, ctx, f)
-        clamped, after = clamp_nonnegative(p, ctx, f)
+        clamped = clamp_free_prices(p, ctx)
+        after = profit_from_prices(clamped, ctx, f)
         assert before <= 0.0 <= after + 1e-12
         assert (clamped.values[ctx.free] == 0.0).all()
 
@@ -126,7 +133,7 @@ class TestClampAndReformulate:
             f = sp.CustomerMeasure(rng.uniform(0, 1, ctx.region.size))
             p = ctx.full_prices(rng.uniform(-1.0, 2.0, ctx.free.size))
             before = profit_from_prices(p, ctx, f)
-            _, after = clamp_nonnegative(p, ctx, f)
+            after = profit_from_prices(clamp_free_prices(p, ctx), ctx, f)
             assert after >= before - 1e-9
 
     def test_reformulate_fixed_point_on_canonical_prices(self):
@@ -134,8 +141,8 @@ class TestClampAndReformulate:
         for _ in range(20):
             ctx = random_context(rng, int(rng.integers(3, 8)))
             g = rng.uniform(0.0, 2.0, ctx.free.size)
-            _, p_t = reformulate(ctx.full_prices(g), ctx)
-            _, p_tt = reformulate(p_t, ctx)
+            _, p_t = checked_reformulate(ctx.full_prices(g), ctx)
+            _, p_tt = checked_reformulate(p_t, ctx)
             assert np.allclose(p_tt.values[ctx.free], p_t.values[ctx.free], atol=1e-9)
 
     def test_reformulate_conclusions_randomized(self):
@@ -144,8 +151,8 @@ class TestClampAndReformulate:
             ctx = random_context(rng, int(rng.integers(3, 8)))
             f = sp.CustomerMeasure(rng.uniform(0, 1, ctx.region.size))
             p = ctx.full_prices(rng.uniform(0.0, 2.5, ctx.free.size))
-            # all conclusions are checked internally and raise on violation
-            w, p_t = reformulate(p, ctx, f)
+            # the oracle checks all conclusions and raises on violation
+            w, p_t = checked_reformulate(p, ctx, f)
             assert profit_from_prices(p_t, ctx, f) >= profit_from_prices(p, ctx, f) - 1e-9
 
     def test_reformulate_requires_nonnegative(self):
@@ -156,7 +163,7 @@ class TestClampAndReformulate:
     def test_two_interface_prices_reproduced(self):
         ctx, _ = window_context(n=21, p0=1.0)
         p1, p2 = 0.3, 0.7  # |p2 - p1| <= 1: both cones active
-        _, p_t = reformulate(ctx.full_prices(np.array([p1, p2])), ctx)
+        _, p_t = checked_reformulate(ctx.full_prices(np.array([p1, p2])), ctx)
         assert np.isclose(p_t.values[0], p1) and np.isclose(p_t.values[-1], p2)
 
 
@@ -167,7 +174,7 @@ class TestValueProfit:
             ctx = random_context(rng, int(rng.integers(3, 8)))
             f = sp.CustomerMeasure(rng.uniform(0, 1, ctx.region.size))
             p = ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size))
-            w, p_t = reformulate(p, ctx, f)
+            w, p_t = checked_reformulate(p, ctx, f)
             J = profit_from_values(w, ctx, f)
             assert np.isclose(J, profit_from_prices(p_t, ctx, f), atol=1e-8 * (1 + f.total_mass))
 
@@ -214,7 +221,7 @@ class TestWSearch:
 
     def test_zero_imposed_price_earns_nothing(self):
         region = sp.build_interval_region(9, 0.0, 1.0, fixed_window=(0.2, 0.8))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(9, 0.0))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(9, 0.0)))
         w = np.where(region.mask == Mask.FIXED, 1.0, 0.0)
         f = sp.CustomerMeasure(w / w.sum())
         rep = solve_w_search(ctx, f, SearchConfig(levels=5, multistarts=5))
@@ -226,9 +233,7 @@ class TestWSearch:
         f = sp.CustomerMeasure(rng.uniform(0.1, 1.0, 7))
         rep = solve_w_search(ctx, f, SearchConfig(levels=6, multistarts=6))
         tol = ctx.tol
-        assert np.array_equal(rep.captured, rep.w_opt <= ctx.v0 + tol)
-        lost, captured = rep.capture_sets
-        assert set(lost) | set(captured) == set(range(7))
+        assert np.array_equal(rep.captured, rep.optimal_value <= ctx.v0 + tol)
         assert (rep.optimal_price.values[ctx.fixed] == ctx.p0.values[ctx.fixed]).all()
         assert np.isclose(rep.profit, rep.diagnostics["profit_value_form"], atol=10 * tol * (1 + f.total_mass))
 
@@ -236,7 +241,7 @@ class TestWSearch:
 class TestBoundaryControl:
     def test_interval_control_structure(self):
         region = sp.build_interval_region(11, 0.0, 1.0, fixed_window=(0.3, 0.7))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(11, 0.5))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(11, 0.5)))
         f = sp.CustomerMeasure.uniform(11)
         rep = solve_boundary_control(ctx, f, SearchConfig(grid_n=101))
         ctrl = rep.diagnostics["control_indices"]
@@ -248,10 +253,10 @@ class TestBoundaryControl:
 
     def test_transport_term_matches_interval_formula(self):
         region = sp.build_interval_region(21, 0.0, 1.0, fixed_window=(0.2, 0.8))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(21, 0.6))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(21, 0.6)))
         f = sp.CustomerMeasure.uniform(21)
         rep = solve_boundary_control(ctx, f, SearchConfig(grid_n=61))
-        w = rep.w_opt
+        w = rep.optimal_value
         x = region.coords_1d()
         xa, xb = x[rep.diagnostics["control_indices"]]
         wc = c_transform_table(w, sp.eval_cost(METRIC, region), ctx.free)
@@ -262,7 +267,7 @@ class TestBoundaryControl:
 
     def test_zero_interface_prices_give_distance_function(self):
         region = sp.build_interval_region(21, 0.0, 1.0, fixed_window=(0.2, 0.8))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(21, 0.6))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(21, 0.6)))
         f = sp.CustomerMeasure.uniform(21)
         ctrl = np.nonzero(region.boundary_of_fixed & (region.mask == Mask.FREE))[0]
         w = np.min(ctx.cost[:, ctrl], axis=1)  # zero interface prices
@@ -277,7 +282,7 @@ class TestBoundaryControl:
 
     def test_state_equation_trace_and_lipschitz(self):
         region = sp.build_interval_region(31, 0.0, 1.0, fixed_window=(0.3, 0.7))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(31, 0.8))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(31, 0.8)))
         ctrl = np.nonzero(region.boundary_of_fixed & (region.mask == Mask.FREE))[0]
         rng = np.random.default_rng(6)
         # feasible control: 1-Lipschitz on the interface, below the outside option
@@ -290,7 +295,7 @@ class TestBoundaryControl:
 
     def test_requires_metric_and_interface(self):
         region = sp.build_interval_region(11, 0.0, 1.0, fixed_window=(0.3, 0.7))
-        ctx_quad = PartitionContext.build(region, sp.CostKernel.quadratic(), sp.PricePattern.constant(11, 0.5))
+        ctx_quad = PartitionContext.build(region, sp.CostKernel.quadratic(), sp.PricePattern(np.full(11, 0.5)))
         with pytest.raises(ValueError):
             solve_boundary_control(ctx_quad, sp.CustomerMeasure.uniform(11), SearchConfig())
 
@@ -298,7 +303,7 @@ class TestBoundaryControl:
         # 2D box: interface controls are a strict subfamily of the free-point
         # generators, so the profits should sit close together
         region = sp.build_grid_region(7, 7, fixed_box=((0.2, 0.8), (0.2, 0.8)))
-        ctx = PartitionContext.build(region, METRIC, sp.PricePattern.constant(49, 0.6))
+        ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(49, 0.6)))
         f = sp.CustomerMeasure.uniform(49)
         r_b = solve_boundary_control(ctx, f, SearchConfig(levels=8, multistarts=8, grid_n=9, seed=0))
         r_w = solve_w_search(ctx, f, SearchConfig(levels=8, multistarts=8, seed=0))
@@ -352,8 +357,9 @@ class TestImprovementChain:
             tol = 10 * ctx.tol * (1 + f.total_mass)
             p = ctx.full_prices(rng.uniform(-1.0, 2.5, ctx.free.size))
             pi_raw = profit_from_prices(p, ctx, f)
-            p_plus, pi_plus = clamp_nonnegative(p, ctx, f)
-            w, p_t = reformulate(p_plus, ctx, f)
+            p_plus = clamp_free_prices(p, ctx)
+            pi_plus = profit_from_prices(p_plus, ctx, f)
+            w, p_t = checked_reformulate(p_plus, ctx, f)
             pi_tilde = profit_from_prices(p_t, ctx, f)
             J = profit_from_values(w, ctx, f)
             assert pi_raw <= pi_plus + tol
@@ -366,7 +372,7 @@ class TestImprovementChain:
             ctx = random_context(rng, int(rng.integers(3, 8)))
             f = sp.CustomerMeasure(rng.uniform(0, 1, ctx.region.size))
             p = ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size))
-            w, p_t = reformulate(p, ctx, f)  # internal checks assert the identity
+            w, p_t = checked_reformulate(p, ctx, f)  # the oracle asserts the identity
             assign = assignment_table(p_t.values, sp.eval_cost(ctx.kernel, ctx.region))
             captured = sp.tie_break(assign, p_t.values, within=ctx.free) >= 0
             assert np.array_equal(captured, w <= ctx.v0 + ctx.tol)
@@ -374,7 +380,7 @@ class TestImprovementChain:
     def test_w_shape_on_interval_instances(self):
         ctx, f = window_context(n=41, p0=0.4, window=(0.0, 1.0))
         rep = solve_w_search(ctx, f, SearchConfig(levels=8, multistarts=8, seed=1))
-        w = rep.w_opt
+        w = rep.optimal_value
         inside = ctx.region.mask == Mask.FIXED
         h = 1.0 / 40
         diffs = np.diff(w)[inside[:-1] & inside[1:]]

@@ -139,7 +139,7 @@ class TestBestResponse:
         # opponent never competes: reservation pricing saturates the cap,
         # matching the whole-region closed form under a flat bound
         sub = sp.build_interval_region(11, 0.0, 0.5)
-        rep = sp.solve_metric(sp.PricePattern.constant(11, 0.8), METRIC, sub, sp.CustomerMeasure.uniform(11))
+        rep = sp.solve_metric(sp.PricePattern(np.full(11, 0.8)), METRIC, sub, sp.CustomerMeasure.uniform(11))
         assert np.allclose(r.prices, rep.optimal_price.values)
 
     def test_tie_rule_gap_reported(self):

@@ -16,7 +16,7 @@ ALL_SEARCH_KEYS = set().union(*SEARCH_KEYS.values())
 
 def _window(n=11):
     region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.3, 0.7))
-    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern.constant(n, 0.5))
+    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(n, 0.5)))
     return ctx, sp.CustomerMeasure(np.linspace(0.5, 1.5, n))
 
 
@@ -25,7 +25,7 @@ def _solve(solver, mode):
         region = sp.build_interval_region(5, 0.0, 1.0)
         f = sp.CustomerMeasure.uniform(5)
         cfg = SearchConfig(mode=mode, levels=3, multistarts=6)
-        return model_one.solve_general(sp.PricePattern.constant(5, 0.8), sp.CostKernel.quadratic(), region, f, cfg)
+        return model_one.solve_general(sp.PricePattern(np.full(5, 0.8)), sp.CostKernel.quadratic(), region, f, cfg)
     ctx, f = _window()
     if solver == "solve_w_search":
         return model_two.solve_w_search(ctx, f, SearchConfig(mode=mode, levels=3, multistarts=6))
@@ -211,7 +211,7 @@ def _ascent_solve(solver):
         f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 9))
         cfg = SearchConfig(levels=5, multistarts=10, seed=1)
         return model_one, lambda: model_one.solve_general(
-            sp.PricePattern.constant(9, 0.8), sp.CostKernel.quadratic(), region, f, cfg
+            sp.PricePattern(np.full(9, 0.8)), sp.CostKernel.quadratic(), region, f, cfg
         )
     ctx, f = _window()
     return model_two, lambda: model_two.solve_w_search(ctx, f, SearchConfig(levels=5, multistarts=10, seed=1))

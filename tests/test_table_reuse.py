@@ -9,6 +9,8 @@ import pytest
 import spatial_pricing as sp
 from spatial_pricing import cli, ctransform, geometry, model_one, model_two, nash
 
+from helpers import clamp_free_prices
+
 METRIC = sp.CostKernel.metric(1.0)
 QUADRATIC = sp.CostKernel.quadratic()
 
@@ -73,18 +75,17 @@ def test_quadratic_reference_run_builds_the_table_once(builds, tmp_path):
 
 def test_partition_context_calls_build_no_table(builds):
     region = sp.build_interval_region(15, 0.0, 1.0, fixed_window=(0.3, 0.7))
-    ctx = model_two.PartitionContext.build(region, METRIC, sp.PricePattern.constant(15, 0.5))
+    ctx = model_two.PartitionContext.build(region, METRIC, sp.PricePattern(np.full(15, 0.5)))
     f = sp.CustomerMeasure(np.linspace(0.5, 1.5, 15))
     p = ctx.full_prices(np.linspace(-0.1, 0.6, ctx.free.size))
-    clamped, _ = model_two.clamp_nonnegative(p, ctx, f)
-    w, _ = model_two.reformulate(clamped, ctx, f)
+    clamped = clamp_free_prices(p, ctx)
+    w, _ = model_two.reformulate(clamped, ctx)
     builds.clear()
     model_two.solve_w_search(ctx, f, sp.SearchConfig(levels=4, multistarts=4))
     model_two.solve_w_search(ctx, f, sp.SearchConfig(mode=sp.SearchMode.EXHAUSTIVE, levels=2))
     model_two.solve_boundary_control(ctx, f, sp.SearchConfig(grid_n=21))
     model_two.one_d_reduction(0.3, 0.7, 0.5, ctx=ctx, f=f, grid_n=21)
-    model_two.clamp_nonnegative(p, ctx, f)
-    model_two.reformulate(clamped, ctx, f)
+    model_two.reformulate(clamped, ctx)
     model_two.profit_from_prices(clamped, ctx, f)
     model_two.profit_from_values(w, ctx, f)
     assert builds == []
@@ -117,8 +118,8 @@ def test_profit_from_values_transforms_once(monkeypatch):
     v = ctransform.value_table(np.linspace(0.4, 0.9, 15), sp.eval_cost(QUADRATIC, region))
     model_one.profit_from_values(v, QUADRATIC, region, f)
     assert len(calls) == 1
-    ctx = model_two.PartitionContext.build(region, METRIC, sp.PricePattern.constant(15, 0.5))
-    w, _ = model_two.reformulate(ctx.full_prices(np.linspace(0.1, 0.6, ctx.free.size)), ctx, f)
+    ctx = model_two.PartitionContext.build(region, METRIC, sp.PricePattern(np.full(15, 0.5)))
+    w, _ = model_two.reformulate(ctx.full_prices(np.linspace(0.1, 0.6, ctx.free.size)), ctx)
     calls.clear()
     model_two.profit_from_values(w, ctx, f)
     assert len(calls) == 1
