@@ -5,7 +5,10 @@ table: the customer value function v(x) = min_y {c(x, y) + p(y)}, the
 c-transform v^c(y) = min_x {c(x, y) - v(x)}, superdifferentials, and the
 tie-breaking rule used when several purchase locations are cost-equivalent.
 Every function takes the (n, m) cost table and plain arrays; callers build
-the table once (`geometry.eval_cost`) and keep it.
+the table once (`geometry.eval_cost`) and keep it.  Each table function
+holds its one full-size output plus temporaries of at most
+`geometry.BLOCK_CELLS` cells: it works in blocks of the axis it does not
+reduce, so its results are bit-identical to one dense expression.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .geometry import row_blocks
 
 __all__ = [
     "AssignmentMap",
@@ -35,7 +40,7 @@ class NotCConcaveError(ValueError):
 
 def scale_tol(cost: np.ndarray) -> float:
     """Scale-aware equality tolerance of a cost table; comparisons derive it from their table, callers never pass one."""
-    return 1e-9 * (1.0 + float(np.max(np.abs(cost))))
+    return 1e-9 * (1.0 + max(float(np.max(cost)), -float(np.min(cost))))
 
 
 def _check_slack(tol: float, mass: float = 0.0) -> float:
@@ -43,21 +48,31 @@ def _check_slack(tol: float, mass: float = 0.0) -> float:
     return 10.0 * tol * (1.0 + mass)
 
 
+def _columns(cost: np.ndarray, rows: slice, index: Optional[np.ndarray]) -> np.ndarray:
+    """Row block `rows` of the table on the columns `index` (all when None)."""
+    return cost[rows] if index is None else cost[rows, index]
+
+
 def value_table(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.ndarray] = None) -> np.ndarray:
     """v(x) = min over candidate y of {c(x, y) + p(y)}; +inf prices are skipped."""
-    cols = cost if candidates is None else cost[:, candidates]
     pvals = prices if candidates is None else prices[candidates]
     if not np.isfinite(pvals).any():
         raise ValueError("improper prices: no finite value inside the candidate set")
-    return np.min(cols + pvals[None, :], axis=1)
+    out = np.empty(cost.shape[0])
+    for rows in row_blocks(cost.shape[0], pvals.size):
+        out[rows] = np.min(_columns(cost, rows, candidates) + pvals[None, :], axis=1)
+    return out
 
 
 def c_transform_table(values: np.ndarray, cost: np.ndarray, target: Optional[np.ndarray] = None) -> np.ndarray:
     """v^c(y) = min_x {c(x, y) - v(x)} for y in target (default: all points)."""
     if not np.all(np.isfinite(values)):
         raise ValueError("c-transform requires finite values everywhere")
-    cols = cost if target is None else cost[:, target]
-    return np.min(cols - values[:, None], axis=0)
+    m = cost.shape[1] if target is None else len(target)
+    out = np.empty(m)
+    for block in row_blocks(m, cost.shape[0]):
+        out[block] = np.min(cost[:, block if target is None else target[block]] - values[:, None], axis=0)
+    return out
 
 
 def double_transform_table(
@@ -68,8 +83,10 @@ def double_transform_table(
     given, is v^c over the generators."""
     if vc is None:
         vc = c_transform_table(values, cost, generators)
-    cols = cost if generators is None else cost[:, generators]
-    return np.min(cols - vc[None, :], axis=1)
+    out = np.empty(cost.shape[0])
+    for rows in row_blocks(cost.shape[0], vc.size):
+        out[rows] = np.min(_columns(cost, rows, generators) - vc[None, :], axis=1)
+    return out
 
 
 def is_c_concave_table(
@@ -97,8 +114,9 @@ def superdifferential_mask(
     tol = scale_tol(cost)
     if vc is None:
         vc = c_transform_table(values, cost, within)
-    cols = cost if within is None else cost[:, within]
-    member = np.abs(values[:, None] + vc[None, :] - cols) <= tol
+    member = np.empty((cost.shape[0], vc.size), dtype=bool)
+    for rows in row_blocks(cost.shape[0], vc.size):
+        member[rows] = np.abs(values[rows, None] + vc[None, :] - _columns(cost, rows, within)) <= tol
     if not member.any(axis=1).all():
         raise NotCConcaveError("empty superdifferential: values are not cost-concave on the given set")
     return member
@@ -114,6 +132,14 @@ def _transport(values: np.ndarray, vc: np.ndarray, cols: np.ndarray, tol: float)
     member = gap >= -tol
     del gap
     return np.where(member, cols, np.inf).min(axis=-1)
+
+
+def _transport_rows(values: np.ndarray, vc: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray], tol: float) -> np.ndarray:
+    """`_transport` of one value function against the columns `within` (all when None) of the full table, a row block at a time."""
+    out = np.empty(cost.shape[0])
+    for rows in row_blocks(cost.shape[0], vc.size):
+        out[rows] = _transport(values[rows], vc, _columns(cost, rows, within), tol)
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,11 +165,17 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray) -> AssignmentMap:
     tol = scale_tol(cost)
     if not np.isfinite(prices).any():
         raise ValueError("improper prices: no finite value anywhere")
-    totals = cost + prices[None, :]
-    expenditure = totals.min(axis=1)
-    member = totals <= expenditure[:, None] + tol
-    priced = np.where(member, prices[None, :], -np.inf)
-    choice = np.argmax(priced, axis=1)  # argmax takes the first max: smallest index
+    n = cost.shape[0]
+    member = np.empty(cost.shape, dtype=bool)
+    expenditure = np.empty(n)
+    choice = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, cost.shape[1]):
+        totals = cost[rows] + prices[None, :]
+        expenditure[rows] = totals.min(axis=1)
+        member[rows] = totals <= expenditure[rows, None] + tol
+        del totals
+        # argmax takes the first max: smallest index
+        choice[rows] = np.argmax(np.where(member[rows], prices[None, :], -np.inf), axis=1)
     return AssignmentMap(member=member, expenditure=expenditure, choice=choice)
 
 
@@ -156,6 +188,9 @@ def tie_break(assign: AssignmentMap, prices: np.ndarray, within: np.ndarray) -> 
     """
     keep = np.zeros(len(prices), dtype=bool)
     keep[within] = True
-    member = assign.member & keep[None, :]
-    priced = np.where(member, prices[None, :], -np.inf)
-    return np.where(member.any(axis=1), np.argmax(priced, axis=1), -1)
+    n = assign.member.shape[0]
+    choice = np.empty(n, dtype=np.intp)
+    for rows in row_blocks(n, len(prices)):
+        member = assign.member[rows] & keep[None, :]
+        choice[rows] = np.where(member.any(axis=1), np.argmax(np.where(member, prices[None, :], -np.inf), axis=1), -1)
+    return choice

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "build_interval_region",
     "build_grid_region",
     "eval_cost",
+    "row_blocks",
     "step_cdf",
     "uniform_cdf",
 ]
@@ -173,18 +174,42 @@ def _validate_cost_table(t: np.ndarray) -> None:
         raise ValueError("cost table must vanish on the diagonal")
 
 
+# Cells of one temporary in a dense table function (2 MiB of float64): tables
+# are built and scanned in row blocks of this size, so a call holds its
+# full-size output plus a few bounded temporaries, never n x n of them.
+BLOCK_CELLS = 2**18
+
+
+def row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering range(rows), each of at most BLOCK_CELLS cells
+    of `width` entries per row (at least one row).
+
+    Callers block the axis they do not reduce, so every output entry sees the
+    same float operations in the same order as in one dense call.
+    """
+    step = max(1, BLOCK_CELLS // max(1, width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
+
+
 def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
     """Full |Q| x |Q| cost table for the kernel on the region's points."""
     if kernel.kind is KernelKind.CUSTOM_TABLE:
         if kernel.table.shape[0] != region.size:
             raise ValueError("custom cost table does not match the region size")
         return kernel.table
-    diff = region.points[:, None, :] - region.points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    if kernel.kind is KernelKind.METRIC_POWER:
-        c = dist**kernel.alpha
-    else:
-        c = 0.5 * dist * dist
+    pts = region.points
+    n, d = pts.shape
+    c = np.empty((n, n))
+    for rows in row_blocks(n, n * d):
+        # in place where the operation allows, and nothing kept into the next block
+        sq = pts[rows, None, :] - pts[None, :, :]
+        sq *= sq
+        dist = sq.sum(axis=-1)
+        del sq
+        np.sqrt(dist, out=dist)
+        c[rows] = dist**kernel.alpha if kernel.kind is KernelKind.METRIC_POWER else 0.5 * dist * dist
+        del dist
     np.fill_diagonal(c, 0.0)
     return _readonly(c)
 

@@ -93,7 +93,7 @@ def profit_from_values(
     vc = ct.c_transform_table(values, cost)
     if not ct.is_c_concave_table(values, cost, vc=vc):
         raise ct.NotCConcaveError("profit_from_values requires a cost-concave input")
-    delta = ct._transport(values, vc, cost, ct.scale_tol(cost))
+    delta = ct._transport_rows(values, vc, cost, None, ct.scale_tol(cost))
     return float(np.dot(f.weights, values - delta))
 
 

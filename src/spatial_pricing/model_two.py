@@ -26,6 +26,7 @@ from .geometry import (
     PricePattern,
     Region,
     eval_cost,
+    row_blocks,
     step_cdf,
 )
 from .model_one import SolveReport
@@ -121,7 +122,12 @@ def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasu
     free = ctx.free
     choice = ct.tie_break(assign, vals, within=free)
     captured = choice >= 0
-    transport = np.where(assign.member[:, free], ctx.cost[:, free], np.inf).min(axis=1)
+    transport = np.empty(len(vals))
+    for rows in row_blocks(len(vals), free.size):
+        cols = ctx.cost[rows, free]  # a copy, masked in place
+        np.copyto(cols, np.inf, where=~assign.member[rows, free])
+        transport[rows] = cols.min(axis=1)
+        del cols
     w = f.weights
     paid = np.where(captured, vals[np.maximum(choice, 0)], 0.0)
     profit_price_form = float(np.dot(w, paid))
@@ -177,7 +183,7 @@ def profit_from_values(
     vc = ct.c_transform_table(w, ctx.cost, free)
     if not ct.is_c_concave_table(w, ctx.cost, free, vc):
         raise ct.NotCConcaveError("profit needs a subregion-concave value function")
-    delta = ct._transport(w, vc, ctx.cost[:, free], ctx.tol)
+    delta = ct._transport_rows(w, vc, ctx.cost, free, ctx.tol)
     captured = w <= ctx.v0 + ctx.tol
     return float(np.dot(f.weights, np.where(captured, w - delta, 0.0)))
 

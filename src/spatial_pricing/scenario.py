@@ -61,11 +61,27 @@ def _count(spec: dict, key: str, default: int, what: str, least: int = 1) -> int
     return _integer(spec.get(key, default), least, f"{what}.{key}")
 
 
+def _finite_number(value: Any, name: str) -> float:
+    """`value` as a finite number; `name` is the key path it came from."""
+    _require(_is_number(value) and math.isfinite(value), f"{name}: must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _finite(spec: dict, key: str, what: str) -> float:
     """The finite number at `spec[key]`."""
-    value = spec[key]
-    _require(_is_number(value) and math.isfinite(value), f"{what}.{key}: must be a finite number, got {value!r}")
-    return float(value)
+    return _finite_number(spec[key], f"{what}.{key}")
+
+
+def _finite_pair(value: Any, name: str) -> tuple[float, float]:
+    """`value` as a list [lo, hi] of two finite numbers, named `name[0]` and `name[1]`."""
+    _require(isinstance(value, list) and len(value) == 2, f"{name}: must be a list of two numbers, got {value!r}")
+    return _finite_number(value[0], f"{name}[0]"), _finite_number(value[1], f"{name}[1]")
+
+
+def _box(value: Any, name: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    """`value` as [[x_lo, x_hi], [y_lo, y_hi]] of finite numbers."""
+    _require(isinstance(value, list) and len(value) == 2, f"{name}: must be [[x_lo, x_hi], [y_lo, y_hi]], got {value!r}")
+    return _finite_pair(value[0], f"{name}[0]"), _finite_pair(value[1], f"{name}[1]")
 
 
 def _nonnegative(spec: dict, key: str, what: str, default: Optional[float] = None) -> Optional[float]:
@@ -130,8 +146,7 @@ def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
     dim = spec.get("dimension", 1)
     if dim == 1:
         _require("n" in spec, "region: 1D region needs 'n'")
-        bounds = spec.get("bounds", [0.0, 1.0])
-        _require(isinstance(bounds, list) and len(bounds) == 2, "region: bounds must be [a, b]")
+        a, b = _finite_pair(spec.get("bounds", [0.0, 1.0]), "region.bounds")
         window = spec.get("fixed_window")
         if window is not None:
             _require(isinstance(window, list) and len(window) == 2, "region: fixed_window must be [alpha, beta]")
@@ -139,23 +154,19 @@ def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
             window = (_finite(ends, "alpha", "region.fixed_window"), _finite(ends, "beta", "region.fixed_window"))
         n = _count(spec, "n", 0, "region")
         try:
-            region = build_interval_region(n, float(bounds[0]), float(bounds[1]), window)
+            region = build_interval_region(n, a, b, window)
         except ValueError as e:
             raise ScenarioError(f"region: {e}") from e
         return region, window
     if dim == 2:
         _require("nx" in spec and "ny" in spec, "region: 2D region needs 'nx' and 'ny'")
-        bounds = spec.get("bounds", [[0.0, 1.0], [0.0, 1.0]])
+        bounds = _box(spec.get("bounds", [[0.0, 1.0], [0.0, 1.0]]), "region.bounds")
         box = spec.get("fixed_box")
+        box = None if box is None else _box(box, "region.fixed_box")
         nx, ny = _count(spec, "nx", 0, "region"), _count(spec, "ny", 0, "region")
         try:
-            region = build_grid_region(
-                nx,
-                ny,
-                ((float(bounds[0][0]), float(bounds[0][1])), (float(bounds[1][0]), float(bounds[1][1]))),
-                None if box is None else ((float(box[0][0]), float(box[0][1])), (float(box[1][0]), float(box[1][1]))),
-            )
-        except (ValueError, TypeError, IndexError) as e:
+            region = build_grid_region(nx, ny, bounds, box)
+        except ValueError as e:
             raise ScenarioError(f"region: {e}") from e
         return region, None
     raise ScenarioError(f"region: unsupported dimension {dim}")
@@ -164,9 +175,10 @@ def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
 def _build_kernel(spec: Any) -> CostKernel:
     _require(isinstance(spec, dict) and "kind" in spec, "cost: expected an object with a 'kind'")
     kind = spec["kind"]
+    alpha = _finite(spec, "alpha", "cost") if kind == "metric_power" and "alpha" in spec else 1.0
     try:
         if kind == "metric_power":
-            return CostKernel.metric(float(spec.get("alpha", 1.0)))
+            return CostKernel.metric(alpha)
         if kind == "quadratic":
             return CostKernel.quadratic()
         if kind == "custom_table":

@@ -113,3 +113,66 @@ def checked_reformulate(p, ctx, f=None):
         if after < before - ct._check_slack(ctx.tol, f.total_mass):
             raise RuntimeError("reformulation lowered the profit")
     return w, p_t
+
+
+# Dense oracles: each table function as one expression over the whole table,
+# the form it had before it was computed in row blocks.  The blocked forms
+# must reproduce these bit for bit, down to the sign of a zero.
+
+
+def dense_eval_cost(kernel, region):
+    if kernel.kind is sp.KernelKind.CUSTOM_TABLE:
+        return kernel.table
+    diff = region.points[:, None, :] - region.points[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    c = dist**kernel.alpha if kernel.is_metric else 0.5 * dist * dist
+    np.fill_diagonal(c, 0.0)
+    return c
+
+
+def dense_scale_tol(cost):
+    return 1e-9 * (1.0 + float(np.max(np.abs(cost))))
+
+
+def _dense_columns(cost, index):
+    return cost if index is None else cost[:, index]
+
+
+def dense_value_table(prices, cost, candidates=None):
+    pvals = prices if candidates is None else prices[candidates]
+    return np.min(_dense_columns(cost, candidates) + pvals[None, :], axis=1)
+
+
+def dense_c_transform_table(values, cost, target=None):
+    return np.min(_dense_columns(cost, target) - values[:, None], axis=0)
+
+
+def dense_double_transform_table(values, cost, generators=None):
+    vc = dense_c_transform_table(values, cost, generators)
+    return np.min(_dense_columns(cost, generators) - vc[None, :], axis=1)
+
+
+def dense_superdifferential_mask(values, cost, within=None):
+    vc = dense_c_transform_table(values, cost, within)
+    return np.abs(values[:, None] + vc[None, :] - _dense_columns(cost, within)) <= dense_scale_tol(cost)
+
+
+def dense_assignment(prices, cost):
+    """(member, expenditure, choice) of `ctransform.assignment_table`."""
+    totals = cost + prices[None, :]
+    expenditure = totals.min(axis=1)
+    member = totals <= expenditure[:, None] + dense_scale_tol(cost)
+    choice = np.argmax(np.where(member, prices[None, :], -np.inf), axis=1)
+    return member, expenditure, choice
+
+
+def dense_tie_break(member, prices, within):
+    keep = np.zeros(len(prices), dtype=bool)
+    keep[within] = True
+    member = member & keep[None, :]
+    return np.where(member.any(axis=1), np.argmax(np.where(member, prices[None, :], -np.inf), axis=1), -1)
+
+
+def dense_capture_transport(member, cost, free):
+    """Cheapest c(x, y) over the argmin set of x within the free part, as `model_two` reports it."""
+    return np.where(member[:, free], cost[:, free], np.inf).min(axis=1)

@@ -351,6 +351,17 @@ def grid_scenario():
     }
 
 
+def grid_box_scenario():
+    return {
+        "model": "two",
+        "region": {"dimension": 2, "nx": 5, "ny": 5, "fixed_box": [[0.2, 0.8], [0.2, 0.8]]},
+        "cost": {"kind": "metric_power", "alpha": 1.0},
+        "measure": {"kind": "uniform"},
+        "fixed_price": {"kind": "constant", "value": 0.5},
+        "solver": {"method": "w_search", "search": {"mode": "exhaustive", "levels": 2}},
+    }
+
+
 def nash_scenario():
     return {
         "model": "nash",
@@ -470,6 +481,17 @@ class TestNonRealPricesAndCaps:
             ),
             (general_search_scenario, lambda s: s["measure"].update(mass=-1), "measure.mass: must be a finite number >= 0, got -1"),
             (general_search_scenario, lambda s: s["measure"].update(mass="x"), "measure.mass: must be a finite number >= 0, got 'x'"),
+            # float("0.5") would run, and float("abc") raised without naming the key
+            (general_search_scenario, lambda s: s["cost"].update(alpha="0.5"), "cost.alpha: must be a finite number, got '0.5'"),
+            (general_search_scenario, lambda s: s["cost"].update(alpha="abc"), "cost.alpha: must be a finite number, got 'abc'"),
+            (general_search_scenario, lambda s: s["region"].update(bounds=["abc", 1]), "region.bounds[0]: must be a finite number, got 'abc'"),
+            # a NaN end used to be refused as "a < b"
+            (general_search_scenario, lambda s: s["region"].update(bounds=[NAN, 1]), "region.bounds[0]: must be a finite number, got nan"),
+            (grid_scenario, lambda s: s["region"].update(bounds=[[0, 1], [0, "1"]]), "region.bounds[1][1]: must be a finite number, got '1'"),
+            (grid_scenario, lambda s: s["region"].update(bounds=[[NAN, 1], [0, 1]]), "region.bounds[0][0]: must be a finite number, got nan"),
+            (grid_box_scenario, lambda s: s["region"].update(fixed_box=[[0.2, "abc"], [0.2, 0.8]]), "region.fixed_box[0][1]: must be a finite number, got 'abc'"),
+            (grid_box_scenario, lambda s: s["region"].update(fixed_box=[[0.2, 0.8], [NAN, 0.8]]), "region.fixed_box[1][0]: must be a finite number, got nan"),
+            (grid_scenario, lambda s: s["region"].update(bounds=[0, 1]), "region.bounds[0]: must be a list of two numbers, got 0"),
         ],
         ids=[
             "nan_bound",
@@ -493,6 +515,15 @@ class TestNonRealPricesAndCaps:
             "nan_window_end",
             "negative_mass",
             "word_mass",
+            "string_number_alpha",
+            "word_alpha",
+            "word_bound_1d",
+            "nan_bound_1d",
+            "string_number_bound_2d",
+            "nan_bound_2d",
+            "word_fixed_box",
+            "nan_fixed_box",
+            "flat_bounds_2d",
         ],
     )
     def test_exit_2_names_the_key_and_nothing_written(self, tmp_path, scenario, edit, message):

@@ -105,6 +105,16 @@ SCENARIOS = {
             "grid_n": 20,
         },
     },
+    # at n = 1025 every n x n table is built in several row blocks of
+    # geometry.BLOCK_CELLS cells; the bound repeats values, so the cones tie
+    "one_metric_closed_form_blocks": _one(
+        METRIC,
+        1025,
+        {"kind": "per_point", "values": [0.2 + 0.1 * ((7 * i) % 9) for i in range(1025)]},
+        {"method": "metric_closed_form"},
+        {"kind": "weights", "values": [1.0 + (i % 5) / 4 for i in range(1025)]},
+    ),
+    "two_one_d_blocks": _two({"method": "one_d", "search": {"grid_n": 41}}, fixed_price=0.3, n=1025, window=(0.25, 0.75)),
 }
 
 GOLDEN = {
@@ -166,6 +176,14 @@ GOLDEN = {
         "result.json": "e62f5793b77752f654dd08102ca6a199bb9472212eed4f3e295b69d6552a293f",
         "series.csv": "7ca893a32a3b5a839bf4084698daa040551442854f80f2b63986fc9cc03ed7bf",
         "trace.csv": "5ed9844519d1164ca7e5790d6696df0fdb5f08f352fcb7b6ffd377b1324acce1",
+    },
+    "one_metric_closed_form_blocks": {
+        "result.json": "f5455d20a251be5594b5769c01c7dc5c30dc169ff519c75b83a31caf5c125dfc",
+        "series.csv": "7fef03967c151d27c1460714f15dc4020a83395ab9b584b1a91c3f7ab46ae3c3",
+    },
+    "two_one_d_blocks": {
+        "result.json": "a4048b22aac4b0d7df2280dae16e8074a8ec90b851407a0d05cea35faa1f70dc",
+        "series.csv": "f435cc5c7a205e784f7643f4afe87ecdf3d70b6370d31d89173c7200d9cd717d",
     },
 }
 
