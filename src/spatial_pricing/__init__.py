@@ -1,7 +1,7 @@
 """Discrete solvers for optimal spatial pricing under transportation costs."""
 
 from ._search import BudgetExceededError, SearchConfig, SearchMode
-from .ctransform import AssignmentMap, NotCConcaveError, scale_tol, tie_break
+from .ctransform import NotCConcaveError, scale_tol
 from .geometry import (
     CostKernel,
     CustomerMeasure,

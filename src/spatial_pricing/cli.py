@@ -122,7 +122,6 @@ def _series_model_one_two(sc: Scenario, rep):
     rows = [header]
     p0 = sc.p0.values
     pv = rep.optimal_price.values
-    choice = rep.assignment.choice
     for i in range(region.size):
         coords = [_fmt(c) for c in region.points[i]]
         rows.append(
@@ -133,7 +132,7 @@ def _series_model_one_two(sc: Scenario, rep):
                 _fmt(p0[i]) if np.isfinite(p0[i]) else "+inf",
                 _fmt(pv[i]),
                 _fmt(rep.optimal_value[i]),
-                str(int(choice[i])),
+                str(int(rep.choice[i])),
                 str(1 if rep.captured is None else int(bool(rep.captured[i]))),
             ]
         )
@@ -219,6 +218,9 @@ def run(scenario_path: str, out_dir: str, method: Optional[str] = None, seed: Op
 
 def compare(scenario_path: str, methods: list[str], out_dir: Optional[str] = None) -> int:
     """Run several methods on one scenario and tabulate profits and deviations."""
+    if not methods:
+        print("compare: --methods names no method", file=sys.stderr)
+        return EXIT_VALIDATION
     rows = []
     first_price = None
     for m in methods:

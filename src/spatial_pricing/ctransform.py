@@ -13,7 +13,6 @@ reduce, so its results are bit-identical to one dense expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +20,6 @@ import numpy as np
 from .geometry import row_blocks
 
 __all__ = [
-    "AssignmentMap",
     "NotCConcaveError",
     "scale_tol",
     "value_table",
@@ -30,7 +28,6 @@ __all__ = [
     "is_c_concave_table",
     "superdifferential_mask",
     "assignment_table",
-    "tie_break",
 ]
 
 
@@ -142,55 +139,41 @@ def _transport_rows(values: np.ndarray, vc: np.ndarray, cost: np.ndarray, within
     return out
 
 
-@dataclass(frozen=True)
-class AssignmentMap:
-    """Customer assignment: argmin sets, tie-broken choices, expenditures.
-
-    member      : (n, n) bool, y in the argmin set of x.
-    expenditure : (n,) minimal total expenditure v_p(x).
-    choice      : (n,) index of the tie-broken purchase point.
-    """
-
-    member: np.ndarray
-    expenditure: np.ndarray
-    choice: np.ndarray
-
-
-def assignment_table(prices: np.ndarray, cost: np.ndarray) -> AssignmentMap:
-    """Argmin sets of c(x, y) + p(y) over all points, with tie-broken choice.
+def assignment_table(prices: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+    """Expenditure v_p(x) = min_y {c(x, y) + p(y)} and tie-broken purchase point of each customer.
 
     The choice maximizes the price over the argmin set (equivalently minimizes
-    transport); remaining ties go to the smallest point index.
+    transport); remaining ties go to the smallest point index.  Returns
+    (expenditure, choice); with `within`, also the same choice over the argmin
+    set intersected with `within` (-1 where that is empty: the customer is
+    lost to the outside option) and the cheapest c(x, y) over it (+inf where
+    empty).  Argmin sets exist one row block at a time.
     """
     tol = scale_tol(cost)
     if not np.isfinite(prices).any():
         raise ValueError("improper prices: no finite value anywhere")
     n = cost.shape[0]
-    member = np.empty(cost.shape, dtype=bool)
     expenditure = np.empty(n)
     choice = np.empty(n, dtype=np.intp)
+    if within is not None:
+        keep = np.zeros(len(prices), dtype=bool)
+        keep[within] = True
+        within_choice = np.empty(n, dtype=np.intp)
+        transport = np.full(n, np.inf)
     for rows in row_blocks(n, cost.shape[1]):
         totals = cost[rows] + prices[None, :]
         expenditure[rows] = totals.min(axis=1)
-        member[rows] = totals <= expenditure[rows, None] + tol
+        member = totals <= expenditure[rows, None] + tol
         del totals
         # argmax takes the first max: smallest index
-        choice[rows] = np.argmax(np.where(member[rows], prices[None, :], -np.inf), axis=1)
-    return AssignmentMap(member=member, expenditure=expenditure, choice=choice)
-
-
-def tie_break(assign: AssignmentMap, prices: np.ndarray, within: np.ndarray) -> np.ndarray:
-    """Chosen purchase point per customer, restricted to the indices `within`.
-
-    Among the argmin set intersected with `within`, picks the price-maximizing
-    point, then the smallest index.  Customers whose intersection is empty get
-    -1 (they are lost to the outside option).
-    """
-    keep = np.zeros(len(prices), dtype=bool)
-    keep[within] = True
-    n = assign.member.shape[0]
-    choice = np.empty(n, dtype=np.intp)
-    for rows in row_blocks(n, len(prices)):
-        member = assign.member[rows] & keep[None, :]
-        choice[rows] = np.where(member.any(axis=1), np.argmax(np.where(member, prices[None, :], -np.inf), axis=1), -1)
-    return choice
+        choice[rows] = np.argmax(np.where(member, prices[None, :], -np.inf), axis=1)
+        if within is not None:
+            member &= keep[None, :]
+            within_choice[rows] = np.where(member.any(axis=1), np.argmax(np.where(member, prices[None, :], -np.inf), axis=1), -1)
+            if len(within):
+                cols = cost[rows, within]  # a copy, masked in place
+                np.copyto(cols, np.inf, where=~member[:, within])
+                transport[rows] = cols.min(axis=1)
+    if within is None:
+        return expenditure, choice
+    return expenditure, choice, within_choice, transport

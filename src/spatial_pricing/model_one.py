@@ -42,6 +42,8 @@ class SolveReport:
                     `one_d_reduction` run on a cumulative function alone).
     optimal_value : (n,) customer value function; in model two the one the
                     free part generates, w(x) = min over free y of {c(x, y) + p(y)}.
+    choice        : (n,) tie-broken purchase point of each customer over all
+                    points (None when `optimal_price` is).
     captured      : model two only, bool per point: the customer shops in the
                     free part.
     """
@@ -49,7 +51,7 @@ class SolveReport:
     optimal_price: Optional[PricePattern]
     optimal_value: Optional[np.ndarray]
     profit: float
-    assignment: Optional[ct.AssignmentMap]
+    choice: Optional[np.ndarray]
     method: str
     diagnostics: dict = field(default_factory=dict)
     captured: Optional[np.ndarray] = None
@@ -58,10 +60,10 @@ class SolveReport:
 def price_report(
     price: PricePattern, value: np.ndarray, cost: np.ndarray, f: CustomerMeasure, method: str, diagnostics: dict
 ) -> SolveReport:
-    """Report for a chosen price: assignment on the cost table and price-side profit."""
-    assign = ct.assignment_table(price.values, cost)
-    profit = float(np.dot(f.weights, price.values[assign.choice]))
-    return SolveReport(price, value, profit, assign, method, diagnostics)
+    """Report for a chosen price: tie-broken choices on the cost table and price-side profit."""
+    _, choice = ct.assignment_table(price.values, cost)
+    profit = float(np.dot(f.weights, price.values[choice]))
+    return SolveReport(price, value, profit, choice, method, diagnostics)
 
 
 def profit_from_prices(
@@ -74,8 +76,8 @@ def profit_from_prices(
     prices = p.values
     if len(prices) != region.size:
         raise ValueError("price vector does not match the region size")
-    assign = ct.assignment_table(prices, eval_cost(kernel, region))
-    return float(np.dot(f.weights, prices[assign.choice]))
+    _, choice = ct.assignment_table(prices, eval_cost(kernel, region))
+    return float(np.dot(f.weights, prices[choice]))
 
 
 def profit_from_values(

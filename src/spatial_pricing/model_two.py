@@ -26,7 +26,6 @@ from .geometry import (
     PricePattern,
     Region,
     eval_cost,
-    row_blocks,
     step_cdf,
 )
 from .model_one import SolveReport
@@ -114,31 +113,24 @@ class PartitionContext:
 def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasure):
     """Split customers by whether their argmin set touches the free part.
 
-    Returns (captured mask, choice, both profit forms).  The two forms (price
-    paid vs expenditure minus transport) must agree up to tolerance.
+    Returns (captured mask, tie-broken choice over all points, price-form
+    profit, value-form profit).  The two forms (price paid vs expenditure
+    minus transport) must agree up to tolerance.
     """
     vals = ctx.check_admissible(p)
-    assign = ct.assignment_table(vals, ctx.cost)
-    free = ctx.free
-    choice = ct.tie_break(assign, vals, within=free)
-    captured = choice >= 0
-    transport = np.empty(len(vals))
-    for rows in row_blocks(len(vals), free.size):
-        cols = ctx.cost[rows, free]  # a copy, masked in place
-        np.copyto(cols, np.inf, where=~assign.member[rows, free])
-        transport[rows] = cols.min(axis=1)
-        del cols
+    expenditure, choice, free_choice, transport = ct.assignment_table(vals, ctx.cost, ctx.free)
+    captured = free_choice >= 0
     w = f.weights
-    paid = np.where(captured, vals[np.maximum(choice, 0)], 0.0)
+    paid = np.where(captured, vals[np.maximum(free_choice, 0)], 0.0)
     profit_price_form = float(np.dot(w, paid))
-    net = np.where(captured, assign.expenditure - transport, 0.0)
+    net = np.where(captured, expenditure - transport, 0.0)
     profit_value_form = float(np.dot(w, net))
     gap = abs(profit_price_form - profit_value_form)
     if gap > ct._check_slack(ctx.tol, f.total_mass):
         raise RuntimeError(
             f"profit forms disagree by {gap}: tie handling is inconsistent"
         )
-    return captured, choice, assign, profit_price_form, profit_value_form
+    return captured, choice, profit_price_form, profit_value_form
 
 
 def profit_from_prices(
@@ -147,7 +139,7 @@ def profit_from_prices(
     f: CustomerMeasure,
 ) -> float:
     """Agent profit: price paid by every customer captured by the free part."""
-    _, _, _, profit, _ = _capture_and_profit(ctx, p, f)
+    _, _, profit, _ = _capture_and_profit(ctx, p, f)
     return profit
 
 
@@ -206,7 +198,7 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
 
 def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> SolveReport:
     w, price = reformulate(ctx.full_prices(g_best), ctx)
-    captured, choice, assign, profit, _ = _capture_and_profit(ctx, price, f)
+    captured, choice, profit, _ = _capture_and_profit(ctx, price, f)
     j_value = profit_from_values(w, ctx, f)
     if abs(profit - j_value) > ct._check_slack(ctx.tol, f.total_mass):
         raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
@@ -217,7 +209,7 @@ def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarr
         optimal_price=price,
         optimal_value=w,
         profit=profit,
-        assignment=assign,
+        choice=choice,
         method=method,
         diagnostics=diagnostics,
         captured=captured,
@@ -437,13 +429,13 @@ def one_d_reduction(
         cone = np.minimum(p1 + np.abs(coords[free] - xa), p2 + np.abs(coords[free] - xb))
         price = ctx.full_prices(cone)
         w, price_t = reformulate(price, ctx)
-        captured, choice, assign, profit, _ = _capture_and_profit(ctx, price_t, f)
+        captured, choice, profit, _ = _capture_and_profit(ctx, price_t, f)
         diagnostics["interface_points"] = [float(xa), float(xb)]
         return SolveReport(
             optimal_price=price_t,
             optimal_value=w,
             profit=profit,
-            assignment=assign,
+            choice=choice,
             method=METHOD_ONE_D,
             diagnostics=diagnostics,
             captured=captured,
@@ -452,7 +444,7 @@ def one_d_reduction(
         optimal_price=None,
         optimal_value=None,
         profit=four,
-        assignment=None,
+        choice=None,
         method=METHOD_ONE_D,
         diagnostics=diagnostics,
     )

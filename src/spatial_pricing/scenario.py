@@ -94,6 +94,12 @@ def _nonnegative(spec: dict, key: str, what: str, default: Optional[float] = Non
     return None if value is None else float(value)
 
 
+def _numbers(values: list, name: str) -> None:
+    """Refuse a list with an entry that is not a JSON number: a bool or a numeric string too."""
+    for v in values:
+        _require(_is_number(v), f"{name}: entries must be numbers, got {v!r}")
+
+
 def _price_token(value: Any, what: str) -> float:
     """One price: a JSON number, or "+inf"/"inf" for no bound."""
     if isinstance(value, str) and value in ("+inf", "inf"):
@@ -176,14 +182,21 @@ def _build_kernel(spec: Any) -> CostKernel:
     _require(isinstance(spec, dict) and "kind" in spec, "cost: expected an object with a 'kind'")
     kind = spec["kind"]
     alpha = _finite(spec, "alpha", "cost") if kind == "metric_power" and "alpha" in spec else 1.0
+    if kind == "custom_table":
+        rows = spec.get("values")
+        _require(
+            isinstance(rows, list) and all(isinstance(r, list) and len(r) == len(rows) for r in rows),
+            "cost.values: custom_table needs a square list of rows",
+        )
+        for i, row in enumerate(rows):
+            _numbers(row, f"cost.values[{i}]")
     try:
         if kind == "metric_power":
             return CostKernel.metric(alpha)
         if kind == "quadratic":
             return CostKernel.quadratic()
         if kind == "custom_table":
-            _require("values" in spec, "cost: custom_table needs 'values'")
-            return CostKernel.custom(np.asarray(spec["values"], dtype=float))
+            return CostKernel.custom(np.asarray(rows, dtype=float))
     except ValueError as e:
         raise ScenarioError(f"cost: {e}") from e
     raise ScenarioError(f"cost: unknown kind {kind!r}")
@@ -196,6 +209,7 @@ def _build_measure(spec: Any, n: int) -> CustomerMeasure:
     if spec["kind"] == "weights":
         vals = spec.get("values")
         _require(isinstance(vals, list) and len(vals) == n, f"measure: weights need {n} values")
+        _numbers(vals, "measure.values")
         try:
             return CustomerMeasure(np.asarray(vals, dtype=float))
         except ValueError as e:
@@ -316,6 +330,9 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
                 and len(m["b"]) == region.size,
                 "game.masks: needs boolean lists 'a' and 'b' covering the region",
             )
+            for key in ("a", "b"):
+                for v in m[key]:
+                    _require(isinstance(v, bool), f"game.masks.{key}: entries must be true or false, got {v!r}")
             masks = (np.asarray(m["a"], dtype=bool), np.asarray(m["b"], dtype=bool))
         verify = game.get("verify", False)
         _require(isinstance(verify, bool), f"game.verify: must be true or false, got {verify!r}")

@@ -96,14 +96,13 @@ def checked_reformulate(p, ctx, f=None):
         raise RuntimeError("reformulated prices exceed the originals on the free part")
     if np.any(p_t.values[free] < -slack):
         raise RuntimeError("reformulated prices are negative")
-    cap1 = ct.tie_break(ct.assignment_table(vals, ctx.cost), vals, within=free) >= 0
-    assign_t = ct.assignment_table(p_t.values, ctx.cost)
-    cap2 = ct.tie_break(assign_t, p_t.values, within=free) >= 0
+    cap1 = ct.assignment_table(vals, ctx.cost, free)[2] >= 0
+    cap2 = ct.assignment_table(p_t.values, ctx.cost, free)[2] >= 0
     if np.any(cap1 & ~cap2):
         raise RuntimeError("reformulation lost captured customers")
     if np.any(cap2 != (w <= ctx.v0 + ctx.tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
-    member_t = assign_t.member[:, free]
+    member_t = dense_assignment(p_t.values, ctx.cost)[0][:, free]
     superdiff = ct.superdifferential_mask(w, ctx.cost, free)
     if np.any(member_t[cap2] != superdiff[cap2]):
         raise RuntimeError("argmin sets and superdifferentials disagree on captured customers")
@@ -158,7 +157,7 @@ def dense_superdifferential_mask(values, cost, within=None):
 
 
 def dense_assignment(prices, cost):
-    """(member, expenditure, choice) of `ctransform.assignment_table`."""
+    """(argmin-set member table, expenditure, choice): `ctransform.assignment_table` with its argmin sets kept."""
     totals = cost + prices[None, :]
     expenditure = totals.min(axis=1)
     member = totals <= expenditure[:, None] + dense_scale_tol(cost)
@@ -167,6 +166,7 @@ def dense_assignment(prices, cost):
 
 
 def dense_tie_break(member, prices, within):
+    """The choice over the argmin set intersected with `within`, -1 where that is empty."""
     keep = np.zeros(len(prices), dtype=bool)
     keep[within] = True
     member = member & keep[None, :]
@@ -174,5 +174,5 @@ def dense_tie_break(member, prices, within):
 
 
 def dense_capture_transport(member, cost, free):
-    """Cheapest c(x, y) over the argmin set of x within the free part, as `model_two` reports it."""
+    """Cheapest c(x, y) over the argmin set of x within the free part, +inf where that is empty."""
     return np.where(member[:, free], cost[:, free], np.inf).min(axis=1)

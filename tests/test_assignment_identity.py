@@ -1,9 +1,10 @@
-"""Bit-identity of `assignment_table` and `tie_break` with their candidate-set versions.
+"""Bit-identity of `assignment_table`'s choices with their candidate-set versions.
 
-The two functions below are the earlier library code, kept verbatim as the
+The two functions below are earlier library code, kept verbatim as the
 oracle: it restricted purchases to a `candidates` subset and copied the cost
-columns of that subset.  Every caller passed all points, so the library now
-works on the full table; on all points both must give the same bits.
+columns of that subset, and it restricted choices to `within` from a stored
+argmin-set table.  Every caller passed all points, so the library now works
+on the full table, in one pass; on all points both must give the same bits.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing.ctransform import assignment_table, scale_tol, tie_break
+from spatial_pricing.ctransform import assignment_table, scale_tol
 
 from helpers import random_points, region_from_points
 
@@ -119,14 +120,13 @@ def test_bit_identical_to_the_candidate_set_version(kind, dim):
         if not np.isfinite(prices).any():
             prices[int(rng.integers(n))] = 0.5
         want = candidate_set_assignment_table(prices, cost)
-        got = assignment_table(prices, cost)
-        assert np.array_equal(got.member, want.member)
-        assert np.array_equal(got.expenditure, want.expenditure)
-        assert np.array_equal(got.choice, want.choice)
-        assert np.array_equal(tie_break(got, prices, np.arange(n)), candidate_set_tie_break(want, prices))
+        expenditure, choice = assignment_table(prices, cost)
+        assert np.array_equal(expenditure, want.expenditure)
+        assert np.array_equal(choice, want.choice)
+        assert np.array_equal(assignment_table(prices, cost, np.arange(n))[2], candidate_set_tie_break(want, prices))
         for within in _within_sets(rng, n):
-            chosen = tie_break(got, prices, within)
+            chosen = assignment_table(prices, cost, within)[2]
             assert np.array_equal(chosen, candidate_set_tie_break(want, prices, within))
             lost += int((chosen < 0).sum())
-        ties += int((got.member.sum(axis=1) > 1).sum())
+        ties += int((want.member.sum(axis=1) > 1).sum())
     assert ties > 0 and lost > 0  # both the tie rule and the lost-customer branch ran

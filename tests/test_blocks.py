@@ -117,13 +117,21 @@ def test_assignment_and_tie_break(blocks, seed):
     rng = np.random.default_rng(seed)
     cost = _table(rng, N, N)
     prices = _prices(rng, N)
-    assign = ct.assignment_table(prices, cost)
     member, expenditure, choice = dense_assignment(prices, cost)
-    assert same_bits(assign.member, member)
-    assert same_bits(assign.expenditure, expenditure)
-    assert same_bits(assign.choice, choice)
-    for within in _subsets(rng, N)[1:]:
-        assert same_bits(ct.tie_break(assign, prices, within), dense_tie_break(member, prices, within))
+    got_expenditure, got_choice = ct.assignment_table(prices, cost)
+    assert same_bits(got_expenditure, expenditure)
+    assert same_bits(got_choice, choice)
+    for within in _subsets(rng, N)[1:] + [np.arange(0)]:
+        got = ct.assignment_table(prices, cost, within)
+        assert same_bits(got[0], expenditure)
+        assert same_bits(got[1], choice)
+        assert same_bits(got[2], dense_tie_break(member, prices, within))
+        transport = dense_capture_transport(member, cost, within) if within.size else np.full(N, np.inf)
+        # a min over a row holding both 0.0 and -0.0 may return either zero,
+        # depending on the block's shape and memory alignment (numpy's SIMD
+        # reduction), so the transport's zeros compare by value: x + 0.0
+        # turns -0.0 into 0.0
+        assert same_bits(got[3] + 0.0, transport + 0.0)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -156,13 +164,13 @@ def test_model_two_report_path(blocks, seed):
     captured_w = w <= ctx.v0 + dense_scale_tol(cost)
     assert model_two.profit_from_values(w, ctx, f) == float(np.dot(f.weights, np.where(captured_w, w - delta, 0.0)))
 
-    captured, choice, assign, _, value_form = model_two._capture_and_profit(ctx, price, f)
-    member, expenditure, _ = dense_assignment(price.values, cost)
-    dense_choice = dense_tie_break(member, price.values, free)
+    captured, choice, _, value_form = model_two._capture_and_profit(ctx, price, f)
+    member, expenditure, dense_choice = dense_assignment(price.values, cost)
+    free_choice = dense_tie_break(member, price.values, free)
     transport = dense_capture_transport(member, cost, free)
     assert same_bits(choice, dense_choice)
-    assert same_bits(captured, dense_choice >= 0)
-    assert value_form == float(np.dot(f.weights, np.where(dense_choice >= 0, expenditure - transport, 0.0)))
+    assert same_bits(captured, free_choice >= 0)
+    assert value_form == float(np.dot(f.weights, np.where(free_choice >= 0, expenditure - transport, 0.0)))
 
 
 def _peak_over_table(call, n):
@@ -202,3 +210,17 @@ def test_one_d_report_peak_memory():
 
     peak = _peak_over_table(report, n)
     assert peak <= 1.6, f"peak is {peak:.2f} cost tables"
+
+
+def test_assignment_table_peak_memory(monkeypatch):
+    n = 1201
+    region = sp.build_interval_region(n, 0.0, 1.0, (0.3, 0.7))
+    cost = sp.eval_cost(sp.CostKernel.metric(1.0), region)
+    prices = np.random.default_rng(0).uniform(0.2, 1.0, n)
+    # small blocks, so that an n x n boolean argmin table (1/8 of a cost
+    # table) would stand far above the block temporaries
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 2**12)
+    peak = _peak_over_table(lambda: ct.assignment_table(prices, cost, region.free_indices), n)
+    # four (n,) outputs and a keep mask, plus at most eight float64 block temporaries
+    bound = (4 * 8 * n + n + 8 * 8 * geometry.BLOCK_CELLS) / (8 * n * n)
+    assert peak <= bound, f"peak is {peak:.4f} cost tables, bound {bound:.4f}"

@@ -227,8 +227,8 @@ class TestScenarioValidation:
 
     def test_nash_explicit_masks(self, tmp_path):
         n = 11
-        a = [1] * 6 + [0] * 5
-        b = [0] * 5 + [1] * 6
+        a = [True] * 6 + [False] * 5
+        b = [False] * 5 + [True] * 6
         scen = {
             "model": "nash",
             "region": {"dimension": 1, "n": n, "bounds": [0, 1]},
@@ -492,6 +492,41 @@ class TestNonRealPricesAndCaps:
             (grid_box_scenario, lambda s: s["region"].update(fixed_box=[[0.2, "abc"], [0.2, 0.8]]), "region.fixed_box[0][1]: must be a finite number, got 'abc'"),
             (grid_box_scenario, lambda s: s["region"].update(fixed_box=[[0.2, 0.8], [NAN, 0.8]]), "region.fixed_box[1][0]: must be a finite number, got nan"),
             (grid_scenario, lambda s: s["region"].update(bounds=[0, 1]), "region.bounds[0]: must be a list of two numbers, got 0"),
+            # mask entries were read by truthiness: "no" put point 2 in both regions
+            (
+                nash_scenario,
+                lambda s: (s["region"].update(n=5), s["game"].update(masks={"a": ["yes", "yes", "yes", 0, 0], "b": [0, 0, "no", 1, 2.5]})),
+                "game.masks.a: entries must be true or false, got 'yes'",
+            ),
+            (
+                nash_scenario,
+                lambda s: (s["region"].update(n=5), s["game"].update(masks={"a": [True, True, True, False, False], "b": [False, False, "no", True, True]})),
+                "game.masks.b: entries must be true or false, got 'no'",
+            ),
+            (
+                nash_scenario,
+                lambda s: s["game"].update(masks={"a": [1] * 6 + [0] * 5, "b": [False] * 5 + [True] * 6}),
+                "game.masks.a: entries must be true or false, got 1",
+            ),
+            # np.asarray(..., dtype=float) read numeric strings as numbers
+            (general_search_scenario, lambda s: s.update(measure={"kind": "weights", "values": ["0.2"] * 5}), "measure.values: entries must be numbers, got '0.2'"),
+            (general_search_scenario, lambda s: s.update(measure={"kind": "weights", "values": [0.2, True, 0.2, 0.2, 0.2]}), "measure.values: entries must be numbers, got True"),
+            (
+                general_search_scenario,
+                lambda s: s.update(cost={"kind": "custom_table", "values": [[str(abs(i - j)) for j in range(5)] for i in range(5)]}),
+                "cost.values[0]: entries must be numbers, got '0'",
+            ),
+            (
+                general_search_scenario,
+                lambda s: s.update(cost={"kind": "custom_table", "values": [[False if (i, j) == (1, 2) else abs(i - j) for j in range(5)] for i in range(5)]}),
+                "cost.values[1]: entries must be numbers, got False",
+            ),
+            (general_search_scenario, lambda s: s.update(cost={"kind": "custom_table", "values": [0, 1]}), "cost.values: custom_table needs a square list of rows"),
+            (
+                general_search_scenario,
+                lambda s: s.update(cost={"kind": "custom_table", "values": [[abs(i - j) for j in range(5 if i != 1 else 3)] for i in range(5)]}),
+                "cost.values: custom_table needs a square list of rows",
+            ),
         ],
         ids=[
             "nan_bound",
@@ -524,6 +559,15 @@ class TestNonRealPricesAndCaps:
             "word_fixed_box",
             "nan_fixed_box",
             "flat_bounds_2d",
+            "word_masks_a",
+            "word_masks_b",
+            "integer_masks",
+            "string_number_weights",
+            "bool_weight",
+            "string_number_cost_table",
+            "bool_cost_entry",
+            "flat_cost_table",
+            "ragged_cost_table",
         ],
     )
     def test_exit_2_names_the_key_and_nothing_written(self, tmp_path, scenario, edit, message):
@@ -549,6 +593,15 @@ class TestMain:
         assert main(["compare", "--scenario", path, "--methods", "one_d, ,w_search"]) == EXIT_OK
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         assert [l.split()[0] for l in lines[1:]] == ["one_d", "w_search"]
+
+    @pytest.mark.parametrize("methods", [",", " , ", ""])
+    def test_compare_without_methods_exits_2(self, tmp_path, capsys, methods):
+        path = write_scenario(tmp_path, "win.json", window_scenario(0.4, n=21))
+        out = tmp_path / "out"
+        assert main(["compare", "--scenario", path, "--methods", methods, "--out", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "--methods names no method" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_refusals_return_their_exit_codes(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -131,38 +131,39 @@ class TestSuperdifferential:
 
 
 class TestTieBreak:
-    def _assign(self, prices, cost_rows):
+    def _choice(self, prices, cost_rows):
         region = region_from_points(np.arange(len(prices), dtype=float))
         kern = sp.CostKernel.custom(np.asarray(cost_rows, dtype=float))
-        return assignment_table(np.asarray(prices, float), sp.eval_cost(kern, region)), region
+        _, choice = assignment_table(np.asarray(prices, float), sp.eval_cost(kern, region))
+        return choice
 
     def test_price_max_selection(self):
         # both shops cost-equivalent for customer 0: picks the pricier one
         cost = [[0.0, 0.5, 0.2], [0.5, 0.0, 0.3], [0.2, 0.3, 0.0]]
-        assign, _ = self._assign([0.7, 0.2, 0.5], cost)
+        choice = self._choice([0.7, 0.2, 0.5], cost)
         # customer 0: totals 0.7, 0.7, 0.7 -> all tie -> price-max is shop 0
-        assert assign.choice[0] == 0
+        assert choice[0] == 0
 
     def test_equal_price_tie_takes_smallest_index(self):
         cost = [[0.0, 0.0], [0.0, 0.0]]
-        assign, _ = self._assign([0.4, 0.4], cost)
-        assert assign.choice[0] == 0 and assign.choice[1] == 0
+        choice = self._choice([0.4, 0.4], cost)
+        assert choice[0] == 0 and choice[1] == 0
 
     def test_metric_lipschitz_prices_keep_customers_home(self):
         rng = np.random.default_rng(5)
         region = region_from_points(np.sort(rng.uniform(0, 1, 9)))
         x = region.coords_1d()
         p = sp.PricePattern(0.5 + 0.3 * x)  # slope 0.3 < 1
-        assign = assignment_table(p.values, sp.eval_cost(METRIC, region))
-        assert (assign.choice == np.arange(9)).all()
-        assert np.allclose(assign.expenditure, p.values)
+        expenditure, choice = assignment_table(p.values, sp.eval_cost(METRIC, region))
+        assert (choice == np.arange(9)).all()
+        assert np.allclose(expenditure, p.values)
 
     def test_excluded_customers_marked(self):
         region = region_from_points([0.0, 1.0])
         p = sp.PricePattern(np.array([0.0, 5.0]))
-        assign = assignment_table(p.values, sp.eval_cost(METRIC, region))
-        chosen = sp.tie_break(assign, p.values, within=np.array([1]))
+        _, _, chosen, transport = assignment_table(p.values, sp.eval_cost(METRIC, region), np.array([1]))
         assert chosen[0] == -1  # customer 0 never shops at the expensive far shop
+        assert transport[0] == np.inf
 
 
 class TestAssignmentTable:
@@ -176,17 +177,23 @@ class TestAssignmentTable:
         prices[rng.uniform(size=n) < 0.3] = np.inf
         if not np.isfinite(prices).any():
             prices[0] = 0.0
-        got = assignment_table(prices, cost)
+        within = np.flatnonzero(rng.uniform(size=n) < 0.5)
+        expenditure, choice = assignment_table(prices, cost)
+        same = assignment_table(prices, cost, within)
+        assert np.array_equal(same[0], expenditure) and np.array_equal(same[1], choice)
         # the rule enumerated customer by customer: the argmin set within the
-        # table's tolerance, then the highest price, then the smallest index
+        # table's tolerance, then the highest price, then the smallest index;
+        # within a subset, the same rule on the argmin set's part in it
         tol = scale_tol(cost)
         for x in range(n):
             totals = [cost[x, y] + prices[y] for y in range(n)]
             best = min(totals)
             argmin = [y for y, t in enumerate(totals) if t <= best + tol]
-            assert got.expenditure[x] == best
-            assert list(np.flatnonzero(got.member[x])) == argmin
-            assert got.choice[x] == max(argmin, key=lambda y: (prices[y], -y))
+            assert expenditure[x] == best
+            assert choice[x] == max(argmin, key=lambda y: (prices[y], -y))
+            inside = [y for y in argmin if y in within]
+            assert same[2][x] == (max(inside, key=lambda y: (prices[y], -y)) if inside else -1)
+            assert same[3][x] == min((cost[x, y] for y in inside), default=np.inf)
 
 
 class TestIsCConcave:
