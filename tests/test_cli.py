@@ -581,6 +581,94 @@ class TestNonRealPricesAndCaps:
         assert not out.exists()
 
 
+def _set(section, **values):
+    """An edit that updates `scen[section]` with `values`."""
+    return lambda s: s[section].update(values)
+
+
+def _method(name, edit=lambda s: None):
+    """An edit that selects solver method `name`, then applies `edit`."""
+    return lambda s: (s.setdefault("solver", {}).update(method=name), edit(s))
+
+
+class TestMethodRequirements:
+    """Each method's refusal of a scenario it cannot solve, with its exact message."""
+
+    @pytest.mark.parametrize(
+        "scenario, edit, message",
+        [
+            (grid_scenario, _set("cost", kind="quadratic"), "metric_closed_form needs a metric cost kernel"),
+            (
+                quadratic_reference_scenario,
+                _set("cost", kind="metric_power", alpha=1.0),
+                "quadratic_reference needs the quadratic cost",
+            ),
+            (
+                grid_scenario,
+                _method("quadratic_reference", _set("cost", kind="quadratic")),
+                "quadratic_reference needs a 1D region",
+            ),
+            (
+                quadratic_reference_scenario,
+                _set("region", bounds=[0, 2]),
+                "quadratic_reference needs the region [0, 1]",
+            ),
+            (
+                quadratic_reference_scenario,
+                _set("prices", p0={"kind": "constant", "value": 1.0}),
+                "quadratic_reference needs the bound x - x^2/2",
+            ),
+            (grid_box_scenario, _method("one_d"), "one_d needs a 1D region"),
+            (
+                window_scenario,
+                _set("fixed_price", kind="per_point", values=[0.4] * 101),
+                "one_d needs a constant fixed_price",
+            ),
+            (window_scenario, _set("cost", alpha=0.5), "one_d needs the distance cost"),
+            (window_scenario, _set("region", bounds=[0, 2], fixed_window=[0.5, 1.5]), "one_d needs the region [0, 1]"),
+            (boundary_control_scenario, _set("cost", alpha=0.5), "boundary_control needs the distance cost"),
+            (
+                window_scenario,
+                _method("general_search"),
+                "solver: method 'general_search' does not apply to model 'two'",
+            ),
+            (nash_scenario, _method("w_search"), "solver: method 'w_search' does not apply to model 'nash'"),
+        ],
+        ids=[
+            "metric_closed_form_quadratic_cost",
+            "quadratic_reference_metric_cost",
+            "quadratic_reference_2d",
+            "quadratic_reference_bounds",
+            "quadratic_reference_bound",
+            "one_d_2d",
+            "one_d_per_point_price",
+            "one_d_alpha",
+            "one_d_bounds",
+            "boundary_control_alpha",
+            "model_one_method_on_model_two",
+            "model_two_method_on_nash",
+        ],
+    )
+    def test_exit_2_with_the_exact_message_and_nothing_written(self, tmp_path, scenario, edit, message):
+        scen = scenario()
+        edit(scen)
+        path = write_scenario(tmp_path, "method.json", scen)
+        with pytest.raises(ScenarioError, match="^" + re.escape(message) + "$"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert run(path, str(out)) == EXIT_VALIDATION
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, default",
+        [(grid_scenario, "metric_closed_form"), (grid_box_scenario, "w_search"), (nash_scenario, "dynamics")],
+    )
+    def test_default_method_per_model(self, tmp_path, scenario, default):
+        scen = scenario()
+        scen.pop("solver", None)
+        assert load_scenario(write_scenario(tmp_path, "default.json", scen)).method == default
+
+
 class TestMain:
     def test_run_structured_writes_only_the_result(self, tmp_path):
         path = write_scenario(tmp_path, "game.json", nash_scenario())
