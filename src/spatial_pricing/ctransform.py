@@ -173,7 +173,7 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, within: Optional[np.n
             if len(within):
                 cols = cost[rows, within]  # a copy, masked in place
                 np.copyto(cols, np.inf, where=~member[:, within])
-                transport[rows] = cols.min(axis=1)
+                transport[rows] = cols.min(axis=1) + 0.0  # one zero: the min may return 0.0 or -0.0
     if within is None:
         return expenditure, choice
     return expenditure, choice, within_choice, transport

@@ -2,7 +2,9 @@
 
 The exact grammar is documented in the README.  Validation happens before any
 solver runs or any output file is created; every problem found raises
-ScenarioError with a readable message.
+ScenarioError with a readable message.  `METHODS` is the one table of solver
+methods: the model each belongs to, what it needs of a scenario, and how it
+solves one.
 """
 
 from __future__ import annotations
@@ -10,27 +12,25 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
+from . import model_one, model_two, nash
 from .geometry import (
     CostKernel,
     CustomerMeasure,
+    Mask,
     PricePattern,
     Region,
     build_grid_region,
     build_interval_region,
+    eval_cost,
+    uniform_cdf,
 )
 from ._search import SearchConfig, SearchMode
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario"]
-
-MODEL_METHODS = {
-    "one": ("metric_closed_form", "general_search", "quadratic_reference"),
-    "two": ("w_search", "one_d", "boundary_control"),
-    "nash": ("dynamics",),
-}
+__all__ = ["METHODS", "Method", "Scenario", "ScenarioError", "load_scenario"]
 
 
 class ScenarioError(ValueError):
@@ -125,12 +125,6 @@ def _price_values(spec: Any, n: int, what: str, allow_inf: bool) -> np.ndarray:
     return out
 
 
-def _on_unit_interval(region: Region) -> bool:
-    """True when the 1D region runs from 0 to 1 (each end within 1e-12)."""
-    x = region.coords_1d()
-    return abs(x[0]) < 1e-12 and abs(x[-1] - 1.0) < 1e-12
-
-
 @dataclass
 class Scenario:
     model: str
@@ -143,8 +137,23 @@ class Scenario:
     p0: Optional[PricePattern] = None  # model one bound / model two imposed prices
     p0_constant: Optional[float] = None
     fixed_window: Optional[tuple[float, float]] = None
+    uniform_mass: Optional[float] = None  # measure.mass of a uniform measure, as declared
     game: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Method:
+    """A solver method of `model`, the model's default when it is its first entry in METHODS.
+
+    `checks` are (predicate, message) pairs run in order on the parsed
+    scenario after its model's own checks; `solve(sc)` returns the result,
+    the summary and the output series by file name.
+    """
+
+    model: str
+    solve: Callable[[Scenario], tuple]
+    checks: tuple[tuple[Callable[[Scenario], bool], str], ...] = ()
+    reads_price_cap: bool = False
 
 
 def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
@@ -202,16 +211,18 @@ def _build_kernel(spec: Any) -> CostKernel:
     raise ScenarioError(f"cost: unknown kind {kind!r}")
 
 
-def _build_measure(spec: Any, n: int) -> CustomerMeasure:
+def _build_measure(spec: Any, n: int) -> tuple[CustomerMeasure, Optional[float]]:
+    """The measure, and the declared mass when it is uniform (None for weights)."""
     _require(isinstance(spec, dict) and "kind" in spec, "measure: expected an object with a 'kind'")
     if spec["kind"] == "uniform":
-        return CustomerMeasure.uniform(n, mass=_nonnegative(spec, "mass", "measure", default=1.0))
+        mass = _nonnegative(spec, "mass", "measure", default=1.0)
+        return CustomerMeasure.uniform(n, mass=mass), mass
     if spec["kind"] == "weights":
         vals = spec.get("values")
         _require(isinstance(vals, list) and len(vals) == n, f"measure: weights need {n} values")
         _numbers(vals, "measure.values")
         try:
-            return CustomerMeasure(np.asarray(vals, dtype=float))
+            return CustomerMeasure(np.asarray(vals, dtype=float)), None
         except ValueError as e:
             raise ScenarioError(f"measure: {e}") from e
     raise ScenarioError(f"measure: unknown kind {spec['kind']!r}")
@@ -254,20 +265,27 @@ def load_scenario(path: str, method_override: Optional[str] = None, seed_overrid
 def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int]) -> Scenario:
     _require(isinstance(raw, dict), "scenario: top level must be an object")
     model = raw.get("model")
-    _require(model in MODEL_METHODS, f"scenario: model must be one of {sorted(MODEL_METHODS)}")
+    models = {m.model for m in METHODS.values()}
+    _require(model in models, f"scenario: model must be one of {sorted(models)}")
     region, window = _build_region(raw.get("region"))
     kernel = _build_kernel(raw.get("cost"))
     if kernel.kind.value == "custom_table":
         _require(kernel.table.shape[0] == region.size, "cost: custom table does not match the region size")
-    measure = _build_measure(raw.get("measure"), region.size)
+    measure, uniform_mass = _build_measure(raw.get("measure"), region.size)
     seed = _count(raw, "seed", 0, "scenario", least=0) if seed_override is None else _integer(seed_override, 0, "--seed")
     solver = raw.get("solver") or {}
     _require(isinstance(solver, dict), "solver: expected an object")
+    names = [name for name, m in METHODS.items() if m.model == model]
     method = method_override or solver.get("method")
     if method is None:
-        method = MODEL_METHODS[model][0]
-    _require(method in MODEL_METHODS[model], f"solver: method {method!r} does not apply to model {model!r}")
+        method = names[0]
+    _require(method in names, f"solver: method {method!r} does not apply to model {model!r}")
+    entry = METHODS[method]
     search = _build_search(solver.get("search"), seed)
+    _require(
+        search.price_cap is None or entry.reads_price_cap,
+        f"solver.search.price_cap: method {method!r} does not read a price cap; set it to null or drop it",
+    )
 
     sc = Scenario(
         model=model,
@@ -278,7 +296,7 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
         search=search,
         seed=seed,
         fixed_window=window,
-        raw=raw,
+        uniform_mass=uniform_mass,
     )
 
     if model == "one":
@@ -288,17 +306,6 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
         _require(bool(np.isfinite(vals).any()), "prices.p0: bound is +inf everywhere")
         _require(not (vals < 0).any(), "prices.p0: bound must be nonnegative")
         sc.p0 = PricePattern(vals)
-        if method == "quadratic_reference":
-            _require(kernel.kind.value == "quadratic", "quadratic_reference needs the quadratic cost")
-            _require(region.dimension == 1, "quadratic_reference needs a 1D region")
-            _require(_on_unit_interval(region), "quadratic_reference needs the region [0, 1]")
-            x = region.coords_1d()
-            _require(
-                bool(np.all(np.abs(vals - (x - 0.5 * x**2)) <= 1e-9)),
-                "quadratic_reference needs the bound x - x^2/2",
-            )
-        if method == "metric_closed_form":
-            _require(kernel.is_metric, "metric_closed_form needs a metric cost kernel")
     elif model == "two":
         _require(region.has_partition, "scenario: model two needs a region with a fixed window/box")
         _require("fixed_price" in raw, "scenario: model two needs 'fixed_price'")
@@ -306,14 +313,6 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
         sc.p0 = PricePattern(vals)
         if raw["fixed_price"]["kind"] == "constant":
             sc.p0_constant = float(vals[0])
-        if method == "one_d":
-            _require(region.dimension == 1, "one_d needs a 1D region")
-            _require(window is not None, "one_d needs a fixed_window")
-            _require(sc.p0_constant is not None, "one_d needs a constant fixed_price")
-            _require(kernel.is_metric and kernel.alpha == 1.0, "one_d needs the distance cost")
-            _require(_on_unit_interval(region), "one_d needs the region [0, 1]")
-        if method == "boundary_control":
-            _require(kernel.is_metric and kernel.alpha == 1.0, "boundary_control needs the distance cost")
     else:  # nash
         game = raw.get("game")
         _require(isinstance(game, dict), "scenario: model nash needs a 'game' object")
@@ -347,4 +346,142 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
             "price_cap": _nonnegative(game, "price_cap", "game"),
             "verify": verify,
         }
+    for holds, message in entry.checks:
+        _require(holds(sc), message)
     return sc
+
+
+_MASK_NAMES = {int(Mask.NONE): "none", int(Mask.FREE): "free", int(Mask.FIXED): "fixed"}
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _reported(solve: Callable[[Scenario], Any]) -> Callable[[Scenario], tuple]:
+    """The registry solve of a model-one or model-two method whose SolveReport is `solve(sc)`."""
+
+    def solved(sc: Scenario):
+        rep = solve(sc)
+        summary = {"profit": rep.profit, "method": rep.method}
+        summary.update((k, v) for k, v in rep.diagnostics.items() if k in ("p1", "p2", "objective_two_term"))
+        return rep, summary, _series_model_one_two(sc, rep)
+
+    return solved
+
+
+def _quadratic_reference(sc: Scenario):
+    v, p, _ = model_one.quadratic_1d_reference(sc.region.coords_1d())
+    cost = eval_cost(sc.kernel, sc.region)
+    return model_one.price_report(PricePattern(p), v, cost, sc.measure, model_one.METHOD_QUADRATIC_REFERENCE, {})
+
+
+def _partition(sc: Scenario) -> model_two.PartitionContext:
+    return model_two.PartitionContext.build(sc.region, sc.kernel, sc.p0)
+
+
+def _one_d(sc: Scenario):
+    """A uniform measure is the continuum uniform of its declared mass; weights use their atoms."""
+    mass, unit = sc.uniform_mass, uniform_cdf(0.0, 1.0)
+    cdf = None if mass is None else (lambda t: mass * unit(t))
+    alpha, beta = sc.fixed_window
+    return model_two.one_d_reduction(alpha, beta, sc.p0_constant, cdf, ctx=_partition(sc), f=sc.measure, grid_n=sc.search.grid_n)
+
+
+def _solve_nash(sc: Scenario):
+    region, g = sc.region, sc.game
+    if g["masks"] is not None:
+        ctx = nash.GameContext.build(region, sc.kernel, *g["masks"], sc.measure, price_cap=g["price_cap"])
+    else:
+        ctx = nash.GameContext.from_split(region, sc.kernel, g["split"], sc.measure, price_cap=g["price_cap"])
+    cfg = nash.NashSearchConfig(grid_n=g["grid_n"])
+    trace = nash.best_response_dynamics(g["init_p"], g["init_q"], ctx, g["rounds"], g["eps"], cfg)
+    last = trace.rounds[-1]
+    summary = {
+        "method": "dynamics", "rounds_used": len(trace.rounds), "converged": trace.converged,
+        "oscillation_period": trace.oscillation_period, "payoff_a": last.payoff_a, "payoff_b": last.payoff_b,
+        "profit": last.payoff_a + last.payoff_b,
+    }
+    pv, qv = np.zeros(region.size), np.zeros(region.size)
+    pv[ctx.indices("A")], qv[ctx.indices("B")] = last.p, last.q
+    if g["verify"]:
+        ver = nash.verify_equilibrium(pv, qv, ctx, cfg)
+        for key in ("is_equilibrium", "best_deviation_gain_a", "best_deviation_gain_b"):
+            summary[key] = getattr(ver, key)
+    series = [["index", "x", "region", "price_a", "price_b"]]
+    for i in range(region.size):
+        in_a, in_b = bool(ctx.a_mask[i]), bool(ctx.b_mask[i])
+        owner = "AB" if in_a and in_b else ("A" if in_a else "B")
+        series.append([str(i), _fmt(region.points[i, 0]), owner, _fmt(pv[i]) if in_a else "", _fmt(qv[i]) if in_b else ""])
+    trace_rows = [["round", "player", "sup_delta", "payoff"]]
+    for r in trace.rounds:
+        trace_rows.append([str(r.round), "A", _fmt(r.delta_p), _fmt(r.payoff_a)])
+        trace_rows.append([str(r.round), "B", _fmt(r.delta_q), _fmt(r.payoff_b)])
+    return trace, summary, {"series.csv": series, "trace.csv": trace_rows}
+
+
+def _series_model_one_two(sc: Scenario, rep):
+    """series.csv of a model-one or model-two report; model one captures every customer."""
+    region, p0, pv = sc.region, sc.p0.values, rep.optimal_price.values
+    axes = ["x"] if region.dimension == 1 else ["x", "y"]
+    rows = [["index", *axes, "mask", "bound_or_fixed_price", "price", "value", "assignment", "captured"]]
+    for i in range(region.size):
+        rows.append(
+            [str(i), *(_fmt(c) for c in region.points[i]), _MASK_NAMES[int(region.mask[i])]]
+            + [_fmt(p0[i]) if np.isfinite(p0[i]) else "+inf", _fmt(pv[i]), _fmt(rep.optimal_value[i])]
+            + [str(int(rep.choice[i])), str(1 if rep.captured is None else int(bool(rep.captured[i])))]
+        )
+    return {"series.csv": rows}
+
+
+def _on_unit_interval(sc: Scenario) -> bool:
+    """True when the 1D region runs from 0 to 1 (each end within 1e-12)."""
+    x = sc.region.coords_1d()
+    return abs(x[0]) < 1e-12 and abs(x[-1] - 1.0) < 1e-12
+
+
+def _has_quadratic_bound(sc: Scenario) -> bool:
+    x = sc.region.coords_1d()
+    return bool(np.all(np.abs(sc.p0.values - (x - 0.5 * x**2)) <= 1e-9))
+
+
+def _distance_cost(sc: Scenario) -> bool:
+    return sc.kernel.is_metric and sc.kernel.alpha == 1.0
+
+
+# Solvers are looked up on their modules at call time, so a wrapper installed
+# on a module attribute (a profiler, a test double) sees every call.
+METHODS: dict[str, Method] = {
+    "metric_closed_form": Method(
+        "one", _reported(lambda sc: model_one.solve_metric(sc.p0, sc.kernel, sc.region, sc.measure)),
+        ((lambda sc: sc.kernel.is_metric, "metric_closed_form needs a metric cost kernel"),),
+    ),
+    "general_search": Method(
+        "one", _reported(lambda sc: model_one.solve_general(sc.p0, sc.kernel, sc.region, sc.measure, sc.search)),
+        reads_price_cap=True,
+    ),
+    "quadratic_reference": Method(
+        "one", _reported(_quadratic_reference),
+        (
+            (lambda sc: sc.kernel.kind.value == "quadratic", "quadratic_reference needs the quadratic cost"),
+            (lambda sc: sc.region.dimension == 1, "quadratic_reference needs a 1D region"),
+            (_on_unit_interval, "quadratic_reference needs the region [0, 1]"),
+            (_has_quadratic_bound, "quadratic_reference needs the bound x - x^2/2"),
+        ),
+    ),
+    "w_search": Method("two", _reported(lambda sc: model_two.solve_w_search(_partition(sc), sc.measure, sc.search))),
+    "one_d": Method(
+        "two", _reported(_one_d),
+        (
+            (lambda sc: sc.region.dimension == 1, "one_d needs a 1D region"),
+            (lambda sc: sc.p0_constant is not None, "one_d needs a constant fixed_price"),
+            (_distance_cost, "one_d needs the distance cost"),
+            (_on_unit_interval, "one_d needs the region [0, 1]"),
+        ),
+    ),
+    "boundary_control": Method(
+        "two", _reported(lambda sc: model_two.solve_boundary_control(_partition(sc), sc.measure, sc.search)),
+        ((_distance_cost, "boundary_control needs the distance cost"),),
+    ),
+    "dynamics": Method("nash", _solve_nash),
+}

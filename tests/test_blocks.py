@@ -127,11 +127,7 @@ def test_assignment_and_tie_break(blocks, seed):
         assert same_bits(got[1], choice)
         assert same_bits(got[2], dense_tie_break(member, prices, within))
         transport = dense_capture_transport(member, cost, within) if within.size else np.full(N, np.inf)
-        # a min over a row holding both 0.0 and -0.0 may return either zero,
-        # depending on the block's shape and memory alignment (numpy's SIMD
-        # reduction), so the transport's zeros compare by value: x + 0.0
-        # turns -0.0 into 0.0
-        assert same_bits(got[3] + 0.0, transport + 0.0)
+        assert same_bits(got[3], transport + 0.0)
 
 
 @pytest.mark.parametrize("seed", range(3))

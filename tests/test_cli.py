@@ -70,6 +70,20 @@ class TestRun:
         assert np.isclose(result["summary"]["p2"], 0.2)
         assert abs(result["summary"]["profit"] - 0.08) <= 0.01
 
+    def test_one_d_objective_scales_with_the_uniform_mass(self, tmp_path):
+        summaries = []
+        for mass in (1.0, 2.0):
+            scen = window_scenario(0.4)
+            scen["region"]["fixed_window"] = [0.3, 0.7]
+            scen["measure"]["mass"] = mass
+            out = tmp_path / f"out{mass}"
+            assert run(write_scenario(tmp_path, f"mass{mass}.json", scen), str(out)) == EXIT_OK
+            summaries.append(json.loads((out / "result.json").read_text())["summary"])
+        one, two = summaries
+        assert (two["p1"], two["p2"]) == (one["p1"], one["p2"])
+        assert two["objective_two_term"] == 2 * one["objective_two_term"]
+        assert two["profit"] == pytest.approx(2 * one["profit"])
+
     def test_malformed_scenario_writes_nothing(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": "five"}')
@@ -591,6 +605,10 @@ def _method(name, edit=lambda s: None):
     return lambda s: (s.setdefault("solver", {}).update(method=name), edit(s))
 
 
+def _price_cap(scen):
+    scen.setdefault("solver", {}).setdefault("search", {})["price_cap"] = 0.01
+
+
 class TestMethodRequirements:
     """Each method's refusal of a scenario it cannot solve, with its exact message."""
 
@@ -633,6 +651,17 @@ class TestMethodRequirements:
                 "solver: method 'general_search' does not apply to model 'two'",
             ),
             (nash_scenario, _method("w_search"), "solver: method 'w_search' does not apply to model 'nash'"),
+            *(
+                (scenario, _price_cap, f"solver.search.price_cap: method {name!r} does not read a price cap; set it to null or drop it")
+                for scenario, name in [
+                    (grid_scenario, "metric_closed_form"),
+                    (quadratic_reference_scenario, "quadratic_reference"),
+                    (grid_box_scenario, "w_search"),
+                    (window_scenario, "one_d"),
+                    (boundary_control_scenario, "boundary_control"),
+                    (nash_scenario, "dynamics"),
+                ]
+            ),
         ],
         ids=[
             "metric_closed_form_quadratic_cost",
@@ -647,6 +676,12 @@ class TestMethodRequirements:
             "boundary_control_alpha",
             "model_one_method_on_model_two",
             "model_two_method_on_nash",
+            "price_cap_metric_closed_form",
+            "price_cap_quadratic_reference",
+            "price_cap_w_search",
+            "price_cap_one_d",
+            "price_cap_boundary_control",
+            "price_cap_dynamics",
         ],
     )
     def test_exit_2_with_the_exact_message_and_nothing_written(self, tmp_path, scenario, edit, message):
@@ -667,6 +702,12 @@ class TestMethodRequirements:
         scen = scenario()
         scen.pop("solver", None)
         assert load_scenario(write_scenario(tmp_path, "default.json", scen)).method == default
+
+    def test_null_price_cap_and_other_search_keys_load(self, tmp_path):
+        scen = window_scenario(0.4)
+        scen["solver"]["search"] = {"price_cap": None, "max_sweeps": 8, "refine_halvings": 6}
+        sc = load_scenario(write_scenario(tmp_path, "null_cap.json", scen))
+        assert sc.method == "one_d" and sc.search.price_cap is None
 
 
 class TestMain:
