@@ -9,6 +9,12 @@ the table once (`geometry.eval_cost`) and keep it.  Each table function
 holds its one full-size output plus temporaries of at most
 `geometry.BLOCK_CELLS` cells: it works in blocks of the axis it does not
 reduce, so its results are bit-identical to one dense expression.
+
+Both models score a value function w with one profit kernel: a customer
+with w(x) <= v0(x) pays w(x) minus the cheapest transport into the
+superdifferential at x, the others shop outside (model one: v0 = +inf).
+`_profit_batch` scores a batch of value functions for the searches,
+`_value_profit` one value function for the reports.
 """
 
 from __future__ import annotations
@@ -131,12 +137,28 @@ def _transport(values: np.ndarray, vc: np.ndarray, cols: np.ndarray, tol: float)
     return np.where(member, cols, np.inf).min(axis=-1)
 
 
-def _transport_rows(values: np.ndarray, vc: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray], tol: float) -> np.ndarray:
-    """`_transport` of one value function against the columns `within` (all when None) of the full table, a row block at a time."""
-    out = np.empty(cost.shape[0])
+def _profit_batch(W: np.ndarray, WC: np.ndarray, cols: np.ndarray, v0, weights: np.ndarray, tol: float) -> np.ndarray:
+    """Profit of each row of a batch of value functions W (B, n).
+
+    A customer with w(x) <= v0(x) + tol pays w(x) minus the cheapest transport
+    into the superdifferential over the columns `cols` (WC is the c-transform
+    on them); the others shop outside.  Model one passes v0 = +inf."""
+    net = np.where(W <= v0 + tol, W - _transport(W, WC, cols, tol), 0.0)
+    return (net * weights).sum(axis=-1)
+
+
+def _value_profit(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray], v0, weights: np.ndarray, tol: float) -> float:
+    """`_profit_batch` of one value function against the columns `within`
+    (all when None) of the full table, a row block at a time, summed by one
+    dot product.  Raises NotCConcaveError unless the values are cost concave
+    w.r.t. `within`."""
+    vc = c_transform_table(values, cost, within)
+    if not is_c_concave_table(values, cost, within, vc):
+        raise NotCConcaveError("profit needs a value function that is cost concave w.r.t. the generators")
+    delta = np.empty(cost.shape[0])
     for rows in row_blocks(cost.shape[0], vc.size):
-        out[rows] = _transport(values[rows], vc, _columns(cost, rows, within), tol)
-    return out
+        delta[rows] = _transport(values[rows], vc, _columns(cost, rows, within), tol)
+    return float(np.dot(weights, np.where(values <= v0 + tol, values - delta, 0.0)))
 
 
 def assignment_table(prices: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:

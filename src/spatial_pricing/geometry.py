@@ -258,6 +258,12 @@ def build_interval_region(
     return Region(points=pts, mask=mask, boundary_of_fixed=boundary)
 
 
+def _has_neighbour(a: np.ndarray) -> np.ndarray:
+    """True where one of the 4 grid neighbours is True; cells off the grid are False."""
+    p = np.pad(a, 1)
+    return p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2] | p[1:-1, 2:]
+
+
 def build_grid_region(
     nx: int,
     ny: int,
@@ -298,23 +304,7 @@ def build_grid_region(
         if not (mask == Mask.FREE).any():
             raise ValueError("fixed box swallows the whole region")
         fixed = mask.reshape(ny, nx) == Mask.FIXED
-        neigh_fixed = np.zeros_like(fixed)
-        neigh_free = np.zeros_like(fixed)
-        for sh, ax_ in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
-            rolled = np.roll(fixed, sh, axis=ax_)
-            # roll wraps around; mask out the wrapped row/column
-            if ax_ == 0:
-                rolled[0 if sh == 1 else -1, :] = False
-            else:
-                rolled[:, 0 if sh == 1 else -1] = False
-            neigh_fixed |= rolled
-            rolled_free = np.roll(~fixed, sh, axis=ax_)
-            if ax_ == 0:
-                rolled_free[0 if sh == 1 else -1, :] = False
-            else:
-                rolled_free[:, 0 if sh == 1 else -1] = False
-            neigh_free |= rolled_free
-        interface = (~fixed & neigh_fixed) | (fixed & neigh_free)
+        interface = (~fixed & _has_neighbour(fixed)) | (fixed & _has_neighbour(~fixed))
         boundary = interface.ravel()
     return Region(points=pts, mask=mask, boundary_of_fixed=boundary)
 

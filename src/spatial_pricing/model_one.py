@@ -92,11 +92,7 @@ def profit_from_values(
     superdifferential at x.  Rejects inputs that fail the concavity check.
     """
     cost = eval_cost(kernel, region)
-    vc = ct.c_transform_table(values, cost)
-    if not ct.is_c_concave_table(values, cost, vc=vc):
-        raise ct.NotCConcaveError("profit_from_values requires a cost-concave input")
-    delta = ct._transport_rows(values, vc, cost, None, ct.scale_tol(cost))
-    return float(np.dot(f.weights, values - delta))
+    return ct._value_profit(values, cost, None, np.inf, f.weights, ct.scale_tol(cost))
 
 
 def solve_metric(
@@ -135,8 +131,7 @@ def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, t
         return np.min(cost - VC[..., None, :], axis=-1), VC
 
     def score(V: np.ndarray) -> np.ndarray:
-        VP, VC = reproject(V)
-        return ((VP - ct._transport(VP, VC, cost, tol)) * weights[None, :]).sum(axis=1)
+        return ct._profit_batch(*reproject(V), cost, np.inf, weights, tol)
 
     def project(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(projected value, its c-transform); leading axes of G are a batch."""

@@ -171,29 +171,27 @@ def profit_from_values(
     Customers with w <= v0 contribute w(x) minus the cheapest transport into
     the free-part superdifferential; the rest shop in the fixed part.
     """
-    free = ctx.free
-    vc = ct.c_transform_table(w, ctx.cost, free)
-    if not ct.is_c_concave_table(w, ctx.cost, free, vc):
-        raise ct.NotCConcaveError("profit needs a subregion-concave value function")
-    delta = ct._transport_rows(w, vc, ctx.cost, free, ctx.tol)
-    captured = w <= ctx.v0 + ctx.tol
-    return float(np.dot(f.weights, np.where(captured, w - delta, 0.0)))
+    return ct._value_profit(w, ctx.cost, ctx.free, ctx.v0, f.weights, ctx.tol)
+
+
+def _subregion_score(ctx: PartitionContext, weights: np.ndarray, tol: float):
+    """Batched profit of value functions W (B, n) whose generators are free points."""
+    cost_free = ctx.cost[:, ctx.free]
+
+    def score(W: np.ndarray) -> np.ndarray:
+        WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
+        return ct._profit_batch(W, WC, cost_free, ctx.v0, weights, tol)
+
+    return score
 
 
 def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: float):
     cost_free = ctx.cost[:, ctx.free]
-    v0 = ctx.v0
 
     def value(G: np.ndarray) -> np.ndarray:
         return np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
 
-    def score(W: np.ndarray) -> np.ndarray:
-        WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        delta = ct._transport(W, WC, cost_free, tol)
-        captured = W <= v0[None, :] + tol
-        return (np.where(captured, W - delta, 0.0) * weights[None, :]).sum(axis=1)
-
-    return scored_by_value(value, score, *cost_free.shape)
+    return scored_by_value(value, _subregion_score(ctx, weights, tol), *cost_free.shape)
 
 
 def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> SolveReport:
@@ -254,9 +252,10 @@ def solve_boundary_control(
 
     Interface prices phi (1-Lipschitz, 0 <= phi <= v0 there) determine the
     value function everywhere through w(x) = min over interface b of
-    {d(x, b) + phi(b)}.  The optimized objective splits the profit into the
-    free-part income plus the fixed-part income net of the transport distance
-    back into the free part.
+    {d(x, b) + phi(b)}.  The objective is w_search's profit of that w: a
+    1-Lipschitz w puts every free point in its own superdifferential, so a
+    free customer's transport is exactly 0, and the generator prices are w
+    on the free part.
     """
     if not ctx.kernel.is_metric:
         raise ValueError("boundary control requires a metric cost kernel")
@@ -267,10 +266,8 @@ def solve_boundary_control(
     caps = np.maximum(ctx.v0[ctrl], 0.0)
     dctrl = ctx.cost[np.ix_(ctrl, ctrl)]
     cost_ctrl = ctx.cost[:, ctrl]
-    free = ctx.free
-    fixed_mask = ctx.region.mask == Mask.FIXED
-    weights = f.weights
-    cost_free = ctx.cost[:, free]
+    score = _subregion_score(ctx, f.weights, tol)
+    shape = (ctx.region.size, ctx.free.size)
 
     def feasible(PHI: np.ndarray) -> np.ndarray:
         gap = PHI[:, :, None] - PHI[:, None, :] - dctrl[None, :, :]
@@ -279,32 +276,21 @@ def solve_boundary_control(
     def value(PHI: np.ndarray) -> np.ndarray:
         return np.min(cost_ctrl[None, :, :] + PHI[:, None, :], axis=2)
 
-    def score(W: np.ndarray) -> np.ndarray:
-        WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        delta = ct._transport(W, WC, cost_free, tol)
-        captured = W <= ctx.v0[None, :] + tol
-        # the free-side term also carries the capture condition: on coarse 2D
-        # grids an interface-generated value can exceed the outside option at
-        # distant free points, and those customers shop in the fixed part
-        free_part = (np.where(captured, W, 0.0) * weights[None, :] * (~fixed_mask)[None, :]).sum(axis=1)
-        fixed_part = (np.where(captured & fixed_mask[None, :], W - delta, 0.0) * weights[None, :]).sum(axis=1)
-        return free_part + fixed_part
-
     k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
         # a product scan visits each candidate once and repeats no value function
-        eval_batch = within_budget(lambda PHI: score(value(PHI)), *cost_free.shape)
+        eval_batch = within_budget(lambda PHI: score(value(PHI)), *shape)
         phi_best, val_best, diag = exhaustive_product(eval_batch, caps, levels, search.max_candidates, feasible=feasible)
     else:
         # each start becomes the largest 1-Lipschitz function below it on the control set
         starts = [ct.value_table(u, dctrl) for u in seeded_starts(caps, search)]
-        eval_batch = scored_by_value(value, score, *cost_free.shape)
+        eval_batch = scored_by_value(value, score, *shape)
         phi_best, val_best, diag = coordinate_ascent(eval_batch, caps, starts, search, feasible=feasible)
 
     w = ct.value_table(phi_best, cost_ctrl)
-    g_free = ct.value_table(phi_best, ctx.cost[np.ix_(ctrl, free)].T)
-    report = _w_search_report(ctx, f, g_free, METHOD_BOUNDARY, diag)
+    # the free generator prices are w on the free part: the metric table is symmetric
+    report = _w_search_report(ctx, f, w[ctx.free], METHOD_BOUNDARY, diag)
     report.diagnostics.update(
         {
             "split_objective": val_best,
@@ -353,6 +339,8 @@ def one_d_reduction(
     by the (p1, p2)-independent transport premium collected outside the
     window.
     """
+    if f is not None and f.total_mass <= 0:
+        raise ValueError("the customer measure must have positive mass")
     if not (0.0 <= alpha < beta <= 1.0):
         raise ValueError("the window must satisfy 0 <= alpha < beta <= 1")
     if p0 < 0:
@@ -364,8 +352,6 @@ def one_d_reduction(
         coords = ctx.region.coords_1d()
         atoms = (coords, f.weights)
         cdf = step_cdf(ctx.region, f)
-        if f.total_mass <= 0:
-            raise ValueError("the customer measure must have positive mass")
 
     grid = np.linspace(0.0, p0, grid_n) if p0 > 0 else np.zeros(1)
     P1, P2 = np.meshgrid(grid, grid, indexing="ij")

@@ -36,6 +36,21 @@ class TestIntervalRegion:
             sp.build_interval_region(5, 1.0, 0.0)
 
 
+def _rolled_interface(fixed):
+    """The interface marking as first written: rolled masks with the wrapped row or column cleared."""
+    neigh_fixed = np.zeros_like(fixed)
+    neigh_free = np.zeros_like(fixed)
+    for sh, ax_ in ((1, 0), (-1, 0), (1, 1), (-1, 1)):
+        for src, neigh in ((fixed, neigh_fixed), (~fixed, neigh_free)):
+            rolled = np.roll(src, sh, axis=ax_)
+            if ax_ == 0:
+                rolled[0 if sh == 1 else -1, :] = False
+            else:
+                rolled[:, 0 if sh == 1 else -1] = False
+            neigh |= rolled
+    return (~fixed & neigh_fixed) | (fixed & neigh_free)
+
+
 class TestGridRegion:
     def test_boundary_marking_uses_4_neighbourhood(self):
         r = sp.build_grid_region(5, 5, fixed_box=((0.2, 0.8), (0.2, 0.8)))
@@ -48,6 +63,24 @@ class TestGridRegion:
         assert boundary[1:4, 1:4].sum() == 8  # fixed ring, centre excluded
         assert boundary[0, 1:4].all() and boundary[4, 1:4].all()
         assert boundary[1:4, 0].all() and boundary[1:4, 4].all()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_boundary_marking_matches_the_rolled_form(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(k) for k in rng.integers(2, 12, 2))
+        for _ in range(20):
+            if rng.uniform() < 0.3:  # box edges on grid lines
+                x0, x1 = np.sort(rng.choice(nx, 2, replace=False)) / (nx - 1)
+                y0, y1 = np.sort(rng.choice(ny, 2, replace=False)) / (ny - 1)
+            else:
+                x0, x1 = np.sort(rng.uniform(0.0, 1.0, 2))
+                y0, y1 = np.sort(rng.uniform(0.0, 1.0, 2))
+            try:
+                r = sp.build_grid_region(nx, ny, fixed_box=((x0, x1), (y0, y1)))
+            except ValueError:
+                continue
+            fixed = (r.mask == Mask.FIXED).reshape(ny, nx)
+            assert np.array_equal(r.boundary_of_fixed, _rolled_interface(fixed).ravel())
 
     def test_region_invariants(self):
         with pytest.raises(ValueError):

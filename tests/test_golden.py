@@ -115,6 +115,12 @@ SCENARIOS = {
         {"kind": "weights", "values": [1.0 + (i % 5) / 4 for i in range(1025)]},
     ),
     "two_one_d_blocks": _two({"method": "one_d", "search": {"grid_n": 41}}, fixed_price=0.3, n=1025, window=(0.25, 0.75)),
+    # 8 control points: 4^8 candidates exceed max_candidates, so boundary
+    # control runs its ascent, the only search that passes `feasible`
+    "two_boundary_control_2d": {
+        **_two({"method": "boundary_control", "search": {"levels": 4, "multistarts": 3, "max_candidates": 100}}, 0.6, n=36),
+        "region": {"dimension": 2, "nx": 6, "ny": 6, "fixed_box": [[0.2, 0.8], [0.2, 0.8]]},
+    },
 }
 
 GOLDEN = {
@@ -185,6 +191,10 @@ GOLDEN = {
         "result.json": "a4048b22aac4b0d7df2280dae16e8074a8ec90b851407a0d05cea35faa1f70dc",
         "series.csv": "f435cc5c7a205e784f7643f4afe87ecdf3d70b6370d31d89173c7200d9cd717d",
     },
+    "two_boundary_control_2d": {
+        "result.json": "a7d975bd5b932d5674d4194637674b44aaaf6caf998d413938a5d8e56619a27a",
+        "series.csv": "03e4deaf19649d38a98d823ed795119da52e3d32e25068013a4baec77ed99135",
+    },
 }
 
 CHILD = """
@@ -216,3 +226,19 @@ def output_hashes(work: Path) -> dict:
 
 def test_outputs_match_golden_hashes(tmp_path):
     assert output_hashes(tmp_path) == GOLDEN
+
+
+if __name__ == "__main__":
+    # print the GOLDEN dict of the current tree in this file's layout, to
+    # paste above after a change that alters output bytes on purpose
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        hashes = output_hashes(Path(work))
+    print("GOLDEN = {")
+    for name, files in hashes.items():
+        print(f'    "{name}": {{')
+        for out, digest in files.items():
+            print(f'        "{out}": "{digest}",')
+        print("    },")
+    print("}")

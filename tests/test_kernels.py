@@ -30,18 +30,24 @@ def _value_profit_reference(cost, v0, weights, tol):
     return eval_batch
 
 
-def _subregion_profit_reference(ctx, weights, tol):
+def _subregion_score_reference(ctx, weights, tol):
+    """Profit of each value function W (B, n) generated on the free part."""
     cost_free = ctx.cost[:, ctx.free]
 
-    def eval_batch(G):
-        W = np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
+    def score(W):
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
         member = W[:, :, None] + WC[:, None, :] - cost_free[None, :, :] >= -tol
         delta = np.where(member, cost_free[None, :, :], np.inf).min(axis=2)
         captured = W <= ctx.v0[None, :] + tol
         return (np.where(captured, W - delta, 0.0) * weights[None, :]).sum(axis=1)
 
-    return eval_batch
+    return score
+
+
+def _subregion_profit_reference(ctx, weights, tol):
+    cost_free = ctx.cost[:, ctx.free]
+    score = _subregion_score_reference(ctx, weights, tol)
+    return lambda G: score(np.min(cost_free[None, :, :] + G[:, None, :], axis=2))
 
 
 def _model_one_case(seed):
@@ -123,6 +129,61 @@ def test_boundary_control_rows_do_not_depend_on_the_batch(monkeypatch):
     eval_batch, caps = _boundary_control_objective(monkeypatch)
     G = np.random.default_rng(0).uniform(0.0, 1.0, (33, caps.size)) * caps
     _assert_rows_independent(eval_batch, G)
+
+
+def _split_score_reference(ctx, weights, tol):
+    """Boundary control's former objective: free-part income plus fixed-part
+    income net of the transport back into the free part."""
+    cost_free = ctx.cost[:, ctx.free]
+    fixed = ctx.region.mask == Mask.FIXED
+
+    def score(W):
+        WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
+        delta = ct._transport(W, WC, cost_free, tol)
+        captured = W <= ctx.v0[None, :] + tol
+        free_part = (np.where(captured, W, 0.0) * weights[None, :] * (~fixed)[None, :]).sum(axis=1)
+        fixed_part = (np.where(captured & fixed[None, :], W - delta, 0.0) * weights[None, :]).sum(axis=1)
+        return free_part + fixed_part
+
+    return score
+
+
+def _interface_case(seed):
+    """A 1D window (seeds 0-11) or a 2D box (seeds 12-23) with seeded prices and weights."""
+    rng = np.random.default_rng(seed)
+    if seed < 12:
+        # window edges on grid points, which are then the free control points
+        n = 10 * int(rng.integers(2, 5)) + 1
+        a = 0.1 * int(rng.integers(1, 5))
+        region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(a, a + 0.1 * int(rng.integers(2, 5))))
+    else:
+        nx, ny = (int(k) for k in rng.integers(5, 9, 2))
+        x0, y0 = rng.uniform(0.1, 0.3, 2)
+        region = sp.build_grid_region(nx, ny, fixed_box=((x0, x0 + rng.uniform(0.4, 0.6)), (y0, y0 + rng.uniform(0.4, 0.6))))
+    n = region.size
+    p0 = sp.PricePattern(rng.uniform(0.2, 0.8, n) if seed % 2 else np.full(n, rng.uniform(0.2, 0.8)))
+    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), p0)
+    return ctx, sp.CustomerMeasure(rng.uniform(0.1, 2.0, n)), rng
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_boundary_control_scores_the_interface_value_with_the_subregion_kernel(monkeypatch, seed):
+    ctx, f, rng = _interface_case(seed)
+    eval_batch, caps = _captured_objective(monkeypatch, ctx, f, sp.SearchConfig(levels=3, max_candidates=1000))
+    ctrl = model_two._control_points(ctx)
+    # the largest 1-Lipschitz function below seeded prices on the control set
+    U = rng.uniform(0.0, 1.0, (48, ctrl.size)) * caps
+    PHI = np.min(ctx.cost[np.ix_(ctrl, ctrl)][None, :, :] + U[:, None, :], axis=2)
+    W = np.min(ctx.cost[:, ctrl][None, :, :] + PHI[:, None, :], axis=2)
+    # every free point is in its own superdifferential: its transport is 0
+    cost_free = ctx.cost[:, ctx.free]
+    WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
+    assert np.all(ct._transport(W, WC, cost_free, ctx.tol)[:, ctx.free] == 0.0)
+    got = eval_batch(PHI)
+    assert np.array_equal(got, _subregion_score_reference(ctx, f.weights, ctx.tol)(W))
+    # the split form regroups the same terms
+    split = _split_score_reference(ctx, f.weights, ctx.tol)(W)
+    assert np.all(np.abs(split - got) <= 1e-15 * np.abs(got))
 
 
 def _transport_one_batch_axis(V, VC, cols, tol):
