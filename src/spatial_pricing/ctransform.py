@@ -15,6 +15,15 @@ with w(x) <= v0(x) pays w(x) minus the cheapest transport into the
 superdifferential at x, the others shop outside (model one: v0 = +inf).
 `_profit_batch` scores a batch of value functions for the searches,
 `_value_profit` one value function for the reports.
+
+The searches skip most of the transport scan by a nearest-column rule:
+when a customer's cheapest column j*(x) is in the superdifferential at x,
+the transport is its cost c*(x), the row minimum, with no scan.  With the
+distance cost a model-two value function is 1-Lipschitz, so every free
+customer buys at home, and a captured fixed customer usually travels to
+the nearest free point: the rule resolves about 95% of a model-two
+search's customers.  The reports keep the dense scan, so their self-checks
+compare against an independent evaluation.
 """
 
 from __future__ import annotations
@@ -125,25 +134,61 @@ def superdifferential_mask(
     return member
 
 
-def _transport(values: np.ndarray, vc: np.ndarray, cols: np.ndarray, tol: float) -> np.ndarray:
+def _nearest(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cheapest column j*(x) (the first, on ties) and its cost c*(x)."""
+    j = np.argmin(cols, axis=1)
+    return j, cols[np.arange(cols.shape[0]), j]
+
+
+def _transport(
+    values: np.ndarray, vc: np.ndarray, cols: np.ndarray, tol: float, nearest: Optional[tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
     """Cheapest c(x, y) into the superdifferential at each x (+inf if empty).
 
     Membership v(x) + v^c(y) - c(x, y) >= -tol is one-sided, since v^c bounds
-    it above by 0; leading axes of `values` and `vc` are a batch."""
-    gap = values[..., :, None] + vc[..., None, :]
-    gap -= cols
-    member = gap >= -tol
-    del gap
-    return np.where(member, cols, np.inf).min(axis=-1)
+    it above by 0; leading axes of `values` and `vc` are a batch.
+
+    With `nearest` = `_nearest(cols)`, a customer whose cheapest column j* is
+    a member costs c*(x) without a scan: the transport is a min over members
+    and c*(x) is the row minimum.  The membership entry at j* uses the dense
+    entry's float operations and min does not round, so the result is
+    bit-identical (up to the sign of a zero minimum, which min leaves open
+    in a row holding 0.0 and -0.0).  Only the other customers are scanned,
+    as one (K, m) block, or the whole batch when they are most of it."""
+    if nearest is None:
+        gap = values[..., :, None] + vc[..., None, :]
+        gap -= cols
+        member = gap >= -tol
+        del gap
+        return np.where(member, cols, np.inf).min(axis=-1)
+    j, c = nearest
+    gap = np.take(vc, j, axis=-1)
+    gap += values  # the dense entry's float operations: + is commutative, bit for bit
+    gap -= c
+    miss = ~(gap >= -tol)
+    if 2 * np.count_nonzero(miss) > miss.size:
+        # most customers need the scan: one dense pass costs less than gathering them
+        return _transport(values, vc, cols, tol)
+    n, m = cols.shape
+    out = np.where(miss, np.inf, c)
+    b, x = np.nonzero(miss.reshape(-1, n))
+    if b.size:
+        # each missed customer is a batch of one, scanned over all columns
+        scanned = _transport(values.reshape(-1, n)[b, x, None], vc.reshape(-1, m)[b], cols[x, None, :], tol)
+        out.reshape(-1, n)[b, x] = scanned[:, 0]
+    return out
 
 
-def _profit_batch(W: np.ndarray, WC: np.ndarray, cols: np.ndarray, v0, weights: np.ndarray, tol: float) -> np.ndarray:
+def _profit_batch(
+    W: np.ndarray, WC: np.ndarray, cols: np.ndarray, v0, weights: np.ndarray, tol: float, nearest: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
     """Profit of each row of a batch of value functions W (B, n).
 
     A customer with w(x) <= v0(x) + tol pays w(x) minus the cheapest transport
     into the superdifferential over the columns `cols` (WC is the c-transform
-    on them); the others shop outside.  Model one passes v0 = +inf."""
-    net = np.where(W <= v0 + tol, W - _transport(W, WC, cols, tol), 0.0)
+    on them); the others shop outside.  Model one passes v0 = +inf.
+    `nearest` is `_nearest(cols)`, computed once per objective."""
+    net = np.where(W <= v0 + tol, W - _transport(W, WC, cols, tol, nearest), 0.0)
     return (net * weights).sum(axis=-1)
 
 

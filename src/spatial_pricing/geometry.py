@@ -222,6 +222,22 @@ def _edge_tol(*ends: float) -> float:
     return 1e-12 * total
 
 
+def _has_neighbour(a: np.ndarray) -> np.ndarray:
+    """True where a grid neighbour along some axis (2 in 1D, 4 in 2D) is True; cells off the grid are False."""
+    p = np.pad(a, 1)
+    inner = [slice(1, -1)] * a.ndim
+    out = np.zeros_like(a)
+    for axis in range(a.ndim):
+        for shifted in (slice(None, -2), slice(2, None)):
+            out |= p[tuple(inner[:axis] + [shifted] + inner[axis + 1 :])]
+    return out
+
+
+def _interface(fixed: np.ndarray) -> np.ndarray:
+    """FREE points with a FIXED neighbour and FIXED points with a FREE neighbour, on a 1D or 2D grid."""
+    return (~fixed & _has_neighbour(fixed)) | (fixed & _has_neighbour(~fixed))
+
+
 def build_interval_region(
     n: int,
     a: float,
@@ -230,8 +246,9 @@ def build_interval_region(
 ) -> Region:
     """Equally spaced points on [a, b], optionally with a fixed open window.
 
-    Points strictly inside (alpha, beta) are FIXED, the rest FREE; the grid
-    points nearest alpha and beta are marked as the interface.  Without a
+    Points strictly inside (alpha, beta) are FIXED, the rest FREE.  The
+    interface marking uses adjacency, as in build_grid_region: FREE points
+    with a FIXED neighbour and FIXED points with a FREE neighbour.  Without a
     window all masks are NONE.
     """
     if n < 2:
@@ -252,16 +269,9 @@ def build_interval_region(
         mask[inside] = Mask.FIXED
         if not (mask == Mask.FREE).any():
             raise ValueError("fixed window swallows the whole region")
-        boundary[int(np.argmin(np.abs(x - alpha)))] = True
-        boundary[int(np.argmin(np.abs(x - beta)))] = True
+        boundary = _interface(mask == Mask.FIXED)
     pts = x[:, None]
     return Region(points=pts, mask=mask, boundary_of_fixed=boundary)
-
-
-def _has_neighbour(a: np.ndarray) -> np.ndarray:
-    """True where one of the 4 grid neighbours is True; cells off the grid are False."""
-    p = np.pad(a, 1)
-    return p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2] | p[1:-1, 2:]
 
 
 def build_grid_region(
@@ -303,9 +313,7 @@ def build_grid_region(
         mask[inside] = Mask.FIXED
         if not (mask == Mask.FREE).any():
             raise ValueError("fixed box swallows the whole region")
-        fixed = mask.reshape(ny, nx) == Mask.FIXED
-        interface = (~fixed & _has_neighbour(fixed)) | (fixed & _has_neighbour(~fixed))
-        boundary = interface.ravel()
+        boundary = _interface(mask.reshape(ny, nx) == Mask.FIXED).ravel()
     return Region(points=pts, mask=mask, boundary_of_fixed=boundary)
 
 

@@ -177,10 +177,11 @@ def profit_from_values(
 def _subregion_score(ctx: PartitionContext, weights: np.ndarray, tol: float):
     """Batched profit of value functions W (B, n) whose generators are free points."""
     cost_free = ctx.cost[:, ctx.free]
+    nearest = ct._nearest(cost_free)
 
     def score(W: np.ndarray) -> np.ndarray:
         WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        return ct._profit_batch(W, WC, cost_free, ctx.v0, weights, tol)
+        return ct._profit_batch(W, WC, cost_free, ctx.v0, weights, tol, nearest)
 
     return score
 
@@ -194,12 +195,18 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
     return scored_by_value(value, _subregion_score(ctx, weights, tol), *cost_free.shape)
 
 
-def _w_search_report(ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, method: str, diagnostics: dict) -> SolveReport:
+def _w_search_report(
+    ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, best: float, method: str, diagnostics: dict
+) -> SolveReport:
+    """Report of the free generator prices `g_best`, which the search scored `best`."""
     w, price = reformulate(ctx.full_prices(g_best), ctx)
     captured, choice, profit, _ = _capture_and_profit(ctx, price, f)
     j_value = profit_from_values(w, ctx, f)
-    if abs(profit - j_value) > ct._check_slack(ctx.tol, f.total_mass):
+    slack = ct._check_slack(ctx.tol, f.total_mass)
+    if abs(profit - j_value) > slack:
         raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
+    if abs(best - j_value) > slack:
+        raise RuntimeError(f"search score {best} differs from value-side profit {j_value}")
     if np.any(captured != (w <= ctx.v0 + ctx.tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
     diagnostics["profit_value_form"] = j_value
@@ -230,10 +237,10 @@ def solve_w_search(
     caps = np.maximum(ctx.v0[ctx.free], 0.0)
     eval_batch = _batch_subregion_profit(ctx, f.weights, ctx.tol)
     if search.mode is SearchMode.EXHAUSTIVE:
-        g_best, _, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
+        g_best, val_best, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
-        g_best, _, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search)
-    return _w_search_report(ctx, f, g_best, METHOD_W_SEARCH, diag)
+        g_best, val_best, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search)
+    return _w_search_report(ctx, f, g_best, val_best, METHOD_W_SEARCH, diag)
 
 
 def _control_points(ctx: PartitionContext) -> np.ndarray:
@@ -290,7 +297,7 @@ def solve_boundary_control(
 
     w = ct.value_table(phi_best, cost_ctrl)
     # the free generator prices are w on the free part: the metric table is symmetric
-    report = _w_search_report(ctx, f, w[ctx.free], METHOD_BOUNDARY, diag)
+    report = _w_search_report(ctx, f, w[ctx.free], val_best, METHOD_BOUNDARY, diag)
     report.diagnostics.update(
         {
             "split_objective": val_best,

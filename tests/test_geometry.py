@@ -12,7 +12,7 @@ class TestIntervalRegion:
         r = sp.build_interval_region(5, 0.0, 1.0, fixed_window=(0.25, 0.75))
         assert np.allclose(r.coords_1d(), [0, 0.25, 0.5, 0.75, 1.0])
         assert list(r.mask) == [Mask.FREE, Mask.FREE, Mask.FIXED, Mask.FREE, Mask.FREE]
-        assert list(np.nonzero(r.boundary_of_fixed)[0]) == [1, 3]
+        assert list(np.nonzero(r.boundary_of_fixed)[0]) == [1, 2, 3]
 
     def test_no_window_means_no_partition(self):
         r = sp.build_interval_region(2, 0.0, 1.0)
@@ -25,7 +25,7 @@ class TestIntervalRegion:
         r = sp.build_interval_region(101, 0.0, 1.0, fixed_window=(0.0, 1.0))
         assert list(r.free_indices) == [0, 100]
         assert (r.mask[1:100] == Mask.FIXED).all()
-        assert list(np.nonzero(r.boundary_of_fixed)[0]) == [0, 100]
+        assert list(np.nonzero(r.boundary_of_fixed)[0]) == [0, 1, 99, 100]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -444,3 +444,97 @@ def test_repeats_inside_a_batch_are_scored_once(monkeypatch):
         batch = np.concatenate(batches[:3])[[0, 5, 10, 0, 5, 0, 11]]
         assert np.array_equal(memoized(batch), oracle(batch))
         assert record["rows"] == len(_keys(record["value"](batch))) < len(batch)
+
+
+# The nearest-column rule of the batched profit kernel
+
+
+def _nearest_case(seed, lead):
+    """Value functions W generated on some columns of a seeded table, their
+    c-transform WC, and the columns.  Seeds cycle through 1D and 2D metric,
+    quadratic and random-kernel tables; generator prices are quantized, so
+    ties occur; odd seeds lower part of WC, which takes some nearest columns
+    out of the superdifferential; seeds divisible by 3 use evenly spaced 1D
+    points and every other column, so some customers have two equally near
+    columns."""
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(4, 14))
+    if seed % 3 == 0:
+        region = sp.build_interval_region(n, 0.0, 1.0)
+        index = np.arange(0, n, 2)
+    else:
+        region = region_from_points(random_points(rng, n, d=1 + seed % 2))
+        index = np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+    kernel = (sp.CostKernel.metric(1.0), sp.CostKernel.quadratic(), random_kernel(rng, n))[seed // 2 % 3]
+    cost = eval_cost(kernel, region)
+    cols = cost[:, index]
+    m = cols.shape[1]
+    G = 0.25 * rng.integers(0, 5, (*lead, m))
+    W = np.min(cols + G[..., None, :], axis=-1)
+    WC = np.min(cols - W[..., :, None], axis=-2)
+    if seed % 2:
+        WC -= 0.1 * rng.integers(0, 2, WC.shape)
+    v0 = rng.uniform(0.0, 1.5, n) if seed % 4 < 2 else np.inf
+    return W, WC, cols, v0, rng.uniform(0.1, 2.0, n), ct.scale_tol(cost)
+
+
+def _scanned_share(W, WC, cols, _v0, _weights, tol):
+    """Share of the customers of a case whose nearest column is not a member."""
+    j, c = ct._nearest(cols)
+    return float(np.mean(~(W + WC[..., j] - c >= -tol)))
+
+
+@pytest.mark.parametrize("lead", [(), (9,), (3, 5)])
+@pytest.mark.parametrize("seed", range(36))
+def test_nearest_rule_matches_the_dense_scan(seed, lead):
+    W, WC, cols, v0, weights, tol = _nearest_case(seed, lead)
+    n, m = cols.shape
+    dense = _transport_one_batch_axis(W.reshape(-1, n), WC.reshape(-1, m), cols, tol).reshape(W.shape)
+    nearest = ct._nearest(cols)
+    assert np.array_equal(ct._transport(W, WC, cols, tol, nearest), dense)
+    got = ct._profit_batch(W, WC, cols, v0, weights, tol, nearest)
+    assert got.shape == lead
+    assert np.array_equal(got, (np.where(W <= v0 + tol, W - dense, 0.0) * weights).sum(axis=-1))
+
+
+def test_nearest_cases_reach_every_branch():
+    """The cases above resolve every customer, gather a minority, or scan
+    densely, and some customers have two equally near columns."""
+    cases = [_nearest_case(seed, (9,)) for seed in range(36)]
+    assert any((cols == cols.min(axis=1, keepdims=True)).sum(axis=1).max() > 1 for _, _, cols, *_ in cases)
+    shares = [_scanned_share(*case) for case in cases]
+    assert any(s == 0.0 for s in shares)
+    assert any(0.0 < s <= 0.5 for s in shares)
+    assert any(s > 0.5 for s in shares)
+
+
+def test_nearest_column_ties_take_the_first_column():
+    cols = np.array([[0.5, 0.5, 1.0], [1.0, 0.25, 0.25], [0.0, 0.0, 0.0]])
+    j, c = ct._nearest(cols)
+    assert j.tolist() == [0, 1, 0] and c.tolist() == [0.5, 0.25, 0.0]
+
+
+def test_nearest_rule_scans_few_customers_of_a_w_search(monkeypatch):
+    """On a 9x9 distance-cost w_search, fewer than 10% of the customers the
+    search scores go through the dense scan."""
+    rows = {"all": 0, "scanned": 0, "inside": False}
+    transport = ct._transport
+
+    def counted(values, vc, cols, tol, nearest=None):
+        if nearest is None:
+            rows["scanned"] += values.size if rows["inside"] else 0
+            return transport(values, vc, cols, tol)
+        rows["all"] += values.size
+        rows["inside"] = True
+        try:
+            return transport(values, vc, cols, tol, nearest)
+        finally:
+            rows["inside"] = False
+
+    monkeypatch.setattr(ct, "_transport", counted)
+    region = sp.build_grid_region(9, 9, fixed_box=((0.3, 0.7), (0.3, 0.7)))
+    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(81, 0.4)))
+    f = sp.CustomerMeasure(np.random.default_rng(0).uniform(0.5, 1.5, 81))
+    model_two.solve_w_search(ctx, f, sp.SearchConfig(multistarts=4))
+    assert rows["all"] > 0
+    assert rows["scanned"] < 0.1 * rows["all"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import Mask, PartitionContext, SearchConfig, SearchMode
+from spatial_pricing import Mask, PartitionContext, SearchConfig, SearchMode, model_two
 from spatial_pricing.ctransform import NotCConcaveError, assignment_table, c_transform_table
 from spatial_pricing.model_two import (
     one_d_reduction,
@@ -298,6 +298,35 @@ class TestBoundaryControl:
         ctx_quad = PartitionContext.build(region, sp.CostKernel.quadratic(), sp.PricePattern(np.full(11, 0.5)))
         with pytest.raises(ValueError):
             solve_boundary_control(ctx_quad, sp.CustomerMeasure.uniform(11), SearchConfig())
+
+    @pytest.mark.parametrize(
+        "n, window, profit",
+        [(41, (0.33, 0.71), 0.3652439024390245), (20, (0.31, 0.69), 0.3505263157894737)],
+    )
+    def test_window_edges_between_grid_points(self, n, window, profit):
+        # the interface is marked by adjacency, so both free points next to
+        # the window are controlled wherever its edges fall
+        ctx, f = window_context(n=n, window=window)
+        free_next_to_fixed = [int(ctx.fixed[0]) - 1, int(ctx.fixed[-1]) + 1]
+        assert model_two._control_points(ctx).tolist() == free_next_to_fixed
+        r_b = solve_boundary_control(ctx, f, SearchConfig(grid_n=21))
+        r_w = solve_w_search(ctx, f, SearchConfig(grid_n=21))
+        assert r_b.profit == pytest.approx(profit, abs=1e-9)
+        assert r_w.profit == pytest.approx(profit, abs=1e-9)
+
+    @pytest.mark.parametrize("solve", [solve_w_search, solve_boundary_control])
+    def test_search_score_is_checked_against_the_report(self, monkeypatch, solve):
+        # an objective that drifts from the value-side profit fails the solve
+        subregion_score = model_two._subregion_score
+
+        def offset(ctx, weights, tol):
+            score = subregion_score(ctx, weights, tol)
+            return lambda W: score(W) + 1e-6
+
+        monkeypatch.setattr(model_two, "_subregion_score", offset)
+        ctx, f = window_context(n=21, window=(0.3, 0.7))
+        with pytest.raises(RuntimeError, match="search score"):
+            solve(ctx, f, SearchConfig(grid_n=21, multistarts=4))
 
     def test_grid_region_close_to_free_search(self):
         # 2D box: interface controls are a strict subfamily of the free-point
