@@ -120,7 +120,8 @@ def scored_by_value(
     Rows whose value bytes were scored before are answered from a FIFO memo
     of max(1, MEMO_CELLS // n) entries, one per returned objective; repeats
     inside a batch reach `score` once.  Exact by both contracts; a value that
-    differs only in the sign of a zero is a miss, scored again.
+    differs only in the sign of a zero is a miss, scored again.  `value` may
+    be the identity, for a score of the row alone: the key is the row's bytes.
     """
     size = max(1, MEMO_CELLS // n)
     memo: dict[bytes, float] = {}

@@ -16,14 +16,14 @@ superdifferential at x, the others shop outside (model one: v0 = +inf).
 `_profit_batch` scores a batch of value functions for the searches,
 `_value_profit` one value function for the reports.
 
-The searches skip most of the transport scan by a nearest-column rule:
-when a customer's cheapest column j*(x) is in the superdifferential at x,
-the transport is its cost c*(x), the row minimum, with no scan.  With the
-distance cost a model-two value function is 1-Lipschitz, so every free
-customer buys at home, and a captured fixed customer usually travels to
-the nearest free point: the rule resolves about 95% of a model-two
-search's customers.  The reports keep the dense scan, so their self-checks
-compare against an independent evaluation.
+The model-two searches skip most of the transport scan by a nearest-column
+rule: when a customer's cheapest column j*(x) is in the superdifferential
+at x, the transport is its cost c*(x), the row minimum, with no scan.  With
+the distance cost it resolves about 95% of a model-two search's customers
+(a 1-Lipschitz value keeps free customers at home; captured fixed ones
+mostly travel to the nearest free point).  Model one's j*(x) is x itself,
+rarely a member after the projection, so its objective scans densely.  The
+reports keep the dense scan, so their self-checks stay independent.
 """
 
 from __future__ import annotations
@@ -180,14 +180,14 @@ def _transport(
 
 
 def _profit_batch(
-    W: np.ndarray, WC: np.ndarray, cols: np.ndarray, v0, weights: np.ndarray, tol: float, nearest: tuple[np.ndarray, np.ndarray]
+    W: np.ndarray, WC: np.ndarray, cols: np.ndarray, v0, weights: np.ndarray, tol: float, nearest: Optional[tuple] = None
 ) -> np.ndarray:
     """Profit of each row of a batch of value functions W (B, n).
 
     A customer with w(x) <= v0(x) + tol pays w(x) minus the cheapest transport
     into the superdifferential over the columns `cols` (WC is the c-transform
     on them); the others shop outside.  Model one passes v0 = +inf.
-    `nearest` is `_nearest(cols)`, computed once per objective."""
+    `nearest`, when given, is `_nearest(cols)`, computed once per objective."""
     net = np.where(W <= v0 + tol, W - _transport(W, WC, cols, tol, nearest), 0.0)
     return (net * weights).sum(axis=-1)
 

@@ -123,8 +123,6 @@ def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, t
     is scored once.
     """
 
-    nearest = ct._nearest(cost)
-
     def value(G: np.ndarray) -> np.ndarray:
         return np.clip(np.min(cost + G[..., None, :], axis=-1), 0.0, v0)
 
@@ -133,7 +131,7 @@ def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, t
         return np.min(cost - VC[..., None, :], axis=-1), VC
 
     def score(V: np.ndarray) -> np.ndarray:
-        return ct._profit_batch(*reproject(V), cost, np.inf, weights, tol, nearest)
+        return ct._profit_batch(*reproject(V), cost, np.inf, weights, tol)
 
     def project(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(projected value, its c-transform); leading axes of G are a batch."""

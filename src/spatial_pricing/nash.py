@@ -10,11 +10,14 @@ steps, the on-grid cap as an extra trial.  Payoffs use the home-region tie
 rule throughout.
 
 Each customer's income is written once (`_value_and_paid`, `_income`) and
-shared by the dense batch payoff and the polish's trial hook.  A polish
-trial moves one own price, so the hook scores it in O(n) from per-customer
-state at the current prices and re-scores densely only the customers whose
-unique best offer moved or whose best offer falls by at most the
-tolerance; its payoffs are bit-equal to the dense ones.
+shared by the dense batch payoff and the polish's trial hook.  The dense
+payoff is memoized by price row, so the cone scan scores each distinct cone
+once (past the margin where all caps bind, every cone is the caps) and the
+polish's start, the best cone, is a memo hit.  A polish trial moves one own
+price, so the hook scores it in O(n) from per-customer state at the current
+prices and re-scores densely only the customers whose unique best offer
+moved or whose best offer falls by at most the tolerance; its payoffs are
+bit-equal to the dense ones.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import SearchConfig, coordinate_ascent, within_budget
+from ._search import SearchConfig, coordinate_ascent, scored_by_value, within_budget
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, _edge_tol, eval_cost
 
 __all__ = [
@@ -170,7 +173,7 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
         V, paid = _value_and_paid(cost_my[None, :, :] + P[:, None, :], P[:, None, :], tol)
         return _income(V, paid, opp_offer, tie_home, weights, tol).sum(axis=1)
 
-    return within_budget(payoff, *cost_my.shape)
+    return scored_by_value(lambda P: P, payoff, *cost_my.shape)
 
 
 def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
@@ -312,10 +315,7 @@ def best_response(
     step = scale / search.grid_n if scale > 0 else 0.0
     # margins live on a fixed absolute grid: opponents built on the same grid
     # are undercut by exactly one step, never by a vanishing sliver
-    if step > 0:
-        margins = np.arange(0.0, cap_global + 0.5 * step, step)
-    else:
-        margins = np.zeros(1)
+    margins = np.arange(0.0, cap_global + 0.5 * step, step) if step > 0 else np.zeros(1)
     cones = np.minimum(caps[None, :], margins[:, None] + frontier[None, :])
     vals = pay(cones)
     # prefer the smallest margin among near-equal payoffs so that exact

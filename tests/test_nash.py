@@ -482,9 +482,10 @@ def test_polish_trials_match_the_dense_payoff(monkeypatch, kernel, price_cap):
 
 
 def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch):
-    # the distance-cost polish moves no price here; the dense payoff then
-    # scores the start row, and the hook only rows whose unique best offer
-    # is the moved column and knife edges
+    # the distance-cost polish moves no price here; the start row, the best
+    # cone, is a memo hit, so the dense payoff scores only what the hook
+    # passes it: rows whose unique best offer is the moved column and knife
+    # edges
     import spatial_pricing.nash as nash_mod
 
     region = sp.build_interval_region(41, 0.0, 1.0)
@@ -527,5 +528,60 @@ def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch)
             expected += int((unique | ((ci < V) & (ci + ctx.tol >= V))).sum())
             trials += 1
     n = ctx.region.size
-    assert rows["dense"] == n + expected  # n: the start row's customers
+    assert rows["dense"] == expected
     assert expected < trials * n / 10
+
+
+def _scan_cones(player, opponent, ctx, search):
+    """The frontier cones a distance-cost best response scans, built as
+    `best_response` builds them."""
+    my_idx = ctx.indices(player)
+    opp_idx = ctx.indices("B" if player == "A" else "A")
+    caps = ct.value_table(opponent, ctx.cost, opp_idx)[my_idx]
+    if ctx.price_cap is not None:
+        caps = np.minimum(caps, ctx.price_cap)
+    caps = np.maximum(caps, 0.0)
+    frontier = ctx.cost[np.ix_(my_idx, opp_idx)].min(axis=1)
+    cap_global = float(caps.max())
+    step = cap_global / search.grid_n
+    margins = np.arange(0.0, cap_global + 0.5 * step, step)
+    return np.minimum(caps[None, :], margins[:, None] + frontier[None, :])
+
+
+@pytest.mark.parametrize(
+    "span, price_cap, opponent_price, distinct_share",
+    [(1.0, None, 0.1, 0.2), (1.0, 0.3, 0.15, 0.55), (1e-9, None, 0.5e-9, 0.55)],
+    ids=["saturates_early", "price_cap", "narrow"],
+)
+def test_cone_scan_scores_each_distinct_cone_once(monkeypatch, span, price_cap, opponent_price, distinct_share):
+    # the opponent's flat price q makes every cap q plus the frontier (or the
+    # price cap), so every cone is the caps from margin q on: a sixth of the
+    # way to cap_global in saturates_early, half of it in the other two
+    import spatial_pricing.nash as nash_mod
+
+    region = sp.build_interval_region(31, 0.0, span)
+    f = sp.CustomerMeasure(np.random.default_rng(5).uniform(0.5, 1.5, 31))
+    ctx = GameContext.from_split(region, METRIC, 0.5 * span, f, price_cap=price_cap)
+    opponent = np.full(31, opponent_price)
+    search = NashSearchConfig(grid_n=60)
+    real_value_and_paid, real_ascent = nash_mod._value_and_paid, nash_mod.coordinate_ascent
+    for player in "AB":
+        scanned, scanning = [], [True]
+
+        def counted(totals, P, tol):
+            if scanning[0]:
+                scanned.extend(row.tobytes() for row in P[:, 0, :])
+            return real_value_and_paid(totals, P, tol)
+
+        def ascent(*args, **kwargs):
+            scanning[0] = False  # the scan is over
+            return real_ascent(*args, **kwargs)
+
+        monkeypatch.setattr(nash_mod, "_value_and_paid", counted)
+        monkeypatch.setattr(nash_mod, "coordinate_ascent", ascent)
+        best_response(player, opponent, ctx, search)
+        assert not scanning[0]
+        cones = _scan_cones(player, opponent, ctx, search)
+        distinct = {row.tobytes() for row in cones}
+        assert len(distinct) < distinct_share * len(cones), player
+        assert sorted(scanned) == sorted(distinct), player
