@@ -16,9 +16,10 @@ included, so it does not depend on that reuse.
 Objectives built by `scored_by_value` obey a second contract: a row's score
 depends on the row only through its value function, the (n,) vector
 `value` maps it to.  Many price vectors share one value function (raising a
-price that is nowhere the argmin, or where the clip at the outside option
-binds, leaves it unchanged), so such an objective scores each distinct
-value function once and answers the other rows from a bounded memo.
+price that is nowhere the argmin, or a model-one price above the bound,
+which the value map clamps at the bound, leaves it unchanged), so such an
+objective scores each distinct value function once and answers the other
+rows from a bounded memo.
 """
 
 from __future__ import annotations

@@ -10,25 +10,28 @@ holds its one full-size output plus temporaries of at most
 `geometry.BLOCK_CELLS` cells: it works in blocks of the axis it does not
 reduce, so its results are bit-identical to one dense expression.
 
-Both models score a value function w with one profit kernel: a customer
-with w(x) <= v0(x) pays w(x) minus the cheapest transport into the
-superdifferential at x, the others shop outside (model one: v0 = +inf).
-`_profit_batch` scores a batch of value functions for the searches,
-`_value_profit` one value function for the reports.
+Model one is model two with nothing fixed, so both score a value function w
+with one profit kernel: a customer with w(x) <= v0(x) pays w(x) minus the
+cheapest transport into the superdifferential at x, the others shop outside
+(model one: v0 = +inf).  `_generator_score` scores a batch of value
+functions generated on some columns, for every search; `_value_profit` one
+value function, for the reports.
 
-The model-two searches skip most of the transport scan by a nearest-column
-rule: when a customer's cheapest column j*(x) is in the superdifferential
-at x, the transport is its cost c*(x), the row minimum, with no scan.  With
-the distance cost it resolves about 95% of a model-two search's customers
-(a 1-Lipschitz value keeps free customers at home; captured fixed ones
-mostly travel to the nearest free point).  Model one's j*(x) is x itself,
-rarely a member after the projection, so its objective scans densely.  The
-reports keep the dense scan, so their self-checks stay independent.
+The searches skip most of the transport scan by a nearest-column rule: when
+a customer's cheapest column j*(x) is in the superdifferential at x, the
+transport is its cost c*(x), the row minimum, with no scan.  With the
+distance cost it resolves about 95% of a model-two search's customers (a
+1-Lipschitz value keeps free customers at home; captured fixed ones mostly
+travel to the nearest free point).  Model one's j*(x) is x itself, a member
+only where the customer buys at home, so where customers travel its batches
+take the dense fallback, which the share of customers missed in each batch
+decides.  The reports keep the dense scan, so their self-checks stay
+independent.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,7 +44,6 @@ __all__ = [
     "c_transform_table",
     "double_transform_table",
     "is_c_concave_table",
-    "superdifferential_mask",
     "assignment_table",
 ]
 
@@ -112,28 +114,6 @@ def is_c_concave_table(
     return bool(np.max(np.abs(double_transform_table(values, cost, within, vc) - values)) <= scale_tol(cost))
 
 
-def superdifferential_mask(
-    values: np.ndarray,
-    cost: np.ndarray,
-    within: Optional[np.ndarray] = None,
-    vc: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Boolean (n, |within|) membership table of y in the superdifferential at x.
-
-    Raises NotCConcaveError when some point has an empty superdifferential,
-    which signals that `values` is not cost-concave w.r.t. `within`.
-    """
-    tol = scale_tol(cost)
-    if vc is None:
-        vc = c_transform_table(values, cost, within)
-    member = np.empty((cost.shape[0], vc.size), dtype=bool)
-    for rows in row_blocks(cost.shape[0], vc.size):
-        member[rows] = np.abs(values[rows, None] + vc[None, :] - _columns(cost, rows, within)) <= tol
-    if not member.any(axis=1).all():
-        raise NotCConcaveError("empty superdifferential: values are not cost-concave on the given set")
-    return member
-
-
 def _nearest(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's cheapest column j*(x) (the first, on ties) and its cost c*(x)."""
     j = np.argmin(cols, axis=1)
@@ -179,21 +159,24 @@ def _transport(
     return out
 
 
-def _profit_batch(
-    W: np.ndarray, WC: np.ndarray, cols: np.ndarray, v0, weights: np.ndarray, tol: float, nearest: Optional[tuple] = None
-) -> np.ndarray:
-    """Profit of each row of a batch of value functions W (B, n).
+def _generator_score(cols: np.ndarray, v0, weights: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Profit of each value function of a batch W (..., n) generated on the
+    columns `cols`: a customer with w(x) <= v0(x) + tol pays w(x) minus the
+    cheapest transport into the superdifferential over `cols`, the others
+    shop outside (model one: v0 = +inf).  Each customer's nearest column is
+    found once, here."""
+    nearest = _nearest(cols)
 
-    A customer with w(x) <= v0(x) + tol pays w(x) minus the cheapest transport
-    into the superdifferential over the columns `cols` (WC is the c-transform
-    on them); the others shop outside.  Model one passes v0 = +inf.
-    `nearest`, when given, is `_nearest(cols)`, computed once per objective."""
-    net = np.where(W <= v0 + tol, W - _transport(W, WC, cols, tol, nearest), 0.0)
-    return (net * weights).sum(axis=-1)
+    def score(W: np.ndarray) -> np.ndarray:
+        WC = np.min(cols - W[..., :, None], axis=-2)
+        net = np.where(W <= v0 + tol, W - _transport(W, WC, cols, tol, nearest), 0.0)
+        return (net * weights).sum(axis=-1)
+
+    return score
 
 
 def _value_profit(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray], v0, weights: np.ndarray, tol: float) -> float:
-    """`_profit_batch` of one value function against the columns `within`
+    """`_generator_score` of one value function against the columns `within`
     (all when None) of the full table, a row block at a time, summed by one
     dot product.  Raises NotCConcaveError unless the values are cost concave
     w.r.t. `within`."""

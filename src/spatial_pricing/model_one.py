@@ -3,9 +3,9 @@
 The profit of a price pattern p sums, over customers, the price actually paid
 at the tie-broken purchase location.  The same profit can be evaluated from
 the customer value function v alone, which is the variable the general solver
-searches over: every candidate is projected onto the feasible set (cost
-concave, between 0 and the outside-option value) by clamping and a double
-transform, so the search never leaves the admissible class.
+searches over.  Model one is model two with nothing fixed: `solve_general`
+scores generator prices with `w_search`'s generator score, over every point
+and with no outside option.
 """
 
 from __future__ import annotations
@@ -58,12 +58,14 @@ class SolveReport:
 
 
 def price_report(
-    price: PricePattern, value: np.ndarray, cost: np.ndarray, f: CustomerMeasure, method: str, diagnostics: dict
+    price: PricePattern, value: Optional[np.ndarray], cost: np.ndarray, f: CustomerMeasure, method: str, diagnostics: dict
 ) -> SolveReport:
-    """Report for a chosen price: tie-broken choices on the cost table and price-side profit."""
-    _, choice = ct.assignment_table(price.values, cost)
+    """Report for a chosen price: tie-broken choices on the cost table and
+    price-side profit; a `value` of None reports the price's own value
+    function, the customers' expenditure."""
+    expenditure, choice = ct.assignment_table(price.values, cost)
     profit = float(np.dot(f.weights, price.values[choice]))
-    return SolveReport(price, value, profit, choice, method, diagnostics)
+    return SolveReport(price, expenditure if value is None else value, profit, choice, method, diagnostics)
 
 
 def profit_from_prices(
@@ -110,34 +112,7 @@ def solve_metric(
         raise ValueError("the closed form needs a metric cost kernel")
     cost = eval_cost(kernel, region)
     popt = ct.value_table(p0.values, cost)
-    return price_report(PricePattern(popt), ct.value_table(popt, cost), cost, f, METHOD_METRIC, {"f_independent": True})
-
-
-def _batch_value_profit(cost: np.ndarray, v0: np.ndarray, weights: np.ndarray, tol: float):
-    """Batched generator-price objective: project candidates and evaluate the profit.
-
-    A candidate price vector g induces v(x) = min_y {c(x, y) + g(y)}; the
-    candidate value is clamped to [0, v0] and re-projected by a double
-    transform, which keeps it cost concave without leaving [0, v0].  The
-    profit depends on g only through the clamped value, so each distinct one
-    is scored once.
-    """
-
-    def value(G: np.ndarray) -> np.ndarray:
-        return np.clip(np.min(cost + G[..., None, :], axis=-1), 0.0, v0)
-
-    def reproject(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        VC = np.min(cost - V[..., :, None], axis=-2)
-        return np.min(cost - VC[..., None, :], axis=-1), VC
-
-    def score(V: np.ndarray) -> np.ndarray:
-        return ct._profit_batch(*reproject(V), cost, np.inf, weights, tol)
-
-    def project(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(projected value, its c-transform); leading axes of G are a batch."""
-        return reproject(value(G))
-
-    return scored_by_value(value, score, *cost.shape), project
+    return price_report(PricePattern(popt), None, cost, f, METHOD_METRIC, {"f_independent": True})
 
 
 def solve_general(
@@ -149,21 +124,31 @@ def solve_general(
 ) -> SolveReport:
     """Discrete maximization of the value-function profit over feasible values.
 
+    The search runs over generator prices g, as model two's `w_search` does
+    with every point free and no outside option: g induces the value
+    v(x) = min_y {c(x, y) + min(g(y), p0(y))}, which is cost concave and lies
+    between 0 and v0 = min_y {c(x, y) + p0(y)}, and is scored directly.
     EXHAUSTIVE enumerates quantized generator prices (refused beyond the
     candidate budget); ASCENT runs multi-start coordinate ascent with step
     halving.  The report's price is the canonical one recovered from the best
     value function, and the reported profit is its price-side evaluation.
     """
+    if f.total_mass <= 0:
+        raise ValueError("the customer measure must have positive mass")
     cost = eval_cost(kernel, region)
     tol = ct.scale_tol(cost)
-    v0 = ct.value_table(p0.values, cost)
+    bound = p0.values
+    v0 = ct.value_table(bound, cost)
     if search.price_cap is not None:
         caps = np.full(region.size, float(search.price_cap))
     else:
         # pricing above the reservation cap -v0^c never attracts a customer
         caps = np.maximum(-ct.c_transform_table(v0, cost), 0.0)
-    eval_batch, project = _batch_value_profit(cost, v0, f.weights, tol)
 
+    def value(G: np.ndarray) -> np.ndarray:
+        return np.min(cost + np.minimum(G, bound)[..., None, :], axis=-1)
+
+    eval_batch = scored_by_value(value, ct._generator_score(cost, np.inf, f.weights, tol), *cost.shape)
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, val_best, diagnostics = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
@@ -171,15 +156,16 @@ def solve_general(
         g_best, val_best, diagnostics = coordinate_ascent(eval_batch, caps, starts, search)
     diagnostics["profit_value_form"] = val_best
 
-    v_best, vc_best = project(g_best)
-    report = price_report(PricePattern(-vc_best), v_best, cost, f, METHOD_GENERAL, diagnostics)
+    # the canonical price -v^c; its value function is the double transform of v
+    price = PricePattern(-ct.c_transform_table(value(g_best), cost))
+    report = price_report(price, None, cost, f, METHOD_GENERAL, diagnostics)
     if abs(report.profit - val_best) > ct._check_slack(tol, f.total_mass):
         raise RuntimeError(
             f"price-side and value-side profits disagree: {report.profit} vs {val_best}"
         )
-    if np.any(report.optimal_price.values > p0.values + tol):
+    if np.any(report.optimal_price.values > bound + tol):
         raise RuntimeError("optimal price exceeds the bound")
-    if np.any(v_best < -tol) or np.any(v_best > v0 + tol):
+    if np.any(report.optimal_value < -tol) or np.any(report.optimal_value > v0 + tol):
         raise RuntimeError("optimal value leaves [0, v0]")
     return report
 

@@ -174,25 +174,14 @@ def profit_from_values(
     return ct._value_profit(w, ctx.cost, ctx.free, ctx.v0, f.weights, ctx.tol)
 
 
-def _subregion_score(ctx: PartitionContext, weights: np.ndarray, tol: float):
-    """Batched profit of value functions W (B, n) whose generators are free points."""
-    cost_free = ctx.cost[:, ctx.free]
-    nearest = ct._nearest(cost_free)
-
-    def score(W: np.ndarray) -> np.ndarray:
-        WC = np.min(cost_free[None, :, :] - W[:, :, None], axis=1)
-        return ct._profit_batch(W, WC, cost_free, ctx.v0, weights, tol, nearest)
-
-    return score
-
-
 def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: float):
+    """Batched profit of free generator prices G (B, |free|)."""
     cost_free = ctx.cost[:, ctx.free]
 
     def value(G: np.ndarray) -> np.ndarray:
         return np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
 
-    return scored_by_value(value, _subregion_score(ctx, weights, tol), *cost_free.shape)
+    return scored_by_value(value, ct._generator_score(cost_free, ctx.v0, weights, tol), *cost_free.shape)
 
 
 def _w_search_report(
@@ -273,7 +262,7 @@ def solve_boundary_control(
     caps = np.maximum(ctx.v0[ctrl], 0.0)
     dctrl = ctx.cost[np.ix_(ctrl, ctrl)]
     cost_ctrl = ctx.cost[:, ctrl]
-    score = _subregion_score(ctx, f.weights, tol)
+    score = ct._generator_score(ctx.cost[:, ctx.free], ctx.v0, f.weights, tol)
     shape = (ctx.region.size, ctx.free.size)
 
     def feasible(PHI: np.ndarray) -> np.ndarray:

@@ -103,7 +103,7 @@ def checked_reformulate(p, ctx, f=None):
     if np.any(cap2 != (w <= ctx.v0 + ctx.tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
     member_t = dense_assignment(p_t.values, ctx.cost)[0][:, free]
-    superdiff = ct.superdifferential_mask(w, ctx.cost, free)
+    superdiff = dense_superdifferential_mask(w, ctx.cost, free)
     if np.any(member_t[cap2] != superdiff[cap2]):
         raise RuntimeError("argmin sets and superdifferentials disagree on captured customers")
     if f is not None:

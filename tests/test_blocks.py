@@ -22,7 +22,6 @@ from helpers import (
     dense_double_transform_table,
     dense_eval_cost,
     dense_scale_tol,
-    dense_superdifferential_mask,
     dense_tie_break,
     dense_value_table,
     random_points,
@@ -100,16 +99,6 @@ def test_value_and_transforms(blocks, seed):
         assert same_bits(ct.c_transform_table(values, cost, idx), dense_c_transform_table(values, cost, idx))
         assert same_bits(ct.double_transform_table(values, cost, idx), dense_double_transform_table(values, cost, idx))
     assert ct.scale_tol(cost) == dense_scale_tol(cost)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_superdifferential_mask(blocks, seed):
-    rng = np.random.default_rng(seed)
-    cost = _table(rng)
-    for idx in _subsets(rng, M):
-        # a value function generated by the columns is cost-concave on them
-        values = dense_value_table(_values(rng, M), cost, idx)
-        assert same_bits(ct.superdifferential_mask(values, cost, idx), dense_superdifferential_mask(values, cost, idx))
 
 
 @pytest.mark.parametrize("seed", range(4))

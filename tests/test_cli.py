@@ -84,15 +84,21 @@ class TestRun:
         assert two["objective_two_term"] == 2 * one["objective_two_term"]
         assert two["profit"] == pytest.approx(2 * one["profit"])
 
-    @pytest.mark.parametrize("method", ["one_d", "w_search", "boundary_control"])
+    @pytest.mark.parametrize("method", ["general_search", "one_d", "w_search", "boundary_control"])
     @pytest.mark.parametrize(
         "measure", [{"kind": "uniform", "mass": 0.0}, {"kind": "weights", "values": [0.0] * 21}], ids=["uniform", "weights"]
     )
     def test_zero_mass_measure_exits_2(self, tmp_path, capsys, method, measure):
-        scen = window_scenario(0.4, n=21)
-        scen["region"]["fixed_window"] = [0.3, 0.7]
+        if method == "general_search":
+            scen = {"model": "one", "region": {"dimension": 1, "n": 21}, "cost": {"kind": "metric_power", "alpha": 1.0},
+                    "prices": {"p0": {"kind": "constant", "value": 1.0}}}
+            search = {"levels": 2, "multistarts": 1}
+        else:
+            scen = window_scenario(0.4, n=21)
+            scen["region"]["fixed_window"] = [0.3, 0.7]
+            search = {"mode": "exhaustive", "levels": 2, "grid_n": 5}
         scen["measure"] = measure
-        scen["solver"] = {"method": method, "search": {"mode": "exhaustive", "levels": 2, "grid_n": 5}}
+        scen["solver"] = {"method": method, "search": search}
         out = tmp_path / "out"
         assert run(write_scenario(tmp_path, "massless.json", scen), str(out)) == EXIT_VALIDATION
         assert "the customer measure must have positive mass" in capsys.readouterr().err

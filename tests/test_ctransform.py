@@ -11,11 +11,10 @@ from spatial_pricing.ctransform import (
     double_transform_table,
     is_c_concave_table,
     scale_tol,
-    superdifferential_mask,
     value_table,
 )
 
-from helpers import random_kernel, random_points, region_from_points
+from helpers import dense_superdifferential_mask, random_kernel, random_points, region_from_points
 
 METRIC = sp.CostKernel.metric(1.0)
 
@@ -99,7 +98,7 @@ class TestSuperdifferential:
         region = region_from_points(np.sort(rng.uniform(0, 1, 7)))
         cost = sp.eval_cost(METRIC, region)
         v = value_table(rng.uniform(0, 1, 7), cost)
-        member = superdifferential_mask(v, cost)
+        member = dense_superdifferential_mask(v, cost)
         for x in range(7):
             sd = np.nonzero(member[x])[0]
             assert x in sd
@@ -107,7 +106,7 @@ class TestSuperdifferential:
     def test_zero_function_superdifferential_is_zero_cost_set(self):
         rng = np.random.default_rng(4)
         region, kern, cost = small_instance(rng, 5)
-        member = superdifferential_mask(np.zeros(5), cost)
+        member = dense_superdifferential_mask(np.zeros(5), cost)
         for x in range(5):
             sd = np.nonzero(member[x])[0]
             assert x in sd
@@ -120,14 +119,16 @@ class TestSuperdifferential:
         x = region.coords_1d()
         v_opt, _, _ = sp.quadratic_1d_reference(x)
         i = int(np.argmin(np.abs(x - 0.25)))
-        sd = np.nonzero(superdifferential_mask(v_opt, sp.eval_cost(sp.CostKernel.quadratic(), region))[i])[0]
+        sd = np.nonzero(dense_superdifferential_mask(v_opt, sp.eval_cost(sp.CostKernel.quadratic(), region))[i])[0]
         assert list(sd) == [0]
 
     def test_non_concave_input_raises(self):
         region = region_from_points([0.0, 0.5, 1.0])
         v = np.array([0.0, 2.0, 0.0])  # not 1-Lipschitz: 4x slope
+        # the end customers have empty superdifferentials
+        assert dense_superdifferential_mask(v, sp.eval_cost(METRIC, region)).any(axis=1).tolist() == [False, True, False]
         with pytest.raises(NotCConcaveError):
-            superdifferential_mask(v, sp.eval_cost(METRIC, region))
+            sp.model_one.profit_from_values(v, METRIC, region, sp.CustomerMeasure.uniform(3))
 
 
 class TestTieBreak:

@@ -14,10 +14,27 @@ from spatial_pricing import GameContext, Mask, PartitionContext, _search, model_
 from spatial_pricing import ctransform as ct
 from spatial_pricing.geometry import eval_cost
 
-from helpers import checked_reformulate, random_kernel, random_partitioned_region, random_points, region_from_points
+from helpers import checked_reformulate, dense_superdifferential_mask, random_kernel, random_partitioned_region, random_points, region_from_points
 
 
-def _value_profit_reference(cost, v0, weights, tol):
+def _general_profit_reference(cost, p0, weights, tol):
+    """Model one's objective as one expression: the value of the generator
+    prices clamped at the bound, scored directly."""
+
+    def eval_batch(G):
+        V = np.min(cost[None, :, :] + np.minimum(G, p0[None, :])[:, None, :], axis=2)
+        VC = np.min(cost[None, :, :] - V[:, :, None], axis=1)
+        member = V[:, :, None] + VC[:, None, :] - cost[None, :, :] >= -tol
+        delta = np.where(member, cost[None, :, :], np.inf).min(axis=2)
+        return ((V - delta) * weights[None, :]).sum(axis=1)
+
+    return eval_batch
+
+
+def _reprojected_profit_reference(cost, v0, weights, tol):
+    """Model one's former objective: the value clipped to [0, v0], then
+    re-projected by a double transform before scoring."""
+
     def eval_batch(G):
         V = np.min(cost[None, :, :] + G[:, None, :], axis=2)
         V = np.clip(V, 0.0, v0[None, :])
@@ -51,13 +68,25 @@ def _subregion_profit_reference(ctx, weights, tol):
 
 
 def _model_one_case(seed):
+    """(bound, kernel, region, weights) of a seeded model-one instance, and generator prices."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 12))
-    cost = eval_cost(random_kernel(rng, n), region_from_points(random_points(rng, n)))
-    v0 = ct.value_table(rng.uniform(0.0, 1.5, n), cost)
+    kernel, region = random_kernel(rng, n), region_from_points(random_points(rng, n))
+    p0 = rng.uniform(0.0, 1.5, n)
     weights = rng.uniform(0.1, 2.0, n)
     G = rng.uniform(0.0, 1.5, (int(rng.integers(1, 40)), n))
-    return (cost, v0, weights, ct.scale_tol(cost)), G
+    return (p0, kernel, region, weights), G
+
+
+def _general_objective(monkeypatch, p0, kernel, region, weights):
+    """`solve_general`'s objective, captured on its way into the ascent."""
+    f = sp.CustomerMeasure(weights)
+    return _capture(monkeypatch, model_one, lambda: model_one.solve_general(sp.PricePattern(p0), kernel, region, f))[0]
+
+
+def _general_reference(p0, kernel, region, weights):
+    cost = eval_cost(kernel, region)
+    return _general_profit_reference(cost, p0, weights, ct.scale_tol(cost))
 
 
 def _model_two_case(seed):
@@ -81,6 +110,11 @@ def _boundary_control_objective(monkeypatch, max_candidates=2_000_000):
 
 
 def _captured_objective(monkeypatch, ctx, f, search):
+    return _capture(monkeypatch, model_two, lambda: model_two.solve_boundary_control(ctx, f, search))
+
+
+def _capture(monkeypatch, module, solve):
+    """(objective, caps) that `solve()` hands to `module`'s search."""
     captured = {}
 
     class Captured(Exception):
@@ -90,10 +124,10 @@ def _captured_objective(monkeypatch, ctx, f, search):
         captured.update(eval_batch=eval_batch, caps=caps)
         raise Captured
 
-    monkeypatch.setattr(model_two, "exhaustive_product", scan)
-    monkeypatch.setattr(model_two, "coordinate_ascent", scan)
+    monkeypatch.setattr(module, "exhaustive_product", scan)
+    monkeypatch.setattr(module, "coordinate_ascent", scan)
     with pytest.raises(Captured):
-        model_two.solve_boundary_control(ctx, f, search)
+        solve()
     return captured["eval_batch"], captured["caps"]
 
 
@@ -105,10 +139,45 @@ def _assert_rows_independent(eval_batch, G):
 
 
 @pytest.mark.parametrize("seed", range(25))
-def test_value_profit_matches_one_expression_form(seed):
+def test_value_profit_matches_one_expression_form(monkeypatch, seed):
     args, G = _model_one_case(seed)
-    eval_batch, _ = model_one._batch_value_profit(*args)
-    assert np.array_equal(eval_batch(G), _value_profit_reference(*args)(G))
+    got = _general_objective(monkeypatch, *args)(G)
+    assert np.array_equal(got, _general_reference(*args)(G))
+
+
+@pytest.mark.parametrize("first", range(0, 400, 50))
+def test_value_profit_stays_within_the_slack_of_the_reprojected_form(monkeypatch, first):
+    # the clip at v0 and the double transform are identities in exact
+    # arithmetic, so the former objective differs only by rounding
+    equal = 0
+    for seed in range(first, first + 50):
+        (p0, kernel, region, weights), G = _model_one_case(seed)
+        cost = eval_cost(kernel, region)
+        tol = ct.scale_tol(cost)
+        got = _general_objective(monkeypatch, p0, kernel, region, weights)(G)
+        former = _reprojected_profit_reference(cost, ct.value_table(p0, cost), weights, tol)(G)
+        assert np.all(np.abs(got - former) <= ct._check_slack(tol, weights.sum()))
+        equal += np.array_equal(got, former)
+    assert equal > 0
+
+
+@pytest.mark.parametrize("first", range(0, 400, 50))
+def test_clamped_generators_give_the_clipped_value_bits(first):
+    # costs and generator prices are >= 0, so the clip at 0 never binds, and
+    # min(min_y (c + g), v0) = min_y (c + min(g, p0)): rounding is monotone
+    for seed in range(first, first + 50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        cost = eval_cost(random_kernel(rng, n), region_from_points(random_points(rng, n, d=1 + seed % 2)))
+        p0 = rng.uniform(0.0, 1.5, n)
+        p0[rng.uniform(size=n) < 0.2] = np.inf
+        if np.isinf(p0).all():
+            p0[0] = 0.5
+        G = 0.25 * rng.integers(0, 7, (int(rng.integers(1, 40)), n)) if seed % 2 else rng.uniform(0.0, 1.5, (7, n))
+        clamped = np.min(cost + np.minimum(G, p0)[..., None, :], axis=-1)
+        clipped = np.clip(np.min(cost + G[..., None, :], axis=-1), 0.0, ct.value_table(p0, cost))
+        assert np.array_equal(clamped, clipped)
+        assert np.array_equal(np.signbit(clamped), np.signbit(clipped))
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -118,9 +187,9 @@ def test_subregion_profit_matches_one_expression_form(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_row_scores_do_not_depend_on_the_batch(seed):
+def test_row_scores_do_not_depend_on_the_batch(monkeypatch, seed):
     args, G = _model_one_case(seed)
-    _assert_rows_independent(model_one._batch_value_profit(*args)[0], G)
+    _assert_rows_independent(_general_objective(monkeypatch, *args), G)
     args, G = _model_two_case(seed)
     _assert_rows_independent(model_two._batch_subregion_profit(*args), G)
 
@@ -248,14 +317,14 @@ def _model_two_value_profit_instances():
 def test_model_one_value_profit_equals_the_mask_form():
     for values, kern, region, f in _model_one_value_profit_instances():
         cost = eval_cost(kern, region)
-        member = ct.superdifferential_mask(values, cost)
+        member = dense_superdifferential_mask(values, cost)
         expected = float(np.dot(f.weights, values - np.where(member, cost, np.inf).min(axis=1)))
         assert model_one.profit_from_values(values, kern, region, f) == expected
 
 
 def test_model_two_value_profit_equals_the_mask_form():
     for values, ctx, f in _model_two_value_profit_instances():
-        member = ct.superdifferential_mask(values, ctx.cost, ctx.free)
+        member = dense_superdifferential_mask(values, ctx.cost, ctx.free)
         delta = np.where(member, ctx.cost[:, ctx.free], np.inf).min(axis=1)
         captured = values <= ctx.v0 + ctx.tol
         expected = float(np.dot(f.weights, np.where(captured, values - delta, 0.0)))
@@ -295,7 +364,7 @@ def test_scores_do_not_depend_on_the_budget(monkeypatch, seed):
     two_args, G2 = _model_two_case(seed)
     nash_args, P = _nash_payoff_case(seed)
     objectives = [
-        (lambda: model_one._batch_value_profit(*one_args)[0], G1),
+        (lambda: _general_objective(monkeypatch, *one_args), G1),
         (lambda: model_two._batch_subregion_profit(*two_args), G2),
         (lambda: nash._player_payoff_batch(*nash_args), P),
     ]
@@ -365,12 +434,13 @@ def _ascent_batches(rng, caps, inactive, count=6):
 def _memo_cases(monkeypatch, seed):
     """(memoized objective, dense oracle, batches, score counter) of all three objectives."""
     rng = np.random.default_rng(100 + seed)
-    (cost, v0, weights, tol), _ = _model_one_case(seed)
-    v0 = 0.5 * v0  # the clip at v0 binds on many rows
+    (p0, kernel, region, weights), _ = _model_one_case(seed)
+    args = (0.5 * p0, kernel, region, weights)  # the clamp at the bound binds on many rows
     record = _count_scored(monkeypatch, model_one)
-    one = model_one._batch_value_profit(cost, v0, weights, tol)[0]
-    inactive = 2.0 * cost.max() + 4.0
-    yield one, _value_profit_reference(cost, v0, weights, tol), list(_ascent_batches(rng, np.full(len(v0), 2.0), inactive)), record
+    one = _general_objective(monkeypatch, *args)
+    inactive = 2.0 * eval_cost(kernel, region).max() + 4.0
+    batches = list(_ascent_batches(rng, np.full(len(p0), 2.0), inactive))
+    yield one, _general_reference(*args), batches, record
 
     args, _ = _model_two_case(seed)
     record = _count_scored(monkeypatch, model_two)
@@ -422,14 +492,14 @@ def test_memo_keys_on_value_bytes_not_on_value_equality(monkeypatch):
 
 def test_memo_scores_a_batch_larger_than_itself(monkeypatch):
     args, G = _model_one_case(3)
-    n = len(args[1])
+    n = len(args[0])
     monkeypatch.setattr(_search, "MEMO_CELLS", 2 * n)  # two entries
     record = _count_scored(monkeypatch, model_one)
-    memoized = model_one._batch_value_profit(*args)[0]
+    memoized = _general_objective(monkeypatch, *args)
     G = np.concatenate([G, G[:5]])
     keys = _keys(record["value"](G))
     assert len(keys) > 2
-    expected = _value_profit_reference(*args)(G)
+    expected = _general_reference(*args)(G)
     assert np.array_equal(memoized(G), expected)
     assert record["rows"] == len(keys)
     # first in, first out: the first value was evicted, the last one kept
@@ -490,9 +560,11 @@ def test_nearest_rule_matches_the_dense_scan(seed, lead):
     W, WC, cols, v0, weights, tol = _nearest_case(seed, lead)
     n, m = cols.shape
     dense = _transport_one_batch_axis(W.reshape(-1, n), WC.reshape(-1, m), cols, tol).reshape(W.shape)
-    nearest = ct._nearest(cols)
-    assert np.array_equal(ct._transport(W, WC, cols, tol, nearest), dense)
-    got = ct._profit_batch(W, WC, cols, v0, weights, tol, nearest)
+    assert np.array_equal(ct._transport(W, WC, cols, tol, ct._nearest(cols)), dense)
+    # the generator score takes the c-transform of W itself
+    WC = np.min(cols - W[..., :, None], axis=-2)
+    dense = _transport_one_batch_axis(W.reshape(-1, n), WC.reshape(-1, m), cols, tol).reshape(W.shape)
+    got = ct._generator_score(cols, v0, weights, tol)(W)
     assert got.shape == lead
     assert np.array_equal(got, (np.where(W <= v0 + tol, W - dense, 0.0) * weights).sum(axis=-1))
 
@@ -514,9 +586,9 @@ def test_nearest_column_ties_take_the_first_column():
     assert j.tolist() == [0, 1, 0] and c.tolist() == [0.5, 0.25, 0.0]
 
 
-def test_nearest_rule_scans_few_customers_of_a_w_search(monkeypatch):
-    """On a 9x9 distance-cost w_search, fewer than 10% of the customers the
-    search scores go through the dense scan."""
+def _count_transport_rows(monkeypatch):
+    """Count the customers the nearest-column rule is asked about ("all") and
+    those of them that go through the dense scan ("scanned")."""
     rows = {"all": 0, "scanned": 0, "inside": False}
     transport = ct._transport
 
@@ -532,9 +604,29 @@ def test_nearest_rule_scans_few_customers_of_a_w_search(monkeypatch):
             rows["inside"] = False
 
     monkeypatch.setattr(ct, "_transport", counted)
+    return rows
+
+
+def test_nearest_rule_scans_few_customers_of_a_w_search(monkeypatch):
+    """On a 9x9 distance-cost w_search, fewer than 10% of the customers the
+    search scores go through the dense scan."""
+    rows = _count_transport_rows(monkeypatch)
     region = sp.build_grid_region(9, 9, fixed_box=((0.3, 0.7), (0.3, 0.7)))
     ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(81, 0.4)))
     f = sp.CustomerMeasure(np.random.default_rng(0).uniform(0.5, 1.5, 81))
     model_two.solve_w_search(ctx, f, sp.SearchConfig(multistarts=4))
     assert rows["all"] > 0
     assert rows["scanned"] < 0.1 * rows["all"]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_nearest_rule_resolves_every_customer_of_a_metric_general_search(monkeypatch, alpha):
+    """Model one's nearest column is the customer's own point, and under a
+    metric cost the triangle inequality puts it in the superdifferential of
+    every generated value, so no customer is scanned."""
+    rows = _count_transport_rows(monkeypatch)
+    region = sp.build_grid_region(5, 5)
+    f = sp.CustomerMeasure(np.random.default_rng(1).uniform(0.5, 1.5, 25))
+    model_one.solve_general(sp.PricePattern(np.full(25, 0.8)), sp.CostKernel.metric(alpha), region, f, sp.SearchConfig(multistarts=4))
+    assert rows["all"] > 0
+    assert rows["scanned"] == 0

@@ -3,6 +3,7 @@ import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import Mask, PartitionContext, SearchConfig, SearchMode, model_two
+from spatial_pricing import ctransform as ct
 from spatial_pricing.ctransform import NotCConcaveError, assignment_table, c_transform_table
 from spatial_pricing.model_two import (
     one_d_reduction,
@@ -317,13 +318,13 @@ class TestBoundaryControl:
     @pytest.mark.parametrize("solve", [solve_w_search, solve_boundary_control])
     def test_search_score_is_checked_against_the_report(self, monkeypatch, solve):
         # an objective that drifts from the value-side profit fails the solve
-        subregion_score = model_two._subregion_score
+        generator_score = ct._generator_score
 
-        def offset(ctx, weights, tol):
-            score = subregion_score(ctx, weights, tol)
+        def offset(cols, v0, weights, tol):
+            score = generator_score(cols, v0, weights, tol)
             return lambda W: score(W) + 1e-6
 
-        monkeypatch.setattr(model_two, "_subregion_score", offset)
+        monkeypatch.setattr(ct, "_generator_score", offset)
         ctx, f = window_context(n=21, window=(0.3, 0.7))
         with pytest.raises(RuntimeError, match="search score"):
             solve(ctx, f, SearchConfig(grid_n=21, multistarts=4))
