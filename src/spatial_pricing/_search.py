@@ -20,6 +20,13 @@ price that is nowhere the argmin, or a model-one price above the bound,
 which the value map clamps at the bound, leaves it unchanged), so such an
 objective scores each distinct value function once and answers the other
 rows from a bounded memo.
+
+The exhaustive scan also takes an upper bound: an `EvalBatch` whose row is
+>= the objective's row, exactly, in floating point.  It then scores only the
+rows the bound cannot rule out.  A bound that is cheap next to the score and
+tight at the optimum (`ctransform._generator_bound`, which boundary
+control's scan passes) leaves a handful of the scan's rows to score.  The
+ascent takes none: each of its trial batches holds a few rows.
 """
 
 from __future__ import annotations
@@ -155,10 +162,20 @@ def exhaustive_product(
     levels: int,
     max_candidates: int,
     feasible: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    bound: Optional[EvalBatch] = None,
 ) -> tuple[np.ndarray, float, dict]:
     """Scan all level combinations u_i in linspace(0, caps_i, levels).
 
     Ties keep the lexicographically first candidate.
+
+    With `bound`, which must be >= `eval_batch` row for row, the scan runs
+    in two passes.  The first takes the bound of every feasible candidate
+    and scores the first one with the largest bound: a floor below the best
+    score.  The second scores, in order, only the rows whose bound is not
+    below the floor (NaN bounds stay).  The first best row has bound >=
+    best >= floor, so it is scored, and the result is bit-identical to the
+    scan without a bound.  A scored row above its bound raises RuntimeError.
+    `evaluations` counts every feasible candidate either way.
     """
     caps = np.asarray(caps, dtype=float)
     m = caps.size
@@ -168,20 +185,52 @@ def exhaustive_product(
             f"exhaustive scan needs {total} candidates, budget is {max_candidates}"
         )
     scale = caps / max(levels - 1, 1)
-    best_u, best_val = None, -np.inf
-    n_eval = 0
     radix = levels ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, CHUNK):
-        ids = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        digits = (ids[:, None] // radix[None, :]) % levels
-        cand = digits * scale[None, :]
-        if feasible is not None:
-            keep = feasible(cand)
-            if not keep.any():
-                continue
-            cand = cand[keep]
+
+    def grid(ids: np.ndarray) -> np.ndarray:
+        return (ids[:, None] // radix[None, :]) % levels * scale[None, :]
+
+    n_eval = 0
+
+    def chunks():
+        """(ids, candidates) of the feasible candidates, CHUNK grid points at a time."""
+        nonlocal n_eval
+        for start in range(0, total, CHUNK):
+            ids = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+            cand = grid(ids)
+            if feasible is not None:
+                keep = feasible(cand)
+                ids, cand = ids[keep], cand[keep]
+            if len(ids):
+                n_eval += len(ids)
+                yield ids, cand
+
+    def checked(cand: np.ndarray, ub: np.ndarray) -> np.ndarray:
         vals = eval_batch(cand)
-        n_eval += len(cand)
+        over = vals > ub
+        if over.any():
+            j = int(np.argmax(over))
+            raise RuntimeError(f"search score {float(vals[j])!r} exceeds its upper bound {float(ub[j])!r} at {cand[j].tolist()}")
+        return vals
+
+    def pruned():
+        """(candidates, scores) of the rows whose bound reaches the floor, CHUNK rows at a time."""
+        found = [(ids, bound(cand)) for ids, cand in chunks()]
+        if not found:
+            return
+        ids, ub = (np.concatenate(part) for part in zip(*found))
+        del found
+        top = int(np.argmax(np.where(np.isnan(ub), -np.inf, ub)))  # the first largest bound
+        floor = checked(grid(ids[top : top + 1]), ub[top : top + 1])[0]
+        keep = ~(ub < floor)
+        ids, ub = ids[keep], ub[keep]
+        for k in range(0, len(ids), CHUNK):
+            cand = grid(ids[k : k + CHUNK])
+            yield cand, checked(cand, ub[k : k + CHUNK])
+
+    scored = pruned() if bound is not None else ((cand, eval_batch(cand)) for _, cand in chunks())
+    best_u, best_val = None, -np.inf
+    for cand, vals in scored:
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])

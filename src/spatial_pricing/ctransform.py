@@ -15,7 +15,8 @@ with one profit kernel: a customer with w(x) <= v0(x) pays w(x) minus the
 cheapest transport into the superdifferential at x, the others shop outside
 (model one: v0 = +inf).  `_generator_score` scores a batch of value
 functions generated on some columns, for every search; `_value_profit` one
-value function, for the reports.
+value function, for the reports.  `_generator_bound` bounds the score from
+above by each customer's cheapest column, for the boundary-control scan.
 
 The searches skip most of the transport scan by a nearest-column rule: when
 a customer's cheapest column j*(x) is in the superdifferential at x, the
@@ -173,6 +174,23 @@ def _generator_score(cols: np.ndarray, v0, weights: np.ndarray, tol: float) -> C
         return (net * weights).sum(axis=-1)
 
     return score
+
+
+def _generator_bound(cols: np.ndarray, v0, weights: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """An upper bound on `_generator_score` of each value function of a batch
+    W (..., n), for a fraction of its cost: each captured customer's
+    transport replaced by c*(x), the row minimum of `cols`.
+
+    Exact in floating point, row for row: the transport is a min over part
+    of the row, so it is >= c*(x); the subtraction, the product with a
+    weight >= 0 and every addition of the sum (the same pairwise tree over
+    contiguous rows as the score's) are monotone under rounding."""
+    c_star = cols.min(axis=1)
+
+    def bound(W: np.ndarray) -> np.ndarray:
+        return (np.where(W <= v0 + tol, W - c_star, 0.0) * weights).sum(axis=-1)
+
+    return bound
 
 
 def _value_profit(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray], v0, weights: np.ndarray, tol: float) -> float:

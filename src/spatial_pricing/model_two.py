@@ -262,8 +262,9 @@ def solve_boundary_control(
     caps = np.maximum(ctx.v0[ctrl], 0.0)
     dctrl = ctx.cost[np.ix_(ctrl, ctrl)]
     cost_ctrl = ctx.cost[:, ctrl]
-    score = ct._generator_score(ctx.cost[:, ctx.free], ctx.v0, f.weights, tol)
-    shape = (ctx.region.size, ctx.free.size)
+    cost_free = ctx.cost[:, ctx.free]
+    score = ct._generator_score(cost_free, ctx.v0, f.weights, tol)
+    shape = cost_free.shape
 
     def feasible(PHI: np.ndarray) -> np.ndarray:
         gap = PHI[:, :, None] - PHI[:, None, :] - dctrl[None, :, :]
@@ -275,9 +276,16 @@ def solve_boundary_control(
     k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
-        # a product scan visits each candidate once and repeats no value function
+        # a product scan visits each candidate once and repeats no value
+        # function; it scores only the rows whose bound reaches the best.
+        # The bound takes the score's row slices: slices sized by its own
+        # (n, k) temporaries raised the benchmark's peak RSS by 5%
+        bound = ct._generator_bound(cost_free, ctx.v0, f.weights, tol)
         eval_batch = within_budget(lambda PHI: score(value(PHI)), *shape)
-        phi_best, val_best, diag = exhaustive_product(eval_batch, caps, levels, search.max_candidates, feasible=feasible)
+        ub = within_budget(lambda PHI: bound(value(PHI)), *shape)
+        phi_best, val_best, diag = exhaustive_product(
+            eval_batch, caps, levels, search.max_candidates, feasible=feasible, bound=ub
+        )
     else:
         # each start becomes the largest 1-Lipschitz function below it on the control set
         starts = [ct.value_table(u, dctrl) for u in seeded_starts(caps, search)]
@@ -289,7 +297,6 @@ def solve_boundary_control(
     report = _w_search_report(ctx, f, w[ctx.free], val_best, METHOD_BOUNDARY, diag)
     report.diagnostics.update(
         {
-            "split_objective": val_best,
             "control_indices": ctrl.tolist(),
             "control_prices": phi_best.tolist(),
         }

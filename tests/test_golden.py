@@ -121,6 +121,12 @@ SCENARIOS = {
         **_two({"method": "boundary_control", "search": {"levels": 4, "multistarts": 3, "max_candidates": 100}}, 0.6, n=36),
         "region": {"dimension": 2, "nx": 6, "ny": 6, "fixed_box": [[0.2, 0.8], [0.2, 0.8]]},
     },
+    # the same 8 controls at 3 levels: 3^8 candidates fit the budget, so the
+    # product scan runs, each candidate through `feasible` and the bound
+    "two_boundary_control_2d_scan": {
+        **_two({"method": "boundary_control", "search": {"levels": 3}}, 0.6, n=36),
+        "region": {"dimension": 2, "nx": 6, "ny": 6, "fixed_box": [[0.2, 0.8], [0.2, 0.8]]},
+    },
 }
 
 GOLDEN = {
@@ -194,6 +200,10 @@ GOLDEN = {
     "two_boundary_control_2d": {
         "result.json": "a7d975bd5b932d5674d4194637674b44aaaf6caf998d413938a5d8e56619a27a",
         "series.csv": "03e4deaf19649d38a98d823ed795119da52e3d32e25068013a4baec77ed99135",
+    },
+    "two_boundary_control_2d_scan": {
+        "result.json": "5d63add66d56049ae46d56b9e087ce0e03bb27abc718122463f6eee56dd74aae",
+        "series.csv": "96b063c2fe6a9d400fc0324c9dced79ed7316f94e921c79fb0cc80f35a00dbd4",
     },
 }
 

@@ -586,6 +586,41 @@ def test_nearest_column_ties_take_the_first_column():
     assert j.tolist() == [0, 1, 0] and c.tolist() == [0.5, 0.25, 0.0]
 
 
+def _bound_case(seed):
+    """A batch of value functions generated on some columns of a
+    `random_kernel` table: quantized generator prices, so customers tie,
+    four repeated rows, every zero turned into -0.0, about 30% zero
+    weights, and v0 = +inf (model one) on odd seeds, finite on even ones."""
+    rng = np.random.default_rng(2000 + seed)
+    n = int(rng.integers(3, 14))
+    kernel = random_kernel(rng, n)
+    cost = eval_cost(kernel, region_from_points(random_points(rng, n, d=1 + seed % 2)))
+    cols = cost[:, np.sort(rng.choice(n, int(rng.integers(1, n + 1)), replace=False))]
+    G = 0.25 * rng.integers(0, 5, (12, cols.shape[1]))
+    W = np.min(cols[None, :, :] + G[:, None, :], axis=-1)
+    W = np.concatenate([W, W[rng.integers(0, len(W), 4)]])
+    W[W == 0.0] = -0.0
+    weights = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.1, 2.0, n))
+    v0 = np.inf if seed % 2 else rng.uniform(0.0, 1.5, n)
+    return kernel, W, cols, v0, weights, ct.scale_tol(cost)
+
+
+def test_generator_bound_is_above_the_score_row_for_row():
+    kinds, attained = set(), 0
+    for seed in range(48):
+        kernel, W, cols, v0, weights, tol = _bound_case(seed)
+        kinds.add((kernel.kind, kernel.alpha == 1.0))
+        score = ct._generator_score(cols, v0, weights, tol)(W)
+        bound = ct._generator_bound(cols, v0, weights, tol)(W)
+        assert bound.shape == score.shape == (len(W),)
+        assert np.all(bound >= score), seed
+        attained += int(np.count_nonzero(bound == score))
+    # every kind random_kernel draws: metric (alpha 1 and below), quadratic, custom
+    assert len(kinds) == 4
+    # exact where every captured customer's nearest column is in the superdifferential
+    assert attained > 0
+
+
 def _count_transport_rows(monkeypatch):
     """Count the customers the nearest-column rule is asked about ("all") and
     those of them that go through the dense scan ("scanned")."""

@@ -5,6 +5,7 @@ import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import _search, model_one, model_two
+from spatial_pricing import ctransform as ct
 from spatial_pricing._search import SearchConfig, SearchMode, coordinate_ascent, seeded_starts
 
 SEARCH_KEYS = {
@@ -264,6 +265,92 @@ def test_solver_scores_each_value_function_once(monkeypatch, solver):
     assert report.diagnostics == expected.diagnostics
     # the callback was asked for rows whose value function it had scored
     assert 0 < scored["rows"] < record["counter"].rows
+
+
+def _tied_objective(rng, m):
+    """A seeded objective on a coarse grid of values: many candidates tie,
+    also at the max."""
+    centre = rng.uniform(0.0, 1.5, m)
+    levels = float(rng.integers(1, 4))
+
+    def eval_batch(U):
+        return np.floor(-((U - centre) ** 2).sum(axis=1) * levels) / levels
+
+    return eval_batch
+
+
+def _bounds(eval_batch, kind):
+    """An upper bound on `eval_batch` of each kind, a function of the row alone."""
+    if kind == "exact":
+        return eval_batch
+    slack = lambda U: np.abs(np.sin(7.0 * U.sum(axis=1)))  # noqa: E731
+    if kind == "loose":
+        return lambda U: eval_batch(U) + slack(U)
+    # "nan": the loose bound, NaN on about a third of the rows
+    return lambda U: np.where(slack(U) < 0.5, np.nan, eval_batch(U) + slack(U))
+
+
+@pytest.mark.parametrize("kind", ["exact", "loose", "nan"])
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
+def test_bounded_scan_matches_the_full_scan(kind, filtered):
+    rows = evaluations = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 5))
+        caps = rng.uniform(0.2, 2.0, m)
+        levels = int(rng.integers(2, 9))
+        eval_batch = _tied_objective(rng, m)
+        feasible = _budget(caps) if filtered else None
+        expected = _search.exhaustive_product(eval_batch, caps, levels, 10**6, feasible)
+        counter = _RowCounter(eval_batch)
+        u, val, diag = _search.exhaustive_product(counter, caps, levels, 10**6, feasible, bound=_bounds(eval_batch, kind))
+        assert u.tobytes() == expected[0].tobytes(), seed
+        assert repr(val) == repr(expected[1]), seed
+        assert diag == expected[2], seed
+        rows += counter.rows
+        evaluations += diag["evaluations"]
+    assert rows < evaluations
+
+
+def test_bounded_scan_refuses_a_score_above_its_bound():
+    eval_batch = _tied_objective(np.random.default_rng(0), 2)
+    with pytest.raises(RuntimeError, match="^search score"):
+        _search.exhaustive_product(eval_batch, np.ones(2), 5, 100, bound=lambda U: eval_batch(U) - 1e-9)
+    with pytest.raises(ValueError, match="no feasible candidate"):
+        _search.exhaustive_product(eval_batch, np.ones(2), 5, 100, lambda U: np.zeros(len(U), bool), bound=eval_batch)
+
+
+def test_boundary_control_scan_scores_few_rows(monkeypatch):
+    """On a window shaped like the benchmark's (n = 81, grid_n = 201), the
+    rows whose bound reaches the floor are at most 1% of the scan, and the
+    answer is the full scan's."""
+    n = 81
+    region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.3, 0.7))
+    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(n, 0.4)))
+    f = sp.CustomerMeasure(np.random.default_rng(0).uniform(0.5, 1.5, n))
+    cfg = SearchConfig(grid_n=201)
+    with monkeypatch.context() as patch:
+        patch.setattr(model_two, "exhaustive_product", lambda *args, bound, **kwargs: _search.exhaustive_product(*args, **kwargs))
+        expected = model_two.solve_boundary_control(ctx, f, cfg)
+    scored = {"rows": 0}
+    generator_score = ct._generator_score
+
+    def counted(cols, v0, weights, tol):
+        score = generator_score(cols, v0, weights, tol)
+
+        def counted_score(W):
+            scored["rows"] += len(W)
+            return score(W)
+
+        return counted_score
+
+    monkeypatch.setattr(ct, "_generator_score", counted)
+    report = model_two.solve_boundary_control(ctx, f, cfg)
+    assert repr(report.profit) == repr(expected.profit)
+    assert report.optimal_price.values.tobytes() == expected.optimal_price.values.tobytes()
+    assert report.diagnostics == expected.diagnostics
+    assert report.diagnostics["mode"] == "exhaustive" and report.diagnostics["evaluations"] > 30_000
+    assert 0 < scored["rows"] <= 0.01 * report.diagnostics["evaluations"]
 
 
 @pytest.mark.parametrize("mode", list(SearchMode))
