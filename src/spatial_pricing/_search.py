@@ -26,7 +26,18 @@ The exhaustive scan also takes an upper bound: an `EvalBatch` whose row is
 rows the bound cannot rule out.  A bound that is cheap next to the score and
 tight at the optimum (`ctransform._generator_bound`, which boundary
 control's scan passes) leaves a handful of the scan's rows to score.  The
-ascent takes none: each of its trial batches holds a few rows.
+ascent takes none: each of its trial batches holds a few rows.  A NaN score
+in either scan raises RuntimeError naming its candidate.
+
+`TrialScores` contract: `trial_scores(u, idx, ts)` returns, for each k, the
+score of u with u[idx[k]] replaced by ts[k], bit-equal to `eval_batch` on
+that row.  An objective that keeps state at u can score such one-coordinate
+moves for less than full rows.  The ascent then asks, in one call, for the
+fresh trials of a window of coordinates at the current point, starting at
+the first coordinate with fresh trials.  The window doubles after each call
+and falls back to one coordinate after an accepted move, so a sweep that
+moves nothing takes about log2(m) calls, and the scores a move makes stale
+are at most about as many as those compared since the last move.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ __all__ = [
 ]
 
 EvalBatch = Callable[[np.ndarray], np.ndarray]  # (B, m) -> (B,)
-TrialScores = Callable[[np.ndarray, int, list], np.ndarray]  # (u, i, ts) -> (len(ts),)
+TrialScores = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]  # (u, idx (K,), ts (K,)) -> (K,)
 
 CHUNK = 4096  # candidates per exhaustive-scan batch; CELL_BUDGET, not CHUNK, bounds memory
 # cells (rows x n x m) one batched-objective call may span: 32 MiB per float64 temporary
@@ -58,6 +69,12 @@ CELL_BUDGET = 1 << 22
 # the repeats of an ascent, while a memo over the whole solve raised the
 # ascent benchmark's peak RSS by 14%
 MEMO_CELLS = 1 << 15
+
+# ascent tolerances
+MIN_STEP = 1e-12  # the default step halves no further: also ends the ascent when all caps are 0
+ACCEPT_REL = 1e-13  # a move must gain this times (1 + largest cap): float noise in a score is no gain
+GRID_CAP_SLACK = 1e-12  # steps by which cap / step may fall short of a grid point and still round up to it
+DISTINCT_TRIAL = 1e-15  # a trial closer than this to the current coordinate is no move
 
 
 class BudgetExceededError(RuntimeError):
@@ -176,6 +193,9 @@ def exhaustive_product(
     best >= floor, so it is scored, and the result is bit-identical to the
     scan without a bound.  A scored row above its bound raises RuntimeError.
     `evaluations` counts every feasible candidate either way.
+
+    A NaN score raises RuntimeError naming its candidate, in both scans (a
+    row the bound prunes is not scored, so its score is not seen).
     """
     caps = np.asarray(caps, dtype=float)
     m = caps.size
@@ -205,11 +225,14 @@ def exhaustive_product(
                 n_eval += len(ids)
                 yield ids, cand
 
-    def checked(cand: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    def checked(cand: np.ndarray, ub: Optional[np.ndarray] = None) -> np.ndarray:
+        """Scores of `cand`; a NaN score, or a score above its bound `ub`, raises RuntimeError."""
         vals = eval_batch(cand)
-        over = vals > ub
-        if over.any():
-            j = int(np.argmax(over))
+        nan = np.isnan(vals)
+        if nan.any():
+            raise RuntimeError(f"search score is NaN at {cand[int(np.argmax(nan))].tolist()}")
+        if ub is not None and (vals > ub).any():
+            j = int(np.argmax(vals > ub))
             raise RuntimeError(f"search score {float(vals[j])!r} exceeds its upper bound {float(ub[j])!r} at {cand[j].tolist()}")
         return vals
 
@@ -228,7 +251,7 @@ def exhaustive_product(
             cand = grid(ids[k : k + CHUNK])
             yield cand, checked(cand, ub[k : k + CHUNK])
 
-    scored = pruned() if bound is not None else ((cand, eval_batch(cand)) for _, cand in chunks())
+    scored = pruned() if bound is not None else ((cand, checked(cand)) for _, cand in chunks())
     best_u, best_val = None, -np.inf
     for cand, vals in scored:
         j = int(np.argmax(vals))
@@ -257,10 +280,11 @@ def coordinate_ascent(
     endpoints) while the others are held; accepted moves must improve
     strictly.  The step starts at max(caps) / (levels - 1) and halves
     whenever a full sweep makes no progress, `refine_halvings` times, but
-    not below 1e-12.  A positive `step` replaces that first step and always
-    runs its first level, however small.  With `on_grid_cap` each coordinate
-    also tries its cap rounded down to the step grid, floor(cap / step +
-    1e-12) * step.  The Nash best-response polish is one such level.
+    not below MIN_STEP.  A positive `step` replaces that first step and
+    always runs its first level, however small.  With `on_grid_cap` each
+    coordinate also tries its cap rounded down to the step grid,
+    floor(cap / step + GRID_CAP_SLACK) * step.  The Nash best-response
+    polish is one such level.
 
     No score is requested twice where the answer is already known: trials
     scored at the current point are remembered until the point moves, and a
@@ -268,13 +292,17 @@ def coordinate_ascent(
     top of a step level takes over that start's outcome.  Both rest on the
     row independence of `eval_batch` and leave the result unchanged.
 
-    `trial_scores(u, i, ts)`, when given, scores the trials of coordinate i
-    in place of `eval_batch`: it returns the scores of u with u[i] replaced
-    by each t in ts, and they must be bit-equal to `eval_batch` on those
-    rows, so the result and `evaluations` do not depend on it.  An objective
-    that keeps state at u can score a one-coordinate move for less than a
-    full row.  Starts are still scored by `eval_batch`.  It does not combine
-    with `feasible`, which may drop trials.
+    `trial_scores`, when given, scores the trials in place of `eval_batch`,
+    by the `TrialScores` contract, so the result and `evaluations` do not
+    depend on it.  Where coordinate i has fresh trials, one call scores
+    those of coordinates i .. i + width - 1 at the current point; width
+    starts at 1, doubles after each call and returns to 1 after an accepted
+    move.  The scores ahead of i stay valid until the point moves, which
+    also ends the window.  Without the hook each call holds one coordinate's
+    trials: a dense row costs a full objective row, so scores a move would
+    make stale are not worth asking for.  Starts are still scored by
+    `eval_batch`.  The hook does not combine with `feasible`, which may
+    drop trials.
     """
     if feasible is not None and trial_scores is not None:
         raise ValueError("trial_scores and feasible do not combine")
@@ -285,8 +313,17 @@ def coordinate_ascent(
     step0 = cap_max / max(search.levels - 1, 1) if step is None else step
     min_step = step0 / 2**search.refine_halvings
     if step is None:
-        min_step = max(min_step, 1e-12)  # also ends the ascent when all caps are 0
-    accept_eps = 1e-13 * (1.0 + cap_max)
+        min_step = max(min_step, MIN_STEP)
+    accept_eps = ACCEPT_REL * (1.0 + cap_max)
+
+    def trials_at(u: np.ndarray, i: int, step: float) -> list[float]:
+        """Coordinate i's trials at u, in increasing order."""
+        base, cap = float(u[i]), cap_list[i]
+        moves = (base - 2 * step, base - step, base + step, base + 2 * step, 0.0, cap)
+        if on_grid_cap:
+            moves += (math.floor(cap / step + GRID_CAP_SLACK) * step,)
+        return [t for t in sorted({min(max(x, 0.0), cap) for x in moves}) if abs(t - base) > DISTINCT_TRIAL]
+
     best_u, best_val = None, -np.inf
     n_eval = 0
     # (point bytes, step) at the top of a step level -> (final point, final
@@ -300,6 +337,7 @@ def coordinate_ascent(
         n_eval += 1
         visited = []
         known: dict[tuple[int, float], float] = {}  # (coordinate, trial) -> score at u
+        width = 1  # coordinates in the next trial_scores call
         step = step0
         while step >= min_step:
             state = (u.tobytes(), step)
@@ -310,15 +348,21 @@ def coordinate_ascent(
             visited.append((state, n_eval))
             for _ in range(search.max_sweeps):
                 improved = False
+                ahead: dict[int, list[float]] = {}  # trials of coordinates not yet visited in this sweep
                 for i in range(m):
-                    base, cap = float(u[i]), cap_list[i]
-                    moves = (base - 2 * step, base - step, base + step, base + 2 * step, 0.0, cap)
-                    if on_grid_cap:
-                        moves += (math.floor(cap / step + 1e-12) * step,)
-                    trials = [t for t in sorted({min(max(x, 0.0), cap) for x in moves}) if abs(t - base) > 1e-15]
+                    trials = ahead.pop(i) if i in ahead else trials_at(u, i, step)
                     fresh = [t for t in trials if (i, t) not in known]
                     if fresh and trial_scores is not None:
-                        known.update(zip([(i, t) for t in fresh], trial_scores(u, i, fresh).tolist()))
+                        idx, ts = [i] * len(fresh), list(fresh)
+                        for j in range(i + 1, min(i + width, m)):
+                            if j not in ahead:
+                                ahead[j] = trials_at(u, j, step)
+                            more = [t for t in ahead[j] if (j, t) not in known]
+                            idx += [j] * len(more)
+                            ts += more
+                        scores = trial_scores(u, np.array(idx, dtype=np.intp), np.array(ts, dtype=float))
+                        known.update(zip(zip(idx, ts), scores.tolist()))
+                        width *= 2
                     elif fresh:
                         batch = np.repeat(u[None, :], len(fresh), axis=0)
                         batch[:, i] = fresh
@@ -337,6 +381,7 @@ def coordinate_ascent(
                         cur = vals[j]
                         u[i] = trials[j]
                         known.clear()
+                        width = 1
                         improved = True
                 if not improved:
                     break

@@ -26,13 +26,15 @@ from .scenario import METHODS, _fmt, load_scenario
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+EXIT_SELF_CHECK = 4
 
 
 def _load_and_solve(scenario_path: str, context: str = "", **overrides):
     """(scenario, solved, seconds), or the exit code of a refusal, reported on stderr.
 
     `run` and `compare` share this mapping: a validation error (ScenarioError
-    is a ValueError) exits 2, a budget refusal exits 3.
+    is a ValueError) exits 2, a budget refusal exits 3, and a failed runtime
+    self-check of a solver (any other RuntimeError) exits 4.
     """
     try:
         sc = load_scenario(scenario_path, **overrides)
@@ -41,6 +43,9 @@ def _load_and_solve(scenario_path: str, context: str = "", **overrides):
     except BudgetExceededError as e:
         print(f"solver refused{context}: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except RuntimeError as e:
+        print(f"solver self-check failed{context}: {e}", file=sys.stderr)
+        return EXIT_SELF_CHECK
     except ValueError as e:
         print(f"scenario error{context}: {e}", file=sys.stderr)
         return EXIT_VALIDATION

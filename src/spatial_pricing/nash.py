@@ -13,11 +13,15 @@ Each customer's income is written once (`_value_and_paid`, `_income`) and
 shared by the dense batch payoff and the polish's trial hook.  The dense
 payoff is memoized by price row, so the cone scan scores each distinct cone
 once (past the margin where all caps bind, every cone is the caps) and the
-polish's start, the best cone, is a memo hit.  A polish trial moves one own
-price, so the hook scores it in O(n) from per-customer state at the current
-prices and re-scores densely only the customers whose unique best offer
-moved or whose best offer falls by at most the tolerance; its payoffs are
-bit-equal to the dense ones.
+polish's start, the best cone, is a memo hit.  The price paid is a masked
+max over the offers that tie with the best one, reduced in place, with no
+(rows, n, m) temporary.  A polish trial moves one own price, so the hook
+scores it in O(n) from per-customer state at the current prices and
+re-scores densely only the customers whose unique best offer moved or whose
+best offer falls by at most the tolerance; its payoffs are bit-equal to the
+dense ones.  The ascent hands it the trials of a window of coordinates at
+once, so a polish sweep that moves no price takes about log2(m) calls, and
+the hook scores a call's trials together, gathering per-column state rows.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ __all__ = [
     "best_response_dynamics",
     "verify_equilibrium",
 ]
+
+TIE_REL = 1e-11  # cone payoffs within this times (1 + price scale)(1 + mass) of the best tie: float noise picks no margin
 
 
 @dataclass(frozen=True)
@@ -152,10 +158,13 @@ def _strategy_values(p: PricePattern | np.ndarray, idx: np.ndarray, n: int) -> n
 
 def _value_and_paid(totals: np.ndarray, P: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Each customer's best offer V over the last axis of `totals` and the
-    price paid there: the largest of the prices P whose offers tie with V."""
+    price paid there: the largest of the prices P (broadcast to `totals`)
+    whose offers tie with V.  Max does not round, so the masked reduce
+    equals the max over np.where(member, P, -inf) up to the sign of a zero
+    price, which the income sum drops."""
     V = totals.min(axis=-1)
     member = totals <= V[..., None] + tol
-    return V, np.where(member, P, -np.inf).max(axis=-1)
+    return V, np.maximum.reduce(np.broadcast_to(P, totals.shape), axis=-1, where=member, initial=-np.inf)
 
 
 def _income(V, paid, opp_offer, tie_home, weights, tol: float) -> np.ndarray:
@@ -178,8 +187,10 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
 
 def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
     """The `trial_scores` hook of `coordinate_ascent` for the payoff of
-    `_player_payoff_batch`: scores of u with u[i] replaced by each trial,
-    bit-equal to that payoff, in O(n) per trial from a cached base point.
+    `_player_payoff_batch`: scores of u with u[idx[k]] replaced by ts[k],
+    bit-equal to that payoff, in O(n) per pair from a cached base point.
+    The pairs of one call are scored together, in slices whose (pairs, n)
+    temporaries stay within CELL_BUDGET, with one dense rescore per slice.
 
     The base state of u is rebuilt when u moves: its offers T = C + u, per
     customer the best offer V, the second-smallest offer s2, the members M
@@ -229,20 +240,23 @@ def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
             base.update(key=key, V=V, Vtol=V + tol, unique=unique.T.copy(), paid_wo=paid_wo.T.copy())
         return base
 
-    def trial_scores(u: np.ndarray, i: int, ts) -> np.ndarray:
+    def scores(u: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
         b = state(u)
-        V, unique, paid_wo = b["V"], b["unique"][i], b["paid_wo"][i]
-        t = np.asarray(ts, dtype=float)[:, None]
-        ci = Ct[i] + t
+        V, t = b["V"], ts[:, None]
+        ci = Ct[idx] + t
         lower = ci < V
+        paid_wo = b["paid_wo"][idx]
         paid = np.where(lower, t, np.where(ci <= b["Vtol"], np.maximum(paid_wo, t), paid_wo))
         out = _income(np.where(lower, ci, V), paid, opp_offer, tie_home, weights, tol)
-        redo = np.flatnonzero((lower & (ci + tol >= V)) | unique)
+        redo = np.flatnonzero((lower & (ci + tol >= V)) | b["unique"][idx])
         if redo.size:
             trial_rows = np.repeat(u[None, :], len(ts), axis=0)
-            trial_rows[:, i] = ts
+            trial_rows[np.arange(len(ts)), idx] = ts
             out.flat[redo] = within_budget(lambda flat: rescore(trial_rows, flat), 1, m)(redo)
         return out.sum(axis=1)
+
+    def trial_scores(u: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        return within_budget(lambda ks: scores(u, idx[ks], ts[ks]), n, 1)(np.arange(len(ts)))
 
     return trial_scores
 
@@ -272,7 +286,6 @@ class BestResponseResult:
     player: str
     prices: np.ndarray  # values on the player's own points
     payoff: float  # scored with the home-region tie rule
-    payoff_tie_favorable: float  # same pattern, exact ties awarded to the player
     diagnostics: dict = field(default_factory=dict)
 
     def pattern(self, ctx: GameContext) -> PricePattern:
@@ -320,7 +333,7 @@ def best_response(
     vals = pay(cones)
     # prefer the smallest margin among near-equal payoffs so that exact
     # knife-edges between tying and undercutting resolve deterministically
-    tie_eps = 1e-11 * (1.0 + scale) * (1.0 + ctx.f.total_mass)
+    tie_eps = TIE_REL * (1.0 + scale) * (1.0 + ctx.f.total_mass)
     j = int(np.argmax(vals >= vals.max() - tie_eps))
     best = cones[j].copy()
     best_val = float(vals[j])
@@ -332,19 +345,7 @@ def best_response(
         best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True, trial_scores=trials)
         n_eval += diag["evaluations"]
 
-    pay_agent_ties = _player_payoff_batch(ctx, my_idx, opp_offer, np.ones(ctx.region.size, dtype=bool), ctx.tol)
-    favorable = float(pay_agent_ties(best[None, :])[0])
-    return BestResponseResult(
-        player=player,
-        prices=best,
-        payoff=best_val,
-        payoff_tie_favorable=favorable,
-        diagnostics={
-            "evaluations": n_eval,
-            "price_step": step,
-            "tie_rule_gap": favorable - best_val,
-        },
-    )
+    return BestResponseResult(player=player, prices=best, payoff=best_val, diagnostics={"evaluations": n_eval, "price_step": step})
 
 
 @dataclass

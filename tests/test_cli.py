@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -7,9 +8,10 @@ import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import model_one
-from spatial_pricing.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, compare, main, run
+from spatial_pricing._search import BudgetExceededError
+from spatial_pricing.cli import EXIT_BUDGET, EXIT_OK, EXIT_SELF_CHECK, EXIT_VALIDATION, compare, main, run
 from spatial_pricing.model_one import profit_from_prices
-from spatial_pricing.scenario import ScenarioError, load_scenario
+from spatial_pricing.scenario import METHODS, ScenarioError, load_scenario
 
 
 def write_scenario(tmp_path, name, payload):
@@ -763,3 +765,27 @@ class TestMain:
         assert main(["run", "--scenario", big, "--out", str(tmp_path / "b")]) == EXIT_BUDGET
         assert main(["compare", "--scenario", big, "--methods", "general_search"]) == EXIT_BUDGET
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (ValueError("bad input"), EXIT_VALIDATION, "scenario error"),
+        (BudgetExceededError("too many candidates"), EXIT_BUDGET, "solver refused"),
+        (RuntimeError("price-side profit 1.0 differs from value-side 2.0"), EXIT_SELF_CHECK, "solver self-check failed"),
+    ],
+    ids=["validation", "budget", "self_check"],
+)
+def test_each_refusal_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code, prefix):
+    # a budget refusal is a RuntimeError too, and keeps its own code
+    def refuse(sc):
+        raise error
+
+    monkeypatch.setitem(METHODS, "w_search", dataclasses.replace(METHODS["w_search"], solve=refuse))
+    path = write_scenario(tmp_path, "win.json", window_scenario(0.4, n=21))
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", path, "--out", str(out), "--method", "w_search"]) == code
+    assert main(["compare", "--scenario", path, "--methods", "one_d,w_search", "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"{prefix}: {error}", f"{prefix} for method 'w_search': {error}"]
+    assert not out.exists()

@@ -85,6 +85,9 @@ SCENARIOS = {
     # on a region 1e-9 wide the dynamics and the equilibrium check polish
     # prices in steps of 5e-13, and the polish still moves them there
     "nash_verify_tiny_cap": _nash(QUADRATIC, 13, {"rounds": 4, "grid_n": 200, "price_cap": 1e-10}, span=1e-9),
+    # under a quadratic cost the polish moves prices on the unit region,
+    # so its batched trial calls are pinned here
+    "nash_quadratic": _nash(QUADRATIC, 21, {"rounds": 6, "grid_n": 20}),
     # a uniform measure sends one_d through the continuum cumulative function
     "two_one_d_uniform": {
         **_two({"method": "one_d", "search": {"grid_n": 41}}, fixed_price=0.5, n=21, window=(0.2, 0.6)),
@@ -175,6 +178,11 @@ GOLDEN = {
         "result.json": "3b19310ed14866c4cbc1dc53ec7d062272ec8b7074ae83b33f278dc6081aa417",
         "series.csv": "5678ab0282346618730c1b7c793e92dfe410540c7bdc3213fc2c158360e8f3ee",
         "trace.csv": "16dc153b48d7870a6b5bcafb64671bafa11711af773a7ff1b514b4da004339d6",
+    },
+    "nash_quadratic": {
+        "result.json": "6f759f207cb99b012312d0f7a5fe608cd93f940efb764b9aa16e542be4a79843",
+        "series.csv": "0f8443a2c1f89e695bf5f9f9b09ef243b7122d677996578c30fd2a1c12045c2d",
+        "trace.csv": "37efa5988a78a1da00e0f02aaecf0d3d51975648f62801856267217e08deeac3",
     },
     "two_one_d_uniform": {
         "result.json": "fc5416fd766c2e1550e6bb9062d27b9b63ac7644a1475bef5046afa9f72d06bd",

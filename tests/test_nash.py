@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 import spatial_pricing as sp
 from spatial_pricing import GameContext, NashSearchConfig
 from spatial_pricing import ctransform as ct
-from spatial_pricing._search import coordinate_ascent
+from spatial_pricing._search import SearchConfig, coordinate_ascent, seeded_starts
 from spatial_pricing.nash import (
     BestResponseResult,
+    _income,
     _player_payoff_batch,
     _player_trial_scores,
     _strategy_values,
+    _value_and_paid,
     best_response,
     best_response_dynamics,
     payoffs,
@@ -142,13 +146,6 @@ class TestBestResponse:
         rep = sp.solve_metric(sp.PricePattern(np.full(11, 0.8)), METRIC, sub, sp.CustomerMeasure.uniform(11))
         assert np.allclose(r.prices, rep.optimal_price.values)
 
-    def test_tie_rule_gap_reported(self):
-        region, ctx = split_game(21)
-        pa, qb = closed_form_pair(ctx)
-        r = best_response("A", qb, ctx, NashSearchConfig(grid_n=20))
-        assert r.payoff_tie_favorable >= r.payoff - 1e-12
-        assert "tie_rule_gap" in r.diagnostics
-
 
 class TestDynamics:
     def test_round_budget_validated(self):
@@ -230,8 +227,7 @@ class TestDynamics:
             prices = states[player][counter[player] % 2]
             counter[player] += 1
             return nash_mod.BestResponseResult(
-                player=player, prices=prices, payoff=0.0, payoff_tie_favorable=0.0,
-                diagnostics={"price_step": 0.1},
+                player=player, prices=prices, payoff=0.0, diagnostics={"price_step": 0.1},
             )
 
         monkeypatch.setattr(nash_mod, "best_response", cycling_response)
@@ -336,15 +332,7 @@ def _best_response_oracle(player, opponent_price, ctx, search):
             if not improved:
                 break
 
-    pay_agent_ties = _player_payoff_batch(ctx, my_idx, opp_offer, np.ones(ctx.region.size, dtype=bool), tol)
-    favorable = float(pay_agent_ties(best[None, :])[0])
-    return BestResponseResult(
-        player=player,
-        prices=best,
-        payoff=best_val,
-        payoff_tie_favorable=favorable,
-        diagnostics={"evaluations": n_eval, "price_step": step, "tie_rule_gap": favorable - best_val},
-    )
+    return BestResponseResult(player=player, prices=best, payoff=best_val, diagnostics={"evaluations": n_eval, "price_step": step})
 
 
 @pytest.mark.parametrize("grid_n", [7, 200])
@@ -369,7 +357,6 @@ def test_best_response_matches_reference_polish(kernel, price_cap, grid_n):
             case = (seed, player)
             assert np.array_equal(got.prices, expected.prices), case
             assert repr(got.payoff) == repr(expected.payoff), case
-            assert repr(got.payoff_tie_favorable) == repr(expected.payoff_tie_favorable), case
             assert got.diagnostics["price_step"] == expected.diagnostics["price_step"], case
             # the shared ascent scores its start once more
             assert got.diagnostics["evaluations"] == expected.diagnostics["evaluations"] + 1, case
@@ -402,10 +389,12 @@ def _trial_payoffs(ctx, player, opponent):
     return my_idx, _player_payoff_batch(*args), _player_trial_scores(*args)
 
 
-def _assert_trials_match(dense, hook, u, i, ts):
+def _assert_trials_match(dense, hook, u, idx, ts):
+    """The hook's scores of u with u[idx[k]] = ts[k] are the dense payoff's, bytes included."""
+    idx, ts = np.asarray(idx, dtype=np.intp), np.asarray(ts, dtype=float)
     rows = np.repeat(u[None, :], len(ts), axis=0)
-    rows[:, i] = ts
-    got, expected = hook(u, i, ts), dense(rows)
+    rows[np.arange(len(ts)), idx] = ts
+    got, expected = hook(u, idx, ts), dense(rows)
     assert np.array_equal(got, expected)
     assert got.tobytes() == expected.tobytes()  # the sign of a zero too
 
@@ -427,6 +416,7 @@ def test_trial_scores_match_the_dense_payoff(kernel):
                     u = np.round(u / step) * step
                 if rep == 7:
                     u[0] = -0.0
+                pairs = []
                 for i in rng.permutation(my_idx.size)[:4]:
                     T = C + u
                     V = T.min(axis=1)
@@ -443,31 +433,53 @@ def test_trial_scores_match_the_dense_payoff(kernel):
                         )
                     )
                     ts = ts[ts > 0.0].tolist()
-                    _assert_trials_match(dense, hook, u, i, ts)
+                    _assert_trials_match(dense, hook, u, [i] * len(ts), ts)
+                    pairs += [(i, t) for t in ts]
                     ci = C[:, i][None, :] + np.array(ts)[:, None]
                     branches["unique"] += int(((T[:, i] == V) & ((T == V[:, None]).sum(axis=1) == 1)).sum())
                     branches["knife"] += int(((ci < V) & (ci + ctx.tol >= V)).sum())
                     branches["tie"] += int(((ci >= V) & (ci <= V + ctx.tol)).sum())
                     branches["lower"] += int((ci + ctx.tol < V).sum())
+                # the same pairs in one call, several coordinates mixed, as the polish asks
+                order = rng.permutation(len(pairs))
+                _assert_trials_match(dense, hook, u, [pairs[k][0] for k in order], [pairs[k][1] for k in order])
     assert min(branches.values()) > 0, branches
+
+
+def test_trial_scores_in_budget_slices_match_the_dense_payoff(monkeypatch):
+    # a cell budget of a few customers' rows makes the hook score its pairs,
+    # and densely re-score its cells, in many slices
+    import spatial_pricing._search as search_mod
+
+    rng, ctx = _trial_game(3, sp.CostKernel.quadratic())
+    opponent = rng.uniform(0.0, 1.0, ctx.region.size)
+    my_idx, dense, hook = _trial_payoffs(ctx, "A", opponent)
+    u = np.round(rng.uniform(0.0, 1.0, my_idx.size) * 10) / 10
+    idx = np.repeat(np.arange(my_idx.size), 7)
+    ts = np.round(rng.uniform(0.0, 1.0, idx.size) * 10) / 10
+    expected = hook(u, idx, ts)
+    monkeypatch.setattr(search_mod, "CELL_BUDGET", 3 * ctx.region.size)
+    assert hook(u, idx, ts).tobytes() == expected.tobytes()
+    _assert_trials_match(dense, hook, u, idx, ts)
 
 
 @pytest.mark.parametrize("price_cap", [None, 0.3, 1e-10])
 @pytest.mark.parametrize("kernel", [METRIC, sp.CostKernel.quadratic()], ids=["distance", "quadratic"])
 def test_polish_trials_match_the_dense_payoff(monkeypatch, kernel, price_cap):
-    # every trial the polish scores, checked against the dense payoff
+    # every trial the polish scores, checked against the dense payoff; the
+    # polish asks for several coordinates' trials in one call
     import spatial_pricing.nash as nash_mod
 
-    calls = []
+    coordinates = []
 
     def checked(ctx, my_idx, opp_offer, tie_home, tol):
         dense = _player_payoff_batch(ctx, my_idx, opp_offer, tie_home, tol)
         hook = _player_trial_scores(ctx, my_idx, opp_offer, tie_home, tol)
 
-        def trial_scores(u, i, ts):
-            calls.append(i)
-            _assert_trials_match(dense, hook, u, i, ts)
-            return hook(u, i, ts)
+        def trial_scores(u, idx, ts):
+            coordinates.append(len(set(idx.tolist())))
+            _assert_trials_match(dense, hook, u, idx, ts)
+            return hook(u, idx, ts)
 
         return trial_scores
 
@@ -478,14 +490,15 @@ def test_polish_trials_match_the_dense_payoff(monkeypatch, kernel, price_cap):
         for grid_n in (7, 40):
             for player in "AB":
                 best_response(player, opponent, ctx, NashSearchConfig(grid_n=grid_n))
-    assert calls
+    assert coordinates and max(coordinates) > 1
 
 
 def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch):
     # the distance-cost polish moves no price here; the start row, the best
     # cone, is a memo hit, so the dense payoff scores only what the hook
     # passes it: rows whose unique best offer is the moved column and knife
-    # edges
+    # edges.  The sweep moves nothing, so the hook's window doubles from
+    # one coordinate and the sweep takes about log2(m) calls.
     import spatial_pricing.nash as nash_mod
 
     region = sp.build_interval_region(41, 0.0, 1.0)
@@ -504,14 +517,14 @@ def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch)
         hook = kwargs.pop("trial_scores")
         record.update(start=starts[0].copy(), calls=[])
 
-        def recorded(u, i, ts):
-            record["calls"].append((u.copy(), i, list(ts)))
-            return hook(u, i, ts)
+        def recorded(u, idx, ts):
+            record["calls"].append((u.copy(), idx.copy(), ts.copy()))
+            return hook(u, idx, ts)
 
         with monkeypatch.context() as patch:
             patch.setattr(nash_mod, "_value_and_paid", counted)
             out = coordinate_ascent(eval_batch, caps, starts, search, feasible, trial_scores=recorded, **kwargs)
-        record["u"] = out[0]
+        record["u"], record["evaluations"] = out[0], out[2]["evaluations"]
         return out
 
     monkeypatch.setattr(nash_mod, "coordinate_ascent", ascent)
@@ -519,17 +532,97 @@ def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch)
     assert np.array_equal(record["u"], record["start"]) and np.array_equal(r.prices, record["start"])
     C = ctx.cost[:, ctx.indices("A")]
     expected = trials = 0
-    for u, i, ts in record["calls"]:
+    for u, idx, ts in record["calls"]:
         T = C + u
         V = T.min(axis=1)
-        unique = (T[:, i] == V) & ((T == V[:, None]).sum(axis=1) == 1)
-        for t in ts:
+        for i, t in zip(idx.tolist(), ts.tolist()):
+            unique = (T[:, i] == V) & ((T == V[:, None]).sum(axis=1) == 1)
             ci = C[:, i] + t
             expected += int((unique | ((ci < V) & (ci + ctx.tol >= V))).sum())
             trials += 1
-    n = ctx.region.size
+    n, m = C.shape
     assert rows["dense"] == expected
     assert expected < trials * n / 10
+    assert len(record["calls"]) == math.ceil(math.log2(m + 1))
+    assert {i for _, idx, _ in record["calls"] for i in idx.tolist()} == set(range(m))
+    # the still sweep compares every pair it scores, once
+    assert trials == record["evaluations"] - 1
+
+
+def _counted_hook(hook, record):
+    def trial_scores(u, idx, ts):
+        record["pairs"] += len(ts)
+        return hook(u, idx, ts)
+
+    return trial_scores
+
+
+@pytest.mark.parametrize("kernel", [METRIC, sp.CostKernel.quadratic()], ids=["distance", "quadratic"])
+def test_ascent_with_the_hook_matches_the_dense_ascent(kernel):
+    # from starts on the price grid but off the best cone the polish moves
+    # prices under both costs; with the hook it must reach the same point
+    # and value and count the same evaluations as through the dense payoff
+    moved = 0
+    for seed in range(8):
+        rng, ctx = _trial_game(seed, kernel)
+        opponent = rng.uniform(0.0, 1.0, ctx.region.size)
+        step = 1.0 / [7, 20][seed % 2]
+        for player in "AB":
+            my_idx, dense, hook = _trial_payoffs(ctx, player, opponent)
+            m = my_idx.size
+            caps = rng.uniform(0.5, 1.5, m)
+            start = np.round(rng.uniform(0.0, caps) / step) * step
+            deep = SearchConfig(levels=5, multistarts=3, seed=seed, max_sweeps=3, refine_halvings=2)
+            runs = [
+                # the polish, and a multi-start ascent over several step levels
+                (SearchConfig(max_sweeps=4, refine_halvings=0), [start], {"step": step, "on_grid_cap": True}),
+                (deep, seeded_starts(caps, deep, start), {}),
+            ]
+            for cfg, starts, kwargs in runs:
+                expected = coordinate_ascent(dense, caps, starts, cfg, **kwargs)
+                record = {"pairs": 0}
+                got = coordinate_ascent(dense, caps, starts, cfg, trial_scores=_counted_hook(hook, record), **kwargs)
+                case = (seed, player, len(starts))
+                assert got[0].tobytes() == expected[0].tobytes(), case
+                assert repr(got[1]) == repr(expected[1]), case
+                assert got[2] == expected[2], case
+                # scores a move makes stale stay within those compared, plus a sweep
+                assert record["pairs"] <= 2 * (got[2]["evaluations"] - len(starts)) + m, case
+                if kwargs:  # the polish
+                    moved += int((got[0] != start).sum())
+    assert moved > 0
+
+
+def test_masked_max_matches_the_where_max_form():
+    # the price paid, a masked reduce over the tied offers, equals the max of
+    # np.where(member, P, -inf); with -0.0 prices the two may pick zeros of
+    # different sign, which the income sum drops
+    rng = np.random.default_rng(7)
+    signed = 0
+    for trial in range(300):
+        B, n, m = (int(k) for k in rng.integers(1, 12, 3))
+        C = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, m))
+        prices = [0.0, 0.25, 0.5] + ([-0.0] if trial % 2 else [])
+        P = rng.choice(prices, size=(B, 1, m))
+        tol = [0.0, 1e-9][trial % 3 == 0]
+        totals = C[None] + P
+        V, paid = _value_and_paid(totals, P, tol)
+        where_max = np.where(totals <= totals.min(axis=-1)[..., None] + tol, P, -np.inf).max(axis=-1)
+        assert V.tobytes() == totals.min(axis=-1).tobytes()
+        assert np.array_equal(paid, where_max)
+        if trial % 2 == 0:
+            assert paid.tobytes() == where_max.tobytes()
+        else:
+            signed += paid.tobytes() != where_max.tobytes()
+        opp = rng.choice([0.25, 0.5, 1.0, 2.0], size=n)
+        tie_home = rng.uniform(size=n) < 0.5
+        w = rng.uniform(0.0, 1.0, n)
+        for p in (paid, where_max):
+            assert np.isfinite(p).all()
+        got = _income(V, paid, opp, tie_home, w, tol).sum(axis=-1)
+        expected = _income(V, where_max, opp, tie_home, w, tol).sum(axis=-1)
+        assert got.tobytes() == expected.tobytes()
+    assert signed > 0  # the sign of a zero does differ, so the sums are what agree
 
 
 def _scan_cones(player, opponent, ctx, search):

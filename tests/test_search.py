@@ -1,5 +1,7 @@
 """The search solvers share one start set-up and one diagnostics shape."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -374,3 +376,75 @@ def test_trial_scores_do_not_combine_with_feasible():
             lambda U: U.sum(axis=1), caps, [caps], SearchConfig(), lambda U: np.ones(len(U), bool),
             trial_scores=lambda u, i, ts: np.zeros(len(ts)),
         )
+
+
+def _nan_corner(U):
+    """NaN on the row u_0 = 0, else -|u - 0.5|_1."""
+    return np.where(U[:, 0] == 0.0, np.nan, -np.abs(U - 0.5).sum(axis=1))
+
+
+@pytest.mark.parametrize("bounded", [False, True], ids=["full", "bounded"])
+def test_exhaustive_scan_refuses_a_nan_score(bounded):
+    # 5 of the 5x5 grid's 25 candidates score NaN; the scan once hid the
+    # rest behind them and refused with "no feasible candidate"
+    bound = _nan_corner if bounded else None
+    with pytest.raises(RuntimeError, match=r"^search score is NaN at \[0\.0, 0\.0\]"):
+        _search.exhaustive_product(_nan_corner, np.ones(2), 5, 100, bound=bound)
+
+
+def _row_hook(eval_batch, record):
+    """A `trial_scores` hook that scores each pair as a full row of `eval_batch`."""
+
+    def trial_scores(u, idx, ts):
+        record["calls"].append(sorted(set(idx.tolist())))
+        record["pairs"] += len(ts)
+        rows = np.repeat(u[None, :], len(ts), axis=0)
+        rows[np.arange(len(ts)), idx] = ts
+        return eval_batch(rows)
+
+    return trial_scores
+
+
+@pytest.mark.parametrize("quantized", [False, True], ids=["smooth", "quantized"])
+def test_ascent_with_trial_scores_matches_the_ascent_without(quantized):
+    pairs = evaluations = 0
+    for seed in range(40):
+        eval_batch, caps, starts, cfg, _ = _ascent_case(seed, quantized, False)
+        expected = coordinate_ascent(eval_batch, caps, starts, cfg)
+        record = {"calls": [], "pairs": 0}
+        u, val, diag = coordinate_ascent(eval_batch, caps, starts, cfg, trial_scores=_row_hook(eval_batch, record))
+        assert u.tobytes() == expected[0].tobytes(), seed
+        assert repr(val) == repr(expected[1]), seed
+        assert diag == expected[2], seed
+        assert record["pairs"] <= 2 * diag["evaluations"] + caps.size, seed
+        pairs += record["pairs"]
+        evaluations += diag["evaluations"]
+    assert 0 < pairs < evaluations
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 20, 100])
+def test_still_sweep_asks_the_hook_log2_times(m):
+    # the start is the optimum, so the one sweep moves nothing: windows of
+    # 1, 2, 4, ... coordinates cover the m coordinates in ceil(log2(m + 1)) calls
+    centre = np.linspace(0.25, 0.75, m)
+    eval_batch = lambda U: -((U - centre) ** 2).sum(axis=1)  # noqa: E731
+    record = {"calls": [], "pairs": 0}
+    cfg = SearchConfig(max_sweeps=4, refine_halvings=0)
+    u, _, diag = coordinate_ascent(eval_batch, np.ones(m), [centre], cfg, step=0.125, trial_scores=_row_hook(eval_batch, record))
+    assert u.tobytes() == centre.tobytes()
+    assert len(record["calls"]) <= math.ceil(math.log2(m + 1))
+    assert [len(c) for c in record["calls"][:-1]] == [2**k for k in range(len(record["calls"]) - 1)]
+    assert sorted(i for c in record["calls"] for i in c) == list(range(m))
+    assert record["pairs"] == diag["evaluations"] - 1
+
+
+def test_window_restarts_after_a_move():
+    # every coordinate gains by one step up: each call holds one coordinate
+    # whose move makes the others' scores stale, so the window never grows
+    m = 6
+    eval_batch = lambda U: U.sum(axis=1) - 2.0 * np.maximum(U - 0.25, 0.0).sum(axis=1)  # noqa: E731
+    record = {"calls": [], "pairs": 0}
+    cfg = SearchConfig(max_sweeps=1, refine_halvings=0)
+    u, _, _ = coordinate_ascent(eval_batch, np.ones(m), [np.zeros(m)], cfg, step=0.25, trial_scores=_row_hook(eval_batch, record))
+    assert np.array_equal(u, np.full(m, 0.25))
+    assert record["calls"] == [[i] for i in range(m)]
