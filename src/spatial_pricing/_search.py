@@ -9,17 +9,9 @@ for the ascent or `levels` and `search_space` for the exhaustive scan.
 
 `EvalBatch` contract: a row's score must not depend on the other rows of its
 batch, bit for bit.  The ascent relies on it to reuse scores it already holds
-instead of asking for them again, and `within_budget` to score a batch in
-row slices.  `evaluations` counts the candidates compared, reused scores
-included, so it does not depend on that reuse.
-
-Objectives built by `scored_by_value` obey a second contract: a row's score
-depends on the row only through its value function, the (n,) vector
-`value` maps it to.  Many price vectors share one value function (raising a
-price that is nowhere the argmin, or a model-one price above the bound,
-which the value map clamps at the bound, leaves it unchanged), so such an
-objective scores each distinct value function once and answers the other
-rows from a bounded memo.
+instead of asking for them again, and `Objective` to score a batch in row
+slices and from its memo.  `evaluations` counts the candidates compared,
+reused scores included, so it does not depend on that reuse.
 
 The exhaustive scan also takes an upper bound: an `EvalBatch` whose row is
 >= the objective's row, exactly, in floating point.  It then scores only the
@@ -122,55 +114,70 @@ def seeded_starts(caps: np.ndarray, search: SearchConfig, *extra: np.ndarray) ->
     return starts
 
 
-def within_budget(eval_batch: EvalBatch, n: int, m: int) -> EvalBatch:
-    """`eval_batch`, whose rows span (n, m) temporaries, scored in row slices
-    of at most CELL_BUDGET cells; exact by the `EvalBatch` contract."""
-    rows = max(1, CELL_BUDGET // (n * m))
+def _sliced(fn: EvalBatch, cells_per_row: int) -> EvalBatch:
+    """`fn`, whose rows span `cells_per_row` cells of temporaries, applied in
+    row slices of at most CELL_BUDGET cells; exact by the `EvalBatch` contract."""
+    rows = max(1, CELL_BUDGET // cells_per_row)
 
     def sliced(batch: np.ndarray) -> np.ndarray:
         if len(batch) <= rows:
-            return eval_batch(batch)
-        return np.concatenate([eval_batch(batch[k : k + rows]) for k in range(0, len(batch), rows)])
+            return fn(batch)
+        return np.concatenate([fn(batch[k : k + rows]) for k in range(0, len(batch), rows)])
 
     return sliced
 
 
-def scored_by_value(
-    value: Callable[[np.ndarray], np.ndarray], score: Callable[[np.ndarray], np.ndarray], n: int, m: int
-) -> EvalBatch:
-    """The objective score(value(batch)), where `value` maps (B, k) rows to
-    (B, n) value functions through (n, m) temporaries per row, scoring each
-    distinct value function once.
+class Objective:
+    """A search objective: calling it on (B, k) rows returns score(value(rows)),
+    where `value` maps rows to (B, n) value functions through (n, m)
+    temporaries per row (None: the identity, for a score of the row alone),
+    in row slices of at most CELL_BUDGET cells.
 
-    Rows whose value bytes were scored before are answered from a FIFO memo
-    of max(1, MEMO_CELLS // n) entries, one per returned objective; repeats
-    inside a batch reach `score` once.  Exact by both contracts; a value that
-    differs only in the sign of a zero is a miss, scored again.  `value` may
-    be the identity, for a score of the row alone: the key is the row's bytes.
+    A row's score depends on the row only through its value function.  Many
+    price vectors share one (raising a price that is nowhere the argmin, or
+    a model-one price above the bound, which the value map clamps at the
+    bound, leaves it unchanged), so each distinct value function, compared
+    by its bytes, is scored once: the others are answered from a FIFO memo
+    of max(1, MEMO_CELLS // n) entries, one per objective, and repeats
+    inside a batch reach `score` once.  Exact by both contracts; a value
+    that differs only in the sign of a zero is a miss, scored again.
+
+    `bound`, when given, maps value functions to an upper bound of `score`,
+    row for row; `.bound` is then bound(value(rows)) in the score's slices
+    (slices sized by the bound's own smaller temporaries raised a benchmark's
+    peak RSS by 5%), without the memo, and otherwise None.
     """
-    size = max(1, MEMO_CELLS // n)
-    memo: dict[bytes, float] = {}
 
-    def eval_batch(batch: np.ndarray) -> np.ndarray:
-        V = value(batch)
-        keys = [row.tobytes() for row in V]
-        misses: dict[bytes, int] = {}  # value bytes not in the memo -> first row
-        for r, key in enumerate(keys):
-            if key not in memo:
-                misses.setdefault(key, r)
-        if len(misses) == len(keys):
-            out = score(V)
-            fresh = dict(zip(keys, out.tolist()))
-        else:
-            fresh = dict(zip(misses, score(V[list(misses.values())]).tolist())) if misses else {}
-            out = np.array([fresh[key] if key in fresh else memo[key] for key in keys])
-        # first in, first out: of this batch's new values only the last `size` can stay
-        memo.update(islice(fresh.items(), max(0, len(fresh) - size), None))
-        for key in list(islice(memo, max(0, len(memo) - size))):
-            del memo[key]
-        return out
+    def __init__(self, score: EvalBatch, n: int, m: int, value: Optional[Callable] = None, bound: Optional[EvalBatch] = None):
+        # the closures below hold no reference to self: in a cycle the memo
+        # and the cost slices they hold would outlive the objective until a GC pass
+        size = max(1, MEMO_CELLS // n)
+        memo: dict[bytes, float] = {}
 
-    return within_budget(eval_batch, n, m)
+        def scored(batch: np.ndarray) -> np.ndarray:
+            V = batch if value is None else value(batch)
+            keys = [row.tobytes() for row in V]
+            misses: dict[bytes, int] = {}  # value bytes not in the memo -> first row
+            for r, key in enumerate(keys):
+                if key not in memo:
+                    misses.setdefault(key, r)
+            if len(misses) == len(keys):
+                out = score(V)
+                fresh = dict(zip(keys, out.tolist()))
+            else:
+                fresh = dict(zip(misses, score(V[list(misses.values())]).tolist())) if misses else {}
+                out = np.array([fresh[key] if key in fresh else memo[key] for key in keys])
+            # first in, first out: of this batch's new values only the last `size` can stay
+            memo.update(islice(fresh.items(), max(0, len(fresh) - size), None))
+            for key in list(islice(memo, max(0, len(memo) - size))):
+                del memo[key]
+            return out
+
+        self._scored = _sliced(scored, n * m)
+        self.bound = None if bound is None else _sliced(lambda batch: bound(batch if value is None else value(batch)), n * m)
+
+    def __call__(self, batch: np.ndarray) -> np.ndarray:
+        return self._scored(batch)
 
 
 def exhaustive_product(
@@ -280,8 +287,9 @@ def coordinate_ascent(
     endpoints) while the others are held; accepted moves must improve
     strictly.  The step starts at max(caps) / (levels - 1) and halves
     whenever a full sweep makes no progress, `refine_halvings` times, but
-    not below MIN_STEP.  A positive `step` replaces that first step and
-    always runs its first level, however small.  With `on_grid_cap` each
+    not below MIN_STEP.  A `step` replaces that first step and always runs
+    its first level, however small; one that is not a positive finite
+    number raises ValueError.  With `on_grid_cap` each
     coordinate also tries its cap rounded down to the step grid,
     floor(cap / step + GRID_CAP_SLACK) * step.  The Nash best-response
     polish is one such level.
@@ -306,6 +314,8 @@ def coordinate_ascent(
     """
     if feasible is not None and trial_scores is not None:
         raise ValueError("trial_scores and feasible do not combine")
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step!r}")
     caps = np.asarray(caps, dtype=float)
     m = caps.size
     cap_list = caps.tolist()

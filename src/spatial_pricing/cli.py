@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from ._search import BudgetExceededError
+from .ctransform import NotCConcaveError
 from .scenario import METHODS, _fmt, load_scenario
 
 EXIT_OK = 0
@@ -34,7 +35,8 @@ def _load_and_solve(scenario_path: str, context: str = "", **overrides):
 
     `run` and `compare` share this mapping: a validation error (ScenarioError
     is a ValueError) exits 2, a budget refusal exits 3, and a failed runtime
-    self-check of a solver (any other RuntimeError) exits 4.
+    self-check of a solver (any other RuntimeError, or a report's
+    NotCConcaveError, a ValueError) exits 4.
     """
     try:
         sc = load_scenario(scenario_path, **overrides)
@@ -43,7 +45,7 @@ def _load_and_solve(scenario_path: str, context: str = "", **overrides):
     except BudgetExceededError as e:
         print(f"solver refused{context}: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except RuntimeError as e:
+    except (RuntimeError, NotCConcaveError) as e:
         print(f"solver self-check failed{context}: {e}", file=sys.stderr)
         return EXIT_SELF_CHECK
     except ValueError as e:

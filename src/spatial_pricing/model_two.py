@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, scored_by_value, seeded_starts, within_budget
+from ._search import Objective, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts
 from .geometry import (
     CostKernel,
     CustomerMeasure,
@@ -181,7 +181,7 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
     def value(G: np.ndarray) -> np.ndarray:
         return np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
 
-    return scored_by_value(value, ct._generator_score(cost_free, ctx.v0, weights, tol), *cost_free.shape)
+    return Objective(ct._generator_score(cost_free, ctx.v0, weights, tol), *cost_free.shape, value=value)
 
 
 def _w_search_report(
@@ -198,7 +198,6 @@ def _w_search_report(
         raise RuntimeError(f"search score {best} differs from value-side profit {j_value}")
     if np.any(captured != (w <= ctx.v0 + ctx.tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
-    diagnostics["profit_value_form"] = j_value
     return SolveReport(
         optimal_price=price,
         optimal_value=w,
@@ -263,8 +262,6 @@ def solve_boundary_control(
     dctrl = ctx.cost[np.ix_(ctrl, ctrl)]
     cost_ctrl = ctx.cost[:, ctrl]
     cost_free = ctx.cost[:, ctx.free]
-    score = ct._generator_score(cost_free, ctx.v0, f.weights, tol)
-    shape = cost_free.shape
 
     def feasible(PHI: np.ndarray) -> np.ndarray:
         gap = PHI[:, :, None] - PHI[:, None, :] - dctrl[None, :, :]
@@ -273,24 +270,18 @@ def solve_boundary_control(
     def value(PHI: np.ndarray) -> np.ndarray:
         return np.min(cost_ctrl[None, :, :] + PHI[:, None, :], axis=2)
 
+    args = (cost_free, ctx.v0, f.weights, tol)
+    objective = Objective(ct._generator_score(*args), *cost_free.shape, value=value, bound=ct._generator_bound(*args))
     k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
-        # a product scan visits each candidate once and repeats no value
-        # function; it scores only the rows whose bound reaches the best.
-        # The bound takes the score's row slices: slices sized by its own
-        # (n, k) temporaries raised the benchmark's peak RSS by 5%
-        bound = ct._generator_bound(cost_free, ctx.v0, f.weights, tol)
-        eval_batch = within_budget(lambda PHI: score(value(PHI)), *shape)
-        ub = within_budget(lambda PHI: bound(value(PHI)), *shape)
         phi_best, val_best, diag = exhaustive_product(
-            eval_batch, caps, levels, search.max_candidates, feasible=feasible, bound=ub
+            objective, caps, levels, search.max_candidates, feasible=feasible, bound=objective.bound
         )
     else:
         # each start becomes the largest 1-Lipschitz function below it on the control set
         starts = [ct.value_table(u, dctrl) for u in seeded_starts(caps, search)]
-        eval_batch = scored_by_value(value, score, *shape)
-        phi_best, val_best, diag = coordinate_ascent(eval_batch, caps, starts, search, feasible=feasible)
+        phi_best, val_best, diag = coordinate_ascent(objective, caps, starts, search, feasible=feasible)
 
     w = ct.value_table(phi_best, cost_ctrl)
     # the free generator prices are w on the free part: the metric table is symmetric

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import SearchConfig, coordinate_ascent, scored_by_value, within_budget
+from ._search import Objective, SearchConfig, _sliced, coordinate_ascent
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, _edge_tol, eval_cost
 
 __all__ = [
@@ -182,7 +182,7 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
         V, paid = _value_and_paid(cost_my[None, :, :] + P[:, None, :], P[:, None, :], tol)
         return _income(V, paid, opp_offer, tie_home, weights, tol).sum(axis=1)
 
-    return scored_by_value(lambda P: P, payoff, *cost_my.shape)
+    return Objective(payoff, *cost_my.shape)
 
 
 def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
@@ -252,11 +252,11 @@ def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
         if redo.size:
             trial_rows = np.repeat(u[None, :], len(ts), axis=0)
             trial_rows[np.arange(len(ts)), idx] = ts
-            out.flat[redo] = within_budget(lambda flat: rescore(trial_rows, flat), 1, m)(redo)
+            out.flat[redo] = _sliced(lambda flat: rescore(trial_rows, flat), m)(redo)
         return out.sum(axis=1)
 
     def trial_scores(u: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return within_budget(lambda ks: scores(u, idx[ks], ts[ks]), n, 1)(np.arange(len(ts)))
+        return _sliced(lambda ks: scores(u, idx[ks], ts[ks]), n)(np.arange(len(ts)))
 
     return trial_scores
 
@@ -433,13 +433,7 @@ class EquilibriumReport:
     is_equilibrium: bool
     best_deviation_gain_a: float
     best_deviation_gain_b: float
-    payoff_a: float
-    payoff_b: float
     tol: float
-    note: str = (
-        "deviations are searched over the best-response family only; "
-        "a profitable deviation outside it cannot be detected"
-    )
 
 
 def verify_equilibrium(
@@ -449,7 +443,10 @@ def verify_equilibrium(
     search: NashSearchConfig = NashSearchConfig(),
 ) -> EquilibriumReport:
     """Check that neither player gains from a unilateral family deviation by
-    more than one price step per unit of customer mass plus the tolerance."""
+    more than one price step per unit of customer mass plus the tolerance.
+
+    Deviations are searched over the best-response family only; a
+    profitable deviation outside it cannot be detected."""
     a_idx, b_idx = ctx.indices("A"), ctx.indices("B")
     n = ctx.region.size
     pv = _strategy_values(p_star, a_idx, n)
@@ -465,7 +462,5 @@ def verify_equilibrium(
         is_equilibrium=bool(gain_a <= tol and gain_b <= tol),
         best_deviation_gain_a=float(gain_a),
         best_deviation_gain_b=float(gain_b),
-        payoff_a=pi_a,
-        payoff_b=pi_b,
         tol=float(tol),
     )

@@ -10,6 +10,7 @@ import spatial_pricing as sp
 from spatial_pricing import model_one
 from spatial_pricing._search import BudgetExceededError
 from spatial_pricing.cli import EXIT_BUDGET, EXIT_OK, EXIT_SELF_CHECK, EXIT_VALIDATION, compare, main, run
+from spatial_pricing.ctransform import NotCConcaveError
 from spatial_pricing.model_one import profit_from_prices
 from spatial_pricing.scenario import METHODS, ScenarioError, load_scenario
 
@@ -773,11 +774,13 @@ class TestMain:
         (ValueError("bad input"), EXIT_VALIDATION, "scenario error"),
         (BudgetExceededError("too many candidates"), EXIT_BUDGET, "solver refused"),
         (RuntimeError("price-side profit 1.0 differs from value-side 2.0"), EXIT_SELF_CHECK, "solver self-check failed"),
+        (NotCConcaveError("profit needs a value function that is cost concave"), EXIT_SELF_CHECK, "solver self-check failed"),
     ],
-    ids=["validation", "budget", "self_check"],
+    ids=["validation", "budget", "self_check", "not_c_concave"],
 )
 def test_each_refusal_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code, prefix):
-    # a budget refusal is a RuntimeError too, and keeps its own code
+    # a budget refusal is a RuntimeError too, and keeps its own code; a
+    # report's NotCConcaveError is a ValueError, and a solver fault
     def refuse(sc):
         raise error
 

@@ -4,7 +4,9 @@ depend on the other rows of its batch, which the coordinate ascent's score
 reuse and the memory budget's row slices rest on; the value-keyed memo
 returns the dense objective's scores."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -331,7 +333,7 @@ def test_model_two_value_profit_equals_the_mask_form():
         assert model_two.profit_from_values(values, ctx, f) == expected
 
 
-def test_within_budget_slices_rows(monkeypatch):
+def test_sliced_slices_rows(monkeypatch):
     monkeypatch.setattr(_search, "CELL_BUDGET", 10)
     sizes = []
 
@@ -340,11 +342,19 @@ def test_within_budget_slices_rows(monkeypatch):
         return batch.sum(axis=1)
 
     batch = np.arange(20.0).reshape(10, 2)
-    assert np.array_equal(_search.within_budget(eval_batch, 1, 3)(batch), batch.sum(axis=1))
+    assert np.array_equal(_search._sliced(eval_batch, 3)(batch), batch.sum(axis=1))
     assert sizes == [3, 3, 3, 1]
     sizes.clear()
-    _search.within_budget(eval_batch, 4, 4)(batch)  # 16 cells per row: one row per call
+    _search._sliced(eval_batch, 16)(batch)  # 16 cells per row: one row per call
     assert sizes == [1] * 10
+    # an objective scores, and bounds, in the slices of its (n, m) rows
+    objective = _search.Objective(eval_batch, 1, 3, bound=eval_batch)
+    sizes.clear()
+    assert np.array_equal(objective(batch), batch.sum(axis=1))
+    assert sizes == [3, 3, 3, 1]
+    sizes.clear()
+    assert np.array_equal(objective.bound(batch), batch.sum(axis=1))
+    assert sizes == [3, 3, 3, 1]
 
 
 def _nash_payoff_case(seed):
@@ -402,21 +412,21 @@ def _count_scored(monkeypatch, module):
     their `score` sees; the counter also keeps the last (value, score) pair."""
     record = {"rows": 0}
 
-    def counted(value, score, n, m):
+    def counted(score, n, m, value=None, bound=None):
         def counted_score(V):
             record["rows"] += len(V)
             return score(V)
 
         record.update(value=value, score=score, n=n, m=m)
-        return _search.scored_by_value(value, counted_score, n, m)
+        return _search.Objective(counted_score, n, m, value, bound)
 
-    monkeypatch.setattr(module, "scored_by_value", counted)
+    monkeypatch.setattr(module, "Objective", counted)
     return record
 
 
 def _dense(monkeypatch, module):
     """Build `module`'s objectives without the memo: score(value(G)) on every row."""
-    monkeypatch.setattr(module, "scored_by_value", lambda value, score, n, m: lambda G: score(value(G)))
+    monkeypatch.setattr(module, "Objective", lambda score, n, m, value=None, bound=None: lambda G: score(value(G)))
 
 
 def _ascent_batches(rng, caps, inactive, count=6):
@@ -448,7 +458,7 @@ def _memo_cases(monkeypatch, seed):
     inactive = 2.0 * args[0].cost.max() + 4.0
     yield two, _subregion_profit_reference(*args), list(_ascent_batches(rng, np.full(args[0].free.size, 2.0), inactive)), record
 
-    # the memo sits on boundary control's ascent only; its product scan repeats no value
+    # boundary control's objective, taken on its way into the ascent
     record = _count_scored(monkeypatch, model_two)
     bc, caps = _boundary_control_objective(monkeypatch, max_candidates=10)
     with monkeypatch.context() as patch:
@@ -480,7 +490,7 @@ def test_memo_keys_on_value_bytes_not_on_value_equality(monkeypatch):
         flipped = V.copy()
         flipped[flipped == 0.0] = -0.0
         scored = []
-        by_value = _search.scored_by_value(lambda W: W, lambda W: scored.append(len(W)) or score(W), record["n"], record["m"])
+        by_value = _search.Objective(lambda W: scored.append(len(W)) or score(W), record["n"], record["m"])
         first, second = by_value(V), by_value(flipped)
         assert np.array_equal(first, second)
         assert np.array_equal(first, score(V))
@@ -507,6 +517,32 @@ def test_memo_scores_a_batch_larger_than_itself(monkeypatch):
     last = [row.tobytes() for row in record["value"](G)].index(keys[-1])
     assert np.array_equal(memoized(G[last : last + 1]), expected[last : last + 1])
     assert record["rows"] == len(keys) + 1
+
+
+def test_objectives_die_without_a_gc_pass():
+    """No reference cycle keeps an objective, and the memo and cost slices it
+    holds, alive after `del`: with a bound, without one, and a Nash payoff."""
+    (ctx, weights, tol), G = _model_two_case(0)
+    cost_free = ctx.cost[:, ctx.free]
+    args = (cost_free, ctx.v0, weights, tol)
+    bounded = lambda: _search.Objective(  # noqa: E731
+        ct._generator_score(*args), *cost_free.shape, value=lambda G: np.min(cost_free + G[:, None, :], axis=2), bound=ct._generator_bound(*args)
+    )
+    nash_args, P = _nash_payoff_case(0)
+    cases = [(bounded, G), (lambda: model_two._batch_subregion_profit(ctx, weights, tol), G), (lambda: nash._player_payoff_batch(*nash_args), P)]
+    gc.disable()
+    try:
+        for build, batch in cases:
+            objective = build()
+            objective(batch)
+            objective(batch[:1])  # a memo hit
+            if objective.bound is not None:
+                assert (objective.bound(batch) >= objective(batch)).all()
+            ref = weakref.ref(objective)
+            del objective
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_repeats_inside_a_batch_are_scored_once(monkeypatch):

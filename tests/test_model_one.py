@@ -179,7 +179,8 @@ class TestSolveGeneral:
         assert (rep.optimal_value <= v0 + tol).all()
         # canonical price: minus the transform of the optimal value
         assert np.allclose(rep.optimal_price.values, -c_transform_table(rep.optimal_value, cost), atol=1e-9)
-        assert np.isclose(rep.profit, rep.diagnostics["profit_value_form"], atol=10 * tol * (1 + f.total_mass))
+        value_form = profit_from_values(rep.optimal_value, kern, region, f)
+        assert np.isclose(rep.profit, value_form, atol=10 * tol * (1 + f.total_mass))
 
 
 class TestReductionIdentities:

@@ -236,7 +236,8 @@ class TestWSearch:
         tol = ctx.tol
         assert np.array_equal(rep.captured, rep.optimal_value <= ctx.v0 + tol)
         assert (rep.optimal_price.values[ctx.fixed] == ctx.p0.values[ctx.fixed]).all()
-        assert np.isclose(rep.profit, rep.diagnostics["profit_value_form"], atol=10 * tol * (1 + f.total_mass))
+        value_form = model_two.profit_from_values(rep.optimal_value, ctx, f)
+        assert np.isclose(rep.profit, value_form, atol=10 * tol * (1 + f.total_mass))
 
 
 class TestBoundaryControl:

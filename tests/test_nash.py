@@ -261,7 +261,7 @@ class TestVerifyEquilibrium:
         pa, qb = closed_form_pair(ctx)
         ver = verify_equilibrium(pa, qb, ctx, NashSearchConfig(grid_n=10))
         assert ver.is_equilibrium
-        assert ver.payoff_a == 0.0 and ver.payoff_b == 0.0
+        assert payoffs(pa, qb, ctx) == (0.0, 0.0)
 
     def test_verified_pair_is_a_dynamics_fixpoint(self):
         _, ctx = split_game(21)

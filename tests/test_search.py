@@ -248,18 +248,18 @@ def test_solver_ascent_reuses_scores(monkeypatch, solver):
 def test_solver_scores_each_value_function_once(monkeypatch, solver):
     module, solve = _ascent_solve(solver)
     with monkeypatch.context() as patch:
-        patch.setattr(module, "scored_by_value", lambda value, score, n, m: lambda G: score(value(G)))
+        patch.setattr(module, "Objective", lambda score, n, m, value=None, bound=None: lambda G: score(value(G)))
         expected = solve()
     scored = {"rows": 0}
 
-    def counted(value, score, n, m):
+    def counted(score, n, m, value=None, bound=None):
         def counted_score(V):
             scored["rows"] += len(V)
             return score(V)
 
-        return _search.scored_by_value(value, counted_score, n, m)
+        return _search.Objective(counted_score, n, m, value, bound)
 
-    monkeypatch.setattr(module, "scored_by_value", counted)
+    monkeypatch.setattr(module, "Objective", counted)
     record = _capture_ascent(monkeypatch, module)
     report = solve()
     assert report.profit == expected.profit
@@ -322,10 +322,12 @@ def test_bounded_scan_refuses_a_score_above_its_bound():
         _search.exhaustive_product(eval_batch, np.ones(2), 5, 100, lambda U: np.zeros(len(U), bool), bound=eval_batch)
 
 
-def test_boundary_control_scan_scores_few_rows(monkeypatch):
+@pytest.mark.parametrize("traced", [False, True], ids=["direct", "wrapped"])
+def test_boundary_control_scan_scores_few_rows(monkeypatch, traced):
     """On a window shaped like the benchmark's (n = 81, grid_n = 201), the
     rows whose bound reaches the floor are at most 1% of the scan, and the
-    answer is the full scan's."""
+    answer is the full scan's.  Wrapped: the scan gets the objective behind
+    a plain function, as a layer tracer passes it, and still has its bound."""
     n = 81
     region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.3, 0.7))
     ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(n, 0.4)))
@@ -347,6 +349,8 @@ def test_boundary_control_scan_scores_few_rows(monkeypatch):
         return counted_score
 
     monkeypatch.setattr(ct, "_generator_score", counted)
+    if traced:
+        monkeypatch.setattr(model_two, "exhaustive_product", lambda eval_batch, *args, **kwargs: _search.exhaustive_product(lambda c: eval_batch(c), *args, **kwargs))
     report = model_two.solve_boundary_control(ctx, f, cfg)
     assert repr(report.profit) == repr(expected.profit)
     assert report.optimal_price.values.tobytes() == expected.optimal_price.values.tobytes()
@@ -355,18 +359,11 @@ def test_boundary_control_scan_scores_few_rows(monkeypatch):
     assert 0 < scored["rows"] <= 0.01 * report.diagnostics["evaluations"]
 
 
-@pytest.mark.parametrize("mode", list(SearchMode))
-def test_boundary_control_memo_only_on_the_ascent(monkeypatch, mode):
-    # a product scan visits each candidate once, so a memo there only holds keys
-    built = []
-
-    def spy(value, score, n, m):
-        built.append(mode)
-        return _search.scored_by_value(value, score, n, m)
-
-    monkeypatch.setattr(model_two, "scored_by_value", spy)
-    assert _solve("solve_boundary_control", mode).diagnostics["mode"] == mode.value
-    assert len(built) == (mode is SearchMode.ASCENT)
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_ascent_refuses_a_step_that_is_not_positive_and_finite(step):
+    # 0, -1 and +inf never returned: the step never fell below its floor; NaN returned the start unsearched
+    with pytest.raises(ValueError, match="positive finite"):
+        coordinate_ascent(lambda U: -np.abs(U - 0.5).sum(axis=1), np.ones(2), [np.zeros(2)], SearchConfig(), step=step)
 
 
 def test_trial_scores_do_not_combine_with_feasible():
