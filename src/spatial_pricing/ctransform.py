@@ -226,22 +226,25 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, within: Optional[np.n
     if within is not None:
         keep = np.zeros(len(prices), dtype=bool)
         keep[within] = True
+        outside = ~keep
         within_choice = np.empty(n, dtype=np.intp)
-        transport = np.full(n, np.inf)
+        transport = np.empty(n)
     for rows in row_blocks(n, cost.shape[1]):
-        totals = cost[rows] + prices[None, :]
+        # the one block buffer: totals, then member prices, then member costs
+        totals = cost[rows] + prices
         expenditure[rows] = totals.min(axis=1)
         member = totals <= expenditure[rows, None] + tol
-        del totals
+        np.copyto(totals, -np.inf)
+        np.copyto(totals, prices, where=member)
         # argmax takes the first max: smallest index
-        choice[rows] = np.argmax(np.where(member, prices[None, :], -np.inf), axis=1)
+        choice[rows] = np.argmax(totals, axis=1)
         if within is not None:
-            member &= keep[None, :]
-            within_choice[rows] = np.where(member.any(axis=1), np.argmax(np.where(member, prices[None, :], -np.inf), axis=1), -1)
-            if len(within):
-                cols = cost[rows, within]  # a copy, masked in place
-                np.copyto(cols, np.inf, where=~member[:, within])
-                transport[rows] = cols.min(axis=1) + 0.0  # one zero: the min may return 0.0 or -0.0
+            member &= keep
+            np.copyto(totals, -np.inf, where=outside)
+            within_choice[rows] = np.where(member.any(axis=1), np.argmax(totals, axis=1), -1)
+            np.copyto(totals, np.inf)
+            np.copyto(totals, cost[rows], where=member)
+            transport[rows] = totals.min(axis=1) + 0.0  # one zero: the min may return 0.0 or -0.0
     if within is None:
         return expenditure, choice
     return expenditure, choice, within_choice, transport

@@ -201,25 +201,38 @@ def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
     pts = region.points
     n, d = pts.shape
     c = np.empty((n, n))
-    for rows in row_blocks(n, n * d):
-        # in place where the operation allows, and nothing kept into the next block
-        sq = pts[rows, None, :] - pts[None, :, :]
-        sq *= sq
-        dist = sq.sum(axis=-1)
+    for rows in row_blocks(n, n):
+        # built in the table itself, one pass per axis: each entry sees
+        # sqrt(dx*dx + dy*dy) and its power in the dense order, and a block
+        # holds at most one temporary of its own size
+        block = c[rows]
+        for k in range(d):
+            sq = block if k == 0 else np.empty_like(block)
+            # x - y as a copy of x less y: faster than one subtract that broadcasts both
+            np.copyto(sq, pts[rows, k, None])
+            sq -= pts[:, k]
+            sq *= sq
+            if k:
+                block += sq
         del sq
-        np.sqrt(dist, out=dist)
-        c[rows] = dist**kernel.alpha if kernel.kind is KernelKind.METRIC_POWER else 0.5 * dist * dist
-        del dist
+        np.sqrt(block, out=block)
+        if kernel.kind is KernelKind.QUADRATIC:
+            block *= 0.5 * block  # (0.5*d)*d, not 0.5*(d*d): they differ where d*d is subnormal
+        elif kernel.alpha != 1.0:
+            np.power(block, kernel.alpha, out=block)
     np.fill_diagonal(c, 0.0)
     return _readonly(c)
 
 
+EDGE_REL = 1e-12  # times (1 + |end| + ...): linspace rounding can leave a grid point meant to sit on an edge that far off it
+
+
 def _edge_tol(*ends: float) -> float:
-    """Distance within which a grid point is on an edge: 1e-12 * (1 + |end| + ...), left to right."""
+    """Distance within which a grid point is on an edge: EDGE_REL * (1 + |end| + ...), left to right."""
     total = 1.0
     for end in ends:
         total += abs(end)
-    return 1e-12 * total
+    return EDGE_REL * total
 
 
 def _has_neighbour(a: np.ndarray) -> np.ndarray:

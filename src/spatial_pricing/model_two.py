@@ -45,6 +45,10 @@ METHOD_ONE_D = "one_d_reduction"
 METHOD_BOUNDARY = "boundary_control"
 
 
+WINDOW_SLACK = 1e-12  # one_d: p2 - p1 may pass beta - alpha by this, the rounding of the linspace price grid
+BREAK_REL = 1e-9  # one_d: an atom this close (times 1 + p0) to a break point sits on it, where F's right continuity decides
+
+
 @dataclass(frozen=True)
 class PartitionContext:
     """Region with FIXED/FREE split, the imposed prices, and derived tables.
@@ -355,7 +359,7 @@ def one_d_reduction(
     low = np.minimum(s0, s1)
     high = np.maximum(s0, s2)
     objective = P1 * np.asarray(cdf(low)) + P2 * (np.asarray(cdf(np.ones_like(high))) - np.asarray(cdf(high)))
-    infeasible = np.abs(P2 - P1) > (beta - alpha) + 1e-12
+    infeasible = np.abs(P2 - P1) > (beta - alpha) + WINDOW_SLACK
     if infeasible.all():
         raise ValueError("no feasible interface prices")
     objective = np.where(infeasible, -np.inf, objective)
@@ -366,7 +370,7 @@ def one_d_reduction(
 
     if atoms is not None:
         coords, wts = atoms
-        btol = 1e-9 * (1.0 + p0)
+        btol = BREAK_REL * (1.0 + p0)
         near = np.min(np.abs(coords[:, None] - np.array([b0, b1, b2])[None, :]), axis=1) <= btol
         if (wts[near] > 0).any():
             warnings.warn(

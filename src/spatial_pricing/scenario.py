@@ -32,6 +32,10 @@ from ._search import SearchConfig, SearchMode
 
 __all__ = ["METHODS", "Method", "Scenario", "ScenarioError", "load_scenario"]
 
+UNIT_END_TOL = 1e-12  # a 1D region whose ends lie this close to 0 and 1 is the unit interval: bounds written as decimals
+QUADRATIC_BOUND_TOL = 1e-9  # a bound this close to x - x^2/2 at every point is that bound, as a JSON file can state it
+GAME_EPS = 1e-9  # default game.eps: a round that moves no price by more is float noise, and the dynamics stop
+
 
 class ScenarioError(ValueError):
     """Scenario file is malformed or internally inconsistent."""
@@ -341,7 +345,7 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
             "init_p": _price_values(game.get("init_p", {"kind": "constant", "value": 1.0}), region.size, "game.init_p", allow_inf=False),
             "init_q": _price_values(game.get("init_q", {"kind": "constant", "value": 1.0}), region.size, "game.init_q", allow_inf=False),
             "rounds": _count(game, "rounds", 30, "game"),
-            "eps": _nonnegative(game, "eps", "game", default=1e-9),
+            "eps": _nonnegative(game, "eps", "game", default=GAME_EPS),
             "grid_n": _count(game, "grid_n", 200, "game"),
             "price_cap": _nonnegative(game, "price_cap", "game"),
             "verify": verify,
@@ -356,6 +360,11 @@ _MASK_NAMES = {int(Mask.NONE): "none", int(Mask.FREE): "free", int(Mask.FIXED): 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """`_fmt` of each entry, formatted from Python floats."""
+    return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
 def _reported(solve: Callable[[Scenario], Any]) -> Callable[[Scenario], tuple]:
@@ -422,27 +431,31 @@ def _solve_nash(sc: Scenario):
 
 def _series_model_one_two(sc: Scenario, rep):
     """series.csv of a model-one or model-two report; model one captures every customer."""
-    region, p0, pv = sc.region, sc.p0.values, rep.optimal_price.values
+    region, n = sc.region, sc.region.size
     axes = ["x"] if region.dimension == 1 else ["x", "y"]
-    rows = [["index", *axes, "mask", "bound_or_fixed_price", "price", "value", "assignment", "captured"]]
-    for i in range(region.size):
-        rows.append(
-            [str(i), *(_fmt(c) for c in region.points[i]), _MASK_NAMES[int(region.mask[i])]]
-            + [_fmt(p0[i]) if np.isfinite(p0[i]) else "+inf", _fmt(pv[i]), _fmt(rep.optimal_value[i])]
-            + [str(int(rep.choice[i])), str(1 if rep.captured is None else int(bool(rep.captured[i])))]
-        )
-    return {"series.csv": rows}
+    columns = [
+        [str(i) for i in range(n)],
+        *(_fmt_column(region.points[:, k]) for k in range(region.dimension)),
+        [_MASK_NAMES[m] for m in region.mask.tolist()],
+        [_fmt(p) if math.isfinite(p) else "+inf" for p in sc.p0.values.tolist()],
+        _fmt_column(rep.optimal_price.values),
+        _fmt_column(rep.optimal_value),
+        [str(j) for j in np.asarray(rep.choice, dtype=np.intp).tolist()],
+        ["1"] * n if rep.captured is None else [str(int(c)) for c in np.asarray(rep.captured, dtype=bool).tolist()],
+    ]
+    header = ["index", *axes, "mask", "bound_or_fixed_price", "price", "value", "assignment", "captured"]
+    return {"series.csv": [header, *zip(*columns)]}
 
 
 def _on_unit_interval(sc: Scenario) -> bool:
-    """True when the 1D region runs from 0 to 1 (each end within 1e-12)."""
+    """True when the 1D region runs from 0 to 1 (each end within UNIT_END_TOL)."""
     x = sc.region.coords_1d()
-    return abs(x[0]) < 1e-12 and abs(x[-1] - 1.0) < 1e-12
+    return abs(x[0]) < UNIT_END_TOL and abs(x[-1] - 1.0) < UNIT_END_TOL
 
 
 def _has_quadratic_bound(sc: Scenario) -> bool:
     x = sc.region.coords_1d()
-    return bool(np.all(np.abs(sc.p0.values - (x - 0.5 * x**2)) <= 1e-9))
+    return bool(np.all(np.abs(sc.p0.values - (x - 0.5 * x**2)) <= QUADRATIC_BOUND_TOL))
 
 
 def _distance_cost(sc: Scenario) -> bool:

@@ -85,7 +85,10 @@ def test_blocks_cover_the_rows_in_order(blocks):
 def test_eval_cost(blocks, kernel, d):
     rng = np.random.default_rng(7 * d)
     built = sp.build_interval_region(N, 0.0, 1.0) if d == 1 else sp.build_grid_region(5, 4)
-    for region in (region_from_points(random_points(rng, N, d)), built):
+    points = random_points(rng, N, d)
+    # at 1e-160 the squares are subnormal and at 1e150 the powers round far
+    # from 1, so a reordered sum, square or product changes some entry's bits
+    for region in (region_from_points(points), built, region_from_points(points * 1e-160), region_from_points(points * 1e150)):
         assert same_bits(sp.eval_cost(kernel, region), dense_eval_cost(kernel, region))
 
 
@@ -195,6 +198,22 @@ def test_one_d_report_peak_memory():
 
     peak = _peak_over_table(report, n)
     assert peak <= 1.6, f"peak is {peak:.2f} cost tables"
+
+
+@pytest.mark.parametrize("kernel", [sp.CostKernel.metric(0.5), sp.CostKernel.quadratic()], ids=["metric_half", "quadratic"])
+@pytest.mark.parametrize(
+    "region", [sp.build_interval_region(1200, 0.0, 1.0), sp.build_grid_region(35, 35)], ids=["1d_1200", "2d_35x35"]
+)
+def test_eval_cost_peak_memory(monkeypatch, kernel, region):
+    n = region.size
+    # about eleven blocks of 2^17 cells, each small beside the table
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 2**17)
+    peak = _peak_over_table(lambda: sp.eval_cost(kernel, region), n)
+    # the table plus one float64 block temporary, plus numpy's iteration
+    # buffers for the broadcast copy and subtract (np.getbufsize() elements
+    # per operand)
+    bound = 1.0 + 8 * (geometry.BLOCK_CELLS + 3 * np.getbufsize()) / (8 * n * n)
+    assert peak <= bound, f"peak is {peak:.4f} cost tables, bound {bound:.4f}"
 
 
 def test_assignment_table_peak_memory(monkeypatch):

@@ -130,6 +130,19 @@ SCENARIOS = {
         **_two({"method": "boundary_control", "search": {"levels": 3}}, 0.6, n=36),
         "region": {"dimension": 2, "nx": 6, "ny": 6, "fixed_box": [[0.2, 0.8], [0.2, 0.8]]},
     },
+    # the one 2D model-one closed form, and the one metric power other than
+    # 1: eval_cost takes the power of a two-axis distance, on a grid with
+    # nx != ny
+    "one_metric_closed_form_2d_half": {
+        **_one(
+            {"kind": "metric_power", "alpha": 0.5},
+            63,
+            {"kind": "per_point", "values": [0.2 + 0.1 * ((5 * i) % 7) for i in range(63)]},
+            {"method": "metric_closed_form"},
+            {"kind": "weights", "values": [1.0 + (i % 4) / 4 for i in range(63)]},
+        ),
+        "region": {"dimension": 2, "nx": 9, "ny": 7},
+    },
 }
 
 GOLDEN = {
@@ -212,6 +225,10 @@ GOLDEN = {
     "two_boundary_control_2d_scan": {
         "result.json": "5d63add66d56049ae46d56b9e087ce0e03bb27abc718122463f6eee56dd74aae",
         "series.csv": "96b063c2fe6a9d400fc0324c9dced79ed7316f94e921c79fb0cc80f35a00dbd4",
+    },
+    "one_metric_closed_form_2d_half": {
+        "result.json": "1c503e9213d36deaf94fffd3b864bee1e03db875c53c76cdabcb8bcc46d95826",
+        "series.csv": "70d4b6b80bb377701876d669875e8f047a4eee35e461ba77b4a4daa4e9c86c1f",
     },
 }
 
