@@ -112,7 +112,7 @@ def solve_metric(
         raise ValueError("the closed form needs a metric cost kernel")
     cost = eval_cost(kernel, region)
     popt = ct.value_table(p0.values, cost)
-    return price_report(PricePattern(popt), None, cost, f, METHOD_METRIC, {"f_independent": True})
+    return price_report(PricePattern(popt), None, cost, f, METHOD_METRIC, {})
 
 
 def solve_general(

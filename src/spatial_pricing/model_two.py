@@ -188,29 +188,30 @@ def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: flo
     return Objective(ct._generator_score(cost_free, ctx.v0, weights, tol), *cost_free.shape, value=value)
 
 
+def _report(
+    ctx: PartitionContext, f: CustomerMeasure, free_prices: np.ndarray, method: str, diagnostics: dict
+) -> SolveReport:
+    """Report of `free_prices`: their reformulated pattern, the value it generates and its price-side profit."""
+    w, price = reformulate(ctx.full_prices(free_prices), ctx)
+    captured, choice, profit, _ = _capture_and_profit(ctx, price, f)
+    return SolveReport(price, w, profit, choice, method, diagnostics, captured)
+
+
 def _w_search_report(
     ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, best: float, method: str, diagnostics: dict
 ) -> SolveReport:
     """Report of the free generator prices `g_best`, which the search scored `best`."""
-    w, price = reformulate(ctx.full_prices(g_best), ctx)
-    captured, choice, profit, _ = _capture_and_profit(ctx, price, f)
+    report = _report(ctx, f, g_best, method, diagnostics)
+    w, profit = report.optimal_value, report.profit
     j_value = profit_from_values(w, ctx, f)
     slack = ct._check_slack(ctx.tol, f.total_mass)
     if abs(profit - j_value) > slack:
         raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
     if abs(best - j_value) > slack:
         raise RuntimeError(f"search score {best} differs from value-side profit {j_value}")
-    if np.any(captured != (w <= ctx.v0 + ctx.tol)):
+    if np.any(report.captured != (w <= ctx.v0 + ctx.tol)):
         raise RuntimeError("capture set differs from {w <= v0}")
-    return SolveReport(
-        optimal_price=price,
-        optimal_value=w,
-        profit=profit,
-        choice=choice,
-        method=method,
-        diagnostics=diagnostics,
-        captured=captured,
-    )
+    return report
 
 
 def solve_w_search(
@@ -288,14 +289,9 @@ def solve_boundary_control(
         phi_best, val_best, diag = coordinate_ascent(objective, caps, starts, search, feasible=feasible)
 
     w = ct.value_table(phi_best, cost_ctrl)
+    diag = {**diag, "control_indices": ctrl.tolist(), "control_prices": phi_best.tolist()}
     # the free generator prices are w on the free part: the metric table is symmetric
     report = _w_search_report(ctx, f, w[ctx.free], val_best, METHOD_BOUNDARY, diag)
-    report.diagnostics.update(
-        {
-            "control_indices": ctrl.tolist(),
-            "control_prices": phi_best.tolist(),
-        }
-    )
     if np.max(np.abs(report.optimal_value - w)) > ct._check_slack(tol):
         raise RuntimeError("interface-generated value function is inconsistent")
     return report
@@ -330,12 +326,14 @@ def one_d_reduction(
     break, and F is the cumulative customer function.
 
     `cdf` may be any cumulative function (use geometry.uniform_cdf for the
-    nonatomic uniform); alternatively pass `ctx` and `f` to use the atomic
-    measure on the region grid (right-continuous F, with a warning when atoms
-    sit near the break points).  The reported profit is the value-side profit
-    of the reformulated price, which exceeds the two-scalar objective exactly
-    by the (p1, p2)-independent transport premium collected outside the
-    window.
+    nonatomic uniform); without one, `ctx` and `f` give the atomic measure
+    on the region grid (right-continuous F, with a warning when atoms sit
+    near the break points).  With `ctx` and `f`, the reported profit is the
+    price-side profit of the reformulated grid pattern of the cones
+    min(p1 + |x - x_alpha|, p2 + |x - x_beta|) on the free part.  With a
+    `cdf` alone the report has no pattern, and its profit is the two-scalar
+    objective plus the (p1, p2)-independent transport premium collected
+    outside the window.
     """
     if f is not None and f.total_mass <= 0:
         raise ValueError("the customer measure must have positive mass")
@@ -343,12 +341,10 @@ def one_d_reduction(
         raise ValueError("the window must satisfy 0 <= alpha < beta <= 1")
     if p0 < 0:
         raise ValueError("the imposed price must be nonnegative")
-    atoms = None
-    if cdf is None:
+    atomic = cdf is None
+    if atomic:
         if ctx is None or f is None:
             raise ValueError("pass a cdf, or a region context with a measure")
-        coords = ctx.region.coords_1d()
-        atoms = (coords, f.weights)
         cdf = step_cdf(ctx.region, f)
 
     grid = np.linspace(0.0, p0, grid_n) if p0 > 0 else np.zeros(1)
@@ -366,69 +362,27 @@ def one_d_reduction(
     k = np.unravel_index(int(np.argmax(objective)), objective.shape)
     p1, p2 = float(P1[k]), float(P2[k])
     two_term = float(objective[k])
-    b1, b2, b0 = p0 - p1 + alpha, p2 - p0 + beta, 0.5 * (p2 - p1 + beta + alpha)
+    diagnostics = {"p1": p1, "p2": p2, "objective_two_term": two_term}
 
-    if atoms is not None:
-        coords, wts = atoms
-        btol = BREAK_REL * (1.0 + p0)
-        near = np.min(np.abs(coords[:, None] - np.array([b0, b1, b2])[None, :]), axis=1) <= btol
-        if (wts[near] > 0).any():
+    if ctx is None or f is None:
+        premium = _stieltjes(cdf, lambda s: alpha - s, 0.0, alpha) + _stieltjes(
+            cdf, lambda s: s - beta, beta, 1.0
+        )
+        diagnostics["transport_premium"] = premium
+        return SolveReport(None, None, two_term + premium, None, METHOD_ONE_D, diagnostics)
+
+    coords = ctx.region.coords_1d()
+    if atomic:
+        breaks = np.array([0.5 * (p2 - p1 + beta + alpha), p0 - p1 + alpha, p2 - p0 + beta])
+        near = np.min(np.abs(coords[:, None] - breaks[None, :]), axis=1) <= BREAK_REL * (1.0 + p0)
+        if (f.weights[near] > 0).any():
             warnings.warn(
                 "atoms of the customer measure sit on a break point; "
                 "the objective uses the right-continuous cumulative there",
                 stacklevel=2,
             )
-        left = coords < alpha
-        mid_l = (coords >= alpha) & (coords <= min(b0, b1))
-        mid_r = (coords > max(b0, b2)) & (coords <= beta)
-        right = coords > beta
-        four = float(
-            np.dot(wts[left], p1 + alpha - coords[left])
-            + wts[mid_l].sum() * p1
-            + wts[mid_r].sum() * p2
-            + np.dot(wts[right], p2 + coords[right] - beta)
-        )
-        premium = float(np.dot(wts[left], alpha - coords[left]) + np.dot(wts[right], coords[right] - beta))
-    else:
-        premium = _stieltjes(cdf, lambda s: alpha - s, 0.0, alpha) + _stieltjes(
-            cdf, lambda s: s - beta, beta, 1.0
-        )
-        four = two_term + premium
-
-    diagnostics = {
-        "p1": p1,
-        "p2": p2,
-        "objective_two_term": two_term,
-        "transport_premium": premium,
-        "four_integral_profit": four,
-        "break_points": {"inner": b0, "left": b1, "right": b2},
-        "grid_n": grid_n,
-    }
-
-    if ctx is not None and f is not None:
-        coords = ctx.region.coords_1d()
-        free = ctx.free
-        xa = coords[free][np.argmin(np.abs(coords[free] - alpha))]
-        xb = coords[free][np.argmin(np.abs(coords[free] - beta))]
-        cone = np.minimum(p1 + np.abs(coords[free] - xa), p2 + np.abs(coords[free] - xb))
-        price = ctx.full_prices(cone)
-        w, price_t = reformulate(price, ctx)
-        captured, choice, profit, _ = _capture_and_profit(ctx, price_t, f)
-        diagnostics["interface_points"] = [float(xa), float(xb)]
-        return SolveReport(
-            optimal_price=price_t,
-            optimal_value=w,
-            profit=profit,
-            choice=choice,
-            method=METHOD_ONE_D,
-            diagnostics=diagnostics,
-            captured=captured,
-        )
-    return SolveReport(
-        optimal_price=None,
-        optimal_value=None,
-        profit=four,
-        choice=None,
-        method=METHOD_ONE_D,
-        diagnostics=diagnostics,
-    )
+    x = coords[ctx.free]
+    xa = x[np.argmin(np.abs(x - alpha))]
+    xb = x[np.argmin(np.abs(x - beta))]
+    cone = np.minimum(p1 + np.abs(x - xa), p2 + np.abs(x - xb))
+    return _report(ctx, f, cone, METHOD_ONE_D, diagnostics)

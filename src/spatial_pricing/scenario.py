@@ -163,7 +163,7 @@ class Method:
 def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
     _require(isinstance(spec, dict), "region: expected an object")
     dim = spec.get("dimension", 1)
-    if dim == 1:
+    if dim == 1 and not isinstance(dim, bool):
         _require("n" in spec, "region: 1D region needs 'n'")
         a, b = _finite_pair(spec.get("bounds", [0.0, 1.0]), "region.bounds")
         window = spec.get("fixed_window")
@@ -188,7 +188,7 @@ def _build_region(spec: Any) -> tuple[Region, Optional[tuple[float, float]]]:
         except ValueError as e:
             raise ScenarioError(f"region: {e}") from e
         return region, None
-    raise ScenarioError(f"region: unsupported dimension {dim}")
+    raise ScenarioError(f"region: unsupported dimension {dim!r}")
 
 
 def _build_kernel(spec: Any) -> CostKernel:

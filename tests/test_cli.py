@@ -564,6 +564,10 @@ class TestNonRealPricesAndCaps:
                 lambda s: s.update(cost={"kind": "custom_table", "values": [[abs(i - j) for j in range(5 if i != 1 else 3)] for i in range(5)]}),
                 "cost.values: custom_table needs a square list of rows",
             ),
+            # True == 1, so a bool dimension ran as a 1D region
+            (window_scenario, lambda s: s["region"].update(dimension=True), "region: unsupported dimension True"),
+            (window_scenario, lambda s: s["region"].update(dimension="1"), "region: unsupported dimension '1'"),
+            (window_scenario, lambda s: s["region"].update(dimension=3), "region: unsupported dimension 3"),
         ],
         ids=[
             "nan_bound",
@@ -605,6 +609,9 @@ class TestNonRealPricesAndCaps:
             "bool_cost_entry",
             "flat_cost_table",
             "ragged_cost_table",
+            "bool_dimension",
+            "string_number_dimension",
+            "three_dimension",
         ],
     )
     def test_exit_2_names_the_key_and_nothing_written(self, tmp_path, scenario, edit, message):

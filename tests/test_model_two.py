@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -355,12 +358,63 @@ class TestIntervalReduction:
         rep = one_d_reduction(0.0, 1.0, 0.0, sp.uniform_cdf())
         assert rep.diagnostics["p1"] == 0.0 and rep.profit == 0.0
 
-    def test_four_integral_form_consistent_on_atoms(self):
-        ctx, f = window_context(n=101, p0=0.4)
-        with pytest.warns(UserWarning):
-            rep = one_d_reduction(0.0, 1.0, 0.4, ctx=ctx, f=f)
+    @pytest.mark.parametrize("window", [(0.0, 1.0), (0.3, 0.7), (0.33, 0.71)], ids=["whole", "inner", "off_grid"])
+    def test_four_integral_form_consistent_on_atoms(self, window):
+        # the atoms' profit at the reported (p1, p2), summed in four pieces:
+        # left of the window each pays p1 plus its transport to alpha, up to
+        # min(s0, s1) p1, past max(s0, s2) p2, and right of the window p2 plus
+        # its transport from beta; it is the two-term objective plus the
+        # atoms' transport premium
+        alpha, beta = window
+        ctx, f = window_context(n=101, p0=0.4, window=window)
+        with pytest.warns(UserWarning, match="atoms of the customer measure"):
+            rep = one_d_reduction(alpha, beta, 0.4, ctx=ctx, f=f)
         d = rep.diagnostics
-        assert np.isclose(d["four_integral_profit"] - d["transport_premium"], d["objective_two_term"], atol=1e-12)
+        p1, p2 = d["p1"], d["p2"]
+        x, wts = ctx.region.coords_1d(), f.weights
+        s0, s1, s2 = 0.5 * (p2 - p1 + beta + alpha), 0.4 - p1 + alpha, p2 - 0.4 + beta
+        left, right = x < alpha, x > beta
+        mid_l = (x >= alpha) & (x <= min(s0, s1))
+        mid_r = (x > max(s0, s2)) & (x <= beta)
+        pieces = [wts[left] * (p1 + alpha - x[left]), wts[mid_l] * p1, wts[mid_r] * p2, wts[right] * (p2 + x[right] - beta)]
+        four = math.fsum(np.concatenate(pieces))
+        premium = math.fsum(np.concatenate([wts[left] * (alpha - x[left]), wts[right] * (x[right] - beta)]))
+        assert window == (0.0, 1.0) or premium > 0
+        assert four == pytest.approx(d["objective_two_term"] + premium, abs=1e-12)
+
+    def test_continuum_cdf_on_the_same_context_does_not_warn(self):
+        ctx, f = window_context(n=101, p0=0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = one_d_reduction(0.0, 1.0, 0.4, sp.uniform_cdf(), ctx=ctx, f=f)
+        assert list(rep.diagnostics) == ["p1", "p2", "objective_two_term"]
+
+    @pytest.mark.filterwarnings("ignore:atoms of the customer measure")
+    def test_report_meets_the_w_search_report_invariants(self):
+        # one_d's report runs no value-side check; its answers pass the
+        # checks that w_search's report runs on every solve
+        rng = np.random.default_rng(25)
+        unit = sp.uniform_cdf()
+        for i in range(100):
+            n = int(rng.integers(9, 42))
+            alpha = 0.0 if i % 5 == 0 else float(rng.uniform(0.05, 0.4))
+            beta = 1.0 if i % 7 == 0 else float(rng.uniform(0.6, 0.95))
+            p0 = float(rng.choice([0.0, 0.1, 0.4, 1.0, 2.5]))
+            region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(alpha, beta))
+            ctx = PartitionContext.build(region, METRIC, sp.PricePattern(np.full(n, p0)))
+            weights = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 2.0, n))
+            f = sp.CustomerMeasure.uniform(n) if i % 2 else sp.CustomerMeasure(weights)
+            cdf = None if i % 4 < 2 else (lambda t, mass=f.total_mass: mass * unit(t))
+            rep = one_d_reduction(alpha, beta, p0, cdf, ctx=ctx, f=f, grid_n=int(rng.choice([3, 11, 21, 41])))
+            assert list(rep.diagnostics) == ["p1", "p2", "objective_two_term"]
+            j_value = profit_from_values(rep.optimal_value, ctx, f)
+            assert abs(rep.profit - j_value) <= ct._check_slack(ctx.tol, f.total_mass)
+            assert np.array_equal(rep.captured, rep.optimal_value <= ctx.v0 + ctx.tol)
+            if i % 10 == 0:
+                alone = one_d_reduction(alpha, beta, p0, unit, grid_n=11)
+                assert list(alone.diagnostics) == ["p1", "p2", "objective_two_term", "transport_premium"]
+                d = alone.diagnostics
+                assert alone.optimal_price is None and alone.profit == d["objective_two_term"] + d["transport_premium"]
 
     def test_transport_premium_on_inner_window(self):
         # customers outside the window pay their transport on top of the
