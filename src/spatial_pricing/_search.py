@@ -9,17 +9,20 @@ for the ascent or `levels` and `search_space` for the exhaustive scan.
 
 `EvalBatch` contract: a row's score must not depend on the other rows of its
 batch, bit for bit.  The ascent relies on it to reuse scores it already holds
-instead of asking for them again, and `Objective` to score a batch in row
-slices and from its memo.  `evaluations` counts the candidates compared,
-reused scores included, so it does not depend on that reuse.
+instead of asking for them again and to score the trials of all its starts
+in one call, and `Objective` to score a batch in row slices and from its
+memo.  `evaluations` counts the candidates compared, reused scores
+included, so it does not depend on that reuse.
 
-The exhaustive scan also takes an upper bound: an `EvalBatch` whose row is
->= the objective's row, exactly, in floating point.  It then scores only the
-rows the bound cannot rule out.  A bound that is cheap next to the score and
+Both searches also take an upper bound: an `EvalBatch` whose row is >= the
+objective's row, exactly, in floating point.  They then score only the rows
+the bound cannot rule out.  A bound that is cheap next to the score and
 tight at the optimum (`ctransform._generator_bound`, which boundary
-control's scan passes) leaves a handful of the scan's rows to score.  The
-ascent takes none: each of its trial batches holds a few rows.  A NaN score
-in either scan raises RuntimeError naming its candidate.
+control's scan and model two's ascents pass) leaves a handful of the
+product scan's rows to score.  The ascent rules out the trials that cannot
+beat their start's current value; its rounds gather the trials of all its
+starts into one bound call and one objective call.  A NaN score in the
+exhaustive scan raises RuntimeError naming its candidate.
 
 `TrialScores` contract: `trial_scores(u, idx, ts)` returns, for each k, the
 score of u with u[idx[k]] replaced by ts[k], bit-equal to `eval_batch` on
@@ -145,7 +148,12 @@ class Objective:
     `bound`, when given, maps value functions to an upper bound of `score`,
     row for row; `.bound` is then bound(value(rows)) in the score's slices
     (slices sized by the bound's own smaller temporaries raised a benchmark's
-    peak RSS by 5%), without the memo, and otherwise None.
+    peak RSS by 5%), without the memo, and otherwise None.  The objective
+    keeps the rows and value functions of the last slice it bounded, and a
+    call then takes the value functions of those rows from there: the
+    ascent scores a few of the rows it has just bounded, and its value map
+    costs as much as the bound.  Exact as long as `value` maps each row on
+    its own, as a row-wise min does.
     """
 
     def __init__(self, score: EvalBatch, n: int, m: int, value: Optional[Callable] = None, bound: Optional[EvalBatch] = None):
@@ -153,9 +161,30 @@ class Objective:
         # and the cost slices they hold would outlive the objective until a GC pass
         size = max(1, MEMO_CELLS // n)
         memo: dict[bytes, float] = {}
+        last: dict = {}  # the last bound slice: its rows, their value functions, row bytes -> position
+
+        def valued(batch: np.ndarray) -> np.ndarray:
+            """value(batch), with the value functions of rows of the last bound slice taken from it."""
+            if not last:
+                return value(batch)
+            if "position" not in last:
+                # built on demand: the product scan bounds thousands of rows and scores a few
+                last["position"] = {row.tobytes(): r for r, row in enumerate(last["rows"])}
+            at = [last["position"].get(row.tobytes(), -1) for row in batch]
+            V = last["values"][at]
+            miss = [r for r, p in enumerate(at) if p < 0]
+            if miss:
+                V[miss] = value(batch[miss])
+            return V
+
+        def bound_slice(batch: np.ndarray) -> np.ndarray:
+            V = value(batch)
+            last.clear()
+            last.update(rows=batch.copy(), values=V)  # a copy: the caller may reuse its array
+            return bound(V)
 
         def scored(batch: np.ndarray) -> np.ndarray:
-            V = batch if value is None else value(batch)
+            V = batch if value is None else valued(batch)
             keys = [row.tobytes() for row in V]
             misses: dict[bytes, int] = {}  # value bytes not in the memo -> first row
             for r, key in enumerate(keys):
@@ -174,7 +203,7 @@ class Objective:
             return out
 
         self._scored = _sliced(scored, n * m)
-        self.bound = None if bound is None else _sliced(lambda batch: bound(batch if value is None else value(batch)), n * m)
+        self.bound = None if bound is None else _sliced(bound if value is None else bound_slice, n * m)
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         return self._scored(batch)
@@ -280,6 +309,7 @@ def coordinate_ascent(
     step: Optional[float] = None,
     on_grid_cap: bool = False,
     trial_scores: Optional[TrialScores] = None,
+    bound: Optional[EvalBatch] = None,
 ) -> tuple[np.ndarray, float, dict]:
     """Multi-start coordinate ascent with step halving.
 
@@ -294,11 +324,34 @@ def coordinate_ascent(
     floor(cap / step + GRID_CAP_SLACK) * step.  The Nash best-response
     polish is one such level.
 
+    The starts climb in lockstep rounds.  In a round each start that is
+    still climbing asks for the scores of its next rows: its start point,
+    or one coordinate's fresh trials, after `feasible` has filtered them.
+    One `eval_batch` call scores every start's rows together, and each start
+    then moves exactly as it would alone, so the call count is at most that
+    of the longest start, while each start's path and `evaluations` do not
+    change.  The best start is the first, in start order, with the largest
+    value.
+
     No score is requested twice where the answer is already known: trials
     scored at the current point are remembered until the point moves, and a
-    start that reaches the (point, step) state an earlier start held at the
-    top of a step level takes over that start's outcome.  Both rest on the
-    row independence of `eval_batch` and leave the result unchanged.
+    start that reaches the (point, step) state another start reached first,
+    at the top of a step level, takes over that start's outcome and its
+    evaluations from there on.  The rest of an ascent depends on that state
+    alone, so the result is unchanged.  While the other start still climbs,
+    the later one parks and takes the outcome when it ends.  The start it
+    waits on is past that state: still climbing, or parked at a smaller
+    step, so parking cannot cycle; a round in which every start waits
+    raises RuntimeError.
+
+    `bound`, when given, must be >= `eval_batch` row for row, exactly, as in
+    `exhaustive_product`.  A round then bounds all its rows and scores only
+    those whose bound exceeds the floor of their start, its current value
+    plus the acceptance margin, or is NaN.  A pruned row keeps its bound in
+    place of its score until the point moves: it can be neither accepted
+    nor the best of a coordinate's trials when another one is, so the
+    result and `evaluations` do not depend on the bound.  A scored row
+    above its bound, or NaN under a bound that is not, raises RuntimeError.
 
     `trial_scores`, when given, scores the trials in place of `eval_batch`,
     by the `TrialScores` contract, so the result and `evaluations` do not
@@ -306,14 +359,16 @@ def coordinate_ascent(
     those of coordinates i .. i + width - 1 at the current point; width
     starts at 1, doubles after each call and returns to 1 after an accepted
     move.  The scores ahead of i stay valid until the point moves, which
-    also ends the window.  Without the hook each call holds one coordinate's
-    trials: a dense row costs a full objective row, so scores a move would
-    make stale are not worth asking for.  Starts are still scored by
-    `eval_batch`.  The hook does not combine with `feasible`, which may
-    drop trials.
+    also ends the window.  Without the hook each request holds one
+    coordinate's trials: a dense row costs a full objective row, so scores
+    a move would make stale are not worth asking for.  Starts are still
+    scored by `eval_batch`.  The hook combines neither with `feasible`,
+    which may drop trials, nor with `bound`.
     """
     if feasible is not None and trial_scores is not None:
         raise ValueError("trial_scores and feasible do not combine")
+    if bound is not None and trial_scores is not None:
+        raise ValueError("trial_scores and bound do not combine")
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step!r}")
     caps = np.asarray(caps, dtype=float)
@@ -334,27 +389,34 @@ def coordinate_ascent(
             moves += (math.floor(cap / step + GRID_CAP_SLACK) * step,)
         return [t for t in sorted({min(max(x, 0.0), cap) for x in moves}) if abs(t - base) > DISTINCT_TRIAL]
 
-    best_u, best_val = None, -np.inf
-    n_eval = 0
-    # (point bytes, step) at the top of a step level -> (final point, final
-    # value, evaluations from that state on) of the start that held it
+    # (point bytes, step) at the top of a step level, once a start has reached it
+    held: set[tuple[bytes, float]] = set()
+    # the same states once their start has ended -> (final point, final value,
+    # evaluations from that state on)
     outcomes: dict[tuple[bytes, float], tuple[np.ndarray, float, int]] = {}
-    for u0 in starts:
+
+    def climb(u0: np.ndarray):
+        """One start's ascent.  Yields (rows, floor) and is sent their scores,
+        or yields None while it waits for another start's outcome; returns
+        (final point, final value, evaluations), or None if the start is infeasible."""
         u = np.clip(np.asarray(u0, dtype=float), 0.0, caps)
         if feasible is not None and not feasible(u[None])[0]:
-            continue
-        cur = float(eval_batch(u[None])[0])
-        n_eval += 1
+            return None
+        cur = float((yield u[None], -math.inf)[0])
+        n_eval = 1
         visited = []
-        known: dict[tuple[int, float], float] = {}  # (coordinate, trial) -> score at u
+        known: dict[tuple[int, float], float] = {}  # (coordinate, trial) -> score (or pruning bound) at u
         width = 1  # coordinates in the next trial_scores call
         step = step0
         while step >= min_step:
             state = (u.tobytes(), step)
-            if state in outcomes:
+            if state in held:
+                while state not in outcomes:
+                    yield None
                 u, cur, n_rest = outcomes[state]
                 n_eval += n_rest
                 break
+            held.add(state)
             visited.append((state, n_eval))
             for _ in range(search.max_sweeps):
                 improved = False
@@ -379,8 +441,8 @@ def coordinate_ascent(
                         if feasible is not None:
                             batch = batch[feasible(batch)]
                         if len(batch):
-                            for t, score in zip(batch[:, i].tolist(), eval_batch(batch).tolist()):
-                                known[i, t] = score
+                            scores = yield batch, cur + accept_eps
+                            known.update(zip(zip([i] * len(batch), batch[:, i].tolist()), scores.tolist()))
                     trials = [t for t in trials if (i, t) in known]
                     if not trials:
                         continue
@@ -398,6 +460,60 @@ def coordinate_ascent(
             step *= 0.5
         for state, n_then in visited:
             outcomes[state] = (u, cur, n_eval - n_then)
+        return u, cur, n_eval
+
+    def scored(requests: list[tuple[np.ndarray, float]]) -> np.ndarray:
+        """Scores of the rows of all (rows, floor) requests; with a bound, a
+        row whose bound is at most its floor is answered by its bound."""
+        rows = np.concatenate([r for r, _ in requests])
+        if bound is None:
+            return eval_batch(rows)
+        floors = np.repeat([floor for _, floor in requests], [len(r) for r, _ in requests])
+        ub = bound(rows)
+        keep = ~(ub <= floors)
+        if keep.any():
+            rows, kept = rows[keep], ub[keep]
+            vals = eval_batch(rows)
+            bad = ~(vals <= kept) & ~np.isnan(kept)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise RuntimeError(f"search score {float(vals[j])!r} exceeds its upper bound {float(kept[j])!r} at {rows[j].tolist()}")
+            ub[keep] = vals
+        return ub
+
+    results: list = [None] * len(starts)
+    climbing = {k: climb(u0) for k, u0 in enumerate(starts)}
+    answers: dict[int, np.ndarray] = {}
+    while climbing:
+        asked: dict[int, tuple[np.ndarray, float]] = {}
+        ended = False
+        for k, climber in list(climbing.items()):
+            try:
+                request = climber.send(answers.get(k))
+            except StopIteration as stop:
+                results[k] = stop.value
+                del climbing[k]
+                ended = True
+                continue
+            if request is not None:
+                asked[k] = request
+        answers = {}
+        if not asked:
+            if climbing and not ended:
+                raise RuntimeError("coordinate ascent deadlocked: every climbing start waits on another")
+            continue
+        scores, end = scored(list(asked.values())), 0
+        for k, (rows, _) in asked.items():
+            answers[k] = scores[end : end + len(rows)]
+            end += len(rows)
+
+    best_u, best_val = None, -np.inf
+    n_eval = 0
+    for result in results:
+        if result is None:
+            continue
+        u, cur, n = result
+        n_eval += n
         if cur > best_val:
             best_val = cur
             best_u = u.copy()

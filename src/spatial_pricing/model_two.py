@@ -179,13 +179,14 @@ def profit_from_values(
 
 
 def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: float):
-    """Batched profit of free generator prices G (B, |free|)."""
+    """Batched profit of free generator prices G (B, |free|), with its upper bound."""
     cost_free = ctx.cost[:, ctx.free]
 
     def value(G: np.ndarray) -> np.ndarray:
         return np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
 
-    return Objective(ct._generator_score(cost_free, ctx.v0, weights, tol), *cost_free.shape, value=value)
+    args = (cost_free, ctx.v0, weights, tol)
+    return Objective(ct._generator_score(*args), *cost_free.shape, value=value, bound=ct._generator_bound(*args))
 
 
 def _report(
@@ -232,7 +233,7 @@ def solve_w_search(
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, val_best, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
-        g_best, val_best, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search)
+        g_best, val_best, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search, bound=eval_batch.bound)
     return _w_search_report(ctx, f, g_best, val_best, METHOD_W_SEARCH, diag)
 
 
@@ -286,7 +287,7 @@ def solve_boundary_control(
     else:
         # each start becomes the largest 1-Lipschitz function below it on the control set
         starts = [ct.value_table(u, dctrl) for u in seeded_starts(caps, search)]
-        phi_best, val_best, diag = coordinate_ascent(objective, caps, starts, search, feasible=feasible)
+        phi_best, val_best, diag = coordinate_ascent(objective, caps, starts, search, feasible=feasible, bound=objective.bound)
 
     w = ct.value_table(phi_best, cost_ctrl)
     diag = {**diag, "control_indices": ctrl.tolist(), "control_prices": phi_best.tolist()}
@@ -328,7 +329,8 @@ def one_d_reduction(
     `cdf` may be any cumulative function (use geometry.uniform_cdf for the
     nonatomic uniform); without one, `ctx` and `f` give the atomic measure
     on the region grid (right-continuous F, with a warning when atoms sit
-    near the break points).  With `ctx` and `f`, the reported profit is the
+    near the break points).  A `ctx` needs `f`: without one it raises
+    ValueError.  With `ctx` and `f`, the reported profit is the
     price-side profit of the reformulated grid pattern of the cones
     min(p1 + |x - x_alpha|, p2 + |x - x_beta|) on the free part.  With a
     `cdf` alone the report has no pattern, and its profit is the two-scalar
@@ -341,9 +343,11 @@ def one_d_reduction(
         raise ValueError("the window must satisfy 0 <= alpha < beta <= 1")
     if p0 < 0:
         raise ValueError("the imposed price must be nonnegative")
+    if ctx is not None and f is None:
+        raise ValueError("a region context needs a measure f")
     atomic = cdf is None
     if atomic:
-        if ctx is None or f is None:
+        if ctx is None:
             raise ValueError("pass a cdf, or a region context with a measure")
         cdf = step_cdf(ctx.region, f)
 
@@ -364,7 +368,7 @@ def one_d_reduction(
     two_term = float(objective[k])
     diagnostics = {"p1": p1, "p2": p2, "objective_two_term": two_term}
 
-    if ctx is None or f is None:
+    if ctx is None:
         premium = _stieltjes(cdf, lambda s: alpha - s, 0.0, alpha) + _stieltjes(
             cdf, lambda s: s - beta, beta, 1.0
         )

@@ -446,7 +446,12 @@ def verify_equilibrium(
     more than one price step per unit of customer mass plus the tolerance.
 
     Deviations are searched over the best-response family only; a
-    profitable deviation outside it cannot be detected."""
+    profitable deviation outside it cannot be detected.  Unless
+    `search.price_scale` is pinned, each best response builds its price
+    grid from the caps at the strategies checked, not from the grid the
+    dynamics used, so the strategy itself may not be on it.  A reported gain
+    can then be slightly negative: the golden scenario
+    `nash_verify_tiny_cap` reports -1.75e-11 for player A."""
     a_idx, b_idx = ctx.indices("A"), ctx.indices("B")
     n = ctx.region.size
     pv = _strategy_values(p_star, a_idx, n)

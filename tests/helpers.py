@@ -176,3 +176,11 @@ def dense_tie_break(member, prices, within):
 def dense_capture_transport(member, cost, free):
     """Cheapest c(x, y) over the argmin set of x within the free part, +inf where that is empty."""
     return np.where(member[:, free], cost[:, free], np.inf).min(axis=1)
+
+
+def plain_objective(score, n, m, value=None, bound=None):
+    """A stand-in for `_search.Objective` without the memo: score(value(rows)),
+    with bound(value(rows)) as its `.bound` (None without a bound)."""
+    objective = lambda G: score(value(G))  # noqa: E731
+    objective.bound = None if bound is None else lambda G: bound(value(G))
+    return objective

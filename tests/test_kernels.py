@@ -16,7 +16,7 @@ from spatial_pricing import GameContext, Mask, PartitionContext, _search, model_
 from spatial_pricing import ctransform as ct
 from spatial_pricing.geometry import eval_cost
 
-from helpers import checked_reformulate, dense_superdifferential_mask, random_kernel, random_partitioned_region, random_points, region_from_points
+from helpers import checked_reformulate, dense_superdifferential_mask, plain_objective, random_kernel, random_partitioned_region, random_points, region_from_points
 
 
 def _general_profit_reference(cost, p0, weights, tol):
@@ -426,7 +426,7 @@ def _count_scored(monkeypatch, module):
 
 def _dense(monkeypatch, module):
     """Build `module`'s objectives without the memo: score(value(G)) on every row."""
-    monkeypatch.setattr(module, "Objective", lambda score, n, m, value=None, bound=None: lambda G: score(value(G)))
+    monkeypatch.setattr(module, "Objective", plain_objective)
 
 
 def _ascent_batches(rng, caps, inactive, count=6):

@@ -432,6 +432,14 @@ class TestIntervalReduction:
         with pytest.raises(ValueError):
             one_d_reduction(0.0, 1.0, 1.0)  # neither cdf nor context
 
+    def test_context_without_a_measure_is_refused(self):
+        # with a cdf, the context was dropped: the cdf-only report came back,
+        # with no price and a profit of 0.335 on this window
+        ctx, _ = window_context(n=21, p0=0.4, window=(0.3, 0.7))
+        for cdf in (sp.uniform_cdf(), None):
+            with pytest.raises(ValueError, match="^a region context needs a measure f$"):
+                one_d_reduction(0.3, 0.7, 0.4, cdf, ctx=ctx)
+
 
 class TestImprovementChain:
     def test_chain_on_random_instances(self):

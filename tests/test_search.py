@@ -10,6 +10,8 @@ from spatial_pricing import _search, model_one, model_two
 from spatial_pricing import ctransform as ct
 from spatial_pricing._search import SearchConfig, SearchMode, coordinate_ascent, seeded_starts
 
+from helpers import plain_objective
+
 SEARCH_KEYS = {
     SearchMode.ASCENT: {"mode", "evaluations", "starts"},
     SearchMode.EXHAUSTIVE: {"mode", "evaluations", "levels", "search_space"},
@@ -69,8 +71,9 @@ def test_ascent_with_zero_caps_returns_zero():
     assert diag == {"mode": "ascent", "evaluations": 4, "starts": 4}
 
 
-def _ascent_oracle(eval_batch, caps, starts, search, feasible=None):
-    """The coordinate ascent before score reuse, kept verbatim as the reference."""
+def _ascent_oracle(eval_batch, caps, starts, search, feasible=None, bound=None):
+    """The coordinate ascent before score reuse, kept verbatim as the reference
+    (a `bound` is taken and ignored: it cannot change the answer)."""
     caps = np.asarray(caps, dtype=float)
     m = caps.size
     cap_max = float(np.max(caps, initial=0.0))
@@ -198,10 +201,10 @@ def _capture_ascent(monkeypatch, module):
     """Route `module`'s ascent through a row counter; returns the call record."""
     record = {}
 
-    def ascent(eval_batch, caps, starts, search, feasible=None):
+    def ascent(eval_batch, caps, starts, search, feasible=None, bound=None):
         counter = _RowCounter(eval_batch)
         record.update(eval_batch=eval_batch, caps=caps, starts=starts, search=search, counter=counter)
-        return coordinate_ascent(counter, caps, starts, search, feasible)
+        return coordinate_ascent(counter, caps, starts, search, feasible, bound=bound)
 
     monkeypatch.setattr(module, "coordinate_ascent", ascent)
     return record
@@ -248,7 +251,7 @@ def test_solver_ascent_reuses_scores(monkeypatch, solver):
 def test_solver_scores_each_value_function_once(monkeypatch, solver):
     module, solve = _ascent_solve(solver)
     with monkeypatch.context() as patch:
-        patch.setattr(module, "Objective", lambda score, n, m, value=None, bound=None: lambda G: score(value(G)))
+        patch.setattr(module, "Objective", plain_objective)
         expected = solve()
     scored = {"rows": 0}
 
@@ -445,3 +448,145 @@ def test_window_restarts_after_a_move():
     u, _, _ = coordinate_ascent(eval_batch, np.ones(m), [np.zeros(m)], cfg, step=0.25, trial_scores=_row_hook(eval_batch, record))
     assert np.array_equal(u, np.full(m, 0.25))
     assert record["calls"] == [[i] for i in range(m)]
+
+
+class _CallCounter(_RowCounter):
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.calls = 0
+
+    def __call__(self, U):
+        self.calls += 1
+        return super().__call__(U)
+
+
+@pytest.mark.parametrize("kind", ["exact", "loose", "nan"])
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
+@pytest.mark.parametrize("quantized", [False, True], ids=["smooth", "quantized"])
+def test_bounded_ascent_matches_reference(quantized, filtered, kind):
+    rows = unbounded_rows = 0
+    for seed in range(40):
+        eval_batch, caps, starts, cfg, feasible = _ascent_case(seed, quantized, filtered)
+        expected = _ascent_oracle(eval_batch, caps, starts, cfg, feasible)
+        counter = _RowCounter(eval_batch)
+        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, feasible, bound=_bounds(eval_batch, kind))
+        assert u.tobytes() == expected[0].tobytes(), seed
+        assert repr(val) == repr(expected[1]), seed
+        assert diag == expected[2], seed
+        unbounded = _RowCounter(eval_batch)
+        coordinate_ascent(unbounded, caps, starts, cfg, feasible)
+        rows += counter.rows
+        unbounded_rows += unbounded.rows
+    # an exact bound answers every row below the floor; a loose one some
+    assert 0 < rows < unbounded_rows
+
+
+def test_later_start_parks_on_a_start_that_still_climbs():
+    # from 0 and from 1 both starts reach 0.5 in their first level and meet
+    # at (0.5, step 0.25) in the same round, while the first has five levels
+    # to go: the second takes its outcome instead of climbing them again
+    eval_batch = lambda U: -np.abs(U - 0.3).sum(axis=1)  # noqa: E731
+    caps, starts = np.ones(1), [np.zeros(1), np.ones(1)]
+    cfg = SearchConfig(levels=3, refine_halvings=6)
+    expected = _ascent_oracle(eval_batch, caps, starts, cfg)
+    for bound in (None, eval_batch):
+        counter = _RowCounter(eval_batch)
+        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, bound=bound)
+        assert u.tobytes() == expected[0].tobytes()
+        assert repr(val) == repr(expected[1])
+        assert diag == expected[2]
+        alone = []
+        for u0 in starts:
+            single = _RowCounter(eval_batch)
+            coordinate_ascent(single, caps, [u0], cfg, bound=bound)
+            alone.append(single.rows)
+        # the second start's rows stop where it parked
+        assert max(alone) < counter.rows < sum(alone)
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
+def test_ascent_calls_no_more_often_than_its_longest_start(filtered):
+    calls = alone_calls = 0
+    for seed in range(40):
+        eval_batch, caps, starts, cfg, feasible = _ascent_case(seed, True, filtered)
+        counter = _CallCounter(eval_batch)
+        coordinate_ascent(counter, caps, starts, cfg, feasible)
+        longest = total = 0
+        for u0 in starts:
+            single = _CallCounter(eval_batch)
+            try:
+                coordinate_ascent(single, caps, [u0], cfg, feasible)
+            except ValueError:  # an infeasible start alone
+                pass
+            longest, total = max(longest, single.calls), total + single.calls
+        assert counter.calls <= longest, seed
+        calls += counter.calls
+        alone_calls += total
+    assert calls < alone_calls / 2
+
+
+def test_bounded_ascent_refuses_a_score_above_its_bound():
+    eval_batch = _tied_objective(np.random.default_rng(0), 2)
+    cfg = SearchConfig(multistarts=3)
+    starts = seeded_starts(np.ones(2), cfg)
+    with pytest.raises(RuntimeError, match=r"^search score -?[0-9.]+ exceeds its upper bound"):
+        coordinate_ascent(eval_batch, np.ones(2), starts, cfg, bound=lambda U: eval_batch(U) - 1e-9)
+    # a NaN score under a bound that is not NaN breaks the bound too
+    with pytest.raises(RuntimeError, match=r"^search score nan exceeds its upper bound 10\.0 at \[0\.0, 0\.0\]"):
+        coordinate_ascent(_nan_corner, np.ones(2), starts, cfg, bound=lambda U: np.full(len(U), 10.0))
+    with pytest.raises(ValueError, match="do not combine"):
+        coordinate_ascent(
+            eval_batch, np.ones(2), starts, cfg, bound=eval_batch, trial_scores=lambda u, i, ts: np.zeros(len(ts))
+        )
+
+
+def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
+    region = sp.build_grid_region(7, 7, fixed_box=((0.3, 0.7), (0.3, 0.7)))
+    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(49, 0.4)))
+    f = sp.CustomerMeasure(np.random.default_rng(3).uniform(0.5, 1.5, 49))
+    cfg = SearchConfig(levels=6, multistarts=4, seed=3)
+    rows, reports = {}, {}
+    for bounded in (False, True):
+
+        def ascent(eval_batch, caps, starts, search, feasible=None, bound=None):
+            counter = _RowCounter(eval_batch)
+            out = coordinate_ascent(counter, caps, starts, search, feasible, bound=bound if bounded else None)
+            rows[bounded] = counter.rows
+            return out
+
+        monkeypatch.setattr(model_two, "coordinate_ascent", ascent)
+        reports[bounded] = model_two.solve_w_search(ctx, f, cfg)
+    assert repr(reports[True].profit) == repr(reports[False].profit)
+    assert reports[True].optimal_price.values.tobytes() == reports[False].optimal_price.values.tobytes()
+    assert reports[True].diagnostics == reports[False].diagnostics
+    assert 0 < rows[True] < 0.6 * rows[False]
+
+
+def test_objective_takes_value_maps_of_bounded_rows_from_the_bound():
+    rng = np.random.default_rng(0)
+    cols = rng.uniform(0.0, 1.0, (6, 4))
+    mapped = {"rows": 0}
+
+    def value(G):
+        mapped["rows"] += len(G)
+        return np.min(cols[None, :, :] + G[:, None, :], axis=2)
+
+    def score(V):
+        return V.sum(axis=1) - V.max(axis=1)
+
+    objective = _search.Objective(score, 6, 4, value=value, bound=lambda V: V.sum(axis=1))
+    plain = _search.Objective(score, 6, 4, value=lambda G: np.min(cols[None, :, :] + G[:, None, :], axis=2))
+    G = rng.uniform(0.0, 1.0, (8, 4))
+    objective.bound(G)
+    assert mapped["rows"] == 8
+    # a row the caller changed after bounding is mapped again
+    G[0] += 0.25
+    assert objective(G[[0]]).tobytes() == plain(G[[0]]).tobytes()
+    assert mapped["rows"] == 9
+    # rows the bound has seen take their value maps from it
+    assert objective(G[[5, 1, 3]]).tobytes() == plain(G[[5, 1, 3]]).tobytes()
+    assert mapped["rows"] == 9
+    # only the new rows of a mixed batch are mapped
+    mixed = np.vstack([G[[2]], rng.uniform(0.0, 1.0, (2, 4)), G[[6]]])
+    assert objective(mixed).tobytes() == plain(mixed).tobytes()
+    assert mapped["rows"] == 11
