@@ -14,25 +14,32 @@ in one call, and `Objective` to score a batch in row slices and from its
 memo.  `evaluations` counts the candidates compared, reused scores
 included, so it does not depend on that reuse.
 
-Both searches also take an upper bound: an `EvalBatch` whose row is >= the
-objective's row, exactly, in floating point.  They then score only the rows
-the bound cannot rule out.  A bound that is cheap next to the score and
-tight at the optimum (`ctransform._generator_bound`, which boundary
-control's scan and model two's ascents pass) leaves a handful of the
-product scan's rows to score.  The ascent rules out the trials that cannot
-beat their start's current value; its rounds gather the trials of all its
-starts into one bound call and one objective call.  A NaN score in the
-exhaustive scan raises RuntimeError naming its candidate.
+The exhaustive scan also takes an upper bound: an `EvalBatch` whose row is
+>= the objective's row, exactly, in floating point.  It then scores only
+the rows the bound cannot rule out.  A bound that is cheap next to the
+score and tight at the optimum (`ctransform._generator_bound`, which
+boundary control's scan and model two's objectives carry) leaves a handful
+of the product scan's rows to score.  A NaN score in the exhaustive scan
+raises RuntimeError naming its candidate.
 
-`TrialScores` contract: `trial_scores(u, idx, ts)` returns, for each k, the
-score of u with u[idx[k]] replaced by ts[k], bit-equal to `eval_batch` on
-that row.  An objective that keeps state at u can score such one-coordinate
-moves for less than full rows.  The ascent then asks, in one call, for the
-fresh trials of a window of coordinates at the current point, starting at
-the first coordinate with fresh trials.  The window doubles after each call
-and falls back to one coordinate after an accepted move, so a sweep that
-moves nothing takes about log2(m) calls, and the scores a move makes stale
-are at most about as many as those compared since the last move.
+The ascent asks for trials, one-coordinate moves of its starts' current
+points, and a round gathers the trials of all its starts into one
+`TrialBatch` call.  `TrialBatch` contract: `trials(points, owner, idx, ts,
+floors)` returns, for each k, the score of points[owner[k]] with coordinate
+idx[k] replaced by ts[k], bit-equal to `eval_batch` on that row, or, where
+an upper bound of that score is at most floors[k], that bound.  Without
+one, the ascent builds the rows and scores them with `eval_batch`.  An
+`Objective` with a `ValueMap` answers trials for less: it values a trial
+in O(n) from its start's point, bounds it, and scores only the trials
+whose bound exceeds their floor (`_floored`, the one place that prunes
+below a floor).
+
+Every trial request holds the fresh trials of a window of coordinates at
+the current point, starting at the first coordinate with fresh trials.  The
+window doubles after each request and falls back to one coordinate after
+an accepted move, so a sweep that moves nothing takes about log2(m)
+requests, and the scores a move makes stale are at most about as many as
+those compared since the last move.
 """
 
 from __future__ import annotations
@@ -55,15 +62,25 @@ __all__ = [
 ]
 
 EvalBatch = Callable[[np.ndarray], np.ndarray]  # (B, m) -> (B,)
-TrialScores = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]  # (u, idx (K,), ts (K,)) -> (K,)
+# (points (S, m), owner (K,), idx (K,), ts (K,), floors (K,)) -> (K,)
+TrialBatch = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 CHUNK = 4096  # candidates per exhaustive-scan batch; CELL_BUDGET, not CHUNK, bounds memory
 # cells (rows x n x m) one batched-objective call may span: 32 MiB per float64 temporary
 CELL_BUDGET = 1 << 22
+# cells the trial work of one slice may span (1 MiB per float64 temporary):
+# value maps and bounds at n cells per trial, scores at n x m; a round's
+# trials outnumber the rows of a dense call, and their scores in slices of
+# CELL_BUDGET raised the ascent benchmark's peak RSS by 2%
+TRIAL_CELLS = 1 << 17
 # value-function cells one objective's memo keeps (256 KiB of keys): enough for
 # the repeats of an ascent, while a memo over the whole solve raised the
 # ascent benchmark's peak RSS by 14%
 MEMO_CELLS = 1 << 15
+# points whose trial state one value map keeps (3n numbers each): more than
+# the starts an ascent climbs in lockstep (16 by default), so a round finds
+# the state of every climbing start's point
+POINT_STATES = 64
 
 # ascent tolerances
 MIN_STEP = 1e-12  # the default step halves no further: also ends the ascent when all caps are 0
@@ -117,10 +134,11 @@ def seeded_starts(caps: np.ndarray, search: SearchConfig, *extra: np.ndarray) ->
     return starts
 
 
-def _sliced(fn: EvalBatch, cells_per_row: int) -> EvalBatch:
+def _sliced(fn: EvalBatch, cells_per_row: int, budget: Optional[int] = None) -> EvalBatch:
     """`fn`, whose rows span `cells_per_row` cells of temporaries, applied in
-    row slices of at most CELL_BUDGET cells; exact by the `EvalBatch` contract."""
-    rows = max(1, CELL_BUDGET // cells_per_row)
+    row slices of at most `budget` (default CELL_BUDGET) cells; exact by the
+    `EvalBatch` contract."""
+    rows = max(1, (CELL_BUDGET if budget is None else budget) // cells_per_row)
 
     def sliced(batch: np.ndarray) -> np.ndarray:
         if len(batch) <= rows:
@@ -130,11 +148,94 @@ def _sliced(fn: EvalBatch, cells_per_row: int) -> EvalBatch:
     return sliced
 
 
+def _trial_rows(points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The candidate rows of trials: points[owner[k]] with coordinate idx[k] replaced by ts[k]."""
+    rows = points[owner]
+    rows[np.arange(len(ts)), idx] = ts
+    return rows
+
+
+def _floored(
+    items: np.ndarray, floors: np.ndarray, score: EvalBatch, bound: Optional[EvalBatch], candidate: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """score(items), except where the bound of an item is at most its floor:
+    that item is answered by its bound, and not scored.  A scored item above
+    its bound, or NaN under a bound that is not, raises RuntimeError naming
+    `candidate(k)`, the row of item k.  `bound`, when given, must be >=
+    `score` item for item, exactly."""
+    if bound is None:
+        return score(items)
+    ub = bound(items)
+    keep = np.flatnonzero(~(ub <= floors))
+    if keep.size:
+        vals, kept = score(items[keep]), ub[keep]
+        bad = ~(vals <= kept) & ~np.isnan(kept)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise RuntimeError(f"search score {float(vals[j])!r} exceeds its upper bound {float(kept[j])!r} at {candidate(int(keep[j])).tolist()}")
+        ub[keep] = vals
+    return ub
+
+
+class ValueMap:
+    """The value functions of generator prices over the cost columns C:
+    v(x) = min_y {C[x, y] + h(g_y)}, with h the clamp min(g_y, clamp_y), or
+    the identity without a clamp.  Called on (..., m) prices it returns the
+    (..., n) value functions through (..., n, m) temporaries.
+
+    `trials` values one-coordinate moves in O(n) each.  At a point u it
+    keeps, per row x, the cheapest column j1 of C + h(u) and the smallest and
+    second-smallest of its entries, m1 and m2.  The value of u with u_i
+    replaced by t is then min(m2 if j1 == i else m1, C[:, i] + h_i(t)): the
+    other columns keep their entries, the second smallest is the smallest
+    without j1, and min does not round, so the values are the dense map's
+    bytes.  The states of the last POINT_STATES points used are kept.
+    """
+
+    def __init__(self, cols: np.ndarray, clamp: Optional[np.ndarray] = None):
+        self.cols = cols
+        self.clamp = clamp
+        self._cols_t = np.ascontiguousarray(cols.T)
+        self._states: dict[bytes, np.ndarray] = {}
+
+    def _offers(self, G: np.ndarray, idx=slice(None)) -> np.ndarray:
+        return G if self.clamp is None else np.minimum(G, self.clamp[idx])
+
+    def __call__(self, G: np.ndarray) -> np.ndarray:
+        return np.min(self.cols + self._offers(G)[..., None, :], axis=-1)
+
+    def _state(self, u: np.ndarray) -> np.ndarray:
+        """The rows j1, m1 and m2 at u, one (3, n) array, from the cache
+        (least recently used out) or from one dense pass."""
+        key = u.tobytes()
+        state = self._states.pop(key, None)
+        if state is None:
+            T = self.cols + self._offers(u)
+            rows = np.arange(T.shape[0])
+            state = np.empty((3, T.shape[0]))
+            state[0] = j1 = T.argmin(axis=1)
+            state[1] = T[rows, j1]
+            T[rows, j1] = np.inf
+            state[2] = T.min(axis=1)  # m2 is +inf with one column
+            if len(self._states) >= POINT_STATES:
+                del self._states[next(iter(self._states))]
+        self._states[key] = state
+        return state
+
+    def trials(self, points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """(K, n) value functions of the trial rows `_trial_rows(points, owner, idx, ts)`,
+        through (K, n) temporaries."""
+        j1, m1, m2 = np.stack([self._state(u) for u in points], axis=1)[:, owner]
+        out = self._cols_t[idx]
+        out += self._offers(ts, idx)[:, None]
+        return np.minimum(np.where(j1 == idx[:, None], m2, m1), out, out=out)
+
+
 class Objective:
     """A search objective: calling it on (B, k) rows returns score(value(rows)),
-    where `value` maps rows to (B, n) value functions through (n, m)
-    temporaries per row (None: the identity, for a score of the row alone),
-    in row slices of at most CELL_BUDGET cells.
+    where `value` is a `ValueMap` (None: the identity, for a score of the row
+    alone), in row slices of at most CELL_BUDGET cells, each row spanning
+    (n, m) cells.
 
     A row's score depends on the row only through its value function.  Many
     price vectors share one (raising a price that is nowhere the argmin, or
@@ -148,43 +249,24 @@ class Objective:
     `bound`, when given, maps value functions to an upper bound of `score`,
     row for row; `.bound` is then bound(value(rows)) in the score's slices
     (slices sized by the bound's own smaller temporaries raised a benchmark's
-    peak RSS by 5%), without the memo, and otherwise None.  The objective
-    keeps the rows and value functions of the last slice it bounded, and a
-    call then takes the value functions of those rows from there: the
-    ascent scores a few of the rows it has just bounded, and its value map
-    costs as much as the bound.  Exact as long as `value` maps each row on
-    its own, as a row-wise min does.
+    peak RSS by 5%), without the memo, and otherwise None.
+
+    `.trials`, with a value map, is a `TrialBatch` for `coordinate_ascent`
+    (None without one).  It takes the trials in slices of at most
+    TRIAL_CELLS // n trials: it values a slice by `ValueMap.trials` and
+    bounds it, in O(n) per trial, then scores, through the memo and in
+    slices of at most TRIAL_CELLS cells, the trials whose bound exceeds
+    their floor.  The ascent gets it as its own keyword, next to the
+    objective.
     """
 
-    def __init__(self, score: EvalBatch, n: int, m: int, value: Optional[Callable] = None, bound: Optional[EvalBatch] = None):
+    def __init__(self, score: EvalBatch, n: int, m: int, value: Optional[ValueMap] = None, bound: Optional[EvalBatch] = None):
         # the closures below hold no reference to self: in a cycle the memo
         # and the cost slices they hold would outlive the objective until a GC pass
         size = max(1, MEMO_CELLS // n)
         memo: dict[bytes, float] = {}
-        last: dict = {}  # the last bound slice: its rows, their value functions, row bytes -> position
 
-        def valued(batch: np.ndarray) -> np.ndarray:
-            """value(batch), with the value functions of rows of the last bound slice taken from it."""
-            if not last:
-                return value(batch)
-            if "position" not in last:
-                # built on demand: the product scan bounds thousands of rows and scores a few
-                last["position"] = {row.tobytes(): r for r, row in enumerate(last["rows"])}
-            at = [last["position"].get(row.tobytes(), -1) for row in batch]
-            V = last["values"][at]
-            miss = [r for r, p in enumerate(at) if p < 0]
-            if miss:
-                V[miss] = value(batch[miss])
-            return V
-
-        def bound_slice(batch: np.ndarray) -> np.ndarray:
-            V = value(batch)
-            last.clear()
-            last.update(rows=batch.copy(), values=V)  # a copy: the caller may reuse its array
-            return bound(V)
-
-        def scored(batch: np.ndarray) -> np.ndarray:
-            V = batch if value is None else valued(batch)
+        def scored(V: np.ndarray) -> np.ndarray:
             keys = [row.tobytes() for row in V]
             misses: dict[bytes, int] = {}  # value bytes not in the memo -> first row
             for r, key in enumerate(keys):
@@ -202,8 +284,24 @@ class Objective:
                 del memo[key]
             return out
 
-        self._scored = _sliced(scored, n * m)
-        self.bound = None if bound is None else _sliced(bound if value is None else bound_slice, n * m)
+        if value is None:
+            self._scored = _sliced(scored, n * m)
+            self.bound = None if bound is None else _sliced(bound, n * m)
+            self.trials = None
+            return
+        self._scored = _sliced(lambda G: scored(value(G)), n * m)
+        self.bound = None if bound is None else _sliced(lambda G: bound(value(G)), n * m)
+        by_value = _sliced(scored, n * m, TRIAL_CELLS)
+
+        def trials(points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray, floors: np.ndarray) -> np.ndarray:
+            def part(ks: np.ndarray) -> np.ndarray:
+                o, i, t = owner[ks], idx[ks], ts[ks]
+                V = value.trials(points, o, i, t)
+                return _floored(V, floors[ks], by_value, bound, lambda k: _trial_rows(points, o[[k]], i[[k]], t[[k]])[0])
+
+            return _sliced(part, n, TRIAL_CELLS)(np.arange(len(ts)))
+
+        self.trials = trials
 
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         return self._scored(batch)
@@ -299,6 +397,15 @@ def exhaustive_product(
     return best_u, best_val, {"mode": "exhaustive", "evaluations": n_eval, "levels": levels, "search_space": total}
 
 
+def _first_max(vals: list[float]) -> int:
+    """np.argmax of a list of floats without building an array: the first
+    NaN, or else the first of the largest values."""
+    for k, v in enumerate(vals):
+        if v != v:
+            return k
+    return vals.index(max(vals))
+
+
 def coordinate_ascent(
     eval_batch: EvalBatch,
     caps: np.ndarray,
@@ -308,8 +415,7 @@ def coordinate_ascent(
     *,
     step: Optional[float] = None,
     on_grid_cap: bool = False,
-    trial_scores: Optional[TrialScores] = None,
-    bound: Optional[EvalBatch] = None,
+    trials: Optional[TrialBatch] = None,
 ) -> tuple[np.ndarray, float, dict]:
     """Multi-start coordinate ascent with step halving.
 
@@ -324,10 +430,14 @@ def coordinate_ascent(
     floor(cap / step + GRID_CAP_SLACK) * step.  The Nash best-response
     polish is one such level.
 
-    The starts climb in lockstep rounds.  In a round each start that is
-    still climbing asks for the scores of its next rows: its start point,
-    or one coordinate's fresh trials, after `feasible` has filtered them.
-    One `eval_batch` call scores every start's rows together, and each start
+    One `eval_batch` call scores the feasible starts.  The starts then climb
+    in lockstep rounds.  In a round each start that is still climbing asks
+    for the scores of its next trials: where coordinate i has fresh trials,
+    those of coordinates i .. i + width - 1 at its current point, after
+    `feasible` has dropped some.  The width starts at 1, doubles after each
+    request and returns to 1 after an accepted move.  The scores ahead of i
+    stay valid until the point moves, and so do the trials `feasible`
+    dropped.  One call scores every start's trials together, and each start
     then moves exactly as it would alone, so the call count is at most that
     of the longest start, while each start's path and `evaluations` do not
     change.  The best start is the first, in start order, with the largest
@@ -344,31 +454,14 @@ def coordinate_ascent(
     step, so parking cannot cycle; a round in which every start waits
     raises RuntimeError.
 
-    `bound`, when given, must be >= `eval_batch` row for row, exactly, as in
-    `exhaustive_product`.  A round then bounds all its rows and scores only
-    those whose bound exceeds the floor of their start, its current value
-    plus the acceptance margin, or is NaN.  A pruned row keeps its bound in
-    place of its score until the point moves: it can be neither accepted
-    nor the best of a coordinate's trials when another one is, so the
-    result and `evaluations` do not depend on the bound.  A scored row
-    above its bound, or NaN under a bound that is not, raises RuntimeError.
-
-    `trial_scores`, when given, scores the trials in place of `eval_batch`,
-    by the `TrialScores` contract, so the result and `evaluations` do not
-    depend on it.  Where coordinate i has fresh trials, one call scores
-    those of coordinates i .. i + width - 1 at the current point; width
-    starts at 1, doubles after each call and returns to 1 after an accepted
-    move.  The scores ahead of i stay valid until the point moves, which
-    also ends the window.  Without the hook each request holds one
-    coordinate's trials: a dense row costs a full objective row, so scores
-    a move would make stale are not worth asking for.  Starts are still
-    scored by `eval_batch`.  The hook combines neither with `feasible`,
-    which may drop trials, nor with `bound`.
+    The trials are scored by `trials`, a `TrialBatch` such as an
+    `Objective`'s `.trials`, or else by `eval_batch` on the trial rows.
+    `trials` is passed beside `eval_batch`, not read off it, so that an
+    `eval_batch` wrapped in a plain function keeps it.  A trial answered by
+    a bound keeps it in place of its score until the point moves: it can be
+    neither accepted nor the best of a coordinate's trials when another one
+    is, so the result and `evaluations` do not depend on the scorer.
     """
-    if feasible is not None and trial_scores is not None:
-        raise ValueError("trial_scores and feasible do not combine")
-    if bound is not None and trial_scores is not None:
-        raise ValueError("trial_scores and bound do not combine")
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a positive finite number, got {step!r}")
     caps = np.asarray(caps, dtype=float)
@@ -380,6 +473,10 @@ def coordinate_ascent(
     if step is None:
         min_step = max(min_step, MIN_STEP)
     accept_eps = ACCEPT_REL * (1.0 + cap_max)
+    if trials is None:
+
+        def trials(points, owner, idx, ts, floors):
+            return eval_batch(_trial_rows(points, owner, idx, ts))
 
     def trials_at(u: np.ndarray, i: int, step: float) -> list[float]:
         """Coordinate i's trials at u, in increasing order."""
@@ -395,18 +492,16 @@ def coordinate_ascent(
     # evaluations from that state on)
     outcomes: dict[tuple[bytes, float], tuple[np.ndarray, float, int]] = {}
 
-    def climb(u0: np.ndarray):
-        """One start's ascent.  Yields (rows, floor) and is sent their scores,
-        or yields None while it waits for another start's outcome; returns
-        (final point, final value, evaluations), or None if the start is infeasible."""
-        u = np.clip(np.asarray(u0, dtype=float), 0.0, caps)
-        if feasible is not None and not feasible(u[None])[0]:
-            return None
-        cur = float((yield u[None], -math.inf)[0])
+    def climb(u: np.ndarray, cur: float):
+        """One start's ascent from u, scored `cur`.  Yields (u, window,
+        floor) requests, window a list of (coordinate, trial) pairs, and is
+        sent their scores, or yields None while it waits for another start's
+        outcome; returns (final point, final value, evaluations)."""
         n_eval = 1
         visited = []
-        known: dict[tuple[int, float], float] = {}  # (coordinate, trial) -> score (or pruning bound) at u
-        width = 1  # coordinates in the next trial_scores call
+        # (coordinate, trial) -> score (or pruning bound) at u; None: infeasible
+        known: dict[tuple[int, float], Optional[float]] = {}
+        width = 1  # coordinates in the next request
         step = step0
         while step >= min_step:
             state = (u.tobytes(), step)
@@ -422,36 +517,34 @@ def coordinate_ascent(
                 improved = False
                 ahead: dict[int, list[float]] = {}  # trials of coordinates not yet visited in this sweep
                 for i in range(m):
-                    trials = ahead.pop(i) if i in ahead else trials_at(u, i, step)
-                    fresh = [t for t in trials if (i, t) not in known]
-                    if fresh and trial_scores is not None:
-                        idx, ts = [i] * len(fresh), list(fresh)
+                    moves = ahead.pop(i) if i in ahead else trials_at(u, i, step)
+                    window = [(i, t) for t in moves if (i, t) not in known]
+                    if window:
                         for j in range(i + 1, min(i + width, m)):
                             if j not in ahead:
                                 ahead[j] = trials_at(u, j, step)
-                            more = [t for t in ahead[j] if (j, t) not in known]
-                            idx += [j] * len(more)
-                            ts += more
-                        scores = trial_scores(u, np.array(idx, dtype=np.intp), np.array(ts, dtype=float))
-                        known.update(zip(zip(idx, ts), scores.tolist()))
+                            window += [(j, t) for t in ahead[j] if (j, t) not in known]
                         width *= 2
-                    elif fresh:
-                        batch = np.repeat(u[None, :], len(fresh), axis=0)
-                        batch[:, i] = fresh
                         if feasible is not None:
-                            batch = batch[feasible(batch)]
-                        if len(batch):
-                            scores = yield batch, cur + accept_eps
-                            known.update(zip(zip([i] * len(batch), batch[:, i].tolist()), scores.tolist()))
-                    trials = [t for t in trials if (i, t) in known]
-                    if not trials:
+                            rows = np.repeat(u[None, :], len(window), axis=0)
+                            rows[np.arange(len(window)), [j for j, _ in window]] = [t for _, t in window]
+                            keep = feasible(rows).tolist()
+                            known.update((pair, None) for pair, ok in zip(window, keep) if not ok)
+                            window = [pair for pair, ok in zip(window, keep) if ok]
+                        if window:
+                            scores = yield u, window, cur + accept_eps
+                            known.update(zip(window, scores.tolist()))
+                    vals = [known[i, t] for t in moves]
+                    if feasible is not None:  # without the trials it dropped
+                        moves = [t for t, v in zip(moves, vals) if v is not None]
+                        vals = [v for v in vals if v is not None]
+                    if not vals:
                         continue
-                    vals = [known[i, t] for t in trials]
                     n_eval += len(vals)
-                    j = int(np.argmax(vals))
+                    j = _first_max(vals)
                     if vals[j] > cur + accept_eps:
                         cur = vals[j]
-                        u[i] = trials[j]
+                        u[i] = moves[j]
                         known.clear()
                         width = 1
                         improved = True
@@ -462,30 +555,18 @@ def coordinate_ascent(
             outcomes[state] = (u, cur, n_eval - n_then)
         return u, cur, n_eval
 
-    def scored(requests: list[tuple[np.ndarray, float]]) -> np.ndarray:
-        """Scores of the rows of all (rows, floor) requests; with a bound, a
-        row whose bound is at most its floor is answered by its bound."""
-        rows = np.concatenate([r for r, _ in requests])
-        if bound is None:
-            return eval_batch(rows)
-        floors = np.repeat([floor for _, floor in requests], [len(r) for r, _ in requests])
-        ub = bound(rows)
-        keep = ~(ub <= floors)
-        if keep.any():
-            rows, kept = rows[keep], ub[keep]
-            vals = eval_batch(rows)
-            bad = ~(vals <= kept) & ~np.isnan(kept)
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise RuntimeError(f"search score {float(vals[j])!r} exceeds its upper bound {float(kept[j])!r} at {rows[j].tolist()}")
-            ub[keep] = vals
-        return ub
-
+    points = [np.clip(np.asarray(u0, dtype=float), 0.0, caps) for u0 in starts]
+    live = list(range(len(points)))
+    if live and feasible is not None:
+        live = np.flatnonzero(feasible(np.stack(points))).tolist()
     results: list = [None] * len(starts)
-    climbing = {k: climb(u0) for k, u0 in enumerate(starts)}
+    climbing = {}
+    if live:
+        firsts = eval_batch(np.stack([points[k] for k in live])).tolist()
+        climbing = {k: climb(points[k], cur) for k, cur in zip(live, firsts)}
     answers: dict[int, np.ndarray] = {}
     while climbing:
-        asked: dict[int, tuple[np.ndarray, float]] = {}
+        asked: dict[int, tuple] = {}
         ended = False
         for k, climber in list(climbing.items()):
             try:
@@ -502,10 +583,20 @@ def coordinate_ascent(
             if climbing and not ended:
                 raise RuntimeError("coordinate ascent deadlocked: every climbing start waits on another")
             continue
-        scores, end = scored(list(asked.values())), 0
-        for k, (rows, _) in asked.items():
-            answers[k] = scores[end : end + len(rows)]
-            end += len(rows)
+        requests = list(asked.values())
+        counts = [len(window) for _, window, _ in requests]
+        pairs = [pair for _, window, _ in requests for pair in window]
+        scores = trials(
+            np.stack([u for u, _, _ in requests]),
+            np.repeat(np.arange(len(requests)), counts),
+            np.array([j for j, _ in pairs], dtype=np.intp),
+            np.array([t for _, t in pairs], dtype=float),
+            np.repeat([floor for _, _, floor in requests], counts),
+        )
+        end = 0
+        for k, count in zip(asked, counts):
+            answers[k] = scores[end : end + count]
+            end += count
 
     best_u, best_val = None, -np.inf
     n_eval = 0

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import BudgetExceededError, Objective, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts
+from ._search import BudgetExceededError, Objective, SearchConfig, SearchMode, ValueMap, coordinate_ascent, exhaustive_product, seeded_starts
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
 
 __all__ = [
@@ -145,15 +145,13 @@ def solve_general(
         # pricing above the reservation cap -v0^c never attracts a customer
         caps = np.maximum(-ct.c_transform_table(v0, cost), 0.0)
 
-    def value(G: np.ndarray) -> np.ndarray:
-        return np.min(cost + np.minimum(G, bound)[..., None, :], axis=-1)
-
+    value = ValueMap(cost, clamp=bound)
     eval_batch = Objective(ct._generator_score(cost, np.inf, f.weights, tol), *cost.shape, value=value)
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, val_best, diagnostics = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
         starts = seeded_starts(caps, search, v0, 0.5 * v0)
-        g_best, val_best, diagnostics = coordinate_ascent(eval_batch, caps, starts, search)
+        g_best, val_best, diagnostics = coordinate_ascent(eval_batch, caps, starts, search, trials=eval_batch.trials)
 
     # the canonical price -v^c; its value function is the double transform of v
     price = PricePattern(-ct.c_transform_table(value(g_best), cost))

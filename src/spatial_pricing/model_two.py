@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import Objective, SearchConfig, SearchMode, coordinate_ascent, exhaustive_product, seeded_starts
+from ._search import Objective, SearchConfig, SearchMode, ValueMap, coordinate_ascent, exhaustive_product, seeded_starts
 from .geometry import (
     CostKernel,
     CustomerMeasure,
@@ -181,12 +181,8 @@ def profit_from_values(
 def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: float):
     """Batched profit of free generator prices G (B, |free|), with its upper bound."""
     cost_free = ctx.cost[:, ctx.free]
-
-    def value(G: np.ndarray) -> np.ndarray:
-        return np.min(cost_free[None, :, :] + G[:, None, :], axis=2)
-
     args = (cost_free, ctx.v0, weights, tol)
-    return Objective(ct._generator_score(*args), *cost_free.shape, value=value, bound=ct._generator_bound(*args))
+    return Objective(ct._generator_score(*args), *cost_free.shape, value=ValueMap(cost_free), bound=ct._generator_bound(*args))
 
 
 def _report(
@@ -233,7 +229,7 @@ def solve_w_search(
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, val_best, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
-        g_best, val_best, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search, bound=eval_batch.bound)
+        g_best, val_best, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search, trials=eval_batch.trials)
     return _w_search_report(ctx, f, g_best, val_best, METHOD_W_SEARCH, diag)
 
 
@@ -273,11 +269,8 @@ def solve_boundary_control(
         gap = PHI[:, :, None] - PHI[:, None, :] - dctrl[None, :, :]
         return (gap <= tol).all(axis=(1, 2))
 
-    def value(PHI: np.ndarray) -> np.ndarray:
-        return np.min(cost_ctrl[None, :, :] + PHI[:, None, :], axis=2)
-
     args = (cost_free, ctx.v0, f.weights, tol)
-    objective = Objective(ct._generator_score(*args), *cost_free.shape, value=value, bound=ct._generator_bound(*args))
+    objective = Objective(ct._generator_score(*args), *cost_free.shape, value=ValueMap(cost_ctrl), bound=ct._generator_bound(*args))
     k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
@@ -287,7 +280,7 @@ def solve_boundary_control(
     else:
         # each start becomes the largest 1-Lipschitz function below it on the control set
         starts = [ct.value_table(u, dctrl) for u in seeded_starts(caps, search)]
-        phi_best, val_best, diag = coordinate_ascent(objective, caps, starts, search, feasible=feasible, bound=objective.bound)
+        phi_best, val_best, diag = coordinate_ascent(objective, caps, starts, search, feasible=feasible, trials=objective.trials)
 
     w = ct.value_table(phi_best, cost_ctrl)
     diag = {**diag, "control_indices": ctrl.tolist(), "control_prices": phi_best.tolist()}
@@ -329,8 +322,8 @@ def one_d_reduction(
     `cdf` may be any cumulative function (use geometry.uniform_cdf for the
     nonatomic uniform); without one, `ctx` and `f` give the atomic measure
     on the region grid (right-continuous F, with a warning when atoms sit
-    near the break points).  A `ctx` needs `f`: without one it raises
-    ValueError.  With `ctx` and `f`, the reported profit is the
+    near the break points).  A `ctx` needs `f`, and `f` a `ctx`: either
+    alone raises ValueError.  With `ctx` and `f`, the reported profit is the
     price-side profit of the reformulated grid pattern of the cones
     min(p1 + |x - x_alpha|, p2 + |x - x_beta|) on the free part.  With a
     `cdf` alone the report has no pattern, and its profit is the two-scalar
@@ -345,6 +338,8 @@ def one_d_reduction(
         raise ValueError("the imposed price must be nonnegative")
     if ctx is not None and f is None:
         raise ValueError("a region context needs a measure f")
+    if f is not None and ctx is None:
+        raise ValueError("a measure f needs a region context")
     atomic = cdf is None
     if atomic:
         if ctx is None:

@@ -186,8 +186,8 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
 
 
 def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
-    """The `trial_scores` hook of `coordinate_ascent` for the payoff of
-    `_player_payoff_batch`: scores of u with u[idx[k]] replaced by ts[k],
+    """The polish's trial scores for the payoff of `_player_payoff_batch`:
+    a hook (u, idx, ts) -> the scores of u with u[idx[k]] replaced by ts[k],
     bit-equal to that payoff, in O(n) per pair from a cached base point.
     The pairs of one call are scored together, in slices whose (pairs, n)
     temporaries stay within CELL_BUDGET, with one dense rescore per slice.
@@ -341,8 +341,10 @@ def best_response(
 
     if step > 0:
         polish = SearchConfig(max_sweeps=search.polish_sweeps, refine_halvings=0)
-        trials = _player_trial_scores(ctx, my_idx, opp_offer, ctx.tie_home(player), ctx.tol)
-        best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True, trial_scores=trials)
+        hook = _player_trial_scores(ctx, my_idx, opp_offer, ctx.tie_home(player), ctx.tol)
+        # the polish climbs one start, so every trial is a move of points[0]
+        trials = lambda points, owner, idx, ts, floors: hook(points[0], idx, ts)  # noqa: E731
+        best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True, trials=trials)
         n_eval += diag["evaluations"]
 
     return BestResponseResult(player=player, prices=best, payoff=best_val, diagnostics={"evaluations": n_eval, "price_step": step})

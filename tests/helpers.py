@@ -179,8 +179,16 @@ def dense_capture_transport(member, cost, free):
 
 
 def plain_objective(score, n, m, value=None, bound=None):
-    """A stand-in for `_search.Objective` without the memo: score(value(rows)),
-    with bound(value(rows)) as its `.bound` (None without a bound)."""
+    """A stand-in for `_search.Objective` without the memo or the trial value
+    maps: score(value(rows)), with bound(value(rows)) as its `.bound` (None
+    without a bound) and, as its `.trials`, the dense score of every trial row."""
     objective = lambda G: score(value(G))  # noqa: E731
     objective.bound = None if bound is None else lambda G: bound(value(G))
+
+    def trials(points, owner, idx, ts, floors):
+        rows = points[owner]
+        rows[np.arange(len(ts)), idx] = ts
+        return objective(rows)
+
+    objective.trials = trials
     return objective

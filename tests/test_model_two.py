@@ -440,6 +440,14 @@ class TestIntervalReduction:
             with pytest.raises(ValueError, match="^a region context needs a measure f$"):
                 one_d_reduction(0.3, 0.7, 0.4, cdf, ctx=ctx)
 
+    def test_measure_without_a_context_is_refused(self):
+        # with a cdf, the measure was ignored beyond its mass check: the
+        # cdf-only report came back, with a profit of 0.3350000000000001
+        f = sp.CustomerMeasure(np.linspace(0.1, 3.0, 21))
+        for cdf in (sp.uniform_cdf(), None):
+            with pytest.raises(ValueError, match="^a measure f needs a region context$"):
+                one_d_reduction(0.3, 0.7, 0.4, cdf, f=f)
+
 
 class TestImprovementChain:
     def test_chain_on_random_instances(self):

@@ -514,16 +514,16 @@ def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch)
         return real_value_and_paid(totals, P, tol)
 
     def ascent(eval_batch, caps, starts, search, feasible=None, **kwargs):
-        hook = kwargs.pop("trial_scores")
+        trials = kwargs.pop("trials")
         record.update(start=starts[0].copy(), calls=[])
 
-        def recorded(u, idx, ts):
-            record["calls"].append((u.copy(), idx.copy(), ts.copy()))
-            return hook(u, idx, ts)
+        def recorded(points, owner, idx, ts, floors):
+            record["calls"].append((points[0].copy(), idx.copy(), ts.copy()))
+            return trials(points, owner, idx, ts, floors)
 
         with monkeypatch.context() as patch:
             patch.setattr(nash_mod, "_value_and_paid", counted)
-            out = coordinate_ascent(eval_batch, caps, starts, search, feasible, trial_scores=recorded, **kwargs)
+            out = coordinate_ascent(eval_batch, caps, starts, search, feasible, trials=recorded, **kwargs)
         record["u"], record["evaluations"] = out[0], out[2]["evaluations"]
         return out
 
@@ -550,11 +550,18 @@ def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch)
 
 
 def _counted_hook(hook, record):
-    def trial_scores(u, idx, ts):
-        record["pairs"] += len(ts)
-        return hook(u, idx, ts)
+    """The one-point hook as a `TrialBatch`: each start's trials scored at
+    its own point, counted in record["pairs"]."""
 
-    return trial_scores
+    def trials(points, owner, idx, ts, floors):
+        record["pairs"] += len(ts)
+        out = np.empty(len(ts))
+        for k, u in enumerate(points):
+            mine = owner == k
+            out[mine] = hook(u, idx[mine], ts[mine])
+        return out
+
+    return trials
 
 
 @pytest.mark.parametrize("kernel", [METRIC, sp.CostKernel.quadratic()], ids=["distance", "quadratic"])
@@ -581,7 +588,7 @@ def test_ascent_with_the_hook_matches_the_dense_ascent(kernel):
             for cfg, starts, kwargs in runs:
                 expected = coordinate_ascent(dense, caps, starts, cfg, **kwargs)
                 record = {"pairs": 0}
-                got = coordinate_ascent(dense, caps, starts, cfg, trial_scores=_counted_hook(hook, record), **kwargs)
+                got = coordinate_ascent(dense, caps, starts, cfg, trials=_counted_hook(hook, record), **kwargs)
                 case = (seed, player, len(starts))
                 assert got[0].tobytes() == expected[0].tobytes(), case
                 assert repr(got[1]) == repr(expected[1]), case

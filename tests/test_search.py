@@ -71,9 +71,9 @@ def test_ascent_with_zero_caps_returns_zero():
     assert diag == {"mode": "ascent", "evaluations": 4, "starts": 4}
 
 
-def _ascent_oracle(eval_batch, caps, starts, search, feasible=None, bound=None):
+def _ascent_oracle(eval_batch, caps, starts, search, feasible=None, trials=None):
     """The coordinate ascent before score reuse, kept verbatim as the reference
-    (a `bound` is taken and ignored: it cannot change the answer)."""
+    (a `trials` is taken and ignored: it cannot change the answer)."""
     caps = np.asarray(caps, dtype=float)
     m = caps.size
     cap_max = float(np.max(caps, initial=0.0))
@@ -179,32 +179,60 @@ class _RowCounter:
         self.rows += len(U)
         return self.fn(U)
 
+    def trials(self, trials):
+        """`trials`, a `TrialBatch`, with its trial rows added to the count."""
+
+        def counted(points, owner, idx, ts, floors):
+            self.rows += len(ts)
+            return trials(points, owner, idx, ts, floors)
+
+        return None if trials is None else counted
+
+
+def _feasible_windows(feasible, record):
+    """`feasible`, counting in record["crossed"] the trial windows that span
+    several coordinates and lose some of their trials to it."""
+
+    def recorded(U):
+        keep = feasible(U)
+        if record["calls"]:  # the first call filters the starts
+            spans = sum(len(np.unique(U[:, j])) > 1 for j in range(U.shape[1]))
+            record["crossed"] += int(spans > 1 and not keep.all())
+        record["calls"] += 1
+        return keep
+
+    return recorded
+
 
 @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
 @pytest.mark.parametrize("quantized", [False, True], ids=["smooth", "quantized"])
 def test_ascent_matches_reference(quantized, filtered):
     rows = evaluations = 0
+    record = {"calls": 0, "crossed": 0}
     for seed in range(40):
         eval_batch, caps, starts, cfg, feasible = _ascent_case(seed, quantized, filtered)
         counter = _RowCounter(eval_batch)
         expected = _ascent_oracle(eval_batch, caps, starts, cfg, feasible)
-        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, feasible)
+        record["calls"] = 0
+        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, None if feasible is None else _feasible_windows(feasible, record))
         assert np.array_equal(u, expected[0]), seed
         assert val == expected[1], seed
         assert diag == expected[2], seed
         rows += counter.rows
         evaluations += diag["evaluations"]
     assert rows < evaluations
+    # windows of several coordinates lost some of their trials to `feasible`
+    assert (record["crossed"] > 0) == filtered
 
 
 def _capture_ascent(monkeypatch, module):
     """Route `module`'s ascent through a row counter; returns the call record."""
     record = {}
 
-    def ascent(eval_batch, caps, starts, search, feasible=None, bound=None):
+    def ascent(eval_batch, caps, starts, search, feasible=None, trials=None):
         counter = _RowCounter(eval_batch)
         record.update(eval_batch=eval_batch, caps=caps, starts=starts, search=search, counter=counter)
-        return coordinate_ascent(counter, caps, starts, search, feasible, bound=bound)
+        return coordinate_ascent(counter, caps, starts, search, feasible, trials=counter.trials(trials))
 
     monkeypatch.setattr(module, "coordinate_ascent", ascent)
     return record
@@ -255,12 +283,14 @@ def test_solver_scores_each_value_function_once(monkeypatch, solver):
         expected = solve()
     scored = {"rows": 0}
 
+    # without its bound the objective scores every trial the counter counts,
+    # so only the memo can score fewer rows
     def counted(score, n, m, value=None, bound=None):
         def counted_score(V):
             scored["rows"] += len(V)
             return score(V)
 
-        return _search.Objective(counted_score, n, m, value, bound)
+        return _search.Objective(counted_score, n, m, value)
 
     monkeypatch.setattr(module, "Objective", counted)
     record = _capture_ascent(monkeypatch, module)
@@ -369,15 +399,6 @@ def test_ascent_refuses_a_step_that_is_not_positive_and_finite(step):
         coordinate_ascent(lambda U: -np.abs(U - 0.5).sum(axis=1), np.ones(2), [np.zeros(2)], SearchConfig(), step=step)
 
 
-def test_trial_scores_do_not_combine_with_feasible():
-    caps = np.ones(3)
-    with pytest.raises(ValueError, match="do not combine"):
-        coordinate_ascent(
-            lambda U: U.sum(axis=1), caps, [caps], SearchConfig(), lambda U: np.ones(len(U), bool),
-            trial_scores=lambda u, i, ts: np.zeros(len(ts)),
-        )
-
-
 def _nan_corner(U):
     """NaN on the row u_0 = 0, else -|u - 0.5|_1."""
     return np.where(U[:, 0] == 0.0, np.nan, -np.abs(U - 0.5).sum(axis=1))
@@ -392,17 +413,30 @@ def test_exhaustive_scan_refuses_a_nan_score(bounded):
         _search.exhaustive_product(_nan_corner, np.ones(2), 5, 100, bound=bound)
 
 
-def _row_hook(eval_batch, record):
-    """A `trial_scores` hook that scores each pair as a full row of `eval_batch`."""
+def _row_trials(eval_batch, record):
+    """A `TrialBatch` that scores each trial as a full row of `eval_batch`,
+    recording the coordinates of each call and the trials it scores."""
 
-    def trial_scores(u, idx, ts):
+    def trials(points, owner, idx, ts, floors):
         record["calls"].append(sorted(set(idx.tolist())))
         record["pairs"] += len(ts)
-        rows = np.repeat(u[None, :], len(ts), axis=0)
-        rows[np.arange(len(ts)), idx] = ts
-        return eval_batch(rows)
+        return eval_batch(_search._trial_rows(points, owner, idx, ts))
 
-    return trial_scores
+    return trials
+
+
+def _bounded_trials(eval_batch, bound):
+    """A `TrialBatch` that scores the trial rows by `eval_batch`, except
+    where `bound` answers them below their floor, as an `Objective` does;
+    None without a bound."""
+    if bound is None:
+        return None
+
+    def trials(points, owner, idx, ts, floors):
+        rows = _search._trial_rows(points, owner, idx, ts)
+        return _search._floored(rows, floors, eval_batch, bound, rows.__getitem__)
+
+    return trials
 
 
 @pytest.mark.parametrize("quantized", [False, True], ids=["smooth", "quantized"])
@@ -412,7 +446,7 @@ def test_ascent_with_trial_scores_matches_the_ascent_without(quantized):
         eval_batch, caps, starts, cfg, _ = _ascent_case(seed, quantized, False)
         expected = coordinate_ascent(eval_batch, caps, starts, cfg)
         record = {"calls": [], "pairs": 0}
-        u, val, diag = coordinate_ascent(eval_batch, caps, starts, cfg, trial_scores=_row_hook(eval_batch, record))
+        u, val, diag = coordinate_ascent(eval_batch, caps, starts, cfg, trials=_row_trials(eval_batch, record))
         assert u.tobytes() == expected[0].tobytes(), seed
         assert repr(val) == repr(expected[1]), seed
         assert diag == expected[2], seed
@@ -430,12 +464,24 @@ def test_still_sweep_asks_the_hook_log2_times(m):
     eval_batch = lambda U: -((U - centre) ** 2).sum(axis=1)  # noqa: E731
     record = {"calls": [], "pairs": 0}
     cfg = SearchConfig(max_sweeps=4, refine_halvings=0)
-    u, _, diag = coordinate_ascent(eval_batch, np.ones(m), [centre], cfg, step=0.125, trial_scores=_row_hook(eval_batch, record))
+    u, _, diag = coordinate_ascent(eval_batch, np.ones(m), [centre], cfg, step=0.125, trials=_row_trials(eval_batch, record))
     assert u.tobytes() == centre.tobytes()
     assert len(record["calls"]) <= math.ceil(math.log2(m + 1))
     assert [len(c) for c in record["calls"][:-1]] == [2**k for k in range(len(record["calls"]) - 1)]
     assert sorted(i for c in record["calls"] for i in c) == list(range(m))
     assert record["pairs"] == diag["evaluations"] - 1
+    # two starts without a trial batch: after the starts' call, the same
+    # windows take ceil(log2(m + 1)) rounds; an exact bound answers every
+    # trial, so its calls count the rounds, and the objective scores only the starts
+    for bounded in (False, True):
+        counter = _CallCounter(eval_batch)
+        bound = _CallCounter(eval_batch) if bounded else None
+        u, _, _ = coordinate_ascent(counter, np.ones(m), [centre, centre.copy()], cfg, step=0.125, trials=_bounded_trials(counter, bound))
+        assert u.tobytes() == centre.tobytes()
+        if bounded:
+            assert (bound.calls, counter.calls) == (math.ceil(math.log2(m + 1)), 1)
+        else:
+            assert counter.calls == 1 + math.ceil(math.log2(m + 1))
 
 
 def test_window_restarts_after_a_move():
@@ -445,7 +491,7 @@ def test_window_restarts_after_a_move():
     eval_batch = lambda U: U.sum(axis=1) - 2.0 * np.maximum(U - 0.25, 0.0).sum(axis=1)  # noqa: E731
     record = {"calls": [], "pairs": 0}
     cfg = SearchConfig(max_sweeps=1, refine_halvings=0)
-    u, _, _ = coordinate_ascent(eval_batch, np.ones(m), [np.zeros(m)], cfg, step=0.25, trial_scores=_row_hook(eval_batch, record))
+    u, _, _ = coordinate_ascent(eval_batch, np.ones(m), [np.zeros(m)], cfg, step=0.25, trials=_row_trials(eval_batch, record))
     assert np.array_equal(u, np.full(m, 0.25))
     assert record["calls"] == [[i] for i in range(m)]
 
@@ -465,11 +511,14 @@ class _CallCounter(_RowCounter):
 @pytest.mark.parametrize("quantized", [False, True], ids=["smooth", "quantized"])
 def test_bounded_ascent_matches_reference(quantized, filtered, kind):
     rows = unbounded_rows = 0
+    record = {"calls": 0, "crossed": 0}
     for seed in range(40):
         eval_batch, caps, starts, cfg, feasible = _ascent_case(seed, quantized, filtered)
         expected = _ascent_oracle(eval_batch, caps, starts, cfg, feasible)
         counter = _RowCounter(eval_batch)
-        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, feasible, bound=_bounds(eval_batch, kind))
+        record["calls"] = 0
+        windows = None if feasible is None else _feasible_windows(feasible, record)
+        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, windows, trials=_bounded_trials(counter, _bounds(eval_batch, kind)))
         assert u.tobytes() == expected[0].tobytes(), seed
         assert repr(val) == repr(expected[1]), seed
         assert diag == expected[2], seed
@@ -479,6 +528,7 @@ def test_bounded_ascent_matches_reference(quantized, filtered, kind):
         unbounded_rows += unbounded.rows
     # an exact bound answers every row below the floor; a loose one some
     assert 0 < rows < unbounded_rows
+    assert (record["crossed"] > 0) == filtered
 
 
 def test_later_start_parks_on_a_start_that_still_climbs():
@@ -491,14 +541,14 @@ def test_later_start_parks_on_a_start_that_still_climbs():
     expected = _ascent_oracle(eval_batch, caps, starts, cfg)
     for bound in (None, eval_batch):
         counter = _RowCounter(eval_batch)
-        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, bound=bound)
+        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, trials=_bounded_trials(counter, bound))
         assert u.tobytes() == expected[0].tobytes()
         assert repr(val) == repr(expected[1])
         assert diag == expected[2]
         alone = []
         for u0 in starts:
             single = _RowCounter(eval_batch)
-            coordinate_ascent(single, caps, [u0], cfg, bound=bound)
+            coordinate_ascent(single, caps, [u0], cfg, trials=_bounded_trials(single, bound))
             alone.append(single.rows)
         # the second start's rows stop where it parked
         assert max(alone) < counter.rows < sum(alone)
@@ -530,14 +580,12 @@ def test_bounded_ascent_refuses_a_score_above_its_bound():
     cfg = SearchConfig(multistarts=3)
     starts = seeded_starts(np.ones(2), cfg)
     with pytest.raises(RuntimeError, match=r"^search score -?[0-9.]+ exceeds its upper bound"):
-        coordinate_ascent(eval_batch, np.ones(2), starts, cfg, bound=lambda U: eval_batch(U) - 1e-9)
-    # a NaN score under a bound that is not NaN breaks the bound too
-    with pytest.raises(RuntimeError, match=r"^search score nan exceeds its upper bound 10\.0 at \[0\.0, 0\.0\]"):
-        coordinate_ascent(_nan_corner, np.ones(2), starts, cfg, bound=lambda U: np.full(len(U), 10.0))
-    with pytest.raises(ValueError, match="do not combine"):
-        coordinate_ascent(
-            eval_batch, np.ones(2), starts, cfg, bound=eval_batch, trial_scores=lambda u, i, ts: np.zeros(len(ts))
-        )
+        coordinate_ascent(eval_batch, np.ones(2), starts, cfg, trials=_bounded_trials(eval_batch, lambda U: eval_batch(U) - 1e-9))
+    # a NaN score under a bound that is not NaN breaks the bound too: the
+    # starts are scored unbounded, so the first is the trial that moves the
+    # start at the caps to u_0 = 0
+    with pytest.raises(RuntimeError, match=r"^search score nan exceeds its upper bound 10\.0 at \[0\.0, 1\.0\]"):
+        coordinate_ascent(_nan_corner, np.ones(2), starts, cfg, trials=_bounded_trials(_nan_corner, lambda U: np.full(len(U), 10.0)))
 
 
 def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
@@ -547,14 +595,16 @@ def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
     cfg = SearchConfig(levels=6, multistarts=4, seed=3)
     rows, reports = {}, {}
     for bounded in (False, True):
+        rows[bounded] = 0
 
-        def ascent(eval_batch, caps, starts, search, feasible=None, bound=None):
-            counter = _RowCounter(eval_batch)
-            out = coordinate_ascent(counter, caps, starts, search, feasible, bound=bound if bounded else None)
-            rows[bounded] = counter.rows
-            return out
+        def objective(score, n, m, value=None, bound=None):
+            def counted_score(V):
+                rows[bounded] += len(V)
+                return score(V)
 
-        monkeypatch.setattr(model_two, "coordinate_ascent", ascent)
+            return _search.Objective(counted_score, n, m, value, bound if bounded else None)
+
+        monkeypatch.setattr(model_two, "Objective", objective)
         reports[bounded] = model_two.solve_w_search(ctx, f, cfg)
     assert repr(reports[True].profit) == repr(reports[False].profit)
     assert reports[True].optimal_price.values.tobytes() == reports[False].optimal_price.values.tobytes()
@@ -562,31 +612,177 @@ def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
     assert 0 < rows[True] < 0.6 * rows[False]
 
 
-def test_objective_takes_value_maps_of_bounded_rows_from_the_bound():
+def test_first_max_keeps_numpy_argmax_rules():
+    # the first NaN wins, and the first of equal largest values
+    cases = [
+        [1.0, math.nan, 2.0, math.nan],
+        [math.nan],
+        [3.0, 1.0, 3.0],
+        [-math.inf, -math.inf],
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [2.0, math.inf, 5.0, math.inf, math.nan],
+    ]
     rng = np.random.default_rng(0)
-    cols = rng.uniform(0.0, 1.0, (6, 4))
-    mapped = {"rows": 0}
+    for _ in range(300):
+        vals = rng.integers(0, 4, int(rng.integers(1, 8))).astype(float)
+        vals[rng.uniform(size=vals.size) < 0.15] = math.nan
+        cases.append(vals.tolist())
+    for vals in cases:
+        assert _search._first_max(vals) == int(np.argmax(vals)), vals
+    assert _search._first_max([1.0, math.nan, 2.0, math.nan]) == 1
+    assert _search._first_max([3.0, 1.0, 3.0]) == 0
 
-    def value(G):
-        mapped["rows"] += len(G)
-        return np.min(cols[None, :, :] + G[:, None, :], axis=2)
 
-    def score(V):
-        return V.sum(axis=1) - V.max(axis=1)
+# Trial value maps: one-coordinate moves valued from their start's point
 
-    objective = _search.Objective(score, 6, 4, value=value, bound=lambda V: V.sum(axis=1))
-    plain = _search.Objective(score, 6, 4, value=lambda G: np.min(cols[None, :, :] + G[:, None, :], axis=2))
-    G = rng.uniform(0.0, 1.0, (8, 4))
-    objective.bound(G)
-    assert mapped["rows"] == 8
-    # a row the caller changed after bounding is mapped again
-    G[0] += 0.25
-    assert objective(G[[0]]).tobytes() == plain(G[[0]]).tobytes()
-    assert mapped["rows"] == 9
-    # rows the bound has seen take their value maps from it
-    assert objective(G[[5, 1, 3]]).tobytes() == plain(G[[5, 1, 3]]).tobytes()
-    assert mapped["rows"] == 9
-    # only the new rows of a mixed batch are mapped
-    mixed = np.vstack([G[[2]], rng.uniform(0.0, 1.0, (2, 4)), G[[6]]])
-    assert objective(mixed).tobytes() == plain(mixed).tobytes()
-    assert mapped["rows"] == 11
+
+def _trial_requests(rng, m, quantum, count):
+    """(points, owner, idx, ts) of `count` trials at a few points on a price
+    grid of step `quantum`, as the ascent asks for them."""
+    points = quantum * rng.integers(0, 9, (int(rng.integers(1, 5)), m)).astype(float)
+    owner = np.sort(rng.integers(0, len(points), count))
+    idx = rng.integers(0, m, count)
+    ts = quantum * rng.integers(0, 9, count).astype(float)
+    return points, owner, idx, ts
+
+
+def _assert_trial_values(value, points, owner, idx, ts):
+    dense = value(_search._trial_rows(points, owner, idx, ts))
+    got = value.trials(points, owner, idx, ts)
+    assert got.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_trial_value_maps_are_the_dense_maps_bytes(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    d = 1 + seed % 2  # a 1D table, or a 2D grid's
+    region = sp.build_grid_region(n, 3) if d == 2 else sp.build_interval_region(n, 0.0, 1.0)
+    kernel = (sp.CostKernel.metric(1.0), sp.CostKernel.quadratic())[seed // 2 % 2]
+    cost = sp.eval_cost(kernel, region)
+    cols = cost[:, np.sort(rng.choice(cost.shape[1], int(rng.integers(1, cost.shape[1] + 1)), replace=False))]
+    m = cols.shape[1]
+    # model one's clamp, binding on some columns, +inf (no clamp) on others
+    clamp = np.where(rng.uniform(size=m) < 0.3, np.inf, 0.125 * rng.integers(0, 6, m))
+    for value in (sp._search.ValueMap(cols), sp._search.ValueMap(cols, clamp=clamp)):
+        # prices on a coarse grid tie offers exactly; off the grid they rarely tie
+        for quantum in (0.125, float(rng.uniform(0.01, 0.2))):
+            _assert_trial_values(value, *_trial_requests(rng, m, quantum, int(rng.integers(1, 60))))
+
+
+def test_trial_value_maps_with_exact_ties_and_one_column():
+    # a moved column that is some rows' cheapest while another column ties it
+    # (j1 == i and m2 == m1), and a table of one column, where m2 is +inf
+    cols = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    value = _search.ValueMap(cols)
+    u = np.zeros(3)
+    j1, m1, m2 = value._state(u)
+    assert ((m2 == m1) & (j1 == 0)).any()
+    idx = np.repeat(np.arange(3), 4)
+    ts = np.tile([0.0, 0.25, 0.5, 2.0], 3)
+    _assert_trial_values(value, u[None], np.zeros(12, dtype=np.intp), idx, ts)
+    one = _search.ValueMap(cols[:, :1], clamp=np.array([0.3]))
+    _assert_trial_values(one, np.array([[0.1], [0.7]]), np.array([0, 0, 1, 1]), np.zeros(4, dtype=np.intp), np.array([0.0, 0.2, 0.4, 1.0]))
+    assert np.isinf(one._state(np.array([0.1]))[2]).all()
+
+
+def test_trial_value_maps_survive_eviction_from_the_point_cache(monkeypatch):
+    monkeypatch.setattr(_search, "POINT_STATES", 2)
+    rng = np.random.default_rng(5)
+    cols = rng.uniform(0.0, 1.0, (7, 5))
+    value = _search.ValueMap(cols, clamp=rng.uniform(0.2, 0.8, 5))
+    points = 0.1 * rng.integers(0, 9, (5, 5))
+    for rep in range(4):
+        # more points than the cache holds, in turn, so each call evicts
+        owner = np.repeat(np.arange(5), 3)
+        idx = rng.integers(0, 5, 15)
+        ts = 0.1 * rng.integers(0, 9, 15)
+        _assert_trial_values(value, np.roll(points, rep, axis=0), owner, idx, ts)
+        assert len(value._states) == 2
+        # a stale state never answers for another point: the keys are the points' bytes
+        assert set(value._states) <= {p.tobytes() for p in points}
+
+
+def test_objective_trials_answer_rows_below_the_floor_with_their_bound():
+    ctx, f = _window(21)
+    scored = {"rows": 0}
+    score = ct._generator_score(ctx.cost[:, ctx.free], ctx.v0, f.weights, ctx.tol)
+
+    def counted(V):
+        scored["rows"] += len(V)
+        return score(V)
+
+    objective = model_two._batch_subregion_profit(ctx, f.weights, ctx.tol)
+    dense = plain_objective(score, *ctx.cost[:, ctx.free].shape, _search.ValueMap(ctx.cost[:, ctx.free]))
+    rng = np.random.default_rng(2)
+    points, owner, idx, ts = _trial_requests(rng, ctx.free.size, 0.05, 200)
+    expected = dense.trials(points, owner, idx, ts, None)
+    # with no floor every trial is scored, bit for bit
+    got = objective.trials(points, owner, idx, ts, np.full(len(ts), -np.inf))
+    assert got.tobytes() == expected.tobytes()
+    # a floor at the median: a trial above it is scored, one below may be answered by its bound
+    bounded = _search.Objective(counted, *ctx.cost[:, ctx.free].shape, _search.ValueMap(ctx.cost[:, ctx.free]), ct._generator_bound(ctx.cost[:, ctx.free], ctx.v0, f.weights, ctx.tol))
+    floors = np.full(len(ts), float(np.median(expected)))
+    got = bounded.trials(points, owner, idx, ts, floors)
+    above = expected > floors
+    assert np.array_equal(got[above], expected[above])
+    assert (got[~above] <= floors[~above]).all() and (got >= expected).all()
+    assert 0 < scored["rows"] < len(ts)
+
+
+def test_objective_trials_stay_within_their_cell_budget(monkeypatch):
+    # a round of 2000 trials, as the last windows of a still sweep ask: under
+    # a budget of 8 score rows each slice values and bounds at most
+    # TRIAL_CELLS // n trials and scores at most TRIAL_CELLS // (n m), with
+    # the answers of one unsliced call
+    ctx, f = _window(21)
+    cols = ctx.cost[:, ctx.free]
+    n, m = cols.shape
+    args = (cols, ctx.v0, f.weights, ctx.tol)
+    points, owner, idx, ts = _trial_requests(np.random.default_rng(4), m, 0.05, 2000)
+    sizes = {"value": [], "bound": [], "score": []}
+
+    def counted(kind, fn):
+        return lambda V: sizes[kind].append(len(V)) or fn(V)
+
+    def objective():
+        return _search.Objective(counted("score", ct._generator_score(*args)), n, m, _search.ValueMap(cols), counted("bound", ct._generator_bound(*args)))
+
+    expected = objective().trials(points, owner, idx, ts, np.full(len(ts), -np.inf))
+    floors = np.full(len(ts), float(np.median(expected)))
+    sizes["bound"].clear()
+    unsliced = objective().trials(points, owner, idx, ts, floors)
+    assert sizes["bound"] == [len(ts)]
+    value_trials = _search.ValueMap.trials
+
+    def recorded(self, points, owner, idx, ts):
+        sizes["value"].append(len(ts))
+        return value_trials(self, points, owner, idx, ts)
+
+    monkeypatch.setattr(_search.ValueMap, "trials", recorded)
+    monkeypatch.setattr(_search, "TRIAL_CELLS", 8 * n * m)
+    for kind in sizes:
+        sizes[kind].clear()
+    got = objective().trials(points, owner, idx, ts, floors)
+    assert got.tobytes() == unsliced.tobytes()
+    assert max(sizes["value"]) == max(sizes["bound"]) == 8 * m and sum(sizes["value"]) == len(ts)
+    assert max(sizes["score"]) <= 8 and 0 < sum(sizes["score"]) < len(ts)
+
+
+def test_boundary_control_ascent_matches_the_oracle(monkeypatch):
+    # the fallback ascent: interface prices that must stay 1-Lipschitz
+    region = sp.build_grid_region(7, 7, fixed_box=((0.2, 0.8), (0.2, 0.8)))
+    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(49, 0.6)))
+    f = sp.CustomerMeasure(np.random.default_rng(4).uniform(0.5, 1.5, 49))
+    cfg = SearchConfig(levels=4, multistarts=4)
+    with monkeypatch.context() as patch:
+        patch.setattr(model_two, "coordinate_ascent", _ascent_oracle)
+        expected = model_two.solve_boundary_control(ctx, f, cfg)
+    record = _capture_ascent(monkeypatch, model_two)
+    report = model_two.solve_boundary_control(ctx, f, cfg)
+    assert report.diagnostics["mode"] == "ascent"
+    assert repr(report.profit) == repr(expected.profit)
+    assert report.optimal_price.values.tobytes() == expected.optimal_price.values.tobytes()
+    assert report.diagnostics == expected.diagnostics
+    assert 0 < record["counter"].rows < report.diagnostics["evaluations"]
