@@ -16,13 +16,13 @@ from .geometry import (
     uniform_cdf,
 )
 from .model_one import (
-    SolveReport,
     quadratic_1d_reference,
     solve_general,
     solve_metric,
 )
 from .model_two import (
     PartitionContext,
+    SolveReport,
     one_d_reduction,
     reformulate,
     solve_boundary_control,

@@ -3,21 +3,20 @@
 The profit of a price pattern p sums, over customers, the price actually paid
 at the tie-broken purchase location.  The same profit can be evaluated from
 the customer value function v alone, which is the variable the general solver
-searches over.  Model one is model two with nothing fixed: `solve_general`
-scores generator prices with `w_search`'s generator score, over every point
-and with no outside option.
+searches over.  Model one is model two with nothing fixed: every function
+works on a `PartitionContext.whole` context and reports through model two's
+report, and `solve_general` scores generator prices with `w_search`'s
+generator score, over every point and with no outside option.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import ctransform as ct
 from ._search import BudgetExceededError, Objective, SearchConfig, SearchMode, ValueMap, coordinate_ascent, exhaustive_product, seeded_starts
-from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, eval_cost
+from .geometry import CostKernel, CustomerMeasure, PricePattern, Region
+from .model_two import PartitionContext, SolveReport, _capture_and_profit, _price_report
 
 __all__ = [
     "SolveReport",
@@ -34,40 +33,6 @@ METHOD_GENERAL = "general_search"
 METHOD_QUADRATIC_REFERENCE = "quadratic_1d_reference"
 
 
-@dataclass
-class SolveReport:
-    """What a model-one or model-two solver found.
-
-    optimal_price : the price pattern p (None only for the two-scalar
-                    `one_d_reduction` run on a cumulative function alone).
-    optimal_value : (n,) customer value function; in model two the one the
-                    free part generates, w(x) = min over free y of {c(x, y) + p(y)}.
-    choice        : (n,) tie-broken purchase point of each customer over all
-                    points (None when `optimal_price` is).
-    captured      : model two only, bool per point: the customer shops in the
-                    free part.
-    """
-
-    optimal_price: Optional[PricePattern]
-    optimal_value: Optional[np.ndarray]
-    profit: float
-    choice: Optional[np.ndarray]
-    method: str
-    diagnostics: dict = field(default_factory=dict)
-    captured: Optional[np.ndarray] = None
-
-
-def price_report(
-    price: PricePattern, value: Optional[np.ndarray], cost: np.ndarray, f: CustomerMeasure, method: str, diagnostics: dict
-) -> SolveReport:
-    """Report for a chosen price: tie-broken choices on the cost table and
-    price-side profit; a `value` of None reports the price's own value
-    function, the customers' expenditure."""
-    expenditure, choice = ct.assignment_table(price.values, cost)
-    profit = float(np.dot(f.weights, price.values[choice]))
-    return SolveReport(price, expenditure if value is None else value, profit, choice, method, diagnostics)
-
-
 def profit_from_prices(
     p: PricePattern,
     kernel: CostKernel,
@@ -75,11 +40,10 @@ def profit_from_prices(
     f: CustomerMeasure,
 ) -> float:
     """Total income: each customer pays the price at their tie-broken choice."""
-    prices = p.values
-    if len(prices) != region.size:
+    if len(p.values) != region.size:
         raise ValueError("price vector does not match the region size")
-    _, choice = ct.assignment_table(prices, eval_cost(kernel, region))
-    return float(np.dot(f.weights, prices[choice]))
+    _, _, _, profit, _ = _capture_and_profit(PartitionContext.whole(region, kernel), p.values, f)
+    return profit
 
 
 def profit_from_values(
@@ -93,8 +57,8 @@ def profit_from_values(
     Each customer contributes v(x) minus the cheapest transport into the
     superdifferential at x.  Rejects inputs that fail the concavity check.
     """
-    cost = eval_cost(kernel, region)
-    return ct._value_profit(values, cost, None, np.inf, f.weights, ct.scale_tol(cost))
+    ctx = PartitionContext.whole(region, kernel)
+    return ct._value_profit(values, ctx.cost, None, ctx.v0, f.weights, ctx.tol)
 
 
 def solve_metric(
@@ -110,9 +74,9 @@ def solve_metric(
     """
     if not kernel.is_metric:
         raise ValueError("the closed form needs a metric cost kernel")
-    cost = eval_cost(kernel, region)
-    popt = ct.value_table(p0.values, cost)
-    return price_report(PricePattern(popt), None, cost, f, METHOD_METRIC, {})
+    ctx = PartitionContext.whole(region, kernel)
+    popt = ct.value_table(p0.values, ctx.cost)
+    return _price_report(ctx, f, PricePattern(popt), None, METHOD_METRIC, {})
 
 
 def solve_general(
@@ -135,8 +99,8 @@ def solve_general(
     """
     if f.total_mass <= 0:
         raise ValueError("the customer measure must have positive mass")
-    cost = eval_cost(kernel, region)
-    tol = ct.scale_tol(cost)
+    ctx = PartitionContext.whole(region, kernel)
+    cost, tol = ctx.cost, ctx.tol
     bound = p0.values
     v0 = ct.value_table(bound, cost)
     if search.price_cap is not None:
@@ -146,7 +110,7 @@ def solve_general(
         caps = np.maximum(-ct.c_transform_table(v0, cost), 0.0)
 
     value = ValueMap(cost, clamp=bound)
-    eval_batch = Objective(ct._generator_score(cost, np.inf, f.weights, tol), *cost.shape, value=value)
+    eval_batch = Objective(ct._generator_score(cost, ctx.v0, f.weights, tol), *cost.shape, value=value)
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, val_best, diagnostics = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
@@ -155,7 +119,7 @@ def solve_general(
 
     # the canonical price -v^c; its value function is the double transform of v
     price = PricePattern(-ct.c_transform_table(value(g_best), cost))
-    report = price_report(price, None, cost, f, METHOD_GENERAL, diagnostics)
+    report = _price_report(ctx, f, price, None, METHOD_GENERAL, diagnostics)
     if abs(report.profit - val_best) > ct._check_slack(tol, f.total_mass):
         raise RuntimeError(
             f"price-side and value-side profits disagree: {report.profit} vs {val_best}"

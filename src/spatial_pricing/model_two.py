@@ -11,9 +11,9 @@ one-dimensional window case collapses to two scalars.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .geometry import (
     eval_cost,
     step_cdf,
 )
-from .model_one import SolveReport
 
 __all__ = [
+    "SolveReport",
     "PartitionContext",
     "profit_from_prices",
     "reformulate",
@@ -49,19 +49,46 @@ WINDOW_SLACK = 1e-12  # one_d: p2 - p1 may pass beta - alpha by this, the roundi
 BREAK_REL = 1e-9  # one_d: an atom this close (times 1 + p0) to a break point sits on it, where F's right continuity decides
 
 
+@dataclass
+class SolveReport:
+    """What a model-one or model-two solver found.
+
+    optimal_price : the price pattern p (None only for the two-scalar
+                    `one_d_reduction` run on a cumulative function alone).
+    optimal_value : (n,) customer value function; in model two the one the
+                    free part generates, w(x) = min over free y of {c(x, y) + p(y)}.
+    choice        : (n,) tie-broken purchase point of each customer over all
+                    points (None when `optimal_price` is).
+    captured      : bool per point: the customer shops in the free part (every
+                    customer in model one; None when `optimal_price` is).
+    """
+
+    optimal_price: Optional[PricePattern]
+    optimal_value: Optional[np.ndarray]
+    profit: float
+    choice: Optional[np.ndarray]
+    method: str
+    diagnostics: dict = field(default_factory=dict)
+    captured: Optional[np.ndarray] = None
+
+
 @dataclass(frozen=True)
 class PartitionContext:
     """Region with FIXED/FREE split, the imposed prices, and derived tables.
 
-    v0 is the customers' best total cost using fixed shops only; it is finite
-    and nonnegative everywhere (the imposed prices must be proper and >= 0).
+    `free` and `fixed` are index arrays.  v0 is the customers' best total
+    cost using fixed shops only; `build` makes it finite and nonnegative
+    everywhere (the imposed prices must be proper and >= 0).  Model one's
+    context, `whole`, has every point free, nothing fixed and v0 = +inf.
     """
 
     region: Region
     kernel: CostKernel
-    p0: PricePattern
+    p0: Optional[PricePattern]
     cost: np.ndarray
-    v0: np.ndarray
+    v0: Union[np.ndarray, float]
+    free: np.ndarray
+    fixed: np.ndarray
 
     @classmethod
     def build(cls, region: Region, kernel: CostKernel, p0: PricePattern) -> "PartitionContext":
@@ -79,15 +106,15 @@ class PartitionContext:
             raise ValueError("imposed prices must be nonnegative")
         cost = eval_cost(kernel, region)
         v0 = ct.value_table(vals, cost, fixed)
-        return cls(region=region, kernel=kernel, p0=p0, cost=cost, v0=v0)
+        return cls(region, kernel, p0, cost, v0, free, fixed)
 
-    @property
-    def free(self) -> np.ndarray:
-        return self.region.free_indices
-
-    @property
-    def fixed(self) -> np.ndarray:
-        return self.region.fixed_indices
+    @classmethod
+    def whole(cls, region: Region, kernel: CostKernel) -> "PartitionContext":
+        """Model one's context: the agent prices all of the region, so no
+        customer shops outside (v0 = +inf) and there are no imposed prices;
+        the region's mask is ignored."""
+        every = np.arange(region.size)
+        return cls(region, kernel, None, eval_cost(kernel, region), np.inf, every, every[:0])
 
     @cached_property
     def tol(self) -> float:
@@ -114,14 +141,14 @@ class PartitionContext:
         return vals
 
 
-def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasure):
+def _capture_and_profit(ctx: PartitionContext, vals: np.ndarray, f: CustomerMeasure):
     """Split customers by whether their argmin set touches the free part.
 
-    Returns (captured mask, tie-broken choice over all points, price-form
-    profit, value-form profit).  The two forms (price paid vs expenditure
-    minus transport) must agree up to tolerance.
+    Prices count as they stand; a +inf price is no shop.  Returns
+    (expenditure, captured mask, tie-broken choice over all points,
+    price-form profit, value-form profit).  The two forms (price paid vs
+    expenditure minus transport) must agree up to tolerance.
     """
-    vals = ctx.check_admissible(p)
     expenditure, choice, free_choice, transport = ct.assignment_table(vals, ctx.cost, ctx.free)
     captured = free_choice >= 0
     w = f.weights
@@ -131,10 +158,18 @@ def _capture_and_profit(ctx: PartitionContext, p: PricePattern, f: CustomerMeasu
     profit_value_form = float(np.dot(w, net))
     gap = abs(profit_price_form - profit_value_form)
     if gap > ct._check_slack(ctx.tol, f.total_mass):
-        raise RuntimeError(
-            f"profit forms disagree by {gap}: tie handling is inconsistent"
-        )
-    return captured, choice, profit_price_form, profit_value_form
+        raise RuntimeError(f"profit forms disagree by {gap}: tie handling is inconsistent")
+    return expenditure, captured, choice, profit_price_form, profit_value_form
+
+
+def _price_report(
+    ctx: PartitionContext, f: CustomerMeasure, price: PricePattern, value: Optional[np.ndarray], method: str, diagnostics: dict
+) -> SolveReport:
+    """Report of `price` as it stands: tie-broken choices, capture set and
+    price-side profit; a `value` of None reports the price's own value
+    function, the customers' expenditure."""
+    expenditure, captured, choice, profit, _ = _capture_and_profit(ctx, price.values, f)
+    return SolveReport(price, expenditure if value is None else value, profit, choice, method, diagnostics, captured)
 
 
 def profit_from_prices(
@@ -143,7 +178,7 @@ def profit_from_prices(
     f: CustomerMeasure,
 ) -> float:
     """Agent profit: price paid by every customer captured by the free part."""
-    _, _, profit, _ = _capture_and_profit(ctx, p, f)
+    _, _, _, profit, _ = _capture_and_profit(ctx, ctx.check_admissible(p), f)
     return profit
 
 
@@ -190,8 +225,7 @@ def _report(
 ) -> SolveReport:
     """Report of `free_prices`: their reformulated pattern, the value it generates and its price-side profit."""
     w, price = reformulate(ctx.full_prices(free_prices), ctx)
-    captured, choice, profit, _ = _capture_and_profit(ctx, price, f)
-    return SolveReport(price, w, profit, choice, method, diagnostics, captured)
+    return _price_report(ctx, f, price, w, method, diagnostics)
 
 
 def _w_search_report(

@@ -25,7 +25,6 @@ from .geometry import (
     Region,
     build_grid_region,
     build_interval_region,
-    eval_cost,
     uniform_cdf,
 )
 from ._search import SearchConfig, SearchMode
@@ -272,6 +271,8 @@ def _parse(raw: Any, method_override: Optional[str], seed_override: Optional[int
     models = {m.model for m in METHODS.values()}
     _require(model in models, f"scenario: model must be one of {sorted(models)}")
     region, window = _build_region(raw.get("region"))
+    key = "fixed_window" if region.dimension == 1 else "fixed_box"
+    _require(model == "two" or not region.has_partition, f"region.{key}: model {model!r} has no fixed part; drop the key")
     kernel = _build_kernel(raw.get("cost"))
     if kernel.kind.value == "custom_table":
         _require(kernel.table.shape[0] == region.size, "cost: custom table does not match the region size")
@@ -381,8 +382,8 @@ def _reported(solve: Callable[[Scenario], Any]) -> Callable[[Scenario], tuple]:
 
 def _quadratic_reference(sc: Scenario):
     v, p, _ = model_one.quadratic_1d_reference(sc.region.coords_1d())
-    cost = eval_cost(sc.kernel, sc.region)
-    return model_one.price_report(PricePattern(p), v, cost, sc.measure, model_one.METHOD_QUADRATIC_REFERENCE, {})
+    ctx = model_two.PartitionContext.whole(sc.region, sc.kernel)
+    return model_two._price_report(ctx, sc.measure, PricePattern(p), v, model_one.METHOD_QUADRATIC_REFERENCE, {})
 
 
 def _partition(sc: Scenario) -> model_two.PartitionContext:
@@ -430,7 +431,7 @@ def _solve_nash(sc: Scenario):
 
 
 def _series_model_one_two(sc: Scenario, rep):
-    """series.csv of a model-one or model-two report; model one captures every customer."""
+    """series.csv of a model-one or model-two report."""
     region, n = sc.region, sc.region.size
     axes = ["x"] if region.dimension == 1 else ["x", "y"]
     columns = [
@@ -441,7 +442,7 @@ def _series_model_one_two(sc: Scenario, rep):
         _fmt_column(rep.optimal_price.values),
         _fmt_column(rep.optimal_value),
         [str(j) for j in np.asarray(rep.choice, dtype=np.intp).tolist()],
-        ["1"] * n if rep.captured is None else [str(int(c)) for c in np.asarray(rep.captured, dtype=bool).tolist()],
+        [str(int(c)) for c in rep.captured.tolist()],
     ]
     header = ["index", *axes, "mask", "bound_or_fixed_price", "price", "value", "assignment", "captured"]
     return {"series.csv": [header, *zip(*columns)]}

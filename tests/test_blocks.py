@@ -152,7 +152,7 @@ def test_model_two_report_path(blocks, seed):
     captured_w = w <= ctx.v0 + dense_scale_tol(cost)
     assert model_two.profit_from_values(w, ctx, f) == float(np.dot(f.weights, np.where(captured_w, w - delta, 0.0)))
 
-    captured, choice, _, value_form = model_two._capture_and_profit(ctx, price, f)
+    _, captured, choice, _, value_form = model_two._capture_and_profit(ctx, price.values, f)
     member, expenditure, dense_choice = dense_assignment(price.values, cost)
     free_choice = dense_tie_break(member, price.values, free)
     transport = dense_capture_transport(member, cost, free)

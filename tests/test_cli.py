@@ -692,6 +692,14 @@ class TestMethodRequirements:
                     (nash_scenario, "dynamics"),
                 ]
             ),
+            # the partition is model two's alone: model one and Nash price every point
+            (
+                general_search_scenario,
+                _set("region", fixed_window=[0.3, 0.7]),
+                "region.fixed_window: model 'one' has no fixed part; drop the key",
+            ),
+            (grid_scenario, _set("region", fixed_box=[[0.2, 0.8], [0.2, 0.8]]), "region.fixed_box: model 'one' has no fixed part; drop the key"),
+            (nash_scenario, _set("region", fixed_window=[0.3, 0.7]), "region.fixed_window: model 'nash' has no fixed part; drop the key"),
         ],
         ids=[
             "metric_closed_form_quadratic_cost",
@@ -712,6 +720,9 @@ class TestMethodRequirements:
             "price_cap_one_d",
             "price_cap_boundary_control",
             "price_cap_dynamics",
+            "window_model_one",
+            "box_model_one",
+            "window_nash",
         ],
     )
     def test_exit_2_with_the_exact_message_and_nothing_written(self, tmp_path, scenario, edit, message):

@@ -33,6 +33,12 @@ class TestPriceProfit:
             got = profit_from_prices(sp.PricePattern(np.full(n, k)), kern, region, f)
             assert np.isclose(got, k * f.total_mass)
 
+    def test_infinite_price_is_no_shop(self):
+        # customers at the +inf points buy next door: 0.3, 0.3, 0.5, 0.2, 0.2 at mass 1/5 each
+        region = sp.build_interval_region(5, 0.0, 1.0)
+        p = sp.PricePattern(np.array([0.3, np.inf, 0.5, np.inf, 0.2]))
+        assert np.isclose(profit_from_prices(p, METRIC, region, sp.CustomerMeasure.uniform(5)), 0.3)
+
     def test_metric_bound_at_origin_fine_grid(self):
         # bound 1 at the left endpoint, +inf elsewhere: price 1 + x, all home
         region = sp.build_interval_region(51, 0.0, 1.0)
