@@ -52,6 +52,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import geometry
+
 __all__ = [
     "BudgetExceededError",
     "SearchMode",
@@ -65,14 +67,9 @@ EvalBatch = Callable[[np.ndarray], np.ndarray]  # (B, m) -> (B,)
 # (points (S, m), owner (K,), idx (K,), ts (K,), floors (K,)) -> (K,)
 TrialBatch = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-CHUNK = 4096  # candidates per exhaustive-scan batch; CELL_BUDGET, not CHUNK, bounds memory
-# cells (rows x n x m) one batched-objective call may span: 32 MiB per float64 temporary
-CELL_BUDGET = 1 << 22
-# cells the trial work of one slice may span (1 MiB per float64 temporary):
-# value maps and bounds at n cells per trial, scores at n x m; a round's
-# trials outnumber the rows of a dense call, and their scores in slices of
-# CELL_BUDGET raised the ascent benchmark's peak RSS by 2%
-TRIAL_CELLS = 1 << 17
+# candidates per exhaustive-scan batch; the row slices of `_sliced`, each
+# within geometry.BLOCK_CELLS cells of temporaries, bound memory, not CHUNK
+CHUNK = 4096
 # value-function cells one objective's memo keeps (256 KiB of keys): enough for
 # the repeats of an ascent, while a memo over the whole solve raised the
 # ascent benchmark's peak RSS by 14%
@@ -134,16 +131,15 @@ def seeded_starts(caps: np.ndarray, search: SearchConfig, *extra: np.ndarray) ->
     return starts
 
 
-def _sliced(fn: EvalBatch, cells_per_row: int, budget: Optional[int] = None) -> EvalBatch:
+def _sliced(fn: EvalBatch, cells_per_row: int) -> EvalBatch:
     """`fn`, whose rows span `cells_per_row` cells of temporaries, applied in
-    row slices of at most `budget` (default CELL_BUDGET) cells; exact by the
-    `EvalBatch` contract."""
-    rows = max(1, (CELL_BUDGET if budget is None else budget) // cells_per_row)
+    the row slices of `geometry.row_blocks`, each within BLOCK_CELLS cells;
+    exact by the `EvalBatch` contract."""
 
     def sliced(batch: np.ndarray) -> np.ndarray:
-        if len(batch) <= rows:
+        if len(batch) * cells_per_row <= geometry.BLOCK_CELLS:
             return fn(batch)
-        return np.concatenate([fn(batch[k : k + rows]) for k in range(0, len(batch), rows)])
+        return np.concatenate([fn(batch[rows]) for rows in geometry.row_blocks(len(batch), cells_per_row)])
 
     return sliced
 
@@ -233,9 +229,11 @@ class ValueMap:
 
 class Objective:
     """A search objective: calling it on (B, k) rows returns score(value(rows)),
-    where `value` is a `ValueMap` (None: the identity, for a score of the row
-    alone), in row slices of at most CELL_BUDGET cells, each row spanning
-    (n, m) cells.
+    where `value` maps the rows to their (B, n) value functions (None: the
+    identity, for a score of the row alone).  Each part of a call runs in
+    the row slices of `_sliced`, counting its own temporaries per row:
+    `value` n x k cells, as a `ValueMap`'s (n, k) are, and `score` n x m,
+    whose slices also hold the memo's keys (n cells per row).
 
     A row's score depends on the row only through its value function.  Many
     price vectors share one (raising a price that is nowhere the argmin, or
@@ -243,21 +241,19 @@ class Objective:
     bound, leaves it unchanged), so each distinct value function, compared
     by its bytes, is scored once: the others are answered from a FIFO memo
     of max(1, MEMO_CELLS // n) entries, one per objective, and repeats
-    inside a batch reach `score` once.  Exact by both contracts; a value
-    that differs only in the sign of a zero is a miss, scored again.
+    inside a score slice reach `score` once.  Exact by both contracts; a
+    value that differs only in the sign of a zero is a miss, scored again.
 
     `bound`, when given, maps value functions to an upper bound of `score`,
-    row for row; `.bound` is then bound(value(rows)) in the score's slices
-    (slices sized by the bound's own smaller temporaries raised a benchmark's
-    peak RSS by 5%), without the memo, and otherwise None.
+    row for row; `.bound` is then bound(value(rows)), without the memo, in
+    slices of n x k cells per row, the value map's (the bound's own
+    temporaries are n per row), and otherwise None.
 
     `.trials`, with a value map, is a `TrialBatch` for `coordinate_ascent`
-    (None without one).  It takes the trials in slices of at most
-    TRIAL_CELLS // n trials: it values a slice by `ValueMap.trials` and
-    bounds it, in O(n) per trial, then scores, through the memo and in
-    slices of at most TRIAL_CELLS cells, the trials whose bound exceeds
-    their floor.  The ascent gets it as its own keyword, next to the
-    objective.
+    (None without one).  It takes the trials in slices of n cells per trial:
+    it values a slice by `ValueMap.trials` and bounds it, in O(n) per trial,
+    then scores, through the memo, the trials whose bound exceeds their
+    floor.  The ascent gets it as its own keyword, next to the objective.
     """
 
     def __init__(self, score: EvalBatch, n: int, m: int, value: Optional[ValueMap] = None, bound: Optional[EvalBatch] = None):
@@ -266,7 +262,7 @@ class Objective:
         size = max(1, MEMO_CELLS // n)
         memo: dict[bytes, float] = {}
 
-        def scored(V: np.ndarray) -> np.ndarray:
+        def memoized(V: np.ndarray) -> np.ndarray:
             keys = [row.tobytes() for row in V]
             misses: dict[bytes, int] = {}  # value bytes not in the memo -> first row
             for r, key in enumerate(keys):
@@ -284,22 +280,26 @@ class Objective:
                 del memo[key]
             return out
 
+        scored = _sliced(memoized, n * m)
+
+        def valued(fn: EvalBatch) -> EvalBatch:
+            """`fn` on (B, k) rows in slices of a value map's n x k cells per row."""
+            return lambda G: _sliced(fn, n * G.shape[1])(G)
+
         if value is None:
-            self._scored = _sliced(scored, n * m)
-            self.bound = None if bound is None else _sliced(bound, n * m)
-            self.trials = None
+            self._scored, self.trials = scored, None
+            self.bound = None if bound is None else valued(bound)
             return
-        self._scored = _sliced(lambda G: scored(value(G)), n * m)
-        self.bound = None if bound is None else _sliced(lambda G: bound(value(G)), n * m)
-        by_value = _sliced(scored, n * m, TRIAL_CELLS)
+        self._scored = valued(lambda G: scored(value(G)))
+        self.bound = None if bound is None else valued(lambda G: bound(value(G)))
 
         def trials(points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray, floors: np.ndarray) -> np.ndarray:
             def part(ks: np.ndarray) -> np.ndarray:
                 o, i, t = owner[ks], idx[ks], ts[ks]
                 V = value.trials(points, o, i, t)
-                return _floored(V, floors[ks], by_value, bound, lambda k: _trial_rows(points, o[[k]], i[[k]], t[[k]])[0])
+                return _floored(V, floors[ks], scored, bound, lambda k: _trial_rows(points, o[[k]], i[[k]], t[[k]])[0])
 
-            return _sliced(part, n, TRIAL_CELLS)(np.arange(len(ts)))
+            return _sliced(part, n)(np.arange(len(ts)))
 
         self.trials = trials
 

@@ -226,8 +226,8 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, within: Optional[np.n
     if within is not None:
         keep = np.zeros(len(prices), dtype=bool)
         keep[within] = True
-        outside = ~keep
-        within_choice = np.empty(n, dtype=np.intp)
+        outside = None if keep.all() else ~keep  # None: within holds every column, so its choice is the choice
+        within_choice = choice if outside is None else np.empty(n, dtype=np.intp)
         transport = np.empty(n)
     for rows in row_blocks(n, cost.shape[1]):
         # the one block buffer: totals, then member prices, then member costs
@@ -239,9 +239,10 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, within: Optional[np.n
         # argmax takes the first max: smallest index
         choice[rows] = np.argmax(totals, axis=1)
         if within is not None:
-            member &= keep
-            np.copyto(totals, -np.inf, where=outside)
-            within_choice[rows] = np.where(member.any(axis=1), np.argmax(totals, axis=1), -1)
+            if outside is not None:
+                member &= keep
+                np.copyto(totals, -np.inf, where=outside)
+                within_choice[rows] = np.where(member.any(axis=1), np.argmax(totals, axis=1), -1)
             np.copyto(totals, np.inf)
             np.copyto(totals, cost[rows], where=member)
             transport[rows] = totals.min(axis=1) + 0.0  # one zero: the min may return 0.0 or -0.0

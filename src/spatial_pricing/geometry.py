@@ -174,10 +174,10 @@ def _validate_cost_table(t: np.ndarray) -> None:
         raise ValueError("cost table must vanish on the diagonal")
 
 
-# Cells of one temporary in a dense table function (2 MiB of float64): tables
-# are built and scanned in row blocks of this size, so a call holds its
-# full-size output plus a few bounded temporaries, never n x n of them.
-BLOCK_CELLS = 2**18
+# Cells of one temporary (1 MiB of float64), the one memory budget: tables are
+# built and scanned in row blocks of it, and batched search calls run in row
+# slices of it (`_search._sliced`); 2^18 and 2^16 measured slower (README).
+BLOCK_CELLS = 2**17
 
 
 def row_blocks(rows: int, width: int) -> Iterator[slice]:

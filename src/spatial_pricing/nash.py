@@ -189,8 +189,8 @@ def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
     """The polish's trial scores for the payoff of `_player_payoff_batch`:
     a hook (u, idx, ts) -> the scores of u with u[idx[k]] replaced by ts[k],
     bit-equal to that payoff, in O(n) per pair from a cached base point.
-    The pairs of one call are scored together, in slices whose (pairs, n)
-    temporaries stay within CELL_BUDGET, with one dense rescore per slice.
+    The pairs of one call are scored in slices of n cells per pair, and the
+    cells a slice re-scores densely in slices of m each (geometry.BLOCK_CELLS).
 
     The base state of u is rebuilt when u moves: its offers T = C + u, per
     customer the best offer V, the second-smallest offer s2, the members M

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -235,17 +235,14 @@ def _build_search(spec: Any, seed: int) -> SearchConfig:
     if spec is None:
         return SearchConfig(seed=seed)
     _require(isinstance(spec, dict), "solver.search: expected an object")
+    keys = [f.name for f in fields(SearchConfig) if f.name != "seed"]  # the seed is the scenario's
+    for key in spec:
+        _require(key in keys, f"solver.search: unknown key {key!r}; the keys are {', '.join(keys)}")
     mode = spec.get("mode", "ascent")
     _require(mode in ("ascent", "exhaustive"), f"solver.search: unknown mode {mode!r}")
-    return SearchConfig(
-        mode=SearchMode.EXHAUSTIVE if mode == "exhaustive" else SearchMode.ASCENT,
-        levels=_count(spec, "levels", 8, "solver.search"),
-        multistarts=_count(spec, "multistarts", 16, "solver.search"),
-        seed=seed,
-        max_candidates=_count(spec, "max_candidates", 2_000_000, "solver.search"),
-        grid_n=_count(spec, "grid_n", 201, "solver.search"),
-        price_cap=_nonnegative(spec, "price_cap", "solver.search"),
-    )
+    counts = {key: _count(spec, key, getattr(SearchConfig, key), "solver.search", least)
+              for key, least in [("levels", 1), ("multistarts", 1), ("max_candidates", 1), ("max_sweeps", 0), ("refine_halvings", 0), ("grid_n", 1)]}
+    return SearchConfig(SearchMode(mode), seed=seed, price_cap=_nonnegative(spec, "price_cap", "solver.search"), **counts)
 
 
 def load_scenario(path: str, method_override: Optional[str] = None, seed_override: Optional[int] = None) -> Scenario:

@@ -113,7 +113,8 @@ def test_assignment_and_tie_break(blocks, seed):
     got_expenditure, got_choice = ct.assignment_table(prices, cost)
     assert same_bits(got_expenditure, expenditure)
     assert same_bits(got_choice, choice)
-    for within in _subsets(rng, N)[1:] + [np.arange(0)]:
+    # every column, in any order, takes the pass that skips the within choice
+    for within in _subsets(rng, N)[1:] + [np.arange(0), rng.permutation(N)]:
         got = ct.assignment_table(prices, cost, within)
         assert same_bits(got[0], expenditure)
         assert same_bits(got[1], choice)

@@ -474,6 +474,45 @@ class TestOutOfRangeCounts:
         assert not out.exists()
 
 
+class TestSearchKeys:
+    @pytest.mark.parametrize("key", ["levles", "seed", "max_sweep"])
+    def test_an_unread_key_exits_2_naming_it(self, tmp_path, capsys, key):
+        # a misspelled knob, and the seed, which is the scenario's own
+        scen = general_search_scenario()
+        scen["solver"]["search"][key] = 3
+        path = write_scenario(tmp_path, "keys.json", scen)
+        message = f"solver.search: unknown key {key!r}; the keys are mode, levels, multistarts, max_candidates, max_sweeps, refine_halvings, grid_n, price_cap"
+        with pytest.raises(ScenarioError, match="^" + re.escape(message) + "$"):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", path, "--out", str(out)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweeps_and_halvings_reach_the_search(self, tmp_path):
+        scen = general_search_scenario()
+        scen["solver"]["search"] = {"mode": "ascent", "levels": 3, "multistarts": 4, "max_sweeps": 0, "refine_halvings": 0}
+        evaluations = []
+        for sweeps, halvings in [(0, 0), (2, 3)]:
+            scen["solver"]["search"].update(max_sweeps=sweeps, refine_halvings=halvings)
+            sc = load_scenario(write_scenario(tmp_path, "sweeps.json", scen))
+            assert (sc.search.max_sweeps, sc.search.refine_halvings) == (sweeps, halvings)
+            evaluations.append(model_one.solve_general(sc.p0, sc.kernel, sc.region, sc.measure, sc.search).diagnostics["evaluations"])
+        # no sweep: each of the five starts is scored once and never moves
+        assert evaluations[0] == 5 < evaluations[1]
+
+    @pytest.mark.parametrize("key, value", [("max_sweeps", -1), ("refine_halvings", 2.5), ("refine_halvings", True)])
+    def test_sweeps_and_halvings_must_be_integers_at_least_0(self, tmp_path, key, value):
+        scen = general_search_scenario()
+        scen["solver"]["search"][key] = value
+        path = write_scenario(tmp_path, "sweeps.json", scen)
+        with pytest.raises(ScenarioError, match=re.escape(f"solver.search.{key}: must be an integer >= 0, got {value!r}")):
+            load_scenario(path)
+        out = tmp_path / "out"
+        assert run(path, str(out)) == EXIT_VALIDATION
+        assert not out.exists()
+
+
 NAN, NEG_INF = float("nan"), float("-inf")  # json writes them as NaN and -Infinity
 
 

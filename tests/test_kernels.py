@@ -5,6 +5,7 @@ reuse and the memory budget's row slices rest on; the value-keyed memo
 returns the dense objective's scores."""
 
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import GameContext, Mask, PartitionContext, _search, model_one, model_two, nash
+from spatial_pricing import GameContext, Mask, PartitionContext, _search, geometry, model_one, model_two, nash
 from spatial_pricing import ctransform as ct
 from spatial_pricing.geometry import eval_cost
 
@@ -334,7 +335,7 @@ def test_model_two_value_profit_equals_the_mask_form():
 
 
 def test_sliced_slices_rows(monkeypatch):
-    monkeypatch.setattr(_search, "CELL_BUDGET", 10)
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 10)
     sizes = []
 
     def eval_batch(batch):
@@ -347,14 +348,36 @@ def test_sliced_slices_rows(monkeypatch):
     sizes.clear()
     _search._sliced(eval_batch, 16)(batch)  # 16 cells per row: one row per call
     assert sizes == [1] * 10
-    # an objective scores, and bounds, in the slices of its (n, m) rows
+    # an objective scores in the slices of its (n, m) rows, and bounds in
+    # those of its (n, k) rows, k the row width
     objective = _search.Objective(eval_batch, 1, 3, bound=eval_batch)
     sizes.clear()
     assert np.array_equal(objective(batch), batch.sum(axis=1))
     assert sizes == [3, 3, 3, 1]
     sizes.clear()
     assert np.array_equal(objective.bound(batch), batch.sum(axis=1))
-    assert sizes == [3, 3, 3, 1]
+    assert sizes == [5, 5]
+
+
+def test_bound_slices_by_its_value_map_cells(monkeypatch):
+    # a bounded objective on an (n, k) value map bounds B rows in
+    # ceil(B n k / budget) calls: slices of its value map's n x k cells per
+    # row, not of the score's n x m
+    rng = np.random.default_rng(0)
+    n, k, m, B = 7, 3, 20, 50
+    value = _search.ValueMap(rng.uniform(0.0, 1.0, (n, k)))
+    sizes = []
+
+    def bound(V):
+        sizes.append(len(V))
+        return V.sum(axis=1)
+
+    objective = _search.Objective(lambda V: V.sum(axis=1), n, m, value, bound)
+    G = rng.uniform(0.0, 1.0, (B, k))
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 4 * n * k)
+    assert np.array_equal(objective.bound(G), value(G).sum(axis=1))
+    assert len(sizes) == math.ceil(B * n * k / geometry.BLOCK_CELLS) == 13
+    assert max(sizes) == 4 and sum(sizes) == B
 
 
 def _nash_payoff_case(seed):
@@ -382,15 +405,15 @@ def test_scores_do_not_depend_on_the_budget(monkeypatch, seed):
     G = np.random.default_rng(seed).uniform(0.0, 1.0, (33, caps.size)) * caps
     objectives.append((lambda: _boundary_control_objective(monkeypatch)[0], G))
     for build, batch in objectives:
-        monkeypatch.setattr(_search, "CELL_BUDGET", 1 << 40)
+        monkeypatch.setattr(geometry, "BLOCK_CELLS", 1 << 40)
         whole = build()(batch)
-        monkeypatch.setattr(_search, "CELL_BUDGET", 1)  # one row per call
+        monkeypatch.setattr(geometry, "BLOCK_CELLS", 1)  # one row per call
         assert np.array_equal(build()(batch), whole)
 
 
 def test_boundary_control_memory_stays_within_the_budget(monkeypatch):
     # 1D window (0.3, 0.7), n = 81: a 4096-row batch spans 4096 x 81 x 50
-    # cells, about four budgets, so it is scored in slices
+    # cells, about 127 budgets, so it is scored in slices
     region = sp.build_interval_region(81, 0.0, 1.0, fixed_window=(0.3, 0.7))
     ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(81, 0.4)))
     eval_batch, caps = _captured_objective(monkeypatch, ctx, sp.CustomerMeasure.uniform(81), sp.SearchConfig())
@@ -401,7 +424,7 @@ def test_boundary_control_memory_stays_within_the_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * _search.CELL_BUDGET * 8
+    assert peak < 3 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
 
 
 # The value-keyed memo behind the three objectives

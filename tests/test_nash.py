@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import GameContext, NashSearchConfig
+from spatial_pricing import GameContext, NashSearchConfig, geometry
 from spatial_pricing import ctransform as ct
 from spatial_pricing._search import SearchConfig, coordinate_ascent, seeded_starts
 from spatial_pricing.nash import (
@@ -449,8 +450,6 @@ def test_trial_scores_match_the_dense_payoff(kernel):
 def test_trial_scores_in_budget_slices_match_the_dense_payoff(monkeypatch):
     # a cell budget of a few customers' rows makes the hook score its pairs,
     # and densely re-score its cells, in many slices
-    import spatial_pricing._search as search_mod
-
     rng, ctx = _trial_game(3, sp.CostKernel.quadratic())
     opponent = rng.uniform(0.0, 1.0, ctx.region.size)
     my_idx, dense, hook = _trial_payoffs(ctx, "A", opponent)
@@ -458,9 +457,31 @@ def test_trial_scores_in_budget_slices_match_the_dense_payoff(monkeypatch):
     idx = np.repeat(np.arange(my_idx.size), 7)
     ts = np.round(rng.uniform(0.0, 1.0, idx.size) * 10) / 10
     expected = hook(u, idx, ts)
-    monkeypatch.setattr(search_mod, "CELL_BUDGET", 3 * ctx.region.size)
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 3 * ctx.region.size)
     assert hook(u, idx, ts).tobytes() == expected.tobytes()
     _assert_trials_match(dense, hook, u, idx, ts)
+
+
+def test_cone_scan_memory_stays_within_the_budget():
+    # n = 201, A owns 101 points: 201 cones span 201 x 201 x 101 cells, about
+    # 31 budgets, so the payoff scores them in slices
+    n = 201
+    ctx = GameContext.from_split(sp.build_interval_region(n, 0.0, 1.0), METRIC, 0.5, sp.CustomerMeasure.uniform(n))
+    my_idx, opp_idx = ctx.indices("A"), ctx.indices("B")
+    opp_offer = ct.value_table(np.full(n, 1.0), ctx.cost, opp_idx)
+    caps = opp_offer[my_idx]
+    frontier = ctx.cost[np.ix_(my_idx, opp_idx)].min(axis=1)
+    margins = np.arange(0.0, caps.max() + 0.0025, 0.005)
+    cones = np.minimum(caps[None, :], margins[:, None] + frontier[None, :])
+    assert len(cones) * n * my_idx.size > 30 * geometry.BLOCK_CELLS
+    pay = _player_payoff_batch(ctx, my_idx, opp_offer, ctx.tie_home("A"), ctx.tol)
+    tracemalloc.start()
+    try:
+        pay(cones)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
 
 
 @pytest.mark.parametrize("price_cap", [None, 0.3, 1e-10])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import _search, model_one, model_two
+from spatial_pricing import _search, geometry, model_one, model_two
 from spatial_pricing import ctransform as ct
 from spatial_pricing._search import SearchConfig, SearchMode, coordinate_ascent, seeded_starts
 
@@ -734,7 +734,7 @@ def test_objective_trials_answer_rows_below_the_floor_with_their_bound():
 def test_objective_trials_stay_within_their_cell_budget(monkeypatch):
     # a round of 2000 trials, as the last windows of a still sweep ask: under
     # a budget of 8 score rows each slice values and bounds at most
-    # TRIAL_CELLS // n trials and scores at most TRIAL_CELLS // (n m), with
+    # BLOCK_CELLS // n trials and scores at most BLOCK_CELLS // (n m), with
     # the answers of one unsliced call
     ctx, f = _window(21)
     cols = ctx.cost[:, ctx.free]
@@ -761,7 +761,7 @@ def test_objective_trials_stay_within_their_cell_budget(monkeypatch):
         return value_trials(self, points, owner, idx, ts)
 
     monkeypatch.setattr(_search.ValueMap, "trials", recorded)
-    monkeypatch.setattr(_search, "TRIAL_CELLS", 8 * n * m)
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 8 * n * m)
     for kind in sizes:
         sizes[kind].clear()
     got = objective().trials(points, owner, idx, ts, floors)
