@@ -74,10 +74,6 @@ CHUNK = 4096
 # the repeats of an ascent, while a memo over the whole solve raised the
 # ascent benchmark's peak RSS by 14%
 MEMO_CELLS = 1 << 15
-# points whose trial state one value map keeps (3n numbers each): more than
-# the starts an ascent climbs in lockstep (16 by default), so a round finds
-# the state of every climbing start's point
-POINT_STATES = 64
 
 # ascent tolerances
 MIN_STEP = 1e-12  # the default step halves no further: also ends the ascent when all caps are 0
@@ -185,7 +181,9 @@ class ValueMap:
     replaced by t is then min(m2 if j1 == i else m1, C[:, i] + h_i(t)): the
     other columns keep their entries, the second smallest is the smallest
     without j1, and min does not round, so the values are the dense map's
-    bytes.  The states of the last POINT_STATES points used are kept.
+    bytes.  A call keeps the states of its points, for the next call: every
+    start still climbing asks in every round of an ascent, so its point is
+    in each call until it moves.
     """
 
     def __init__(self, cols: np.ndarray, clamp: Optional[np.ndarray] = None):
@@ -201,27 +199,25 @@ class ValueMap:
         return np.min(self.cols + self._offers(G)[..., None, :], axis=-1)
 
     def _state(self, u: np.ndarray) -> np.ndarray:
-        """The rows j1, m1 and m2 at u, one (3, n) array, from the cache
-        (least recently used out) or from one dense pass."""
-        key = u.tobytes()
-        state = self._states.pop(key, None)
-        if state is None:
-            T = self.cols + self._offers(u)
-            rows = np.arange(T.shape[0])
-            state = np.empty((3, T.shape[0]))
-            state[0] = j1 = T.argmin(axis=1)
-            state[1] = T[rows, j1]
-            T[rows, j1] = np.inf
-            state[2] = T.min(axis=1)  # m2 is +inf with one column
-            if len(self._states) >= POINT_STATES:
-                del self._states[next(iter(self._states))]
-        self._states[key] = state
+        """The rows j1, m1 and m2 at u, one (3, n) array, from one dense pass."""
+        T = self.cols + self._offers(u)
+        rows = np.arange(T.shape[0])
+        state = np.empty((3, T.shape[0]))
+        state[0] = j1 = T.argmin(axis=1)
+        state[1] = T[rows, j1]
+        T[rows, j1] = np.inf
+        state[2] = T.min(axis=1)  # m2 is +inf with one column
         return state
 
     def trials(self, points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """(K, n) value functions of the trial rows `_trial_rows(points, owner, idx, ts)`,
         through (K, n) temporaries."""
-        j1, m1, m2 = np.stack([self._state(u) for u in points], axis=1)[:, owner]
+        keys = [u.tobytes() for u in points]
+        last, self._states = self._states, {}
+        for key, u in zip(keys, points):
+            if key not in self._states:
+                self._states[key] = last[key] if key in last else self._state(u)
+        j1, m1, m2 = np.stack([self._states[key] for key in keys], axis=1)[:, owner]
         out = self._cols_t[idx]
         out += self._offers(ts, idx)[:, None]
         return np.minimum(np.where(j1 == idx[:, None], m2, m1), out, out=out)
@@ -445,14 +441,11 @@ def coordinate_ascent(
 
     No score is requested twice where the answer is already known: trials
     scored at the current point are remembered until the point moves, and a
-    start that reaches the (point, step) state another start reached first,
-    at the top of a step level, takes over that start's outcome and its
-    evaluations from there on.  The rest of an ascent depends on that state
-    alone, so the result is unchanged.  While the other start still climbs,
-    the later one parks and takes the outcome when it ends.  The start it
-    waits on is past that state: still climbing, or parked at a smaller
-    step, so parking cannot cycle; a round in which every start waits
-    raises RuntimeError.
+    start that reaches, at the top of a step level, a (point, step) state
+    from which another start has already ended takes over that start's
+    outcome and its evaluations from there on.  The rest of an ascent
+    depends on that state alone, so the result is unchanged.  A start that
+    reaches the state of one still climbing climbs on, to the same outcome.
 
     The trials are scored by `trials`, a `TrialBatch` such as an
     `Objective`'s `.trials`, or else by `eval_batch` on the trial rows.
@@ -486,17 +479,14 @@ def coordinate_ascent(
             moves += (math.floor(cap / step + GRID_CAP_SLACK) * step,)
         return [t for t in sorted({min(max(x, 0.0), cap) for x in moves}) if abs(t - base) > DISTINCT_TRIAL]
 
-    # (point bytes, step) at the top of a step level, once a start has reached it
-    held: set[tuple[bytes, float]] = set()
-    # the same states once their start has ended -> (final point, final value,
-    # evaluations from that state on)
+    # (point bytes, step) at the top of a step level, once a start that
+    # reached it has ended -> (final point, final value, evaluations from that state on)
     outcomes: dict[tuple[bytes, float], tuple[np.ndarray, float, int]] = {}
 
     def climb(u: np.ndarray, cur: float):
         """One start's ascent from u, scored `cur`.  Yields (u, window,
         floor) requests, window a list of (coordinate, trial) pairs, and is
-        sent their scores, or yields None while it waits for another start's
-        outcome; returns (final point, final value, evaluations)."""
+        sent their scores; returns (final point, final value, evaluations)."""
         n_eval = 1
         visited = []
         # (coordinate, trial) -> score (or pruning bound) at u; None: infeasible
@@ -505,13 +495,10 @@ def coordinate_ascent(
         step = step0
         while step >= min_step:
             state = (u.tobytes(), step)
-            if state in held:
-                while state not in outcomes:
-                    yield None
+            if state in outcomes:
                 u, cur, n_rest = outcomes[state]
                 n_eval += n_rest
                 break
-            held.add(state)
             visited.append((state, n_eval))
             for _ in range(search.max_sweeps):
                 improved = False
@@ -526,8 +513,7 @@ def coordinate_ascent(
                             window += [(j, t) for t in ahead[j] if (j, t) not in known]
                         width *= 2
                         if feasible is not None:
-                            rows = np.repeat(u[None, :], len(window), axis=0)
-                            rows[np.arange(len(window)), [j for j, _ in window]] = [t for _, t in window]
+                            rows = _trial_rows(u[None], np.zeros(len(window), dtype=np.intp), *zip(*window))
                             keep = feasible(rows).tolist()
                             known.update((pair, None) for pair, ok in zip(window, keep) if not ok)
                             window = [pair for pair, ok in zip(window, keep) if ok]
@@ -567,22 +553,14 @@ def coordinate_ascent(
     answers: dict[int, np.ndarray] = {}
     while climbing:
         asked: dict[int, tuple] = {}
-        ended = False
         for k, climber in list(climbing.items()):
             try:
-                request = climber.send(answers.get(k))
+                asked[k] = climber.send(answers.get(k))
             except StopIteration as stop:
                 results[k] = stop.value
                 del climbing[k]
-                ended = True
-                continue
-            if request is not None:
-                asked[k] = request
-        answers = {}
         if not asked:
-            if climbing and not ended:
-                raise RuntimeError("coordinate ascent deadlocked: every climbing start waits on another")
-            continue
+            break
         requests = list(asked.values())
         counts = [len(window) for _, window, _ in requests]
         pairs = [pair for _, window, _ in requests for pair in window]
@@ -593,6 +571,7 @@ def coordinate_ascent(
             np.array([t for _, t in pairs], dtype=float),
             np.repeat([floor for _, _, floor in requests], counts),
         )
+        answers = {}
         end = 0
         for k, count in zip(asked, counts):
             answers[k] = scores[end : end + count]

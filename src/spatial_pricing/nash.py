@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import Objective, SearchConfig, _sliced, coordinate_ascent
+from ._search import Objective, SearchConfig, _sliced, _trial_rows, coordinate_ascent
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, _edge_tol, eval_cost
 
 __all__ = [
@@ -186,9 +186,11 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
 
 
 def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
-    """The polish's trial scores for the payoff of `_player_payoff_batch`:
-    a hook (u, idx, ts) -> the scores of u with u[idx[k]] replaced by ts[k],
-    bit-equal to that payoff, in O(n) per pair from a cached base point.
+    """The polish's trial scores for the payoff of `_player_payoff_batch`: a
+    `TrialBatch` whose `points` hold one point u, the polish's one start (a
+    call with more raises ValueError), and which scores every trial, floors
+    unused.  The score of u with u[idx[k]] replaced by ts[k] is bit-equal to
+    that payoff, in O(n) per pair from a cached base point.
     The pairs of one call are scored in slices of n cells per pair, and the
     cells a slice re-scores densely in slices of m each (geometry.BLOCK_CELLS).
 
@@ -240,25 +242,26 @@ def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
             base.update(key=key, V=V, Vtol=V + tol, unique=unique.T.copy(), paid_wo=paid_wo.T.copy())
         return base
 
-    def scores(u: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    def trials(points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray, floors) -> np.ndarray:
+        (u,) = points  # the polish climbs one start
         b = state(u)
-        V, t = b["V"], ts[:, None]
-        ci = Ct[idx] + t
-        lower = ci < V
-        paid_wo = b["paid_wo"][idx]
-        paid = np.where(lower, t, np.where(ci <= b["Vtol"], np.maximum(paid_wo, t), paid_wo))
-        out = _income(np.where(lower, ci, V), paid, opp_offer, tie_home, weights, tol)
-        redo = np.flatnonzero((lower & (ci + tol >= V)) | b["unique"][idx])
-        if redo.size:
-            trial_rows = np.repeat(u[None, :], len(ts), axis=0)
-            trial_rows[np.arange(len(ts)), idx] = ts
-            out.flat[redo] = _sliced(lambda flat: rescore(trial_rows, flat), m)(redo)
-        return out.sum(axis=1)
 
-    def trial_scores(u: np.ndarray, idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        return _sliced(lambda ks: scores(u, idx[ks], ts[ks]), n)(np.arange(len(ts)))
+        def scores(ks: np.ndarray) -> np.ndarray:
+            i, V, t = idx[ks], b["V"], ts[ks, None]
+            ci = Ct[i] + t
+            lower = ci < V
+            paid_wo = b["paid_wo"][i]
+            paid = np.where(lower, t, np.where(ci <= b["Vtol"], np.maximum(paid_wo, t), paid_wo))
+            out = _income(np.where(lower, ci, V), paid, opp_offer, tie_home, weights, tol)
+            redo = np.flatnonzero((lower & (ci + tol >= V)) | b["unique"][i])
+            if redo.size:
+                trial_rows = _trial_rows(points, owner[ks], i, ts[ks])
+                out.flat[redo] = _sliced(lambda flat: rescore(trial_rows, flat), m)(redo)
+            return out.sum(axis=1)
 
-    return trial_scores
+        return _sliced(scores, n)(np.arange(len(ts)))
+
+    return trials
 
 
 def payoffs(
@@ -341,9 +344,7 @@ def best_response(
 
     if step > 0:
         polish = SearchConfig(max_sweeps=search.polish_sweeps, refine_halvings=0)
-        hook = _player_trial_scores(ctx, my_idx, opp_offer, ctx.tie_home(player), ctx.tol)
-        # the polish climbs one start, so every trial is a move of points[0]
-        trials = lambda points, owner, idx, ts, floors: hook(points[0], idx, ts)  # noqa: E731
+        trials = _player_trial_scores(ctx, my_idx, opp_offer, ctx.tie_home(player), ctx.tol)
         best, best_val, diag = coordinate_ascent(pay, caps, [best], polish, step=step, on_grid_cap=True, trials=trials)
         n_eval += diag["evaluations"]
 

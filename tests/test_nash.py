@@ -383,11 +383,16 @@ def _trial_game(seed, kernel, price_cap=None):
     return rng, ctx
 
 
+def _at_point(trials):
+    """The polish's `TrialBatch` as a hook (u, idx, ts): the trials of one point u."""
+    return lambda u, idx, ts: trials(u[None], np.zeros(len(ts), dtype=np.intp), idx, ts, None)
+
+
 def _trial_payoffs(ctx, player, opponent):
     my_idx = ctx.indices(player)
     opp_idx = ctx.indices("B" if player == "A" else "A")
     args = (ctx, my_idx, ct.value_table(opponent, ctx.cost, opp_idx), ctx.tie_home(player), ctx.tol)
-    return my_idx, _player_payoff_batch(*args), _player_trial_scores(*args)
+    return my_idx, _player_payoff_batch(*args), _at_point(_player_trial_scores(*args))
 
 
 def _assert_trials_match(dense, hook, u, idx, ts):
@@ -462,6 +467,17 @@ def test_trial_scores_in_budget_slices_match_the_dense_payoff(monkeypatch):
     _assert_trials_match(dense, hook, u, idx, ts)
 
 
+def test_trial_scores_take_one_point():
+    # the polish climbs one start: a call with the trials of two points is refused
+    rng, ctx = _trial_game(3, METRIC)
+    my_idx = ctx.indices("A")
+    opp_offer = ct.value_table(rng.uniform(0.0, 1.0, ctx.region.size), ctx.cost, ctx.indices("B"))
+    trials = _player_trial_scores(ctx, my_idx, opp_offer, ctx.tie_home("A"), ctx.tol)
+    points = rng.uniform(0.0, 1.0, (2, my_idx.size))
+    with pytest.raises(ValueError):
+        trials(points, np.array([0, 1]), np.array([0, 0]), np.array([0.5, 0.5]), None)
+
+
 def test_cone_scan_memory_stays_within_the_budget():
     # n = 201, A owns 101 points: 201 cones span 201 x 201 x 101 cells, about
     # 31 budgets, so the payoff scores them in slices
@@ -495,14 +511,14 @@ def test_polish_trials_match_the_dense_payoff(monkeypatch, kernel, price_cap):
 
     def checked(ctx, my_idx, opp_offer, tie_home, tol):
         dense = _player_payoff_batch(ctx, my_idx, opp_offer, tie_home, tol)
-        hook = _player_trial_scores(ctx, my_idx, opp_offer, tie_home, tol)
+        trials = _player_trial_scores(ctx, my_idx, opp_offer, tie_home, tol)
 
-        def trial_scores(u, idx, ts):
+        def checked_trials(points, owner, idx, ts, floors):
             coordinates.append(len(set(idx.tolist())))
-            _assert_trials_match(dense, hook, u, idx, ts)
-            return hook(u, idx, ts)
+            _assert_trials_match(dense, _at_point(trials), points[0], idx, ts)
+            return trials(points, owner, idx, ts, floors)
 
-        return trial_scores
+        return checked_trials
 
     monkeypatch.setattr(nash_mod, "_player_trial_scores", checked)
     for seed in range(4):

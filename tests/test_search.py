@@ -531,27 +531,34 @@ def test_bounded_ascent_matches_reference(quantized, filtered, kind):
     assert (record["crossed"] > 0) == filtered
 
 
-def test_later_start_parks_on_a_start_that_still_climbs():
-    # from 0 and from 1 both starts reach 0.5 in their first level and meet
-    # at (0.5, step 0.25) in the same round, while the first has five levels
-    # to go: the second takes its outcome instead of climbing them again
+def test_starts_that_meet_in_one_round_both_climb():
+    # from 0 and from 1 both starts reach 0.5 in their first round, with
+    # nothing known at 0.5 and five levels to go: neither has ended, so both
+    # climb on, in lockstep, and each scores the rows it scores alone
     eval_batch = lambda U: -np.abs(U - 0.3).sum(axis=1)  # noqa: E731
     caps, starts = np.ones(1), [np.zeros(1), np.ones(1)]
     cfg = SearchConfig(levels=3, refine_halvings=6)
     expected = _ascent_oracle(eval_batch, caps, starts, cfg)
-    for bound in (None, eval_batch):
+    unbounded = lambda U: np.full(len(U), np.inf)  # noqa: E731
+    for bound in (unbounded, eval_batch):
         counter = _RowCounter(eval_batch)
-        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, trials=_bounded_trials(counter, bound))
+        met = []
+
+        def trials(points, owner, idx, ts, floors):
+            met.append(len(points) == 2 and points[0].tobytes() == points[1].tobytes())
+            return _bounded_trials(counter, bound)(points, owner, idx, ts, floors)
+
+        u, val, diag = coordinate_ascent(counter, caps, starts, cfg, trials=trials)
         assert u.tobytes() == expected[0].tobytes()
         assert repr(val) == repr(expected[1])
         assert diag == expected[2]
+        assert not met[0] and all(met[1:])
         alone = []
         for u0 in starts:
             single = _RowCounter(eval_batch)
             coordinate_ascent(single, caps, [u0], cfg, trials=_bounded_trials(single, bound))
             alone.append(single.rows)
-        # the second start's rows stop where it parked
-        assert max(alone) < counter.rows < sum(alone)
+        assert counter.rows == sum(alone)
 
 
 @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
@@ -687,21 +694,34 @@ def test_trial_value_maps_with_exact_ties_and_one_column():
     assert np.isinf(one._state(np.array([0.1]))[2]).all()
 
 
-def test_trial_value_maps_survive_eviction_from_the_point_cache(monkeypatch):
-    monkeypatch.setattr(_search, "POINT_STATES", 2)
+def test_trial_value_maps_keep_the_states_of_the_last_call(monkeypatch):
+    # 100 points, some repeated: one dense pass per distinct point new to the
+    # value map; the states kept are those of the last call's points
     rng = np.random.default_rng(5)
     cols = rng.uniform(0.0, 1.0, (7, 5))
     value = _search.ValueMap(cols, clamp=rng.uniform(0.2, 0.8, 5))
-    points = 0.1 * rng.integers(0, 9, (5, 5))
-    for rep in range(4):
-        # more points than the cache holds, in turn, so each call evicts
-        owner = np.repeat(np.arange(5), 3)
-        idx = rng.integers(0, 5, 15)
-        ts = 0.1 * rng.integers(0, 9, 15)
-        _assert_trial_values(value, np.roll(points, rep, axis=0), owner, idx, ts)
-        assert len(value._states) == 2
-        # a stale state never answers for another point: the keys are the points' bytes
-        assert set(value._states) <= {p.tobytes() for p in points}
+    passes = []
+    dense_state = _search.ValueMap._state
+    monkeypatch.setattr(_search.ValueMap, "_state", lambda self, u: passes.append(u.tobytes()) or dense_state(self, u))
+    points = 0.1 * rng.integers(0, 9, (100, 5))
+    points[90:] = points[:10]
+    keys = {p.tobytes() for p in points}
+
+    def call(points):
+        passes.clear()
+        owner = np.repeat(np.arange(len(points)), 3)
+        idx = rng.integers(0, 5, len(owner))
+        ts = 0.1 * rng.integers(0, 9, len(owner))
+        _assert_trial_values(value, points, owner, idx, ts)
+        assert set(value._states) == {p.tobytes() for p in points}
+        return list(passes)
+
+    assert sorted(call(points)) == sorted(keys)
+    assert call(points) == []
+    # other points: two of the last call's, whose states are kept, and three new ones
+    other = np.concatenate([points[[3, 95]], 0.1 * rng.integers(0, 9, (3, 5)) + 0.05])
+    assert call(other) == [p.tobytes() for p in other[2:]]
+    assert sorted(call(points)) == sorted(keys - {p.tobytes() for p in other[:2]})
 
 
 def test_objective_trials_answer_rows_below_the_floor_with_their_bound():
