@@ -16,11 +16,11 @@ included, so it does not depend on that reuse.
 
 The exhaustive scan also takes an upper bound: an `EvalBatch` whose row is
 >= the objective's row, exactly, in floating point.  It then scores only
-the rows the bound cannot rule out.  A bound that is cheap next to the
-score and tight at the optimum (`ctransform._generator_bound`, which
-boundary control's scan and model two's objectives carry) leaves a handful
-of the product scan's rows to score.  A NaN score in the exhaustive scan
-raises RuntimeError naming its candidate.
+the rows the bound cannot rule out, through `_floored`.  A bound that is
+cheap next to the score and tight at the optimum (`ctransform._generator_bound`,
+which boundary control's scan and model two's objectives carry) leaves a
+handful of the product scan's rows to score.  A NaN score in the exhaustive
+scan raises RuntimeError naming its candidate.
 
 The ascent asks for trials, one-coordinate moves of its starts' current
 points, and a round gathers the trials of all its starts into one
@@ -154,7 +154,8 @@ def _floored(
     that item is answered by its bound, and not scored.  A scored item above
     its bound, or NaN under a bound that is not, raises RuntimeError naming
     `candidate(k)`, the row of item k.  `bound`, when given, must be >=
-    `score` item for item, exactly."""
+    `score` item for item, exactly.  Both searches prune here and nowhere
+    else: the ascent below a start's value, the product scan below its floor."""
     if bound is None:
         return score(items)
     ub = bound(items)
@@ -313,16 +314,16 @@ def exhaustive_product(
 ) -> tuple[np.ndarray, float, dict]:
     """Scan all level combinations u_i in linspace(0, caps_i, levels).
 
-    Ties keep the lexicographically first candidate.
+    Ties keep the lexicographically first candidate.  Each CHUNK of grid
+    points is scored through `_floored`: no array grows with the candidates.
 
-    With `bound`, which must be >= `eval_batch` row for row, the scan runs
-    in two passes.  The first takes the bound of every feasible candidate
-    and scores the first one with the largest bound: a floor below the best
-    score.  The second scores, in order, only the rows whose bound is not
-    below the floor (NaN bounds stay).  The first best row has bound >=
-    best >= floor, so it is scored, and the result is bit-identical to the
-    scan without a bound.  A scored row above its bound raises RuntimeError.
-    `evaluations` counts every feasible candidate either way.
+    With `bound`, which must be >= `eval_batch` row for row, a first pass
+    keeps each chunk's largest bound (NaN counts as +inf) and scores the
+    first row with the largest non-NaN bound: a floor below the best score.
+    The second revisits only the chunks whose largest bound reaches the
+    floor and prunes the rows whose bound is below it.  The first best row,
+    bound >= best >= floor, is scored, so the result is bit-identical to
+    the scan without a bound.  `evaluations` counts every feasible candidate.
 
     A NaN score raises RuntimeError naming its candidate, in both scans (a
     row the bound prunes is not scored, so its score is not seen).
@@ -337,53 +338,48 @@ def exhaustive_product(
     scale = caps / max(levels - 1, 1)
     radix = levels ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
-    def grid(ids: np.ndarray) -> np.ndarray:
-        return (ids[:, None] // radix[None, :]) % levels * scale[None, :]
+    def chunk(start: int) -> np.ndarray:
+        """The feasible candidates of the CHUNK grid points from `start`."""
+        ids = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        cand = (ids[:, None] // radix[None, :]) % levels * scale[None, :]
+        return cand if feasible is None else cand[feasible(cand)]
 
-    n_eval = 0
-
-    def chunks():
-        """(ids, candidates) of the feasible candidates, CHUNK grid points at a time."""
-        nonlocal n_eval
-        for start in range(0, total, CHUNK):
-            ids = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-            cand = grid(ids)
-            if feasible is not None:
-                keep = feasible(cand)
-                ids, cand = ids[keep], cand[keep]
-            if len(ids):
-                n_eval += len(ids)
-                yield ids, cand
-
-    def checked(cand: np.ndarray, ub: Optional[np.ndarray] = None) -> np.ndarray:
-        """Scores of `cand`; a NaN score, or a score above its bound `ub`, raises RuntimeError."""
+    def checked(cand: np.ndarray) -> np.ndarray:
+        """Scores of `cand`; a NaN score raises RuntimeError."""
         vals = eval_batch(cand)
         nan = np.isnan(vals)
         if nan.any():
             raise RuntimeError(f"search score is NaN at {cand[int(np.argmax(nan))].tolist()}")
-        if ub is not None and (vals > ub).any():
-            j = int(np.argmax(vals > ub))
-            raise RuntimeError(f"search score {float(vals[j])!r} exceeds its upper bound {float(ub[j])!r} at {cand[j].tolist()}")
         return vals
 
-    def pruned():
-        """(candidates, scores) of the rows whose bound reaches the floor, CHUNK rows at a time."""
-        found = [(ids, bound(cand)) for ids, cand in chunks()]
-        if not found:
-            return
-        ids, ub = (np.concatenate(part) for part in zip(*found))
-        del found
-        top = int(np.argmax(np.where(np.isnan(ub), -np.inf, ub)))  # the first largest bound
-        floor = checked(grid(ids[top : top + 1]), ub[top : top + 1])[0]
-        keep = ~(ub < floor)
-        ids, ub = ids[keep], ub[keep]
-        for k in range(0, len(ids), CHUNK):
-            cand = grid(ids[k : k + CHUNK])
-            yield cand, checked(cand, ub[k : k + CHUNK])
-
-    scored = pruned() if bound is not None else ((cand, checked(cand)) for _, cand in chunks())
+    n_eval = 0
+    starts = range(0, total, CHUNK)
+    floors = -np.inf
+    if bound is not None:
+        reach = []  # (start, largest bound) of each chunk with feasible rows
+        top, top_ub = None, -np.inf  # the first row with the largest non-NaN bound
+        for start in starts:
+            cand = chunk(start)
+            if len(cand):
+                n_eval += len(cand)
+                ub = bound(cand)
+                reach.append((start, np.max(ub)))
+                ub = np.where(np.isnan(ub), -np.inf, ub)
+                j = int(np.argmax(ub))
+                if top is None or ub[j] > top_ub:
+                    top, top_ub = cand[j], ub[j]
+        if top is not None:
+            floor = _floored(top[None], floors, checked, bound, lambda k: top)[0]
+            floors = np.nextafter(floor, -np.inf)
+            starts = [start for start, hi in reach if not hi < floor]
     best_u, best_val = None, -np.inf
-    for cand, vals in scored:
+    for start in starts:
+        cand = chunk(start)
+        if not len(cand):
+            continue
+        if bound is None:
+            n_eval += len(cand)
+        vals = _floored(cand, floors, checked, bound, lambda k: cand[k])
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])

@@ -54,7 +54,7 @@ class NotCConcaveError(ValueError):
 
 
 def scale_tol(cost: np.ndarray) -> float:
-    """Scale-aware equality tolerance of a cost table; comparisons derive it from their table, callers never pass one."""
+    """Scale-aware equality tolerance of a cost table; a context computes it once (`.tol`) and passes it to every comparison."""
     return 1e-9 * (1.0 + max(float(np.max(cost)), -float(np.min(cost))))
 
 
@@ -107,12 +107,13 @@ def double_transform_table(
 def is_c_concave_table(
     values: np.ndarray,
     cost: np.ndarray,
+    tol: float,
     within: Optional[np.ndarray] = None,
     vc: Optional[np.ndarray] = None,
 ) -> bool:
     """True iff the double transform (over `within`) reproduces the values up
-    to the table's tolerance; `vc`, when given, is v^c over `within`."""
-    return bool(np.max(np.abs(double_transform_table(values, cost, within, vc) - values)) <= scale_tol(cost))
+    to `tol`; `vc`, when given, is v^c over `within`."""
+    return bool(np.max(np.abs(double_transform_table(values, cost, within, vc) - values)) <= tol)
 
 
 def _nearest(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +200,7 @@ def _value_profit(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndar
     dot product.  Raises NotCConcaveError unless the values are cost concave
     w.r.t. `within`."""
     vc = c_transform_table(values, cost, within)
-    if not is_c_concave_table(values, cost, within, vc):
+    if not is_c_concave_table(values, cost, tol, within, vc):
         raise NotCConcaveError("profit needs a value function that is cost concave w.r.t. the generators")
     delta = np.empty(cost.shape[0])
     for rows in row_blocks(cost.shape[0], vc.size):
@@ -207,17 +208,17 @@ def _value_profit(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndar
     return float(np.dot(weights, np.where(values <= v0 + tol, values - delta, 0.0)))
 
 
-def assignment_table(prices: np.ndarray, cost: np.ndarray, within: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+def assignment_table(prices: np.ndarray, cost: np.ndarray, tol: float, within: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
     """Expenditure v_p(x) = min_y {c(x, y) + p(y)} and tie-broken purchase point of each customer.
 
-    The choice maximizes the price over the argmin set (equivalently minimizes
-    transport); remaining ties go to the smallest point index.  Returns
-    (expenditure, choice); with `within`, also the same choice over the argmin
-    set intersected with `within` (-1 where that is empty: the customer is
-    lost to the outside option) and the cheapest c(x, y) over it (+inf where
+    The argmin set holds the points within `tol` of the minimum.  The choice
+    maximizes the price over it (equivalently minimizes transport);
+    remaining ties go to the smallest point index.  Returns (expenditure,
+    choice); with `within`, also the same choice over the argmin set
+    intersected with `within` (-1 where that is empty: the customer is lost
+    to the outside option) and the cheapest c(x, y) over it (+inf where
     empty).  Argmin sets exist one row block at a time.
     """
-    tol = scale_tol(cost)
     if not np.isfinite(prices).any():
         raise ValueError("improper prices: no finite value anywhere")
     n = cost.shape[0]

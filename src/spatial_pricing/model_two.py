@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import ctransform as ct
-from ._search import Objective, SearchConfig, SearchMode, ValueMap, coordinate_ascent, exhaustive_product, seeded_starts
+from ._search import Objective, SearchConfig, SearchMode, ValueMap, _sliced, coordinate_ascent, exhaustive_product, seeded_starts
 from .geometry import (
     CostKernel,
     CustomerMeasure,
@@ -149,7 +149,7 @@ def _capture_and_profit(ctx: PartitionContext, vals: np.ndarray, f: CustomerMeas
     price-form profit, value-form profit).  The two forms (price paid vs
     expenditure minus transport) must agree up to tolerance.
     """
-    expenditure, choice, free_choice, transport = ct.assignment_table(vals, ctx.cost, ctx.free)
+    expenditure, choice, free_choice, transport = ct.assignment_table(vals, ctx.cost, ctx.tol, ctx.free)
     captured = free_choice >= 0
     w = f.weights
     paid = np.where(captured, vals[np.maximum(free_choice, 0)], 0.0)
@@ -299,13 +299,16 @@ def solve_boundary_control(
     cost_ctrl = ctx.cost[:, ctrl]
     cost_free = ctx.cost[:, ctx.free]
 
-    def feasible(PHI: np.ndarray) -> np.ndarray:
-        gap = PHI[:, :, None] - PHI[:, None, :] - dctrl[None, :, :]
+    k = ctrl.size
+
+    def lipschitz(PHI: np.ndarray) -> np.ndarray:
+        gap = PHI[:, :, None] - PHI[:, None, :]
+        gap -= dctrl
         return (gap <= tol).all(axis=(1, 2))
 
+    feasible = _sliced(lipschitz, k * k)  # the gap is k x k cells per row
     args = (cost_free, ctx.v0, f.weights, tol)
     objective = Objective(ct._generator_score(*args), *cost_free.shape, value=ValueMap(cost_ctrl), bound=ct._generator_bound(*args))
-    k = ctrl.size
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
         phi_best, val_best, diag = exhaustive_product(

@@ -96,8 +96,8 @@ def checked_reformulate(p, ctx, f=None):
         raise RuntimeError("reformulated prices exceed the originals on the free part")
     if np.any(p_t.values[free] < -slack):
         raise RuntimeError("reformulated prices are negative")
-    cap1 = ct.assignment_table(vals, ctx.cost, free)[2] >= 0
-    cap2 = ct.assignment_table(p_t.values, ctx.cost, free)[2] >= 0
+    cap1 = ct.assignment_table(vals, ctx.cost, ctx.tol, free)[2] >= 0
+    cap2 = ct.assignment_table(p_t.values, ctx.cost, ctx.tol, free)[2] >= 0
     if np.any(cap1 & ~cap2):
         raise RuntimeError("reformulation lost captured customers")
     if np.any(cap2 != (w <= ctx.v0 + ctx.tol)):

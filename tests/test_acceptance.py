@@ -193,7 +193,7 @@ def test_criterion_5_reformulation_suite():
         assert pi_raw <= pi_plus + tol
         assert pi_plus <= pi_tilde + tol
         assert abs(pi_tilde - j) <= tol
-        captured = assignment_table(p_t.values, sp.eval_cost(ctx.kernel, ctx.region), ctx.free)[2] >= 0
+        captured = assignment_table(p_t.values, sp.eval_cost(ctx.kernel, ctx.region), ctx.tol, ctx.free)[2] >= 0
         assert np.array_equal(captured, w <= ctx.v0 + ctx.tol)
         done += 1
     elapsed = time.time() - t0

@@ -120,12 +120,13 @@ def test_bit_identical_to_the_candidate_set_version(kind, dim):
         if not np.isfinite(prices).any():
             prices[int(rng.integers(n))] = 0.5
         want = candidate_set_assignment_table(prices, cost)
-        expenditure, choice = assignment_table(prices, cost)
+        tol = scale_tol(cost)
+        expenditure, choice = assignment_table(prices, cost, tol)
         assert np.array_equal(expenditure, want.expenditure)
         assert np.array_equal(choice, want.choice)
-        assert np.array_equal(assignment_table(prices, cost, np.arange(n))[2], candidate_set_tie_break(want, prices))
+        assert np.array_equal(assignment_table(prices, cost, tol, np.arange(n))[2], candidate_set_tie_break(want, prices))
         for within in _within_sets(rng, n):
-            chosen = assignment_table(prices, cost, within)[2]
+            chosen = assignment_table(prices, cost, tol, within)[2]
             assert np.array_equal(chosen, candidate_set_tie_break(want, prices, within))
             lost += int((chosen < 0).sum())
         ties += int((want.member.sum(axis=1) > 1).sum())

@@ -110,12 +110,13 @@ def test_assignment_and_tie_break(blocks, seed):
     cost = _table(rng, N, N)
     prices = _prices(rng, N)
     member, expenditure, choice = dense_assignment(prices, cost)
-    got_expenditure, got_choice = ct.assignment_table(prices, cost)
+    tol = ct.scale_tol(cost)
+    got_expenditure, got_choice = ct.assignment_table(prices, cost, tol)
     assert same_bits(got_expenditure, expenditure)
     assert same_bits(got_choice, choice)
     # every column, in any order, takes the pass that skips the within choice
     for within in _subsets(rng, N)[1:] + [np.arange(0), rng.permutation(N)]:
-        got = ct.assignment_table(prices, cost, within)
+        got = ct.assignment_table(prices, cost, tol, within)
         assert same_bits(got[0], expenditure)
         assert same_bits(got[1], choice)
         assert same_bits(got[2], dense_tie_break(member, prices, within))
@@ -225,7 +226,8 @@ def test_assignment_table_peak_memory(monkeypatch):
     # small blocks, so that an n x n boolean argmin table (1/8 of a cost
     # table) would stand far above the block temporaries
     monkeypatch.setattr(geometry, "BLOCK_CELLS", 2**12)
-    peak = _peak_over_table(lambda: ct.assignment_table(prices, cost, region.free_indices), n)
+    tol = ct.scale_tol(cost)
+    peak = _peak_over_table(lambda: ct.assignment_table(prices, cost, tol, region.free_indices), n)
     # four (n,) outputs and a keep mask, plus at most eight float64 block temporaries
     bound = (4 * 8 * n + n + 8 * 8 * geometry.BLOCK_CELLS) / (8 * n * n)
     assert peak <= bound, f"peak is {peak:.4f} cost tables, bound {bound:.4f}"

@@ -135,7 +135,8 @@ class TestTieBreak:
     def _choice(self, prices, cost_rows):
         region = region_from_points(np.arange(len(prices), dtype=float))
         kern = sp.CostKernel.custom(np.asarray(cost_rows, dtype=float))
-        _, choice = assignment_table(np.asarray(prices, float), sp.eval_cost(kern, region))
+        cost = sp.eval_cost(kern, region)
+        _, choice = assignment_table(np.asarray(prices, float), cost, scale_tol(cost))
         return choice
 
     def test_price_max_selection(self):
@@ -155,14 +156,16 @@ class TestTieBreak:
         region = region_from_points(np.sort(rng.uniform(0, 1, 9)))
         x = region.coords_1d()
         p = sp.PricePattern(0.5 + 0.3 * x)  # slope 0.3 < 1
-        expenditure, choice = assignment_table(p.values, sp.eval_cost(METRIC, region))
+        cost = sp.eval_cost(METRIC, region)
+        expenditure, choice = assignment_table(p.values, cost, scale_tol(cost))
         assert (choice == np.arange(9)).all()
         assert np.allclose(expenditure, p.values)
 
     def test_excluded_customers_marked(self):
         region = region_from_points([0.0, 1.0])
         p = sp.PricePattern(np.array([0.0, 5.0]))
-        _, _, chosen, transport = assignment_table(p.values, sp.eval_cost(METRIC, region), np.array([1]))
+        cost = sp.eval_cost(METRIC, region)
+        _, _, chosen, transport = assignment_table(p.values, cost, scale_tol(cost), np.array([1]))
         assert chosen[0] == -1  # customer 0 never shops at the expensive far shop
         assert transport[0] == np.inf
 
@@ -179,13 +182,13 @@ class TestAssignmentTable:
         if not np.isfinite(prices).any():
             prices[0] = 0.0
         within = np.flatnonzero(rng.uniform(size=n) < 0.5)
-        expenditure, choice = assignment_table(prices, cost)
-        same = assignment_table(prices, cost, within)
+        tol = scale_tol(cost)
+        expenditure, choice = assignment_table(prices, cost, tol)
+        same = assignment_table(prices, cost, tol, within)
         assert np.array_equal(same[0], expenditure) and np.array_equal(same[1], choice)
         # the rule enumerated customer by customer: the argmin set within the
         # table's tolerance, then the highest price, then the smallest index;
         # within a subset, the same rule on the argmin set's part in it
-        tol = scale_tol(cost)
         for x in range(n):
             totals = [cost[x, y] + prices[y] for y in range(n)]
             best = min(totals)
@@ -204,17 +207,18 @@ class TestIsCConcave:
             region, kern, cost = small_instance(rng, 6)
             u = rng.uniform(-1, 1, 6)
             v = np.min(cost - u[None, :], axis=1)
-            assert is_c_concave_table(v, cost)
+            assert is_c_concave_table(v, cost, scale_tol(cost))
 
     def test_steep_function_fails_metric_test(self):
         region = sp.build_interval_region(11, 0.0, 1.0)
         x = region.coords_1d()
-        assert not is_c_concave_table(2.0 * x, sp.eval_cost(METRIC, region))
+        cost = sp.eval_cost(METRIC, region)
+        assert not is_c_concave_table(2.0 * x, cost, scale_tol(cost))
 
     def test_constants_are_concave(self):
         rng = np.random.default_rng(7)
         region, kern, cost = small_instance(rng, 5)
-        assert is_c_concave_table(np.full(5, 0.7), cost)
+        assert is_c_concave_table(np.full(5, 0.7), cost, scale_tol(cost))
 
 
 class TestAlgebraProperties:
@@ -268,7 +272,7 @@ class TestAlgebraProperties:
         v = np.asarray(vals)
         tol = scale_tol(cost)
         lip = bool((np.abs(v[:, None] - v[None, :]) <= cost + tol).all())
-        assert is_c_concave_table(v, cost) == lip
+        assert is_c_concave_table(v, cost, tol) == lip
 
     def test_subregion_equicontinuity(self):
         rng = np.random.default_rng(8)

@@ -427,6 +427,22 @@ def test_boundary_control_memory_stays_within_the_budget(monkeypatch):
     assert peak < 3 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
 
 
+def test_lipschitz_check_stays_within_the_budget():
+    # the 8 controls of a 6 x 6 grid at 3 levels: each candidate's gap is
+    # 8 x 8 cells, so the check of a 4096-row chunk takes two budget slices
+    region = sp.build_grid_region(6, 6, fixed_box=((0.2, 0.8), (0.2, 0.8)))
+    ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(36, 0.6)))
+    f, search = sp.CustomerMeasure.uniform(36), sp.SearchConfig(levels=3)
+    tracemalloc.start()
+    try:
+        report = model_two.solve_boundary_control(ctx, f, search)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["search_space"] == 3**8 and len(report.diagnostics["control_indices"]) == 8
+    assert peak < 2 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
+
+
 # The value-keyed memo behind the three objectives
 
 

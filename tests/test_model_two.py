@@ -474,7 +474,7 @@ class TestImprovementChain:
             f = sp.CustomerMeasure(rng.uniform(0, 1, ctx.region.size))
             p = ctx.full_prices(rng.uniform(0.0, 2.0, ctx.free.size))
             w, p_t = checked_reformulate(p, ctx, f)  # the oracle asserts the identity
-            captured = assignment_table(p_t.values, sp.eval_cost(ctx.kernel, ctx.region), ctx.free)[2] >= 0
+            captured = assignment_table(p_t.values, sp.eval_cost(ctx.kernel, ctx.region), ctx.tol, ctx.free)[2] >= 0
             assert np.array_equal(captured, w <= ctx.v0 + ctx.tol)
 
     def test_w_shape_on_interval_instances(self):

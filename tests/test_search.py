@@ -1,6 +1,7 @@
 """The search solvers share one start set-up and one diagnostics shape."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,9 +326,13 @@ def _bounds(eval_batch, kind):
     return lambda U: np.where(slack(U) < 0.5, np.nan, eval_batch(U) + slack(U))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 7, _search.CHUNK], ids=["chunk_1", "chunk_3", "chunk_7", "chunk_default"])
 @pytest.mark.parametrize("kind", ["exact", "loose", "nan"])
 @pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
-def test_bounded_scan_matches_the_full_scan(kind, filtered):
+def test_bounded_scan_matches_the_full_scan(monkeypatch, chunk, kind, filtered):
+    """The full scan at the default CHUNK is the reference.  With a small
+    CHUNK the ties, the NaN bounds and the floor row fall in different
+    chunks, and the bounded scan revisits only some of them."""
     rows = evaluations = 0
     for seed in range(30):
         rng = np.random.default_rng(seed)
@@ -338,7 +343,9 @@ def test_bounded_scan_matches_the_full_scan(kind, filtered):
         feasible = _budget(caps) if filtered else None
         expected = _search.exhaustive_product(eval_batch, caps, levels, 10**6, feasible)
         counter = _RowCounter(eval_batch)
-        u, val, diag = _search.exhaustive_product(counter, caps, levels, 10**6, feasible, bound=_bounds(eval_batch, kind))
+        with monkeypatch.context() as patch:
+            patch.setattr(_search, "CHUNK", chunk)
+            u, val, diag = _search.exhaustive_product(counter, caps, levels, 10**6, feasible, bound=_bounds(eval_batch, kind))
         assert u.tobytes() == expected[0].tobytes(), seed
         assert repr(val) == repr(expected[1]), seed
         assert diag == expected[2], seed
@@ -390,6 +397,23 @@ def test_boundary_control_scan_scores_few_rows(monkeypatch, traced):
     assert report.diagnostics == expected.diagnostics
     assert report.diagnostics["mode"] == "exhaustive" and report.diagnostics["evaluations"] > 30_000
     assert 0 < scored["rows"] <= 0.01 * report.diagnostics["evaluations"]
+
+
+def test_bounded_scan_memory_does_not_grow_with_candidates():
+    # 708^2 candidates: an id and a bound kept for each would take 7.6 MiB;
+    # one bound per chunk and the chunk's temporaries stay within the budget
+    n, grid_n = 21, 708
+    region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.3, 0.7))
+    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(n, 0.4)))
+    f = sp.CustomerMeasure(np.random.default_rng(0).uniform(0.5, 1.5, n))
+    tracemalloc.start()
+    try:
+        report = model_two.solve_boundary_control(ctx, f, SearchConfig(grid_n=grid_n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.diagnostics["search_space"] == grid_n**2 >= 500_000
+    assert peak < 2 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
