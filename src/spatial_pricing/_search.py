@@ -321,7 +321,9 @@ def exhaustive_product(
     keeps each chunk's largest bound (NaN counts as +inf) and scores the
     first row with the largest non-NaN bound: a floor below the best score.
     The second revisits only the chunks whose largest bound reaches the
-    floor and prunes the rows whose bound is below it.  The first best row,
+    floor and prunes the rows whose bound is below it; it takes the rows
+    and bounds of the floor row's chunk from the first pass, and rebuilds
+    and bounds the other chunks again.  The first best row,
     bound >= best >= floor, is scored, so the result is bit-identical to
     the scan without a bound.  `evaluations` counts every feasible candidate.
 
@@ -355,31 +357,36 @@ def exhaustive_product(
     n_eval = 0
     starts = range(0, total, CHUNK)
     floors = -np.inf
+    kept_start = None  # the chunk that holds the floor row: its start, feasible rows and bounds
     if bound is not None:
         reach = []  # (start, largest bound) of each chunk with feasible rows
-        top, top_ub = None, -np.inf  # the first row with the largest non-NaN bound
+        top, top_ub = None, -np.inf  # in the kept chunk, the first row with the largest non-NaN bound, and that bound
         for start in starts:
             cand = chunk(start)
             if len(cand):
                 n_eval += len(cand)
                 ub = bound(cand)
                 reach.append((start, np.max(ub)))
-                ub = np.where(np.isnan(ub), -np.inf, ub)
-                j = int(np.argmax(ub))
-                if top is None or ub[j] > top_ub:
-                    top, top_ub = cand[j], ub[j]
+                clean = np.where(np.isnan(ub), -np.inf, ub)
+                j = int(np.argmax(clean))
+                if top is None or clean[j] > top_ub:
+                    top, top_ub = j, clean[j]
+                    kept_start, kept_cand, kept_ub = start, cand, ub
         if top is not None:
-            floor = _floored(top[None], floors, checked, bound, lambda k: top)[0]
+            floor = _floored(kept_cand[[top]], floors, checked, lambda _: kept_ub[[top]], lambda k: kept_cand[top])[0]
             floors = np.nextafter(floor, -np.inf)
             starts = [start for start, hi in reach if not hi < floor]
     best_u, best_val = None, -np.inf
     for start in starts:
-        cand = chunk(start)
+        if start == kept_start:
+            cand, rows_bound = kept_cand, lambda _: kept_ub
+        else:
+            cand, rows_bound = chunk(start), bound
         if not len(cand):
             continue
         if bound is None:
             n_eval += len(cand)
-        vals = _floored(cand, floors, checked, bound, lambda k: cand[k])
+        vals = _floored(cand, floors, checked, rows_bound, lambda k: cand[k])
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])

@@ -4,11 +4,15 @@ Everything here reduces to exact min-plus arithmetic on the finite cost
 table: the customer value function v(x) = min_y {c(x, y) + p(y)}, the
 c-transform v^c(y) = min_x {c(x, y) - v(x)}, superdifferentials, and the
 tie-breaking rule used when several purchase locations are cost-equivalent.
-Every function takes the (n, m) cost table and plain arrays; callers build
-the table once (`geometry.eval_cost`) and keep it.  Each table function
-holds its one full-size output plus temporaries of at most
-`geometry.BLOCK_CELLS` cells: it works in blocks of the axis it does not
-reduce, so its results are bit-identical to one dense expression.
+Every function takes the (n, m) cost table and plain arrays.  The table is
+a context's (`geometry.cost_table`): an array, or for the distance on a
+line a `geometry.LineDistances`, which computes each block as it is
+indexed.  The table functions only index it (row blocks, column blocks and
+their column subsets, in numpy's layout) and take its `max` and `min`, so
+they never hold it whole.  Each holds its one full-size output plus
+temporaries of at most `geometry.BLOCK_CELLS` cells: it works in blocks of
+the axis it does not reduce, so its results are bit-identical to one dense
+expression.
 
 Model one is model two with nothing fixed, so both score a value function w
 with one profit kernel: a customer with w(x) <= v0(x) pays w(x) minus the
@@ -55,7 +59,7 @@ class NotCConcaveError(ValueError):
 
 def scale_tol(cost: np.ndarray) -> float:
     """Scale-aware equality tolerance of a cost table; a context computes it once (`.tol`) and passes it to every comparison."""
-    return 1e-9 * (1.0 + max(float(np.max(cost)), -float(np.min(cost))))
+    return 1e-9 * (1.0 + max(float(cost.max()), -float(cost.min())))
 
 
 def _check_slack(tol: float, mass: float = 0.0) -> float:
@@ -231,8 +235,10 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, tol: float, within: O
         within_choice = choice if outside is None else np.empty(n, dtype=np.intp)
         transport = np.empty(n)
     for rows in row_blocks(n, cost.shape[1]):
-        # the one block buffer: totals, then member prices, then member costs
-        totals = cost[rows] + prices
+        # the cost block, read once, and one buffer: totals, then member
+        # prices, then member costs
+        block = cost[rows]
+        totals = block + prices
         expenditure[rows] = totals.min(axis=1)
         member = totals <= expenditure[rows, None] + tol
         np.copyto(totals, -np.inf)
@@ -245,7 +251,7 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, tol: float, within: O
                 np.copyto(totals, -np.inf, where=outside)
                 within_choice[rows] = np.where(member.any(axis=1), np.argmax(totals, axis=1), -1)
             np.copyto(totals, np.inf)
-            np.copyto(totals, cost[rows], where=member)
+            np.copyto(totals, block, where=member)
             transport[rows] = totals.min(axis=1) + 0.0  # one zero: the min may return 0.0 or -0.0
     if within is None:
         return expenditure, choice

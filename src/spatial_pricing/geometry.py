@@ -3,7 +3,9 @@
 A region is a finite list of points in 1 or 2 dimensions, optionally split
 into a FIXED part (prices imposed from outside) and a FREE part (prices chosen
 by the agent).  Cost kernels produce the full pairwise transportation-cost
-table; customer measures are nonnegative weights over the points.
+table (`eval_cost`), or for the distance on a line a table computed block by
+block as it is read (`cost_table`); customer measures are nonnegative
+weights over the points.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ __all__ = [
     "PricePattern",
     "build_interval_region",
     "build_grid_region",
+    "cost_table",
     "eval_cost",
+    "LineDistances",
     "row_blocks",
     "step_cdf",
     "uniform_cdf",
@@ -222,6 +226,62 @@ def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
             np.power(block, kernel.alpha, out=block)
     np.fill_diagonal(c, 0.0)
     return _readonly(c)
+
+
+class LineDistances:
+    """The table |x_i - x_j| of 1D points, computed a block at a time as it
+    is read: no n x n array is kept.  Its entries are eval_cost's wherever
+    eval_cost's sqrt(d*d) is |d|: every nonzero |d| in about [2**-511,
+    2**511), where d*d neither underflows nor overflows.  It is not an
+    array.
+
+    It supports indexing by rows or (rows, columns), each a slice, an
+    integer or an index array (two index arrays broadcast, as from np.ix_);
+    other keys raise TypeError.  A key returns a new array laid out as
+    numpy lays out that index of a C-ordered table: with idx a 1D index
+    array, `t[:, idx]` and `t[rows, idx]` are F-contiguous.  `max()` and
+    `min()` are those of the whole table, and np.asarray builds it whole;
+    arithmetic and numpy's reductions need that array.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.x = _readonly(np.asarray(x, dtype=float))
+        self.shape = (self.x.size, self.x.size)
+
+    def __getitem__(self, key) -> np.ndarray:
+        if not isinstance(key, tuple):
+            key = (key, slice(None))
+        keys = [k if isinstance(k, slice) else np.asarray(k) for k in key]
+        if len(keys) != 2 or any(isinstance(k, np.ndarray) and k.dtype.kind not in "biu" for k in keys):
+            raise TypeError(f"LineDistances takes rows or (rows, columns) of slices, integers or index arrays, not {key!r}")
+        rows, cols = keys
+        xr, xc = self.x[rows], self.x[cols]
+        if not isinstance(rows, slice) and not isinstance(cols, slice):
+            return np.abs(xr - xc)  # integers and index arrays broadcast, as numpy's indexing does
+        if isinstance(cols, np.ndarray) and cols.ndim == 1:
+            out = np.empty((xc.size, xr.size)).T
+            np.subtract(xr[:, None], xc, out=out)
+        else:
+            out = np.subtract.outer(xr, xc)
+        return np.abs(out, out=out)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self[:] if dtype is None else self[:].astype(dtype)
+
+    def max(self) -> np.float64:
+        # rounding is monotone, so no difference exceeds the extreme one
+        return np.abs(self.x.max() - self.x.min())
+
+    def min(self) -> np.float64:
+        return np.float64(0.0)
+
+
+def cost_table(kernel: CostKernel, region: Region):
+    """The cost table a context keeps: a `LineDistances` for the distance
+    cost on a 1D region, and eval_cost's table otherwise."""
+    if kernel.kind is KernelKind.METRIC_POWER and kernel.alpha == 1.0 and region.dimension == 1:
+        return LineDistances(region.points[:, 0])
+    return eval_cost(kernel, region)
 
 
 EDGE_REL = 1e-12  # times (1 + |end| + ...): linspace rounding can leave a grid point meant to sit on an edge that far off it

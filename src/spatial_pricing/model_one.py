@@ -100,7 +100,8 @@ def solve_general(
     if f.total_mass <= 0:
         raise ValueError("the customer measure must have positive mass")
     ctx = PartitionContext.whole(region, kernel)
-    cost, tol = ctx.cost, ctx.tol
+    # the search's value maps and scores read every column: the table whole
+    cost, tol = np.asarray(ctx.cost), ctx.tol
     bound = p0.values
     v0 = ct.value_table(bound, cost)
     if search.price_cap is not None:

@@ -22,10 +22,11 @@ from ._search import Objective, SearchConfig, SearchMode, ValueMap, _sliced, coo
 from .geometry import (
     CostKernel,
     CustomerMeasure,
+    LineDistances,
     Mask,
     PricePattern,
     Region,
-    eval_cost,
+    cost_table,
     step_cdf,
 )
 
@@ -80,12 +81,16 @@ class PartitionContext:
     cost using fixed shops only; `build` makes it finite and nonnegative
     everywhere (the imposed prices must be proper and >= 0).  Model one's
     context, `whole`, has every point free, nothing fixed and v0 = +inf.
+    `cost` is `geometry.cost_table`'s, which the table functions take as it
+    is; a search gathers the dense columns it searches over from it.  For
+    the distance on a line it is a `geometry.LineDistances`: indexing,
+    `max()`, `min()` and np.asarray only, no arithmetic.
     """
 
     region: Region
     kernel: CostKernel
     p0: Optional[PricePattern]
-    cost: np.ndarray
+    cost: Union[np.ndarray, LineDistances]
     v0: Union[np.ndarray, float]
     free: np.ndarray
     fixed: np.ndarray
@@ -104,7 +109,7 @@ class PartitionContext:
             raise ValueError("imposed prices are +inf on the whole fixed part")
         if np.any(vals[fixed][finite_fixed] < 0):
             raise ValueError("imposed prices must be nonnegative")
-        cost = eval_cost(kernel, region)
+        cost = cost_table(kernel, region)
         v0 = ct.value_table(vals, cost, fixed)
         return cls(region, kernel, p0, cost, v0, free, fixed)
 
@@ -114,7 +119,7 @@ class PartitionContext:
         customer shops outside (v0 = +inf) and there are no imposed prices;
         the region's mask is ignored."""
         every = np.arange(region.size)
-        return cls(region, kernel, None, eval_cost(kernel, region), np.inf, every, every[:0])
+        return cls(region, kernel, None, cost_table(kernel, region), np.inf, every, every[:0])
 
     @cached_property
     def tol(self) -> float:

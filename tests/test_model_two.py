@@ -277,7 +277,7 @@ class TestBoundaryControl:
         ctrl = np.nonzero(region.boundary_of_fixed & (region.mask == Mask.FREE))[0]
         w = np.min(ctx.cost[:, ctrl], axis=1)  # zero interface prices
         # 1-Lipschitz and vanishing trace
-        assert (np.abs(w[:, None] - w[None, :]) <= ctx.cost + 1e-12).all()
+        assert (np.abs(w[:, None] - w[None, :]) <= np.asarray(ctx.cost) + 1e-12).all()
         assert np.allclose(w[ctrl], 0.0)
         # fixed-part integrand vanishes: the generating interface point is the
         # cheapest superdifferential element at its own distance
@@ -296,7 +296,7 @@ class TestBoundaryControl:
         phi = np.min(phi[None, :] + d, axis=1)
         w = np.min(ctx.cost[:, ctrl] + phi[None, :], axis=1)
         assert np.allclose(w[ctrl], phi)
-        assert (np.abs(w[:, None] - w[None, :]) <= ctx.cost + 1e-12).all()
+        assert (np.abs(w[:, None] - w[None, :]) <= np.asarray(ctx.cost) + 1e-12).all()
 
     def test_requires_metric_and_interface(self):
         region = sp.build_interval_region(11, 0.0, 1.0, fixed_window=(0.3, 0.7))

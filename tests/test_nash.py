@@ -722,3 +722,26 @@ def test_cone_scan_scores_each_distinct_cone_once(monkeypatch, span, price_cap, 
         distinct = {row.tobytes() for row in cones}
         assert len(distinct) < distinct_share * len(cones), player
         assert sorted(scanned) == sorted(distinct), player
+
+
+def test_polish_moves_a_capped_split_game():
+    """A metric game where the polish moves a frontier cone, with a step of
+    about 2e7 tolerances: skipping the polish for metric costs whenever the
+    step is large would lose this gain."""
+    n = 12
+    region = sp.build_interval_region(n, 0.0, 1.0)
+    ctx = GameContext.from_split(region, METRIC, 0.1, sp.CustomerMeasure(np.full(n, 1 / 12)), price_cap=0.3)
+    assert ctx.indices("A").tolist() == [0, 1]
+    assert ctx.tol == pytest.approx(2e-9)
+    q = np.full(n, 0.4)
+    cone = best_response("A", q, ctx, NashSearchConfig(grid_n=7, polish_sweeps=0))
+    assert cone.prices.tolist() == [0.3, 0.3]
+    assert cone.payoff == pytest.approx(0.075, abs=1e-12)
+    polished = best_response("A", q, ctx, NashSearchConfig(grid_n=7, polish_sweeps=4))
+    step = polished.diagnostics["price_step"]
+    assert step == pytest.approx(0.3 / 7) and step > 1e7 * ctx.tol
+    # A's point 1/11 drops two steps, to 0.3 - 2 * 0.3 / 7
+    assert polished.prices[0] == 0.3
+    assert polished.prices[1] == pytest.approx(0.2142857142857143, abs=1e-12)
+    assert polished.payoff == pytest.approx(0.0785714285714286, abs=1e-12)
+    assert polished.payoff > cone.payoff + 1e-3

@@ -362,6 +362,31 @@ def test_bounded_scan_refuses_a_score_above_its_bound():
         _search.exhaustive_product(eval_batch, np.ones(2), 5, 100, lambda U: np.zeros(len(U), bool), bound=eval_batch)
 
 
+@pytest.mark.parametrize("filtered", [False, True], ids=["unfiltered", "feasible"])
+def test_bounded_scan_bounds_each_row_once(monkeypatch, filtered):
+    """With the exact bound of a unique optimum, only the floor row's chunk
+    reaches the floor: the second pass takes that chunk's bounds from the
+    first, so no row is bounded twice, and the answer is the full scan's."""
+    caps = np.array([1.0, 2.0])
+    centre = np.array([0.3, 1.1])  # no tie at the grid optimum (0.25, 1.0)
+
+    def eval_batch(U):
+        return -((U - centre) ** 2).sum(axis=1)
+
+    bounded = []
+
+    def bound(U):
+        bounded.extend(row.tobytes() for row in U)
+        return eval_batch(U)
+
+    feasible = _budget(caps) if filtered else None
+    expected = _search.exhaustive_product(eval_batch, caps, 9, 100, feasible)
+    monkeypatch.setattr(_search, "CHUNK", 7)
+    u, val, diag = _search.exhaustive_product(eval_batch, caps, 9, 100, feasible, bound=bound)
+    assert (u.tobytes(), repr(val), diag) == (expected[0].tobytes(), repr(expected[1]), expected[2])
+    assert len(bounded) == len(set(bounded)) == diag["evaluations"]
+
+
 @pytest.mark.parametrize("traced", [False, True], ids=["direct", "wrapped"])
 def test_boundary_control_scan_scores_few_rows(monkeypatch, traced):
     """On a window shaped like the benchmark's (n = 81, grid_n = 201), the

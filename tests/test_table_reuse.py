@@ -1,4 +1,5 @@
-"""Solvers build the cost table at most once per call, and not at all from a context."""
+"""Solvers build the cost table at most once per call, and not at all from a
+context; 1D distance contexts build none."""
 
 import json
 import sys
@@ -88,6 +89,50 @@ def test_partition_context_calls_build_no_table(builds):
     model_two.reformulate(clamped, ctx)
     model_two.profit_from_prices(clamped, ctx, f)
     model_two.profit_from_values(w, ctx, f)
+    assert builds == []
+
+
+def _line_distance_calls(tmp_path):
+    """Every model-one and model-two entry point on a 1D region under the distance cost."""
+    n = 15
+    line = sp.build_interval_region(n, 0.0, 1.0)
+    window = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.3, 0.7))
+    f = sp.CustomerMeasure(np.linspace(0.5, 1.5, n))
+    p0 = sp.PricePattern(np.linspace(0.4, 0.9, n))
+    v = ctransform.value_table(p0.values, np.abs(line.points - line.points.T))
+    two = lambda: model_two.PartitionContext.build(window, METRIC, sp.PricePattern(np.full(n, 0.5)))  # noqa: E731
+    scenario = {
+        "model": "two",
+        "region": {"dimension": 1, "n": n, "fixed_window": [0.3, 0.7]},
+        "cost": {"kind": "metric_power", "alpha": 1.0},
+        "measure": {"kind": "uniform"},
+        "fixed_price": {"kind": "constant", "value": 0.4},
+        "solver": {"method": "one_d", "search": {"grid_n": 21}},
+    }
+    path = tmp_path / "one_d.json"
+    path.write_text(json.dumps(scenario))
+    return {
+        "build": two,
+        "whole": lambda: model_two.PartitionContext.whole(line, METRIC),
+        "solve_metric": lambda: model_one.solve_metric(p0, METRIC, line, f),
+        "solve_general": lambda: model_one.solve_general(p0, METRIC, line, f, sp.SearchConfig(levels=3, multistarts=2)),
+        "profit_from_prices": lambda: model_one.profit_from_prices(p0, METRIC, line, f),
+        "profit_from_values": lambda: model_one.profit_from_values(v, METRIC, line, f),
+        "boundary_control": lambda: model_two.solve_boundary_control(two(), f, sp.SearchConfig(grid_n=21)),
+        "w_search": lambda: model_two.solve_w_search(two(), f, sp.SearchConfig(levels=3, multistarts=2)),
+        "cli_one_d": lambda: cli.run(str(path), str(tmp_path / "out")),
+    }
+
+
+LINE_DISTANCE_CALLS = [
+    "boundary_control", "build", "cli_one_d", "profit_from_prices", "profit_from_values",
+    "solve_general", "solve_metric", "w_search", "whole",
+]
+
+
+@pytest.mark.parametrize("name", LINE_DISTANCE_CALLS)
+def test_line_distance_contexts_call_eval_cost_zero_times(builds, tmp_path, name):
+    _line_distance_calls(tmp_path)[name]()
     assert builds == []
 
 
