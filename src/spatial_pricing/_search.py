@@ -18,7 +18,7 @@ The exhaustive scan also takes an upper bound: an `EvalBatch` whose row is
 >= the objective's row, exactly, in floating point.  It then scores only
 the rows the bound cannot rule out, through `_floored`.  A bound that is
 cheap next to the score and tight at the optimum (`ctransform._generator_bound`,
-which boundary control's scan and model two's objectives carry) leaves a
+which every `Objective` of models one and two carries) leaves a
 handful of the product scan's rows to score.  A NaN score in the exhaustive
 scan raises RuntimeError naming its candidate.
 
@@ -226,11 +226,10 @@ class ValueMap:
 
 class Objective:
     """A search objective: calling it on (B, k) rows returns score(value(rows)),
-    where `value` maps the rows to their (B, n) value functions (None: the
-    identity, for a score of the row alone).  Each part of a call runs in
-    the row slices of `_sliced`, counting its own temporaries per row:
-    `value` n x k cells, as a `ValueMap`'s (n, k) are, and `score` n x m,
-    whose slices also hold the memo's keys (n cells per row).
+    where `value` maps the rows to their (B, n) value functions.  Each part
+    of a call runs in the row slices of `_sliced`, counting its own
+    temporaries per row: `value` n x k cells, as a `ValueMap`'s (n, k) are,
+    and `score` n x m, whose slices also hold the memo's keys (n per row).
 
     A row's score depends on the row only through its value function.  Many
     price vectors share one (raising a price that is nowhere the argmin, or
@@ -241,19 +240,19 @@ class Objective:
     inside a score slice reach `score` once.  Exact by both contracts; a
     value that differs only in the sign of a zero is a miss, scored again.
 
-    `bound`, when given, maps value functions to an upper bound of `score`,
-    row for row; `.bound` is then bound(value(rows)), without the memo, in
-    slices of n x k cells per row, the value map's (the bound's own
-    temporaries are n per row), and otherwise None.
+    `bound` maps value functions to an upper bound of `score`, row for row;
+    `.bound` is bound(value(rows)), without the memo, in slices of n x k
+    cells per row, the value map's (the bound's own temporaries are n per
+    row).
 
-    `.trials`, with a value map, is a `TrialBatch` for `coordinate_ascent`
-    (None without one).  It takes the trials in slices of n cells per trial:
+    `.trials` is a `TrialBatch` for `coordinate_ascent`, for a `value` that
+    is a `ValueMap`.  It takes the trials in slices of n cells per trial:
     it values a slice by `ValueMap.trials` and bounds it, in O(n) per trial,
     then scores, through the memo, the trials whose bound exceeds their
     floor.  The ascent gets it as its own keyword, next to the objective.
     """
 
-    def __init__(self, score: EvalBatch, n: int, m: int, value: Optional[ValueMap] = None, bound: Optional[EvalBatch] = None):
+    def __init__(self, score: EvalBatch, n: int, m: int, value: ValueMap, bound: EvalBatch):
         # the closures below hold no reference to self: in a cycle the memo
         # and the cost slices they hold would outlive the objective until a GC pass
         size = max(1, MEMO_CELLS // n)
@@ -283,12 +282,8 @@ class Objective:
             """`fn` on (B, k) rows in slices of a value map's n x k cells per row."""
             return lambda G: _sliced(fn, n * G.shape[1])(G)
 
-        if value is None:
-            self._scored, self.trials = scored, None
-            self.bound = None if bound is None else valued(bound)
-            return
         self._scored = valued(lambda G: scored(value(G)))
-        self.bound = None if bound is None else valued(lambda G: bound(value(G)))
+        self.bound = valued(lambda G: bound(value(G)))
 
         def trials(points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray, floors: np.ndarray) -> np.ndarray:
             def part(ks: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ cheapest transport into the superdifferential at x, the others shop outside
 (model one: v0 = +inf).  `_generator_score` scores a batch of value
 functions generated on some columns, for every search; `_value_profit` one
 value function, for the reports.  `_generator_bound` bounds the score from
-above by each customer's cheapest column, for the boundary-control scan.
+above by each customer's cheapest column, for every search objective.
 
 The searches skip most of the transport scan by a nearest-column rule: when
 a customer's cheapest column j*(x) is in the superdifferential at x, the

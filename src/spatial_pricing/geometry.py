@@ -207,19 +207,21 @@ def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
     c = np.empty((n, n))
     for rows in row_blocks(n, n):
         # built in the table itself, one pass per axis: each entry sees
-        # sqrt(dx*dx + dy*dy) and its power in the dense order, and a block
-        # holds at most one temporary of its own size
+        # sqrt(dx*dx + dy*dy), or |dx| in 1D, and its power in the dense
+        # order, and a block holds at most one temporary of its own size
         block = c[rows]
         for k in range(d):
             sq = block if k == 0 else np.empty_like(block)
             # x - y as a copy of x less y: faster than one subtract that broadcasts both
             np.copyto(sq, pts[rows, k, None])
             sq -= pts[:, k]
-            sq *= sq
+            if d > 1:
+                sq *= sq
             if k:
                 block += sq
         del sq
-        np.sqrt(block, out=block)
+        # in 1D sqrt(dx*dx) would underflow or overflow outside about [2**-511, 2**511)
+        (np.abs if d == 1 else np.sqrt)(block, out=block)
         if kernel.kind is KernelKind.QUADRATIC:
             block *= 0.5 * block  # (0.5*d)*d, not 0.5*(d*d): they differ where d*d is subnormal
         elif kernel.alpha != 1.0:
@@ -230,10 +232,8 @@ def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
 
 class LineDistances:
     """The table |x_i - x_j| of 1D points, computed a block at a time as it
-    is read: no n x n array is kept.  Its entries are eval_cost's wherever
-    eval_cost's sqrt(d*d) is |d|: every nonzero |d| in about [2**-511,
-    2**511), where d*d neither underflows nor overflows.  It is not an
-    array.
+    is read: no n x n array is kept.  Its entries are eval_cost's.  It is
+    not an array.
 
     It supports indexing by rows or (rows, columns), each a slice, an
     integer or an index array (two index arrays broadcast, as from np.ix_);

@@ -111,7 +111,8 @@ def solve_general(
         caps = np.maximum(-ct.c_transform_table(v0, cost), 0.0)
 
     value = ValueMap(cost, clamp=bound)
-    eval_batch = Objective(ct._generator_score(cost, ctx.v0, f.weights, tol), *cost.shape, value=value)
+    args = (cost, ctx.v0, f.weights, tol)
+    eval_batch = Objective(ct._generator_score(*args), *cost.shape, value=value, bound=ct._generator_bound(*args))
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, val_best, diagnostics = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:

@@ -10,12 +10,12 @@ steps, the on-grid cap as an extra trial.  Payoffs use the home-region tie
 rule throughout.
 
 Each customer's income is written once (`_value_and_paid`, `_income`) and
-shared by the dense batch payoff and the polish's trial hook.  The dense
-payoff is memoized by price row, so the cone scan scores each distinct cone
-once (past the margin where all caps bind, every cone is the caps) and the
-polish's start, the best cone, is a memo hit.  The price paid is a masked
-max over the offers that tie with the best one, reduced in place, with no
-(rows, n, m) temporary.  A polish trial moves one own price, so the hook
+shared by the dense batch payoff and the polish's trial hook.  The cone scan
+scores each distinct cone once: it stops at the first cone that is the caps
+at every point, as every later cone is that same row, and the polish scores
+its start, the best cone, once more.  The price paid is a masked max over
+the offers that tie with the best one, reduced in place, with no (rows, n,
+m) temporary.  A polish trial moves one own price, so the hook
 scores it in O(n) from per-customer state at the current prices and
 re-scores densely only the customers whose unique best offer moved or whose
 best offer falls by at most the tolerance; its payoffs are bit-equal to the
@@ -33,8 +33,8 @@ from typing import Optional
 import numpy as np
 
 from . import ctransform as ct
-from ._search import Objective, SearchConfig, _sliced, _trial_rows, coordinate_ascent
-from .geometry import CostKernel, CustomerMeasure, PricePattern, Region, _edge_tol, eval_cost
+from ._search import SearchConfig, _sliced, _trial_rows, coordinate_ascent
+from .geometry import CostKernel, CustomerMeasure, LineDistances, PricePattern, Region, _edge_tol, cost_table
 
 __all__ = [
     "GameContext",
@@ -57,6 +57,7 @@ class GameContext:
 
     Strategies are full-length price vectors; only the entries on the owner's
     points are read.  `price_cap` optionally bounds both players' prices.
+    `cost` is `geometry.cost_table`'s (a `LineDistances` for the distance on a line).
     """
 
     region: Region
@@ -64,7 +65,7 @@ class GameContext:
     a_mask: np.ndarray
     b_mask: np.ndarray
     f: CustomerMeasure
-    cost: np.ndarray
+    cost: np.ndarray | LineDistances
     price_cap: Optional[float] = None
 
     @classmethod
@@ -93,7 +94,7 @@ class GameContext:
             a_mask=a,
             b_mask=b,
             f=CustomerMeasure(w),
-            cost=eval_cost(kernel, region),
+            cost=cost_table(kernel, region),
             price_cap=price_cap,
         )
 
@@ -182,7 +183,7 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
         V, paid = _value_and_paid(cost_my[None, :, :] + P[:, None, :], P[:, None, :], tol)
         return _income(V, paid, opp_offer, tie_home, weights, tol).sum(axis=1)
 
-    return Objective(payoff, *cost_my.shape)
+    return _sliced(payoff, cost_my.size)
 
 
 def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.ndarray, tie_home: np.ndarray, tol: float):
@@ -333,7 +334,9 @@ def best_response(
     # are undercut by exactly one step, never by a vanishing sliver
     margins = np.arange(0.0, cap_global + 0.5 * step, step) if step > 0 else np.zeros(1)
     cones = np.minimum(caps[None, :], margins[:, None] + frontier[None, :])
-    vals = pay(cones)
+    # every later cone repeats the first all-capped one, and ties go to the smallest margin
+    capped = (cones == caps).all(axis=1)
+    vals = pay(cones[: int(np.argmax(capped)) + 1 if capped.any() else len(cones)])
     # prefer the smallest margin among near-equal payoffs so that exact
     # knife-edges between tying and undercutting resolve deterministically
     tie_eps = TIE_REL * (1.0 + scale) * (1.0 + ctx.f.total_mass)

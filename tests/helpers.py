@@ -123,7 +123,7 @@ def dense_eval_cost(kernel, region):
     if kernel.kind is sp.KernelKind.CUSTOM_TABLE:
         return kernel.table
     diff = region.points[:, None, :] - region.points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.abs(diff[..., 0]) if region.dimension == 1 else np.sqrt((diff * diff).sum(axis=-1))
     c = dist**kernel.alpha if kernel.is_metric else 0.5 * dist * dist
     np.fill_diagonal(c, 0.0)
     return c

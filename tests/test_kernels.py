@@ -348,12 +348,12 @@ def test_sliced_slices_rows(monkeypatch):
     sizes.clear()
     _search._sliced(eval_batch, 16)(batch)  # 16 cells per row: one row per call
     assert sizes == [1] * 10
-    # an objective scores in the slices of its (n, m) rows, and bounds in
-    # those of its (n, k) rows, k the row width
-    objective = _search.Objective(eval_batch, 1, 3, bound=eval_batch)
+    # an objective values and bounds in the slices of its value map's (n, k)
+    # rows, k the row width, and scores each of those in slices of its (n, m) rows
+    objective = _search.Objective(eval_batch, 1, 3, lambda G: G.sum(axis=1, keepdims=True), eval_batch)
     sizes.clear()
     assert np.array_equal(objective(batch), batch.sum(axis=1))
-    assert sizes == [3, 3, 3, 1]
+    assert sizes == [3, 2, 3, 2]
     sizes.clear()
     assert np.array_equal(objective.bound(batch), batch.sum(axis=1))
     assert sizes == [5, 5]
@@ -529,7 +529,7 @@ def test_memo_keys_on_value_bytes_not_on_value_equality(monkeypatch):
         flipped = V.copy()
         flipped[flipped == 0.0] = -0.0
         scored = []
-        by_value = _search.Objective(lambda W: scored.append(len(W)) or score(W), record["n"], record["m"])
+        by_value = _search.Objective(lambda W: scored.append(len(W)) or score(W), record["n"], record["m"], lambda W: W, score)
         first, second = by_value(V), by_value(flipped)
         assert np.array_equal(first, second)
         assert np.array_equal(first, score(V))
@@ -560,23 +560,21 @@ def test_memo_scores_a_batch_larger_than_itself(monkeypatch):
 
 def test_objectives_die_without_a_gc_pass():
     """No reference cycle keeps an objective, and the memo and cost slices it
-    holds, alive after `del`: with a bound, without one, and a Nash payoff."""
+    holds, alive after `del`: with a plain value function and with a `ValueMap`."""
     (ctx, weights, tol), G = _model_two_case(0)
     cost_free = ctx.cost[:, ctx.free]
     args = (cost_free, ctx.v0, weights, tol)
     bounded = lambda: _search.Objective(  # noqa: E731
         ct._generator_score(*args), *cost_free.shape, value=lambda G: np.min(cost_free + G[:, None, :], axis=2), bound=ct._generator_bound(*args)
     )
-    nash_args, P = _nash_payoff_case(0)
-    cases = [(bounded, G), (lambda: model_two._batch_subregion_profit(ctx, weights, tol), G), (lambda: nash._player_payoff_batch(*nash_args), P)]
+    cases = [(bounded, G), (lambda: model_two._batch_subregion_profit(ctx, weights, tol), G)]
     gc.disable()
     try:
         for build, batch in cases:
             objective = build()
             objective(batch)
             objective(batch[:1])  # a memo hit
-            if objective.bound is not None:
-                assert (objective.bound(batch) >= objective(batch)).all()
+            assert (objective.bound(batch) >= objective(batch)).all()
             ref = weakref.ref(objective)
             del objective
             assert ref() is None

@@ -57,13 +57,13 @@ def _outputs(cost, prices, values, within, weights):
 
 @st.composite
 def line_instances(draw):
-    """Unsorted 1D points on a grid of spacing 2**e (e from -480 to 480, so
-    extents from about 2**-480 to 2**485, where eval_cost's sqrt(d*d) is
-    |d|), with repeated points, jitter and an offset; prices and values on
-    the same scale in quarter steps, so they tie exactly, with some +inf
-    prices."""
+    """Unsorted 1D points on a grid of spacing 2**e (e from -1074 to 1000:
+    from subnormal spacings up to extents of about 2**1020, where the
+    points, their differences and the prices stay finite), with repeated
+    points, jitter and an offset; prices and values on the same scale in
+    quarter steps, so they tie exactly, with some +inf prices."""
     n = draw(st.integers(1, 24))
-    e = draw(st.integers(-480, 480))
+    e = draw(st.integers(-1074, 1000))
     scale = 2.0**e
     ticks = draw(st.lists(st.integers(-16, 16), min_size=n, max_size=n))
     jitter = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 1 / 3, 0.7071]), min_size=n, max_size=n))
@@ -158,7 +158,8 @@ def test_contexts_keep_the_table_by_kernel_and_dimension():
     assert isinstance(model_two.PartitionContext.build(line, METRIC, p0).cost, LineDistances)
     assert isinstance(model_two.PartitionContext.whole(line, METRIC).cost, LineDistances)
     assert type(model_two.PartitionContext.whole(line, sp.CostKernel.quadratic()).cost) is np.ndarray
-    assert type(sp.GameContext.from_split(line, METRIC, 0.5, sp.CustomerMeasure.uniform(9)).cost) is np.ndarray
+    assert isinstance(sp.GameContext.from_split(line, METRIC, 0.5, sp.CustomerMeasure.uniform(9)).cost, LineDistances)
+    assert type(sp.GameContext.from_split(line, sp.CostKernel.quadratic(), 0.5, sp.CustomerMeasure.uniform(9)).cost) is np.ndarray
 
 
 def test_metric_closed_form_stays_within_the_block_budget():

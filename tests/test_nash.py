@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,6 +364,47 @@ def test_best_response_matches_reference_polish(kernel, price_cap, grid_n):
             assert got.diagnostics["evaluations"] == expected.diagnostics["evaluations"] + 1, case
 
 
+def _assert_matches_the_oracle(player, opponent, ctx, search, polished):
+    expected = _best_response_oracle(player, opponent, ctx, search)
+    got = best_response(player, opponent, ctx, search)
+    assert np.array_equal(got.prices, expected.prices)
+    assert repr(got.payoff) == repr(expected.payoff)
+    assert got.diagnostics["price_step"] == expected.diagnostics["price_step"]
+    assert got.diagnostics["evaluations"] == expected.diagnostics["evaluations"] + polished
+
+
+def test_cone_scan_without_an_all_capped_cone_matches_the_reference():
+    # split on the grid point 0.5, which both players own: its frontier is
+    # 0, and under the price cap it holds the largest cap, which margins on
+    # the grid of a wider price scale stop short of, so the scan runs to
+    # its last margin
+    n = 9
+    ctx = GameContext.from_split(sp.build_interval_region(n, 0.0, 1.0), METRIC, 0.5, sp.CustomerMeasure.uniform(n), price_cap=0.3)
+    opponent = np.ones(n)
+    search = NashSearchConfig(grid_n=7, price_scale=0.4)
+    for player in "AB":
+        my_idx, opp_idx = ctx.indices(player), ctx.indices("B" if player == "A" else "A")
+        caps = np.minimum(ct.value_table(opponent, ctx.cost, opp_idx)[my_idx], 0.3)
+        frontier = ctx.cost[np.ix_(my_idx, opp_idx)].min(axis=1)
+        step = 0.4 / 7
+        margins = np.arange(0.0, caps.max() + 0.5 * step, step)
+        shared = np.flatnonzero(frontier == 0.0)
+        assert shared.size == 1 and caps[shared[0]] == caps.max()
+        assert not (np.minimum(caps, margins[:, None] + frontier) == caps).all(axis=1).any()
+        _assert_matches_the_oracle(player, opponent, ctx, search, polished=True)
+
+
+def test_cone_scan_with_zero_caps_matches_the_reference():
+    # a price cap of 0: every cap is 0, so the step is 0, one margin is
+    # scanned and the polish does not run
+    n = 9
+    ctx = GameContext.from_split(sp.build_interval_region(n, 0.0, 1.0), METRIC, 0.4, sp.CustomerMeasure.uniform(n), price_cap=0.0)
+    for player in "AB":
+        got = best_response(player, np.ones(n), ctx)
+        assert got.diagnostics == {"evaluations": 1, "price_step": 0.0}
+        _assert_matches_the_oracle(player, np.ones(n), ctx, NashSearchConfig(), polished=False)
+
+
 def _trial_game(seed, kernel, price_cap=None):
     """A seeded split game: some customers weigh 0, and odd seeds split on a
     grid point, whose overlap point carries no customers; seed 2 gives A one
@@ -531,11 +573,12 @@ def test_polish_trials_match_the_dense_payoff(monkeypatch, kernel, price_cap):
 
 
 def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch):
-    # the distance-cost polish moves no price here; the start row, the best
-    # cone, is a memo hit, so the dense payoff scores only what the hook
-    # passes it: rows whose unique best offer is the moved column and knife
-    # edges.  The sweep moves nothing, so the hook's window doubles from
-    # one coordinate and the sweep takes about log2(m) calls.
+    # the distance-cost polish moves no price here; the dense payoff scores
+    # the start row, the best cone, once more (n customers), and otherwise
+    # only what the hook passes it: rows whose unique best offer is the
+    # moved column and knife edges.  The sweep moves nothing, so the hook's
+    # window doubles from one coordinate and the sweep takes about log2(m)
+    # calls.
     import spatial_pricing.nash as nash_mod
 
     region = sp.build_interval_region(41, 0.0, 1.0)
@@ -578,7 +621,7 @@ def test_still_polish_scores_dense_rows_only_where_the_argmin_moves(monkeypatch)
             expected += int((unique | ((ci < V) & (ci + ctx.tol >= V))).sum())
             trials += 1
     n, m = C.shape
-    assert rows["dense"] == expected
+    assert rows["dense"] == expected + n
     assert expected < trials * n / 10
     assert len(record["calls"]) == math.ceil(math.log2(m + 1))
     assert {i for _, idx, _ in record["calls"] for i in idx.tolist()} == set(range(m))
@@ -745,3 +788,31 @@ def test_polish_moves_a_capped_split_game():
     assert polished.prices[1] == pytest.approx(0.2142857142857143, abs=1e-12)
     assert polished.payoff == pytest.approx(0.0785714285714286, abs=1e-12)
     assert polished.payoff > cone.payoff + 1e-3
+
+
+def _trace_bytes(trace):
+    rounds = [(r.p.tobytes(), r.q.tobytes(), repr((r.payoff_a, r.payoff_b, r.delta_p, r.delta_q))) for r in trace.rounds]
+    return rounds, trace.converged, trace.oscillation_period
+
+
+@pytest.mark.parametrize("price_cap", [None, 0.3])
+def test_line_table_game_matches_the_dense_table_game(monkeypatch, price_cap):
+    # a 1D distance game holds a LineDistances; at 64 cells a block the
+    # value tables and the payoff run in several row blocks on both tables
+    monkeypatch.setattr(geometry, "BLOCK_CELLS", 64)
+    rng = np.random.default_rng(11)
+    n = 21
+    region = sp.build_interval_region(n, 0.0, 1.0)
+    f = sp.CustomerMeasure(rng.uniform(0.5, 1.5, n))
+    search = NashSearchConfig(grid_n=20)
+    for split in (0.5, 0.37):  # 0.5 is a grid point, which both players own
+        ctx = GameContext.from_split(region, METRIC, split, f, price_cap=price_cap)
+        dense = replace(ctx, cost=np.asarray(ctx.cost))
+        assert isinstance(ctx.cost, geometry.LineDistances) and type(dense.cost) is np.ndarray
+        p0, q0 = rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n)
+        traces = [best_response_dynamics(p0, q0, game, 6, 1e-9, search) for game in (ctx, dense)]
+        assert _trace_bytes(traces[0]) == _trace_bytes(traces[1])
+        p, q = np.zeros(n), np.zeros(n)
+        p[ctx.indices("A")], q[ctx.indices("B")] = traces[0].final
+        reports = [verify_equilibrium(p, q, game, search) for game in (ctx, dense)]
+        assert repr(reports[0]) == repr(reports[1])

@@ -284,14 +284,14 @@ def test_solver_scores_each_value_function_once(monkeypatch, solver):
         expected = solve()
     scored = {"rows": 0}
 
-    # without its bound the objective scores every trial the counter counts,
-    # so only the memo can score fewer rows
-    def counted(score, n, m, value=None, bound=None):
+    # with a bound of +inf the objective scores every trial the counter
+    # counts, so only the memo can score fewer rows
+    def counted(score, n, m, value, bound):
         def counted_score(V):
             scored["rows"] += len(V)
             return score(V)
 
-        return _search.Objective(counted_score, n, m, value)
+        return _search.Objective(counted_score, n, m, value, lambda V: np.full(len(V), np.inf))
 
     monkeypatch.setattr(module, "Objective", counted)
     record = _capture_ascent(monkeypatch, module)

@@ -93,7 +93,8 @@ def test_partition_context_calls_build_no_table(builds):
 
 
 def _line_distance_calls(tmp_path):
-    """Every model-one and model-two entry point on a 1D region under the distance cost."""
+    """Every model-one and model-two entry point, and a Nash game context, on
+    a 1D region under the distance cost."""
     n = 15
     line = sp.build_interval_region(n, 0.0, 1.0)
     window = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.3, 0.7))
@@ -114,6 +115,7 @@ def _line_distance_calls(tmp_path):
     return {
         "build": two,
         "whole": lambda: model_two.PartitionContext.whole(line, METRIC),
+        "from_split": lambda: nash.GameContext.from_split(line, METRIC, 0.5, f),
         "solve_metric": lambda: model_one.solve_metric(p0, METRIC, line, f),
         "solve_general": lambda: model_one.solve_general(p0, METRIC, line, f, sp.SearchConfig(levels=3, multistarts=2)),
         "profit_from_prices": lambda: model_one.profit_from_prices(p0, METRIC, line, f),
@@ -125,7 +127,7 @@ def _line_distance_calls(tmp_path):
 
 
 LINE_DISTANCE_CALLS = [
-    "boundary_control", "build", "cli_one_d", "profit_from_prices", "profit_from_values",
+    "boundary_control", "build", "cli_one_d", "from_split", "profit_from_prices", "profit_from_values",
     "solve_general", "solve_metric", "w_search", "whole",
 ]
 
