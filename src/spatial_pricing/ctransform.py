@@ -5,14 +5,19 @@ table: the customer value function v(x) = min_y {c(x, y) + p(y)}, the
 c-transform v^c(y) = min_x {c(x, y) - v(x)}, superdifferentials, and the
 tie-breaking rule used when several purchase locations are cost-equivalent.
 Every function takes the (n, m) cost table and plain arrays.  The table is
-a context's (`geometry.cost_table`): an array, or for the distance on a
-line a `geometry.LineDistances`, which computes each block as it is
-indexed.  The table functions only index it (row blocks, column blocks and
-their column subsets, in numpy's layout) and take its `max` and `min`, so
-they never hold it whole.  Each holds its one full-size output plus
-temporaries of at most `geometry.BLOCK_CELLS` cells: it works in blocks of
-the axis it does not reduce, so its results are bit-identical to one dense
-expression.
+a context's (`geometry.cost_table`): an array, or an on-demand table
+(`geometry.LineDistances` for the distance on a line, `geometry.GridCosts`
+on a full 2D grid), which computes each block as it is read.  The table
+functions only read blocks of it (row blocks, column blocks and their
+column subsets) and take its `max` and `min`, so they never hold it
+whole.  Each holds its one full-size output plus temporaries of at most
+`geometry.BLOCK_CELLS` cells: it works in blocks of the axis it does not
+reduce, so its results are bit-identical to one dense expression.  A call
+allocates its block buffers once and has every block written into them
+(`fill` on an on-demand table, a view or `np.take` on an array), each in
+the layout numpy gives that index of an array, and then works on the
+block in place; only `_value_profit`'s transport scan, the searches' one,
+takes new temporaries per block.
 
 Model one is model two with nothing fixed, so both score a value function w
 with one profit kernel: a customer with w(x) <= v0(x) pays w(x) minus the
@@ -67,9 +72,29 @@ def _check_slack(tol: float, mass: float = 0.0) -> float:
     return 10.0 * tol * (1.0 + mass)
 
 
-def _columns(cost: np.ndarray, rows: slice, index: Optional[np.ndarray]) -> np.ndarray:
-    """Row block `rows` of the table on the columns `index` (all when None)."""
-    return cost[rows] if index is None else cost[rows, index]
+def _buffer(rows: int, width: int, dtype=float) -> np.ndarray:
+    """One buffer for every block of a call that reads `rows` rows of
+    `width` cells in `row_blocks`: the cells of its largest block."""
+    first = next(row_blocks(rows, width), slice(0, 0))
+    return np.empty((first.stop - first.start) * width, dtype)
+
+
+def _shaped(buf: np.ndarray, rows: int, width: int, f_order: bool = False) -> np.ndarray:
+    """The leading cells of `buf` as a (rows, width) array, F-ordered when asked."""
+    cells = buf[: rows * width]
+    return cells.reshape(width, rows).T if f_order else cells.reshape(rows, width)
+
+
+def _block(cost, rows: slice, cols, out: np.ndarray) -> np.ndarray:
+    """The block (rows, cols) of the table, `cols` a slice or an index
+    array, in the layout numpy gives that index of an array (`out`'s): a
+    view of an array table where numpy gives one, else written into `out`."""
+    if not isinstance(cost, np.ndarray):
+        cost.fill(rows, cols, out)
+        return out
+    if isinstance(cols, slice):
+        return cost[rows, cols]
+    return np.take(cost[rows], cols, axis=1, out=out)
 
 
 def value_table(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.ndarray] = None) -> np.ndarray:
@@ -77,9 +102,18 @@ def value_table(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.nd
     pvals = prices if candidates is None else prices[candidates]
     if not np.isfinite(pvals).any():
         raise ValueError("improper prices: no finite value inside the candidate set")
-    out = np.empty(cost.shape[0])
-    for rows in row_blocks(cost.shape[0], pvals.size):
-        out[rows] = np.min(_columns(cost, rows, candidates) + pvals[None, :], axis=1)
+    return _row_min(cost, candidates, pvals, np.add)
+
+
+def _row_min(cost, cols: Optional[np.ndarray], column_values: np.ndarray, op) -> np.ndarray:
+    """min over the columns `cols` (all when None) of op(c(x, y), column_values(y)), for every x."""
+    n, m = cost.shape[0], column_values.size
+    out = np.empty(n)
+    buf = _buffer(n, m)
+    for rows in row_blocks(n, m):
+        block = _shaped(buf, rows.stop - rows.start, m, cols is not None)
+        op(_block(cost, rows, slice(None) if cols is None else cols, block), column_values, out=block)
+        np.min(block, axis=1, out=out[rows])
     return out
 
 
@@ -87,10 +121,14 @@ def c_transform_table(values: np.ndarray, cost: np.ndarray, target: Optional[np.
     """v^c(y) = min_x {c(x, y) - v(x)} for y in target (default: all points)."""
     if not np.all(np.isfinite(values)):
         raise ValueError("c-transform requires finite values everywhere")
+    n = cost.shape[0]
     m = cost.shape[1] if target is None else len(target)
     out = np.empty(m)
-    for block in row_blocks(m, cost.shape[0]):
-        out[block] = np.min(cost[:, block if target is None else target[block]] - values[:, None], axis=0)
+    buf = _buffer(m, n)
+    for cols in row_blocks(m, n):
+        block = _shaped(buf, n, cols.stop - cols.start, target is not None)
+        np.subtract(_block(cost, slice(None), cols if target is None else target[cols], block), values[:, None], out=block)
+        np.min(block, axis=0, out=out[cols])
     return out
 
 
@@ -102,10 +140,7 @@ def double_transform_table(
     given, is v^c over the generators."""
     if vc is None:
         vc = c_transform_table(values, cost, generators)
-    out = np.empty(cost.shape[0])
-    for rows in row_blocks(cost.shape[0], vc.size):
-        out[rows] = np.min(_columns(cost, rows, generators) - vc[None, :], axis=1)
-    return out
+    return _row_min(cost, generators, vc, np.subtract)
 
 
 def is_c_concave_table(
@@ -206,9 +241,12 @@ def _value_profit(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndar
     vc = c_transform_table(values, cost, within)
     if not is_c_concave_table(values, cost, tol, within, vc):
         raise NotCConcaveError("profit needs a value function that is cost concave w.r.t. the generators")
-    delta = np.empty(cost.shape[0])
-    for rows in row_blocks(cost.shape[0], vc.size):
-        delta[rows] = _transport(values[rows], vc, _columns(cost, rows, within), tol)
+    n, m = cost.shape[0], vc.size
+    delta = np.empty(n)
+    buf = _buffer(n, m)
+    for rows in row_blocks(n, m):
+        block = _block(cost, rows, slice(None) if within is None else within, _shaped(buf, rows.stop - rows.start, m, within is not None))
+        delta[rows] = _transport(values[rows], vc, block, tol)
     return float(np.dot(weights, np.where(values <= v0 + tol, values - delta, 0.0)))
 
 
@@ -225,7 +263,7 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, tol: float, within: O
     """
     if not np.isfinite(prices).any():
         raise ValueError("improper prices: no finite value anywhere")
-    n = cost.shape[0]
+    n, m = cost.shape
     expenditure = np.empty(n)
     choice = np.empty(n, dtype=np.intp)
     if within is not None:
@@ -234,17 +272,19 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, tol: float, within: O
         outside = None if keep.all() else ~keep  # None: within holds every column, so its choice is the choice
         within_choice = choice if outside is None else np.empty(n, dtype=np.intp)
         transport = np.empty(n)
-    for rows in row_blocks(n, cost.shape[1]):
-        # the cost block, read once, and one buffer: totals, then member
-        # prices, then member costs
-        block = cost[rows]
-        totals = block + prices
-        expenditure[rows] = totals.min(axis=1)
-        member = totals <= expenditure[rows, None] + tol
+    # the cost block, read once, and one buffer: totals, then member
+    # prices, then member costs
+    cost_buf, totals_buf, member_buf = _buffer(n, m), _buffer(n, m), _buffer(n, m, bool)
+    for rows in row_blocks(n, m):
+        r = rows.stop - rows.start
+        block = _block(cost, rows, slice(None), _shaped(cost_buf, r, m))
+        totals = np.add(block, prices, out=_shaped(totals_buf, r, m))
+        np.min(totals, axis=1, out=expenditure[rows])
+        member = np.less_equal(totals, expenditure[rows, None] + tol, out=_shaped(member_buf, r, m))
         np.copyto(totals, -np.inf)
         np.copyto(totals, prices, where=member)
         # argmax takes the first max: smallest index
-        choice[rows] = np.argmax(totals, axis=1)
+        np.argmax(totals, axis=1, out=choice[rows])
         if within is not None:
             if outside is not None:
                 member &= keep

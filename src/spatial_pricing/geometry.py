@@ -3,9 +3,10 @@
 A region is a finite list of points in 1 or 2 dimensions, optionally split
 into a FIXED part (prices imposed from outside) and a FREE part (prices chosen
 by the agent).  Cost kernels produce the full pairwise transportation-cost
-table (`eval_cost`), or for the distance on a line a table computed block by
-block as it is read (`cost_table`); customer measures are nonnegative
-weights over the points.
+table (`eval_cost`), or a table with eval_cost's entries computed block by
+block as it is read (`cost_table`): `LineDistances` for the distance on a
+line, `GridCosts` for any non-custom kernel on a full 2D grid.  Customer
+measures are nonnegative weights over the points.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "build_grid_region",
     "cost_table",
     "eval_cost",
+    "GridCosts",
     "LineDistances",
     "row_blocks",
     "step_cdf",
@@ -196,6 +198,14 @@ def row_blocks(rows: int, width: int) -> Iterator[slice]:
         yield slice(start, min(start + step, rows))
 
 
+def _cost_of_distance(kernel: CostKernel, d: np.ndarray) -> None:
+    """The kernel's cost of the distances `d`, in place."""
+    if kernel.kind is KernelKind.QUADRATIC:
+        d *= 0.5 * d  # (0.5*d)*d, not 0.5*(d*d): they differ where d*d is subnormal
+    elif kernel.alpha != 1.0:
+        np.power(d, kernel.alpha, out=d)
+
+
 def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
     """Full |Q| x |Q| cost table for the kernel on the region's points."""
     if kernel.kind is KernelKind.CUSTOM_TABLE:
@@ -222,51 +232,71 @@ def eval_cost(kernel: CostKernel, region: Region) -> np.ndarray:
         del sq
         # in 1D sqrt(dx*dx) would underflow or overflow outside about [2**-511, 2**511)
         (np.abs if d == 1 else np.sqrt)(block, out=block)
-        if kernel.kind is KernelKind.QUADRATIC:
-            block *= 0.5 * block  # (0.5*d)*d, not 0.5*(d*d): they differ where d*d is subnormal
-        elif kernel.alpha != 1.0:
-            np.power(block, kernel.alpha, out=block)
+        _cost_of_distance(kernel, block)
     np.fill_diagonal(c, 0.0)
     return _readonly(c)
 
 
-class LineDistances:
-    """The table |x_i - x_j| of 1D points, computed a block at a time as it
-    is read: no n x n array is kept.  Its entries are eval_cost's.  It is
-    not an array.
+class _BlockTable:
+    """A cost table computed a block at a time as it is read: no n x n
+    array is kept.  Its entries are eval_cost's.  It is not an array.
 
     It supports indexing by rows or (rows, columns), each a slice, an
     integer or an index array (two index arrays broadcast, as from np.ix_);
     other keys raise TypeError.  A key returns a new array laid out as
     numpy lays out that index of a C-ordered table: with idx a 1D index
-    array, `t[:, idx]` and `t[rows, idx]` are F-contiguous.  `max()` and
-    `min()` are those of the whole table, and np.asarray builds it whole;
-    arithmetic and numpy's reductions need that array.
+    array, `t[:, idx]` and `t[rows, idx]` are F-contiguous.
+    `fill(rows, cols, out)` writes the block of rows and columns (each a
+    slice or a 1D index array) into `out`, a C- or F-contiguous array of
+    the block's shape; the table functions read every block that way.
+    `max()` and `min()` are those of the whole table, and np.asarray builds
+    it whole; arithmetic and numpy's reductions need that array.  A
+    subclass gives `shape`, `fill`, `max`, `min` and `_pairs(rows, cols)`,
+    the entries of two broadcast index arrays.
     """
 
-    def __init__(self, x: np.ndarray):
-        self.x = _readonly(np.asarray(x, dtype=float))
-        self.shape = (self.x.size, self.x.size)
+    shape: tuple[int, int]
 
     def __getitem__(self, key) -> np.ndarray:
         if not isinstance(key, tuple):
             key = (key, slice(None))
         keys = [k if isinstance(k, slice) else np.asarray(k) for k in key]
         if len(keys) != 2 or any(isinstance(k, np.ndarray) and k.dtype.kind not in "biu" for k in keys):
-            raise TypeError(f"LineDistances takes rows or (rows, columns) of slices, integers or index arrays, not {key!r}")
-        rows, cols = keys
-        xr, xc = self.x[rows], self.x[cols]
-        if not isinstance(rows, slice) and not isinstance(cols, slice):
-            return np.abs(xr - xc)  # integers and index arrays broadcast, as numpy's indexing does
-        if isinstance(cols, np.ndarray) and cols.ndim == 1:
-            out = np.empty((xc.size, xr.size)).T
-            np.subtract(xr[:, None], xc, out=out)
-        else:
-            out = np.subtract.outer(xr, xc)
-        return np.abs(out, out=out)
+            raise TypeError(f"{type(self).__name__} takes rows or (rows, columns) of slices, integers or index arrays, not {key!r}")
+        rows, cols = (np.flatnonzero(k) if isinstance(k, np.ndarray) and k.dtype.kind == "b" else k for k in keys)
+        arrays = [k for k in (rows, cols) if isinstance(k, np.ndarray)]
+        if len(arrays) < 2 and all(k.ndim == 1 for k in arrays):
+            nr, nc = (len(range(self.shape[0])[k]) if isinstance(k, slice) else k.size for k in (rows, cols))
+            # numpy's layout of t[rows, idx]: F-contiguous
+            out = np.empty((nc, nr)).T if isinstance(rows, slice) and arrays else np.empty((nr, nc))
+            self.fill(rows, cols, out)
+            return out
+        # integers and index arrays broadcast, as numpy's indexing does; a
+        # slice beside them spans its own axis of the result
+        every = np.arange(self.shape[0])
+        if isinstance(rows, slice):
+            rows = every[rows].reshape((-1,) + (1,) * cols.ndim)
+        elif isinstance(cols, slice):
+            rows, cols = rows[..., None], every[cols]
+        return self._pairs(rows, cols)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return self[:] if dtype is None else self[:].astype(dtype)
+
+
+class LineDistances(_BlockTable):
+    """The table |x_i - x_j| of 1D points, a `_BlockTable`."""
+
+    def __init__(self, x: np.ndarray):
+        self.x = _readonly(np.asarray(x, dtype=float))
+        self.shape = (self.x.size, self.x.size)
+
+    def fill(self, rows, cols, out: np.ndarray) -> None:
+        np.subtract(self.x[rows][:, None], self.x[cols], out=out)
+        np.abs(out, out=out)
+
+    def _pairs(self, rows: np.ndarray, cols: np.ndarray):
+        return np.abs(self.x[rows] - self.x[cols])
 
     def max(self) -> np.float64:
         # rounding is monotone, so no difference exceeds the extreme one
@@ -276,12 +306,138 @@ class LineDistances:
         return np.float64(0.0)
 
 
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of an array and each entry's index among
+    them, in the array's shape.  np.unique would import numpy.ma; np.argsort
+    is the sort the searches already run, so it maps no more of numpy's
+    code into memory than they do."""
+    ranked = values.ravel()[np.argsort(values, axis=None)]
+    distinct = np.concatenate((ranked[:1], ranked[1:][ranked[1:] != ranked[:-1]]))
+    del ranked
+    return distinct, np.searchsorted(distinct, values)
+
+
+def _squared_differences(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of fl(fl(x_i - x_j)**2), eval_cost's per-axis
+    term, and the code of each pair (i, j)."""
+    sq = x[:, None] - x
+    sq *= sq
+    return _distinct(sq)
+
+
+class GridCosts(_BlockTable):
+    """eval_cost's table of a full 2D grid in build_grid_region's order (x
+    fastest), a `_BlockTable`.
+
+    An entry depends on the pair's two squared axis differences only.  The
+    table keeps, per axis, the code of each pair's squared difference among
+    that axis's distinct ones, and the (distinct dy**2) x (distinct dx**2)
+    table of entries, built with eval_cost's float operations on a
+    contiguous array: fl(dx**2 + dy**2), sqrt, then the kernel's power.
+    A full grid realizes every pair of codes, so that small table's `max()`
+    and `min()` are the whole table's.  A block is read per run of its
+    rows within a grid row (whole rows: per grid row) with two np.take
+    calls: the small table's rows at the grid row's y codes, then the
+    run's entries from them.
+    """
+
+    def __init__(self, kernel: CostKernel, xs: np.ndarray, ys: np.ndarray):
+        ux, cx = _squared_differences(xs)
+        uy, self._cy = _squared_differences(ys)
+        table = np.add(uy[:, None], ux)
+        np.sqrt(table, out=table)
+        _cost_of_distance(kernel, table)
+        self._table = _readonly(table)
+        nx, ny = xs.size, ys.size
+        self._nx, self.shape = nx, (nx * ny, nx * ny)
+        self._y, self._x = np.divmod(np.arange(nx * ny), nx)
+        # flat index, into the small table's rows at one grid row's y codes,
+        # of each (x of the row's point, column) entry; its first nx columns
+        # are the x codes
+        self._row_index = (np.arange(ny)[:, None] * ux.size + cx[:, None, :]).reshape(nx, -1)
+
+    def fill(self, rows, cols, out: np.ndarray) -> None:
+        if out.flags.f_contiguous and not out.flags.c_contiguous:
+            # the table is symmetric bit for bit: the block is the transposed key's
+            return self.fill(cols, rows, out.T)
+        for lo, hi, gy, xs in self._runs(rows):
+            at_y = np.take(self._table, self._cy[gy], axis=0)
+            index = self._row_index[(xs[:, None], cols) if isinstance(xs, np.ndarray) and isinstance(cols, np.ndarray) else (xs, cols)]
+            np.take(at_y, index, out=out[lo:hi], mode="clip")
+
+    def _runs(self, rows) -> Iterator[tuple]:
+        """The rows' runs within one grid row: (start, stop) in `rows`, the
+        grid row, and the runs' x positions (a slice where `rows` is one)."""
+        nx = self._nx
+        if isinstance(rows, slice) and rows.step in (None, 1):
+            start, stop, _ = rows.indices(self.shape[0])
+            for gy in range(start // nx, -(-stop // nx)):
+                lo, hi = max(start, gy * nx), min(stop, gy * nx + nx)
+                yield lo - start, hi - start, gy, slice(lo - gy * nx, hi - gy * nx)
+            return
+        rows = np.arange(self.shape[0])[rows]
+        gy = self._y[rows]
+        cuts = [0, *(np.flatnonzero(gy[1:] != gy[:-1]) + 1).tolist(), rows.size] if rows.size else []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            yield lo, hi, gy[lo], self._x[rows[lo:hi]]
+
+    def _pairs(self, rows: np.ndarray, cols: np.ndarray):
+        code = self._cy[self._y[rows], self._y[cols]] * self._table.shape[1]
+        code += self._row_index[self._x[rows], self._x[cols]]
+        return self._table.ravel()[code]
+
+    def max(self) -> np.float64:
+        return self._table.max()
+
+    def min(self) -> np.float64:
+        return self._table.min()
+
+
+# eval_cost's 2D entry sqrt(dx*dx + dy*dy) underflows to 0.0 or overflows to
+# +inf outside about these axis gaps and extents
+RANGE_2D = (2.0**-511, 2.0**511)
+
+
+def _grid_axes(points: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The axes (xs, ys) of 2D points that form a full grid in
+    build_grid_region's order (x fastest), else None."""
+    y = points[:, 1]
+    nx = int(np.argmax(y != y[0])) or y.size
+    if y.size % nx:
+        return None
+    grid = points.reshape(-1, nx, 2)
+    xs, ys = grid[0, :, 0], grid[:, 0, 1]
+    if (grid[..., 0] != xs).any() or (grid[..., 1] != ys[:, None]).any():
+        return None
+    return xs, ys
+
+
+def _check_range(points: np.ndarray) -> None:
+    """Refuse 2D points whose cost entries would underflow or overflow: a
+    nonzero coordinate gap on an axis below 2**-511, or an extent of
+    2**511 or more."""
+    low, high = RANGE_2D
+    for k, axis in enumerate("xy"):
+        s = points[np.argsort(points[:, k]), k]
+        gaps = np.diff(s)
+        gaps = gaps[gaps > 0]
+        if (gaps.size and gaps.min() < low) or s[-1] - s[0] >= high:
+            raise ValueError(f"2D points need every nonzero {axis} gap >= 2**-511 and an {axis} extent < 2**511")
+
+
 def cost_table(kernel: CostKernel, region: Region):
     """The cost table a context keeps: a `LineDistances` for the distance
-    cost on a 1D region, and eval_cost's table otherwise."""
-    if kernel.kind is KernelKind.METRIC_POWER and kernel.alpha == 1.0 and region.dimension == 1:
-        return LineDistances(region.points[:, 0])
-    return eval_cost(kernel, region)
+    cost on a 1D region, a `GridCosts` for a full 2D grid under a
+    non-custom kernel, and eval_cost's table otherwise.  Refuses 2D points
+    outside `RANGE_2D`, where eval_cost's entries would underflow or
+    overflow."""
+    if kernel.kind is KernelKind.CUSTOM_TABLE:
+        return eval_cost(kernel, region)
+    if region.dimension == 1:
+        return LineDistances(region.points[:, 0]) if kernel.is_metric and kernel.alpha == 1.0 else eval_cost(kernel, region)
+    _check_range(region.points)
+    axes = _grid_axes(region.points)
+    return eval_cost(kernel, region) if axes is None else GridCosts(kernel, *axes)
 
 
 EDGE_REL = 1e-12  # times (1 + |end| + ...): linspace rounding can leave a grid point meant to sit on an edge that far off it

@@ -22,6 +22,7 @@ from ._search import Objective, SearchConfig, SearchMode, ValueMap, _sliced, coo
 from .geometry import (
     CostKernel,
     CustomerMeasure,
+    GridCosts,
     LineDistances,
     Mask,
     PricePattern,
@@ -83,14 +84,15 @@ class PartitionContext:
     context, `whole`, has every point free, nothing fixed and v0 = +inf.
     `cost` is `geometry.cost_table`'s, which the table functions take as it
     is; a search gathers the dense columns it searches over from it.  For
-    the distance on a line it is a `geometry.LineDistances`: indexing,
-    `max()`, `min()` and np.asarray only, no arithmetic.
+    the distance on a line it is a `geometry.LineDistances`, and on a full
+    2D grid a `geometry.GridCosts`: indexing, `max()`, `min()` and
+    np.asarray only, no arithmetic.
     """
 
     region: Region
     kernel: CostKernel
     p0: Optional[PricePattern]
-    cost: Union[np.ndarray, LineDistances]
+    cost: Union[np.ndarray, LineDistances, GridCosts]
     v0: Union[np.ndarray, float]
     free: np.ndarray
     fixed: np.ndarray

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ctransform as ct
 from ._search import SearchConfig, _sliced, _trial_rows, coordinate_ascent
-from .geometry import CostKernel, CustomerMeasure, LineDistances, PricePattern, Region, _edge_tol, cost_table
+from .geometry import CostKernel, CustomerMeasure, GridCosts, LineDistances, PricePattern, Region, _edge_tol, cost_table
 
 __all__ = [
     "GameContext",
@@ -57,7 +57,8 @@ class GameContext:
 
     Strategies are full-length price vectors; only the entries on the owner's
     points are read.  `price_cap` optionally bounds both players' prices.
-    `cost` is `geometry.cost_table`'s (a `LineDistances` for the distance on a line).
+    `cost` is `geometry.cost_table`'s (a `LineDistances` for the distance on a
+    line, a `GridCosts` on a full 2D grid).
     """
 
     region: Region
@@ -65,7 +66,7 @@ class GameContext:
     a_mask: np.ndarray
     b_mask: np.ndarray
     f: CustomerMeasure
-    cost: np.ndarray | LineDistances
+    cost: np.ndarray | LineDistances | GridCosts
     price_cap: Optional[float] = None
 
     @classmethod

@@ -3,6 +3,7 @@
 import numpy as np
 
 import spatial_pricing as sp
+from spatial_pricing import ctransform as ct
 
 
 def region_from_points(points, mask=None):
@@ -82,7 +83,6 @@ def checked_reformulate(p, ctx, f=None):
     with a measure `f`, lowers no profit.  A violation raises RuntimeError: it
     is a defect, not a recoverable error.
     """
-    from spatial_pricing import ctransform as ct
     from spatial_pricing.model_two import profit_from_prices, reformulate
 
     w, p_t = reformulate(p, ctx)
@@ -192,3 +192,39 @@ def plain_objective(score, n, m, value=None, bound=None):
 
     objective.trials = trials
     return objective
+
+
+def table_bytes(out):
+    """The bytes of a table function's output: arrays, floats, bools, or tuples of them."""
+    if isinstance(out, tuple):
+        return tuple(table_bytes(o) for o in out)
+    return np.asarray(out).tobytes()
+
+
+def table_outputs(cost, prices, values, within, weights):
+    """Every table function of `ctransform` on one table; an exception counts as its type."""
+    tol = ct.scale_tol(cost)
+    v0 = ct.value_table(prices, cost, within)
+    calls = {
+        "scale_tol": lambda: tol,
+        "value_table": lambda: ct.value_table(prices, cost),
+        "value_table_within": lambda: ct.value_table(prices, cost, within),
+        "c_transform_table": lambda: ct.c_transform_table(values, cost),
+        "c_transform_table_within": lambda: ct.c_transform_table(values, cost, within),
+        "double_transform_table": lambda: ct.double_transform_table(values, cost),
+        "double_transform_table_within": lambda: ct.double_transform_table(values, cost, within),
+        "is_c_concave_table": lambda: ct.is_c_concave_table(values, cost, tol),
+        "is_c_concave_table_within": lambda: ct.is_c_concave_table(values, cost, tol, within),
+        "assignment_table": lambda: ct.assignment_table(prices, cost, tol),
+        "assignment_table_within": lambda: ct.assignment_table(prices, cost, tol, within),
+        "value_profit": lambda: ct._value_profit(values, cost, None, np.inf, weights, tol),
+        "value_profit_within": lambda: ct._value_profit(values, cost, within, v0, weights, tol),
+        "value_profit_generated": lambda: ct._value_profit(v0, cost, within, 0.5 * v0, weights, tol),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = table_bytes(call())
+        except ct.NotCConcaveError as err:
+            out[name] = type(err)
+    return out

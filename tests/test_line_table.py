@@ -10,49 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spatial_pricing as sp
-from spatial_pricing import ctransform as ct
 from spatial_pricing import geometry, model_one, model_two
 from spatial_pricing.geometry import LineDistances, cost_table
 
-from helpers import region_from_points
+from helpers import region_from_points, table_outputs
 
 METRIC = sp.CostKernel.metric(1.0)
-
-
-def _bytes(out):
-    """The bytes of a table function's output: arrays, floats, bools, or tuples of them."""
-    if isinstance(out, tuple):
-        return tuple(_bytes(o) for o in out)
-    return np.asarray(out).tobytes()
-
-
-def _outputs(cost, prices, values, within, weights):
-    """Every table function of `ctransform` on one table; an exception counts as its type."""
-    tol = ct.scale_tol(cost)
-    v0 = ct.value_table(prices, cost, within)
-    calls = {
-        "scale_tol": lambda: tol,
-        "value_table": lambda: ct.value_table(prices, cost),
-        "value_table_within": lambda: ct.value_table(prices, cost, within),
-        "c_transform_table": lambda: ct.c_transform_table(values, cost),
-        "c_transform_table_within": lambda: ct.c_transform_table(values, cost, within),
-        "double_transform_table": lambda: ct.double_transform_table(values, cost),
-        "double_transform_table_within": lambda: ct.double_transform_table(values, cost, within),
-        "is_c_concave_table": lambda: ct.is_c_concave_table(values, cost, tol),
-        "is_c_concave_table_within": lambda: ct.is_c_concave_table(values, cost, tol, within),
-        "assignment_table": lambda: ct.assignment_table(prices, cost, tol),
-        "assignment_table_within": lambda: ct.assignment_table(prices, cost, tol, within),
-        "value_profit": lambda: ct._value_profit(values, cost, None, np.inf, weights, tol),
-        "value_profit_within": lambda: ct._value_profit(values, cost, within, v0, weights, tol),
-        "value_profit_generated": lambda: ct._value_profit(v0, cost, within, 0.5 * v0, weights, tol),
-    }
-    out = {}
-    for name, call in calls.items():
-        try:
-            out[name] = _bytes(call())
-        except ct.NotCConcaveError as err:
-            out[name] = type(err)
-    return out
 
 
 @st.composite
@@ -93,7 +56,7 @@ def test_table_functions_give_the_dense_tables_bytes(instance):
     saved = geometry.BLOCK_CELLS
     geometry.BLOCK_CELLS = block
     try:
-        assert _outputs(table, prices, values, within, weights) == _outputs(dense, prices, values, within, weights)
+        assert table_outputs(table, prices, values, within, weights) == table_outputs(dense, prices, values, within, weights)
     finally:
         geometry.BLOCK_CELLS = saved
 
@@ -129,12 +92,16 @@ def test_line_entries_are_the_distance_at_every_scale():
         assert table[0, 1] == table[1, 0] == gap
         x = np.array(points)
         assert np.asarray(table).tobytes() == np.abs(x[:, None] - x).tobytes()
-    # other kernels, and 2D, keep eval_cost's table
+    # custom tables, other kernels in 1D, and 2D points that are not a full
+    # grid keep eval_cost's table
     line = sp.build_interval_region(5, 0.0, 1.0)
+    scattered = region_from_points([[0.0, 0.0], [1.0, 0.0], [0.5, 0.75]])
     for kernel, region in [
+        (sp.CostKernel.custom(np.abs(np.arange(5.0)[:, None] - np.arange(5.0))), line),
         (sp.CostKernel.metric(0.5), line),
         (sp.CostKernel.quadratic(), line),
-        (METRIC, sp.build_grid_region(3, 3)),
+        (METRIC, scattered),
+        (sp.CostKernel.quadratic(), scattered),
     ]:
         assert type(cost_table(kernel, region)) is np.ndarray
 

@@ -658,7 +658,8 @@ def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
                 rows[bounded] += len(V)
                 return score(V)
 
-            return _search.Objective(counted_score, n, m, value, bound if bounded else None)
+            # unbounded: a bound of +inf skips no row
+            return _search.Objective(counted_score, n, m, value, bound if bounded else lambda V: np.full(len(V), np.inf))
 
         monkeypatch.setattr(model_two, "Objective", objective)
         reports[bounded] = model_two.solve_w_search(ctx, f, cfg)

@@ -1,5 +1,5 @@
 """Solvers build the cost table at most once per call, and not at all from a
-context; 1D distance contexts build none."""
+context; 1D distance contexts and 2D grid contexts build none."""
 
 import json
 import sys
@@ -135,6 +135,41 @@ LINE_DISTANCE_CALLS = [
 @pytest.mark.parametrize("name", LINE_DISTANCE_CALLS)
 def test_line_distance_contexts_call_eval_cost_zero_times(builds, tmp_path, name):
     _line_distance_calls(tmp_path)[name]()
+    assert builds == []
+
+
+def _grid_calls(tmp_path):
+    """Model-one and model-two entry points on a 2D grid, under every
+    non-custom kernel."""
+    grid = sp.build_grid_region(5, 4)
+    box = sp.build_grid_region(6, 6, fixed_box=((0.3, 0.7), (0.3, 0.7)))
+    half = sp.CostKernel.metric(0.5)
+    f, g = sp.CustomerMeasure(np.linspace(0.5, 1.5, 20)), sp.CustomerMeasure(np.linspace(0.5, 1.5, 36))
+    p0 = sp.PricePattern(np.linspace(0.4, 0.9, 20))
+    two = lambda kernel: model_two.PartitionContext.build(box, kernel, sp.PricePattern(np.full(36, 0.5)))  # noqa: E731
+    scenario = {
+        "model": "one",
+        "region": {"dimension": 2, "nx": 9, "ny": 9},
+        "cost": {"kind": "metric_power", "alpha": 0.5},
+        "measure": {"kind": "uniform"},
+        "prices": {"p0": {"kind": "constant", "value": 1.0}},
+        "solver": {"method": "metric_closed_form"},
+    }
+    path = tmp_path / "metric_2d.json"
+    path.write_text(json.dumps(scenario))
+    return {
+        "solve_metric": lambda: model_one.solve_metric(p0, half, grid, f),
+        "solve_general": lambda: model_one.solve_general(p0, QUADRATIC, grid, f, sp.SearchConfig(levels=3, multistarts=2)),
+        "profit_from_prices": lambda: model_one.profit_from_prices(p0, QUADRATIC, grid, f),
+        "w_search": lambda: model_two.solve_w_search(two(half), g, sp.SearchConfig(levels=3, multistarts=2)),
+        "boundary_control": lambda: model_two.solve_boundary_control(two(METRIC), g, sp.SearchConfig(levels=3)),
+        "cli_metric_2d": lambda: cli.run(str(path), str(tmp_path / "out")),
+    }
+
+
+@pytest.mark.parametrize("name", ["boundary_control", "cli_metric_2d", "profit_from_prices", "solve_general", "solve_metric", "w_search"])
+def test_grid_contexts_call_eval_cost_zero_times(builds, tmp_path, name):
+    _grid_calls(tmp_path)[name]()
     assert builds == []
 
 
