@@ -13,11 +13,11 @@ column subsets) and take its `max` and `min`, so they never hold it
 whole.  Each holds its one full-size output plus temporaries of at most
 `geometry.BLOCK_CELLS` cells: it works in blocks of the axis it does not
 reduce, so its results are bit-identical to one dense expression.  A call
-allocates its block buffers once and has every block written into them
-(`fill` on an on-demand table, a view or `np.take` on an array), each in
-the layout numpy gives that index of an array, and then works on the
-block in place; only `_value_profit`'s transport scan, the searches' one,
-takes new temporaries per block.
+allocates its block buffers once and works on every block in them.  An
+on-demand table writes each block into them (`fill`) in the layout numpy
+gives that index of an array; an array table answers with numpy's own
+`cost[rows, cols]`, a view or a gathered block, in no buffer.  Only
+`_value_profit`'s scan, the searches' one, takes new temporaries per block.
 
 Model one is model two with nothing fixed, so both score a value function w
 with one profit kernel: a customer with w(x) <= v0(x) pays w(x) minus the
@@ -79,22 +79,23 @@ def _buffer(rows: int, width: int, dtype=float) -> np.ndarray:
     return np.empty((first.stop - first.start) * width, dtype)
 
 
-def _shaped(buf: np.ndarray, rows: int, width: int, f_order: bool = False) -> np.ndarray:
-    """The leading cells of `buf` as a (rows, width) array, F-ordered when asked."""
+def _shaped(buf: Optional[np.ndarray], rows: int, width: int, f_order: bool = False) -> Optional[np.ndarray]:
+    """The leading cells of `buf` as a (rows, width) array, F-ordered when asked (None for None)."""
+    if buf is None:
+        return None
     cells = buf[: rows * width]
     return cells.reshape(width, rows).T if f_order else cells.reshape(rows, width)
 
 
-def _block(cost, rows: slice, cols, out: np.ndarray) -> np.ndarray:
+def _block(cost, rows: slice, cols, out: Optional[np.ndarray]) -> np.ndarray:
     """The block (rows, cols) of the table, `cols` a slice or an index
-    array, in the layout numpy gives that index of an array (`out`'s): a
-    view of an array table where numpy gives one, else written into `out`."""
-    if not isinstance(cost, np.ndarray):
-        cost.fill(rows, cols, out)
-        return out
-    if isinstance(cols, slice):
+    array, in the layout numpy gives that index of an array (`out`'s):
+    an on-demand table writes it into `out`, an array answers with numpy's
+    own `cost[rows, cols]` and needs no `out`."""
+    if isinstance(cost, np.ndarray):
         return cost[rows, cols]
-    return np.take(cost[rows], cols, axis=1, out=out)
+    cost.fill(rows, cols, out)
+    return out
 
 
 def value_table(prices: np.ndarray, cost: np.ndarray, candidates: Optional[np.ndarray] = None) -> np.ndarray:
@@ -243,7 +244,7 @@ def _value_profit(values: np.ndarray, cost: np.ndarray, within: Optional[np.ndar
         raise NotCConcaveError("profit needs a value function that is cost concave w.r.t. the generators")
     n, m = cost.shape[0], vc.size
     delta = np.empty(n)
-    buf = _buffer(n, m)
+    buf = None if isinstance(cost, np.ndarray) else _buffer(n, m)  # cost blocks only
     for rows in row_blocks(n, m):
         block = _block(cost, rows, slice(None) if within is None else within, _shaped(buf, rows.stop - rows.start, m, within is not None))
         delta[rows] = _transport(values[rows], vc, block, tol)
@@ -272,9 +273,10 @@ def assignment_table(prices: np.ndarray, cost: np.ndarray, tol: float, within: O
         outside = None if keep.all() else ~keep  # None: within holds every column, so its choice is the choice
         within_choice = choice if outside is None else np.empty(n, dtype=np.intp)
         transport = np.empty(n)
-    # the cost block, read once, and one buffer: totals, then member
-    # prices, then member costs
-    cost_buf, totals_buf, member_buf = _buffer(n, m), _buffer(n, m), _buffer(n, m, bool)
+    # the cost block, read once (an array table's own), and one buffer:
+    # totals, then member prices, then member costs
+    cost_buf = None if isinstance(cost, np.ndarray) else _buffer(n, m)
+    totals_buf, member_buf = _buffer(n, m), _buffer(n, m, bool)
     for rows in row_blocks(n, m):
         r = rows.stop - rows.start
         block = _block(cost, rows, slice(None), _shaped(cost_buf, r, m))

@@ -241,18 +241,20 @@ class _BlockTable:
     """A cost table computed a block at a time as it is read: no n x n
     array is kept.  Its entries are eval_cost's.  It is not an array.
 
-    It supports indexing by rows or (rows, columns), each a slice, an
-    integer or an index array (two index arrays broadcast, as from np.ix_);
-    other keys raise TypeError.  A key returns a new array laid out as
-    numpy lays out that index of a C-ordered table: with idx a 1D index
-    array, `t[:, idx]` and `t[rows, idx]` are F-contiguous.
+    It supports indexing by rows or (rows, columns).  Each axis is a
+    slice, an integer, a 1D index array, a boolean mask of the axis's
+    length (IndexError otherwise), or one side of an np.ix_ pair; two index
+    arrays paired element by element, and other keys, raise TypeError.  A key reads its block with one `fill` and
+    returns a new array laid out as numpy lays out that index of a
+    C-ordered table (with idx a 1D index array, `t[:, idx]` and
+    `t[rows, idx]` are F-contiguous), its integer axes dropped.
     `fill(rows, cols, out)` writes the block of rows and columns (each a
     slice or a 1D index array) into `out`, a C- or F-contiguous array of
-    the block's shape; the table functions read every block that way.
-    `max()` and `min()` are those of the whole table, and np.asarray builds
-    it whole; arithmetic and numpy's reductions need that array.  A
-    subclass gives `shape`, `fill`, `max`, `min` and `_pairs(rows, cols)`,
-    the entries of two broadcast index arrays.
+    the block's shape: it is a table's only producer of entries, and the
+    table functions read every block through it.  `max()` and `min()` are
+    those of the whole table, and np.asarray builds it whole (a copy, so
+    `copy=False` raises ValueError); arithmetic and numpy's reductions need
+    that array.  A subclass gives `shape`, `fill`, `max` and `min`.
     """
 
     shape: tuple[int, int]
@@ -261,26 +263,29 @@ class _BlockTable:
         if not isinstance(key, tuple):
             key = (key, slice(None))
         keys = [k if isinstance(k, slice) else np.asarray(k) for k in key]
-        if len(keys) != 2 or any(isinstance(k, np.ndarray) and k.dtype.kind not in "biu" for k in keys):
-            raise TypeError(f"{type(self).__name__} takes rows or (rows, columns) of slices, integers or index arrays, not {key!r}")
-        rows, cols = (np.flatnonzero(k) if isinstance(k, np.ndarray) and k.dtype.kind == "b" else k for k in keys)
-        arrays = [k for k in (rows, cols) if isinstance(k, np.ndarray)]
-        if len(arrays) < 2 and all(k.ndim == 1 for k in arrays):
-            nr, nc = (len(range(self.shape[0])[k]) if isinstance(k, slice) else k.size for k in (rows, cols))
-            # numpy's layout of t[rows, idx]: F-contiguous
-            out = np.empty((nc, nr)).T if isinstance(rows, slice) and arrays else np.empty((nr, nc))
-            self.fill(rows, cols, out)
-            return out
-        # integers and index arrays broadcast, as numpy's indexing does; a
-        # slice beside them spans its own axis of the result
-        every = np.arange(self.shape[0])
-        if isinstance(rows, slice):
-            rows = every[rows].reshape((-1,) + (1,) * cols.ndim)
-        elif isinstance(cols, slice):
-            rows, cols = rows[..., None], every[cols]
-        return self._pairs(rows, cols)
+        arrays = [k for k in keys if isinstance(k, np.ndarray) and k.ndim]
+        # np.ix_'s pair: (k, 1) integer rows by (1, m) integer columns
+        ix = len(arrays) == 2 and all(k.ndim == 2 and k.dtype.kind in "iu" for k in arrays) and arrays[0].shape[1] == arrays[1].shape[0] == 1
+        single = len(arrays) < 2 and all(
+            isinstance(k, slice) or (k.ndim == 0 and k.dtype.kind in "iu") or (k.ndim == 1 and k.dtype.kind in "biu") for k in keys
+        )
+        if len(keys) != 2 or not (ix or single):
+            raise TypeError(
+                f"{type(self).__name__} takes rows or (rows, columns), each a slice, an integer, an index array, "
+                f"a boolean mask or one side of an np.ix_ pair, not {key!r}"
+            )
+        if any(isinstance(k, np.ndarray) and k.dtype.kind == "b" and k.size != n for n, k in zip(self.shape, keys)):
+            raise IndexError(f"a boolean mask on a {type(self).__name__} needs one entry per row or column, not {key!r}")
+        rows, cols = (k if isinstance(k, slice) else np.flatnonzero(k) if k.dtype.kind == "b" else k.reshape(-1) for k in keys)
+        nr, nc = (len(range(n)[k]) if isinstance(k, slice) else k.size for n, k in zip(self.shape, (rows, cols)))
+        # numpy's layout of t[rows, idx]: F-contiguous
+        out = np.empty((nc, nr)).T if isinstance(rows, slice) and arrays else np.empty((nr, nc))
+        self.fill(rows, cols, out)
+        return out[tuple(0 if isinstance(k, np.ndarray) and k.ndim == 0 else slice(None) for k in keys)]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError(f"a {type(self).__name__} has no array to return without a copy")
         return self[:] if dtype is None else self[:].astype(dtype)
 
 
@@ -294,9 +299,6 @@ class LineDistances(_BlockTable):
     def fill(self, rows, cols, out: np.ndarray) -> None:
         np.subtract(self.x[rows][:, None], self.x[cols], out=out)
         np.abs(out, out=out)
-
-    def _pairs(self, rows: np.ndarray, cols: np.ndarray):
-        return np.abs(self.x[rows] - self.x[cols])
 
     def max(self) -> np.float64:
         # rounding is monotone, so no difference exceeds the extreme one
@@ -380,11 +382,6 @@ class GridCosts(_BlockTable):
         cuts = [0, *(np.flatnonzero(gy[1:] != gy[:-1]) + 1).tolist(), rows.size] if rows.size else []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             yield lo, hi, gy[lo], self._x[rows[lo:hi]]
-
-    def _pairs(self, rows: np.ndarray, cols: np.ndarray):
-        code = self._cy[self._y[rows], self._y[cols]] * self._table.shape[1]
-        code += self._row_index[self._x[rows], self._x[cols]]
-        return self._table.ravel()[code]
 
     def max(self) -> np.float64:
         return self._table.max()

@@ -268,7 +268,7 @@ def solve_w_search(
     caps = np.maximum(ctx.v0[ctx.free], 0.0)
     eval_batch = _batch_subregion_profit(ctx, f.weights, ctx.tol)
     if search.mode is SearchMode.EXHAUSTIVE:
-        g_best, val_best, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
+        g_best, val_best, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates, bound=eval_batch.bound)
     else:
         g_best, val_best, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search, trials=eval_batch.trials)
     return _w_search_report(ctx, f, g_best, val_best, METHOD_W_SEARCH, diag)
@@ -302,8 +302,8 @@ def solve_boundary_control(
     tol = ctx.tol
     ctrl = _control_points(ctx)
     caps = np.maximum(ctx.v0[ctrl], 0.0)
-    dctrl = ctx.cost[np.ix_(ctrl, ctrl)]
     cost_ctrl = ctx.cost[:, ctrl]
+    dctrl = cost_ctrl[ctrl]
     cost_free = ctx.cost[:, ctx.free]
 
     k = ctrl.size

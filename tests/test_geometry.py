@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import Mask
+from spatial_pricing import Mask, geometry
 
 from helpers import region_from_points
 
@@ -145,6 +145,62 @@ class TestCostKernel:
             lhs = c[:, :, None]
             rhs = c[:, None, :] + c[None, :, :]
             assert (lhs <= rhs + 1e-12).all()
+
+
+class TestOnDemandTables:
+    """A key on an on-demand table is one `fill`; `fill` is its only producer of entries."""
+
+    @pytest.fixture(params=["line", "grid"])
+    def tables(self, request):
+        """An on-demand table and eval_cost's table of the same points."""
+        if request.param == "line":
+            kernel, region = sp.CostKernel.metric(1.0), region_from_points([0.25, -1.5, 3.0, 0.75, 2.0, -0.5])
+        else:
+            kernel, region = sp.CostKernel.metric(0.5), sp.build_grid_region(3, 2, ((0.0, 1.5), (-1.0, 1.0)))
+        table = geometry.cost_table(kernel, region)
+        assert isinstance(table, (geometry.LineDistances, geometry.GridCosts))
+        return table, sp.eval_cost(kernel, region)
+
+    def test_an_ix_key_reads_its_block_with_one_fill(self, monkeypatch, tables):
+        table, dense = tables
+        calls = []
+        fill = type(table).fill
+
+        def counted(self, rows, cols, out):
+            calls.append((rows, cols))
+            fill(self, rows, cols, out)
+
+        monkeypatch.setattr(type(table), "fill", counted)
+        for key in [np.ix_([4, 0, 2, 2], [1, 5, 0]), np.ix_([3], [3]), np.ix_([True, False, True, True, False, False], [2, 1])]:
+            calls.clear()
+            got, want = table[key], dense[key]
+            assert len(calls) == 1
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert (got.flags.c_contiguous, got.flags.f_contiguous) == (want.flags.c_contiguous, want.flags.f_contiguous)
+
+    def test_index_arrays_paired_element_by_element_are_refused(self, tables):
+        table, _ = tables
+        rows, cols = np.array([4, 0, 2]), np.array([1, 5, 0])
+        for key in [(rows, cols), (rows[:, None], cols[:, None]), (rows[:, None], slice(None)), (np.ix_(rows, cols)[0], 1)]:
+            with pytest.raises(TypeError, match=f"{type(table).__name__} takes"):
+                table[key]
+
+    def test_a_mask_of_another_length_is_refused(self, tables):
+        table, dense = tables
+        mask = np.arange(6) % 2 == 0
+        for key in [mask, (slice(None), mask), (2, mask)]:
+            assert table[key].tobytes(order="A") == dense[key].tobytes(order="A")
+        for key in [mask[:2], (slice(None), mask[:5]), (np.append(mask, True), 1)]:
+            with pytest.raises(IndexError):
+                dense[key]
+            with pytest.raises(IndexError, match="one entry per row or column"):
+                table[key]
+
+    def test_asarray_without_a_copy_is_refused(self, tables):
+        table, dense = tables
+        with pytest.raises(ValueError, match="without a copy"):
+            np.asarray(table, copy=False)
+        assert np.asarray(table).tobytes() == np.array(table, copy=True).tobytes() == dense.tobytes()
 
 
 class TestMeasureAndPrices:

@@ -644,11 +644,9 @@ def test_bounded_ascent_refuses_a_score_above_its_bound():
         coordinate_ascent(_nan_corner, np.ones(2), starts, cfg, trials=_bounded_trials(_nan_corner, lambda U: np.full(len(U), 10.0)))
 
 
-def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
-    region = sp.build_grid_region(7, 7, fixed_box=((0.3, 0.7), (0.3, 0.7)))
-    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(49, 0.4)))
-    f = sp.CustomerMeasure(np.random.default_rng(3).uniform(0.5, 1.5, 49))
-    cfg = SearchConfig(levels=6, multistarts=4, seed=3)
+def _w_search_rows_scored(monkeypatch, ctx, f, cfg):
+    """Rows `solve_w_search` scores with its bound and with a bound of +inf;
+    both runs must give the same report."""
     rows, reports = {}, {}
     for bounded in (False, True):
         rows[bounded] = 0
@@ -666,7 +664,22 @@ def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
     assert repr(reports[True].profit) == repr(reports[False].profit)
     assert reports[True].optimal_price.values.tobytes() == reports[False].optimal_price.values.tobytes()
     assert reports[True].diagnostics == reports[False].diagnostics
-    assert 0 < rows[True] < 0.6 * rows[False]
+    return rows[True], rows[False]
+
+
+def test_w_search_ascent_scores_fewer_rows_with_its_bound(monkeypatch):
+    region = sp.build_grid_region(7, 7, fixed_box=((0.3, 0.7), (0.3, 0.7)))
+    ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(49, 0.4)))
+    f = sp.CustomerMeasure(np.random.default_rng(3).uniform(0.5, 1.5, 49))
+    bounded, unbounded = _w_search_rows_scored(monkeypatch, ctx, f, SearchConfig(levels=6, multistarts=4, seed=3))
+    assert 0 < bounded < 0.6 * unbounded
+
+
+def test_w_search_exhaustive_scores_fewer_rows_with_its_bound(monkeypatch):
+    ctx, f = _window(9)
+    cfg = SearchConfig(mode=SearchMode.EXHAUSTIVE, levels=5)
+    bounded, unbounded = _w_search_rows_scored(monkeypatch, ctx, f, cfg)
+    assert 0 < bounded < 0.6 * unbounded
 
 
 def test_first_max_keeps_numpy_argmax_rules():
