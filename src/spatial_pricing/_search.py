@@ -128,9 +128,11 @@ def seeded_starts(caps: np.ndarray, search: SearchConfig, *extra: np.ndarray) ->
 
 
 def _sliced(fn: EvalBatch, cells_per_row: int) -> EvalBatch:
-    """`fn`, whose rows span `cells_per_row` cells of temporaries, applied in
-    the row slices of `geometry.row_blocks`, each within BLOCK_CELLS cells;
-    exact by the `EvalBatch` contract."""
+    """`fn` applied in the row slices of `geometry.row_blocks`, each within
+    BLOCK_CELLS cells; exact by the `EvalBatch` contract.  `cells_per_row`
+    is the cells of every temporary a row of `fn` holds at once, a bool
+    mask counting as a float array, so a slice's temporaries stay within
+    the budget together."""
 
     def sliced(batch: np.ndarray) -> np.ndarray:
         if len(batch) * cells_per_row <= geometry.BLOCK_CELLS:

@@ -180,9 +180,10 @@ def _validate_cost_table(t: np.ndarray) -> None:
         raise ValueError("cost table must vanish on the diagonal")
 
 
-# Cells of one temporary (1 MiB of float64), the one memory budget: tables are
-# built and scanned in row blocks of it, and batched search calls run in row
-# slices of it (`_search._sliced`); 2^18 and 2^16 measured slower (README).
+# The one memory budget, in cells (1 MiB of float64): tables are built and
+# scanned in row blocks of it, and batched search calls run in row slices
+# whose temporaries held at once count against it together
+# (`_search._sliced`); 2^18 and 2^16 measured slower (README).
 BLOCK_CELLS = 2**17
 
 

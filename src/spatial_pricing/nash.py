@@ -22,6 +22,9 @@ best offer falls by at most the tolerance; its payoffs are bit-equal to the
 dense ones.  The ascent hands it the trials of a window of coordinates at
 once, so a polish sweep that moves no price takes about log2(m) calls, and
 the hook scores a call's trials together, gathering per-column state rows.
+It scores them in slices of TRIAL_ARRAYS * n cells per pair, the (pairs, n)
+arrays it holds at once, and re-scores in slices of its own, each within
+one budget (`geometry.BLOCK_CELLS`).
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ __all__ = [
 ]
 
 TIE_REL = 1e-11  # cone payoffs within this times (1 + price scale)(1 + mass) of the best tie: float noise picks no margin
+# (pairs, n) arrays a slice of the polish's trial hook holds at once, at its
+# peak in `_income`: the trial offers, the price paid with and without the
+# trial, the best offers, the income's two float temporaries and two bool masks
+TRIAL_ARRAYS = 8
+# (cells, m) arrays the hook's dense re-score holds at once: the trial
+# rows, the cost rows and their sum, whose member mask follows the cost rows
+RESCORE_ARRAYS = 3
 
 
 @dataclass(frozen=True)
@@ -184,6 +194,9 @@ def _player_payoff_batch(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
         V, paid = _value_and_paid(cost_my[None, :, :] + P[:, None, :], P[:, None, :], tol)
         return _income(V, paid, opp_offer, tie_home, weights, tol).sum(axis=1)
 
+    # one budget per (rows, n, m) offer block, its member mask and price
+    # reduce on top: half-size slices, counting the mask, raised the Nash
+    # solve's minor faults, as glibc's thresholds follow the largest block
     return _sliced(payoff, cost_my.size)
 
 
@@ -193,14 +206,17 @@ def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
     call with more raises ValueError), and which scores every trial, floors
     unused.  The score of u with u[idx[k]] replaced by ts[k] is bit-equal to
     that payoff, in O(n) per pair from a cached base point.
-    The pairs of one call are scored in slices of n cells per pair, and the
-    cells a slice re-scores densely in slices of m each (geometry.BLOCK_CELLS).
+    The pairs of one call are scored in slices of TRIAL_ARRAYS * n cells per
+    pair, and the cells a slice re-scores densely in slices of RESCORE_ARRAYS
+    * m each, so each holds at most geometry.BLOCK_CELLS cells at once.
 
     The base state of u is rebuilt when u moves: its offers T = C + u, per
     customer the best offer V, the second-smallest offer s2, the members M
     (offers within tol of V), the price paid (the largest member price) and
-    the second-largest member price pm2.  A trial t at column i gives the
-    offer ci = C[:, i] + t:
+    the second-largest member price pm2.  It is built column by customer,
+    the layout the trials gather, with at most two (m, n) float arrays
+    alive: the partitions run in place in T's buffer.  A trial t at column
+    i gives the offer ci = C[:, i] + t:
     - ci >= V keeps V; the price paid is the one without column i, raised
       to t when ci is a member;
     - ci + tol < V makes ci the only member, so t is paid at V' = ci;
@@ -228,20 +244,21 @@ def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
     def state(u: np.ndarray) -> dict:
         key = u.tobytes()
         if base.get("key") != key:
-            T = C + u
-            V = T.min(axis=1)
-            M = T <= V[:, None] + tol
-            member_prices = np.where(M, u, -np.inf)
-            if m > 1:
-                s2 = np.partition(T, 1, axis=1)[:, 1]
-                top = np.partition(member_prices, m - 2, axis=1)
-                paid, pm2 = top[:, -1:], top[:, -2:-1]
-            else:
-                s2, paid, pm2 = np.full(n, np.inf), member_prices, np.full((n, 1), -np.inf)
-            unique = (T == V[:, None]) & (s2 > V)[:, None]
+            T = Ct + u[:, None]
+            V = T.min(axis=0)
+            M = T <= V + tol
             # per (column, customer): is it the unique best offer, and the price paid without it
-            paid_wo = np.where(M & (u == paid) & ~unique, pm2, paid)
-            base.update(key=key, V=V, Vtol=V + tol, unique=unique.T.copy(), paid_wo=paid_wo.T.copy())
+            unique = T == V
+            if m > 1:
+                T.partition(1, axis=0)
+                unique &= T[1] > V  # s2 lies above V
+            T.fill(-np.inf)
+            np.copyto(T, u[:, None], where=M)  # the member prices
+            if m > 1:
+                T.partition(m - 2, axis=0)
+            paid, pm2 = T[-1], (T[-2] if m > 1 else np.full(n, -np.inf))
+            paid_wo = np.where(M & (u[:, None] == paid) & ~unique, pm2, paid)
+            base.update(key=key, V=V, Vtol=V + tol, unique=unique, paid_wo=paid_wo)
         return base
 
     def trials(points: np.ndarray, owner: np.ndarray, idx: np.ndarray, ts: np.ndarray, floors) -> np.ndarray:
@@ -258,10 +275,10 @@ def _player_trial_scores(ctx: GameContext, my_idx: np.ndarray, opp_offer: np.nda
             redo = np.flatnonzero((lower & (ci + tol >= V)) | b["unique"][i])
             if redo.size:
                 trial_rows = _trial_rows(points, owner[ks], i, ts[ks])
-                out.flat[redo] = _sliced(lambda flat: rescore(trial_rows, flat), m)(redo)
+                out.flat[redo] = _sliced(lambda flat: rescore(trial_rows, flat), RESCORE_ARRAYS * m)(redo)
             return out.sum(axis=1)
 
-        return _sliced(scores, n)(np.arange(len(ts)))
+        return _sliced(scores, TRIAL_ARRAYS * n)(np.arange(len(ts)))
 
     return trials
 

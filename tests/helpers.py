@@ -1,9 +1,12 @@
 """Shared builders for randomized test instances."""
 
+import tracemalloc
+
 import numpy as np
 
 import spatial_pricing as sp
 from spatial_pricing import ctransform as ct
+from spatial_pricing import geometry
 
 
 def region_from_points(points, mask=None):
@@ -176,6 +179,18 @@ def dense_tie_break(member, prices, within):
 def dense_capture_transport(member, cost, free):
     """Cheapest c(x, y) over the argmin set of x within the free part, +inf where that is empty."""
     return np.where(member[:, free], cost[:, free], np.inf).min(axis=1)
+
+
+def peak_budgets(call):
+    """The traced peak of `call()` (numpy reports its buffers to tracemalloc)
+    in budgets of `geometry.BLOCK_CELLS` float64 cells, and its result."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * geometry.BLOCK_CELLS), out
 
 
 def plain_objective(score, n, m, value=None, bound=None):

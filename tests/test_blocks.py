@@ -6,8 +6,6 @@ blocks and blocks with a shorter last one.  The dense oracles live in
 block merged along the reduced axis could flip the sign of a zero.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -24,6 +22,7 @@ from helpers import (
     dense_scale_tol,
     dense_tie_break,
     dense_value_table,
+    peak_budgets,
     random_points,
     region_from_points,
 )
@@ -164,14 +163,8 @@ def test_model_two_report_path(blocks, seed):
 
 
 def _peak_over_table(call, n):
-    """Traced peak of `call()` (numpy reports its buffers to tracemalloc) over the bytes of an n x n float table."""
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / (8 * n * n)
+    """Traced peak of `call()` over the bytes of an n x n float table."""
+    return peak_budgets(call)[0] * geometry.BLOCK_CELLS / (n * n)
 
 
 # several blocks each: 2^18 cells is 218 rows of a 1201-point table

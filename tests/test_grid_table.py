@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from spatial_pricing import ctransform as ct
 from spatial_pricing import geometry
 from spatial_pricing.geometry import GridCosts, LineDistances, cost_table
 
-from helpers import region_from_points, table_outputs
+from helpers import peak_budgets, region_from_points, table_outputs
 
 KERNELS = [sp.CostKernel.metric(1.0), sp.CostKernel.metric(0.5), sp.CostKernel.metric(0.3), sp.CostKernel.quadratic()]
 KERNEL_IDS = ["metric_1", "metric_half", "metric_0.3", "quadratic"]
@@ -200,15 +199,10 @@ def test_metric_closed_form_on_a_grid_stays_within_the_block_budget(nx, ny):
     rng = np.random.default_rng(0)
     p0 = sp.PricePattern(rng.uniform(0.2, 1.0, n))
     f = sp.CustomerMeasure(rng.uniform(0.5, 1.5, n))
-    tracemalloc.start()
-    try:
-        model_one.solve_metric(p0, sp.CostKernel.metric(0.5), region, f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    bound = 4 * geometry.BLOCK_CELLS * 8 + 16 * 8 * n + max(nx * n + nx * nx, 3 * nx * nx) * 8
-    assert bound < n * n * 8
-    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+    peak, _ = peak_budgets(lambda: model_one.solve_metric(p0, sp.CostKernel.metric(0.5), region, f))
+    bound = 4 + (16 * n + max(nx * n + nx * nx, 3 * nx * nx)) / geometry.BLOCK_CELLS
+    assert bound < n * n / geometry.BLOCK_CELLS
+    assert peak < bound, f"peak {peak:.2f} budgets, bound {bound:.2f}"
 
 
 def test_building_a_grid_context_imports_no_module():

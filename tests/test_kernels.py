@@ -6,7 +6,6 @@ returns the dense objective's scores."""
 
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,7 +16,7 @@ from spatial_pricing import GameContext, Mask, PartitionContext, _search, geomet
 from spatial_pricing import ctransform as ct
 from spatial_pricing.geometry import eval_cost
 
-from helpers import checked_reformulate, dense_superdifferential_mask, plain_objective, random_kernel, random_partitioned_region, random_points, region_from_points
+from helpers import checked_reformulate, dense_superdifferential_mask, peak_budgets, plain_objective, random_kernel, random_partitioned_region, random_points, region_from_points
 
 
 def _general_profit_reference(cost, p0, weights, tol):
@@ -418,13 +417,8 @@ def test_boundary_control_memory_stays_within_the_budget(monkeypatch):
     ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(81, 0.4)))
     eval_batch, caps = _captured_objective(monkeypatch, ctx, sp.CustomerMeasure.uniform(81), sp.SearchConfig())
     G = np.random.default_rng(0).uniform(0.0, 1.0, (4096, caps.size)) * caps
-    tracemalloc.start()
-    try:
-        eval_batch(G)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
+    peak, _ = peak_budgets(lambda: eval_batch(G))
+    assert peak < 3, peak
 
 
 def test_lipschitz_check_stays_within_the_budget():
@@ -433,14 +427,9 @@ def test_lipschitz_check_stays_within_the_budget():
     region = sp.build_grid_region(6, 6, fixed_box=((0.2, 0.8), (0.2, 0.8)))
     ctx = PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(36, 0.6)))
     f, search = sp.CustomerMeasure.uniform(36), sp.SearchConfig(levels=3)
-    tracemalloc.start()
-    try:
-        report = model_two.solve_boundary_control(ctx, f, search)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, report = peak_budgets(lambda: model_two.solve_boundary_control(ctx, f, search))
     assert report.diagnostics["search_space"] == 3**8 and len(report.diagnostics["control_indices"]) == 8
-    assert peak < 2 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
+    assert peak < 2, peak
 
 
 # The value-keyed memo behind the three objectives

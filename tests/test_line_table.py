@@ -2,8 +2,6 @@
 (`geometry.LineDistances`), gives every table function the bytes of
 `eval_cost`'s dense table, and a context keeps no n x n array with it."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ import spatial_pricing as sp
 from spatial_pricing import geometry, model_one, model_two
 from spatial_pricing.geometry import LineDistances, cost_table
 
-from helpers import region_from_points, table_outputs
+from helpers import peak_budgets, region_from_points, table_outputs
 
 METRIC = sp.CostKernel.metric(1.0)
 
@@ -137,11 +135,6 @@ def test_metric_closed_form_stays_within_the_block_budget():
     rng = np.random.default_rng(0)
     p0 = sp.PricePattern(rng.uniform(0.2, 1.0, n))
     f = sp.CustomerMeasure(rng.uniform(0.5, 1.5, n))
-    tracemalloc.start()
-    try:
-        model_one.solve_metric(p0, METRIC, region, f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    bound = 4 * geometry.BLOCK_CELLS * 8 + 16 * 8 * n
-    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+    peak, _ = peak_budgets(lambda: model_one.solve_metric(p0, METRIC, region, f))
+    bound = 4 + 16 * n / geometry.BLOCK_CELLS  # four blocks and 16 (n,) arrays
+    assert peak < bound, f"peak {peak:.2f} budgets, bound {bound:.2f}"

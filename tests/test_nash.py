@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +20,8 @@ from spatial_pricing.nash import (
     payoffs,
     verify_equilibrium,
 )
+
+from helpers import peak_budgets
 
 METRIC = sp.CostKernel.metric(1.0)
 
@@ -533,13 +534,52 @@ def test_cone_scan_memory_stays_within_the_budget():
     cones = np.minimum(caps[None, :], margins[:, None] + frontier[None, :])
     assert len(cones) * n * my_idx.size > 30 * geometry.BLOCK_CELLS
     pay = _player_payoff_batch(ctx, my_idx, opp_offer, ctx.tie_home("A"), ctx.tol)
-    tracemalloc.start()
-    try:
-        pay(cones)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
+    peak, _ = peak_budgets(lambda: pay(cones))
+    assert peak < 2, peak
+
+
+def _budget_game():
+    """The n = 201 split game of the cone scan test, against the opponent's constant 1.0."""
+    n = 201
+    ctx = GameContext.from_split(sp.build_interval_region(n, 0.0, 1.0), METRIC, 0.5, sp.CustomerMeasure.uniform(n))
+    return ctx, np.full(n, 1.0)
+
+
+def test_one_step_polish_trials_stay_within_two_budgets(monkeypatch):
+    # every one-step trial of the polish's start in one hook call: ~700
+    # pairs of 201 customers each, scored in slices of the budget
+    import spatial_pricing.nash as nash_mod
+
+    ctx, opponent = _budget_game()
+    seen = {}
+
+    def polish(eval_batch, caps, starts, search, **kwargs):
+        seen.update(dense=eval_batch, caps=caps, u=starts[0], step=kwargs["step"], trials=kwargs["trials"])
+        return starts[0], float(eval_batch(starts[0][None])[0]), {"evaluations": 1}
+
+    monkeypatch.setattr(nash_mod, "coordinate_ascent", polish)
+    best_response("A", opponent, ctx)
+    u, caps, step = seen["u"], seen["caps"], seen["step"]
+    idx, ts = [], []
+    for i, (base, cap) in enumerate(zip(u.tolist(), caps.tolist())):
+        # the moves of `coordinate_ascent`'s trials at one step level, with the on-grid cap
+        moves = [base + d * step for d in (-2, -1, 1, 2)] + [0.0, cap, math.floor(cap / step + 1e-12) * step]
+        fresh = sorted({min(max(t, 0.0), cap) for t in moves} - {base})
+        idx += [i] * len(fresh)
+        ts += fresh
+    assert len(ts) > 600
+    hook = _at_point(seen["trials"])
+    idx, ts = np.array(idx, dtype=np.intp), np.array(ts)
+    peak, _ = peak_budgets(lambda: hook(u, idx, ts))
+    assert peak < 2, peak
+    _assert_trials_match(seen["dense"], hook, u, idx, ts)
+
+
+def test_best_response_stays_within_two_budgets():
+    ctx, opponent = _budget_game()
+    peak, r = peak_budgets(lambda: best_response("A", opponent, ctx))
+    assert r.diagnostics["evaluations"] > 800  # 201 margins, then the polish's trials
+    assert peak < 2, peak
 
 
 @pytest.mark.parametrize("price_cap", [None, 0.3, 1e-10])

@@ -1,7 +1,6 @@
 """The search solvers share one start set-up and one diagnostics shape."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from spatial_pricing import _search, geometry, model_one, model_two
 from spatial_pricing import ctransform as ct
 from spatial_pricing._search import SearchConfig, SearchMode, coordinate_ascent, seeded_starts
 
-from helpers import plain_objective
+from helpers import peak_budgets, plain_objective
 
 SEARCH_KEYS = {
     SearchMode.ASCENT: {"mode", "evaluations", "starts"},
@@ -431,14 +430,9 @@ def test_bounded_scan_memory_does_not_grow_with_candidates():
     region = sp.build_interval_region(n, 0.0, 1.0, fixed_window=(0.3, 0.7))
     ctx = model_two.PartitionContext.build(region, sp.CostKernel.metric(1.0), sp.PricePattern(np.full(n, 0.4)))
     f = sp.CustomerMeasure(np.random.default_rng(0).uniform(0.5, 1.5, n))
-    tracemalloc.start()
-    try:
-        report = model_two.solve_boundary_control(ctx, f, SearchConfig(grid_n=grid_n))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, report = peak_budgets(lambda: model_two.solve_boundary_control(ctx, f, SearchConfig(grid_n=grid_n)))
     assert report.diagnostics["search_space"] == grid_n**2 >= 500_000
-    assert peak < 2 * geometry.BLOCK_CELLS * 8, peak / (geometry.BLOCK_CELLS * 8)
+    assert peak < 2, peak
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
