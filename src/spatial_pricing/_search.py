@@ -95,15 +95,25 @@ class SearchMode(enum.Enum):
 class SearchConfig:
     """Knobs for the discrete solvers.
 
-    levels       : quantization levels per point (exhaustive grid, initial
-                   ascent step = cap / (levels - 1)).
-    multistarts  : ascent starts, counting the deterministic ones (zero, the
-                   caps, half the caps, solver extras) and topped up with
-                   seeded random ones; when the deterministic ones are more,
-                   all of them run (model one with multistarts=4 runs 5).
-    grid_n       : per-axis resolution of the low-dimensional scans
-                   (two-parameter interval solver, boundary controls).
-    price_cap    : optional absolute cap overriding the derived per-point caps.
+    mode            : EXHAUSTIVE scans the product grid of `levels` prices per
+                      coordinate, ASCENT runs multi-start coordinate ascent
+                      (boundary control scans when its grid fits the budget).
+    levels          : quantization levels per point (exhaustive grid, initial
+                      ascent step = cap / (levels - 1)).
+    multistarts     : ascent starts, counting the deterministic ones (zero, the
+                      caps, half the caps, solver extras) and topped up with
+                      seeded random ones; when the deterministic ones are more,
+                      all of them run (model one with multistarts=4 runs 5).
+    seed            : seed of the random ascent starts, so a run repeats.
+    max_candidates  : budget of an exhaustive scan: one of more candidates
+                      (levels ** coordinates) raises BudgetExceededError.
+    max_sweeps      : sweeps over every coordinate per ascent step; a step
+                      ends early after a sweep that moves nothing.
+    refine_halvings : times the ascent step halves after its first level (the
+                      default step halves no further than MIN_STEP).
+    grid_n          : per-axis resolution of the low-dimensional scans
+                      (two-parameter interval solver, boundary controls).
+    price_cap       : optional absolute cap overriding the derived per-point caps.
     """
 
     mode: SearchMode = SearchMode.ASCENT

@@ -1,12 +1,13 @@
 """Whole-region pricing: the agent chooses prices everywhere under a cap.
 
 The profit of a price pattern p sums, over customers, the price actually paid
-at the tie-broken purchase location.  The same profit can be evaluated from
-the customer value function v alone, which is the variable the general solver
-searches over.  Model one is model two with nothing fixed: every function
-works on a `PartitionContext.whole` context and reports through model two's
-report, and `solve_general` scores generator prices with `w_search`'s
-generator score, over every point and with no outside option.
+at the tie-broken purchase location; it can also be evaluated from the
+customer value function v alone, which the general solver searches over.
+Model one is model two with nothing fixed: every function works on
+`PartitionContext.whole`, a full model-two context with p0 = v0 = +inf.
+`solve_general` builds its objective with model two's one constructor and
+reports through the one report, which checks its score; it adds only its
+bound and [0, v0] checks.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import ctransform as ct
-from ._search import BudgetExceededError, Objective, SearchConfig, SearchMode, ValueMap, coordinate_ascent, exhaustive_product, seeded_starts
+from ._search import BudgetExceededError, SearchConfig, SearchMode, ValueMap, coordinate_ascent, exhaustive_product, seeded_starts
 from .geometry import CostKernel, CustomerMeasure, PricePattern, Region
-from .model_two import PartitionContext, SolveReport, _capture_and_profit, _price_report
+from .model_two import PartitionContext, SolveReport, _capture_and_profit, _generator_objective, _report
 
 __all__ = [
     "SolveReport",
@@ -75,8 +76,7 @@ def solve_metric(
     if not kernel.is_metric:
         raise ValueError("the closed form needs a metric cost kernel")
     ctx = PartitionContext.whole(region, kernel)
-    popt = ct.value_table(p0.values, ctx.cost)
-    return _price_report(ctx, f, PricePattern(popt), None, METHOD_METRIC, {})
+    return _report(ctx, f, PricePattern(ct.value_table(p0.values, ctx.cost)), METHOD_METRIC, {})
 
 
 def solve_general(
@@ -111,9 +111,9 @@ def solve_general(
         caps = np.maximum(-ct.c_transform_table(v0, cost), 0.0)
 
     value = ValueMap(cost, clamp=bound)
-    args = (cost, ctx.v0, f.weights, tol)
-    eval_batch = Objective(ct._generator_score(*args), *cost.shape, value=value, bound=ct._generator_bound(*args))
+    eval_batch = _generator_objective(ctx, f, cost, value)
     if search.mode is SearchMode.EXHAUSTIVE:
+        # no bound=: under the quadratic cost and bound x - x^2/2 + 0.05 it slowed this scan 1.25-1.59x (BENCH_one_exhaustive_bound.json)
         g_best, val_best, diagnostics = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates)
     else:
         starts = seeded_starts(caps, search, v0, 0.5 * v0)
@@ -121,11 +121,7 @@ def solve_general(
 
     # the canonical price -v^c; its value function is the double transform of v
     price = PricePattern(-ct.c_transform_table(value(g_best), cost))
-    report = _price_report(ctx, f, price, None, METHOD_GENERAL, diagnostics)
-    if abs(report.profit - val_best) > ct._check_slack(tol, f.total_mass):
-        raise RuntimeError(
-            f"price-side and value-side profits disagree: {report.profit} vs {val_best}"
-        )
+    report = _report(ctx, f, price, METHOD_GENERAL, diagnostics, score=val_best)
     if np.any(report.optimal_price.values > bound + tol):
         raise RuntimeError("optimal price exceeds the bound")
     if np.any(report.optimal_value < -tol) or np.any(report.optimal_value > v0 + tol):

@@ -78,10 +78,12 @@ class SolveReport:
 class PartitionContext:
     """Region with FIXED/FREE split, the imposed prices, and derived tables.
 
-    `free` and `fixed` are index arrays.  v0 is the customers' best total
-    cost using fixed shops only; `build` makes it finite and nonnegative
-    everywhere (the imposed prices must be proper and >= 0).  Model one's
-    context, `whole`, has every point free, nothing fixed and v0 = +inf.
+    `free` and `fixed` are index arrays.  p0 holds the imposed prices and
+    v0 the customers' best total cost using fixed shops only; `build` makes
+    v0 finite and nonnegative everywhere (the imposed prices must be proper
+    and >= 0).  Model one's context, `whole`, has every point free and
+    nothing fixed, with p0 and v0 +inf everywhere: the profit, reformulation
+    and report functions take it as they take any context.
     `cost` is `geometry.cost_table`'s, which the table functions take as it
     is; a search gathers the dense columns it searches over from it.  For
     the distance on a line it is a `geometry.LineDistances`, and on a full
@@ -91,9 +93,9 @@ class PartitionContext:
 
     region: Region
     kernel: CostKernel
-    p0: Optional[PricePattern]
+    p0: PricePattern
     cost: Union[np.ndarray, LineDistances, GridCosts]
-    v0: Union[np.ndarray, float]
+    v0: np.ndarray
     free: np.ndarray
     fixed: np.ndarray
 
@@ -118,10 +120,11 @@ class PartitionContext:
     @classmethod
     def whole(cls, region: Region, kernel: CostKernel) -> "PartitionContext":
         """Model one's context: the agent prices all of the region, so no
-        customer shops outside (v0 = +inf) and there are no imposed prices;
-        the region's mask is ignored."""
+        price is imposed (p0 = +inf) and no customer shops outside
+        (v0 = +inf); the region's mask is ignored."""
         every = np.arange(region.size)
-        return cls(region, kernel, None, cost_table(kernel, region), np.inf, every, every[:0])
+        p0 = PricePattern(np.full(region.size, np.inf))
+        return cls(region, kernel, p0, cost_table(kernel, region), p0.values, every, every[:0])
 
     @cached_property
     def tol(self) -> float:
@@ -137,11 +140,8 @@ class PartitionContext:
         vals = p.values
         if len(vals) != self.region.size:
             raise ValueError("price pattern does not match the region")
-        fixed = self.fixed
-        same = (vals[fixed] == self.p0.values[fixed]) | (
-            np.isinf(vals[fixed]) & np.isinf(self.p0.values[fixed])
-        )
-        if not same.all():
+        # +inf == +inf, and a PricePattern holds no NaN
+        if not (vals[self.fixed] == self.p0.values[self.fixed]).all():
             raise ValueError("price pattern must equal the imposed prices on the fixed part")
         if not np.isfinite(vals[self.free]).all():
             raise ValueError("prices must be finite on the free part")
@@ -169,14 +169,28 @@ def _capture_and_profit(ctx: PartitionContext, vals: np.ndarray, f: CustomerMeas
     return expenditure, captured, choice, profit_price_form, profit_value_form
 
 
-def _price_report(
-    ctx: PartitionContext, f: CustomerMeasure, price: PricePattern, value: Optional[np.ndarray], method: str, diagnostics: dict
+def _report(
+    ctx: PartitionContext, f: CustomerMeasure, price: PricePattern, method: str, diagnostics: dict,
+    value: Optional[np.ndarray] = None, score: Optional[float] = None,
 ) -> SolveReport:
     """Report of `price` as it stands: tie-broken choices, capture set and
-    price-side profit; a `value` of None reports the price's own value
-    function, the customers' expenditure."""
+    price-side profit, with `value` as its value function (default: the
+    price's own, the customers' expenditure).  Given the search's `score`,
+    it runs every search's checks: the price-side profit and the score each
+    agree with the value-side profit of `value`, and the capture set is
+    {value <= v0}."""
     expenditure, captured, choice, profit, _ = _capture_and_profit(ctx, price.values, f)
-    return SolveReport(price, expenditure if value is None else value, profit, choice, method, diagnostics, captured)
+    value = expenditure if value is None else value
+    if score is not None:
+        j_value = profit_from_values(value, ctx, f)
+        slack = ct._check_slack(ctx.tol, f.total_mass)
+        if abs(profit - j_value) > slack:
+            raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
+        if abs(score - j_value) > slack:
+            raise RuntimeError(f"search score {score} differs from value-side profit {j_value}")
+        if np.any(captured != (value <= ctx.v0 + ctx.tol)):
+            raise RuntimeError("capture set differs from {w <= v0}")
+    return SolveReport(price, value, profit, choice, method, diagnostics, captured)
 
 
 def profit_from_prices(
@@ -203,8 +217,7 @@ def reformulate(p: PricePattern, ctx: PartitionContext) -> tuple[np.ndarray, Pri
     if np.any(vals[free] < -ctx.tol):
         raise ValueError("reformulation expects nonnegative prices; clamp first")
     w = ct.value_table(vals, ctx.cost, free)
-    u_t = ct.c_transform_table(w, ctx.cost, free)
-    return w, ctx.full_prices(-u_t)
+    return w, ctx.full_prices(-ct.c_transform_table(w, ctx.cost, free))
 
 
 def profit_from_values(
@@ -220,36 +233,11 @@ def profit_from_values(
     return ct._value_profit(w, ctx.cost, ctx.free, ctx.v0, f.weights, ctx.tol)
 
 
-def _batch_subregion_profit(ctx: PartitionContext, weights: np.ndarray, tol: float):
-    """Batched profit of free generator prices G (B, |free|), with its upper bound."""
-    cost_free = ctx.cost[:, ctx.free]
-    args = (cost_free, ctx.v0, weights, tol)
-    return Objective(ct._generator_score(*args), *cost_free.shape, value=ValueMap(cost_free), bound=ct._generator_bound(*args))
-
-
-def _report(
-    ctx: PartitionContext, f: CustomerMeasure, free_prices: np.ndarray, method: str, diagnostics: dict
-) -> SolveReport:
-    """Report of `free_prices`: their reformulated pattern, the value it generates and its price-side profit."""
-    w, price = reformulate(ctx.full_prices(free_prices), ctx)
-    return _price_report(ctx, f, price, w, method, diagnostics)
-
-
-def _w_search_report(
-    ctx: PartitionContext, f: CustomerMeasure, g_best: np.ndarray, best: float, method: str, diagnostics: dict
-) -> SolveReport:
-    """Report of the free generator prices `g_best`, which the search scored `best`."""
-    report = _report(ctx, f, g_best, method, diagnostics)
-    w, profit = report.optimal_value, report.profit
-    j_value = profit_from_values(w, ctx, f)
-    slack = ct._check_slack(ctx.tol, f.total_mass)
-    if abs(profit - j_value) > slack:
-        raise RuntimeError(f"price-side profit {profit} differs from value-side {j_value}")
-    if abs(best - j_value) > slack:
-        raise RuntimeError(f"search score {best} differs from value-side profit {j_value}")
-    if np.any(report.captured != (w <= ctx.v0 + ctx.tol)):
-        raise RuntimeError("capture set differs from {w <= v0}")
-    return report
+def _generator_objective(ctx: PartitionContext, f: CustomerMeasure, cols: np.ndarray, value: ValueMap) -> Objective:
+    """Every model-one and model-two search objective: the generator score,
+    with its bound, of the values `value` maps prices to, over the dense cost columns `cols`."""
+    args = (cols, ctx.v0, f.weights, ctx.tol)
+    return Objective(ct._generator_score(*args), *cols.shape, value=value, bound=ct._generator_bound(*args))
 
 
 def solve_w_search(
@@ -265,18 +253,22 @@ def solve_w_search(
     """
     if f.total_mass <= 0:
         raise ValueError("the customer measure must have positive mass")
+    if ctx.fixed.size == 0:
+        raise ValueError("w_search needs a fixed part: without one its price caps v0 are +inf")
     caps = np.maximum(ctx.v0[ctx.free], 0.0)
-    eval_batch = _batch_subregion_profit(ctx, f.weights, ctx.tol)
+    cost_free = ctx.cost[:, ctx.free]
+    eval_batch = _generator_objective(ctx, f, cost_free, ValueMap(cost_free))
     if search.mode is SearchMode.EXHAUSTIVE:
         g_best, val_best, diag = exhaustive_product(eval_batch, caps, search.levels, search.max_candidates, bound=eval_batch.bound)
     else:
         g_best, val_best, diag = coordinate_ascent(eval_batch, caps, seeded_starts(caps, search), search, trials=eval_batch.trials)
-    return _w_search_report(ctx, f, g_best, val_best, METHOD_W_SEARCH, diag)
+    w, price = reformulate(ctx.full_prices(g_best), ctx)
+    return _report(ctx, f, price, METHOD_W_SEARCH, diag, value=w, score=val_best)
 
 
 def _control_points(ctx: PartitionContext) -> np.ndarray:
     ctrl = np.nonzero(ctx.region.boundary_of_fixed & (ctx.region.mask == Mask.FREE))[0]
-    if ctrl.size == 0:
+    if ctrl.size == 0 or ctx.fixed.size == 0:  # a whole context has no interface, whatever its region's mask
         raise ValueError("boundary control needs free interface points")
     return ctrl
 
@@ -314,8 +306,7 @@ def solve_boundary_control(
         return (gap <= tol).all(axis=(1, 2))
 
     feasible = _sliced(lipschitz, k * k)  # the gap is k x k cells per row
-    args = (cost_free, ctx.v0, f.weights, tol)
-    objective = Objective(ct._generator_score(*args), *cost_free.shape, value=ValueMap(cost_ctrl), bound=ct._generator_bound(*args))
+    objective = _generator_objective(ctx, f, cost_free, ValueMap(cost_ctrl))
     levels = search.grid_n if search.grid_n**k <= search.max_candidates else search.levels
     if levels**k <= search.max_candidates:
         phi_best, val_best, diag = exhaustive_product(
@@ -329,7 +320,8 @@ def solve_boundary_control(
     w = ct.value_table(phi_best, cost_ctrl)
     diag = {**diag, "control_indices": ctrl.tolist(), "control_prices": phi_best.tolist()}
     # the free generator prices are w on the free part: the metric table is symmetric
-    report = _w_search_report(ctx, f, w[ctx.free], val_best, METHOD_BOUNDARY, diag)
+    value, price = reformulate(ctx.full_prices(w[ctx.free]), ctx)
+    report = _report(ctx, f, price, METHOD_BOUNDARY, diag, value=value, score=val_best)
     if np.max(np.abs(report.optimal_value - w)) > ct._check_slack(tol):
         raise RuntimeError("interface-generated value function is inconsistent")
     return report
@@ -428,4 +420,5 @@ def one_d_reduction(
     xa = x[np.argmin(np.abs(x - alpha))]
     xb = x[np.argmin(np.abs(x - beta))]
     cone = np.minimum(p1 + np.abs(x - xa), p2 + np.abs(x - xb))
-    return _report(ctx, f, cone, METHOD_ONE_D, diagnostics)
+    w, price = reformulate(ctx.full_prices(cone), ctx)
+    return _report(ctx, f, price, METHOD_ONE_D, diagnostics, value=w)

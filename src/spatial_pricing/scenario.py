@@ -380,7 +380,7 @@ def _reported(solve: Callable[[Scenario], Any]) -> Callable[[Scenario], tuple]:
 def _quadratic_reference(sc: Scenario):
     v, p, _ = model_one.quadratic_1d_reference(sc.region.coords_1d())
     ctx = model_two.PartitionContext.whole(sc.region, sc.kernel)
-    return model_two._price_report(ctx, sc.measure, PricePattern(p), v, model_one.METHOD_QUADRATIC_REFERENCE, {})
+    return model_two._report(ctx, sc.measure, PricePattern(p), model_one.METHOD_QUADRATIC_REFERENCE, {}, value=v)
 
 
 def _partition(sc: Scenario) -> model_two.PartitionContext:

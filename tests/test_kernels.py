@@ -102,6 +102,13 @@ def _model_two_case(seed):
     return (ctx, weights, ctx.tol), G
 
 
+def _subregion_objective(ctx, weights, tol):
+    """`solve_w_search`'s objective over the free columns, from the one
+    constructor; `tol` is the context's own."""
+    cost_free = ctx.cost[:, ctx.free]
+    return model_two._generator_objective(ctx, sp.CustomerMeasure(weights), cost_free, _search.ValueMap(cost_free))
+
+
 def _boundary_control_objective(monkeypatch, max_candidates=2_000_000):
     """The boundary-control objective, captured on its way into the scan, or
     into the ascent when the scan does not fit `max_candidates`."""
@@ -185,7 +192,7 @@ def test_clamped_generators_give_the_clipped_value_bits(first):
 @pytest.mark.parametrize("seed", range(25))
 def test_subregion_profit_matches_one_expression_form(seed):
     args, G = _model_two_case(seed)
-    assert np.array_equal(model_two._batch_subregion_profit(*args)(G), _subregion_profit_reference(*args)(G))
+    assert np.array_equal(_subregion_objective(*args)(G), _subregion_profit_reference(*args)(G))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -193,7 +200,7 @@ def test_row_scores_do_not_depend_on_the_batch(monkeypatch, seed):
     args, G = _model_one_case(seed)
     _assert_rows_independent(_general_objective(monkeypatch, *args), G)
     args, G = _model_two_case(seed)
-    _assert_rows_independent(model_two._batch_subregion_profit(*args), G)
+    _assert_rows_independent(_subregion_objective(*args), G)
 
 
 def test_boundary_control_rows_do_not_depend_on_the_batch(monkeypatch):
@@ -397,7 +404,7 @@ def test_scores_do_not_depend_on_the_budget(monkeypatch, seed):
     nash_args, P = _nash_payoff_case(seed)
     objectives = [
         (lambda: _general_objective(monkeypatch, *one_args), G1),
-        (lambda: model_two._batch_subregion_profit(*two_args), G2),
+        (lambda: _subregion_objective(*two_args), G2),
         (lambda: nash._player_payoff_batch(*nash_args), P),
     ]
     caps = _boundary_control_objective(monkeypatch)[1]
@@ -435,9 +442,10 @@ def test_lipschitz_check_stays_within_the_budget():
 # The value-keyed memo behind the three objectives
 
 
-def _count_scored(monkeypatch, module):
-    """Route `module`'s memoized objectives through a counter of the rows
-    their `score` sees; the counter also keeps the last (value, score) pair."""
+def _count_scored(monkeypatch):
+    """Route the memoized objectives of the one constructor,
+    `model_two._generator_objective`, through a counter of the rows their
+    `score` sees; the counter also keeps the last (value, score) pair."""
     record = {"rows": 0}
 
     def counted(score, n, m, value=None, bound=None):
@@ -448,13 +456,13 @@ def _count_scored(monkeypatch, module):
         record.update(value=value, score=score, n=n, m=m)
         return _search.Objective(counted_score, n, m, value, bound)
 
-    monkeypatch.setattr(module, "Objective", counted)
+    monkeypatch.setattr(model_two, "Objective", counted)
     return record
 
 
-def _dense(monkeypatch, module):
-    """Build `module`'s objectives without the memo: score(value(G)) on every row."""
-    monkeypatch.setattr(module, "Objective", plain_objective)
+def _dense(monkeypatch):
+    """Build the one constructor's objectives without the memo: score(value(G)) on every row."""
+    monkeypatch.setattr(model_two, "Objective", plain_objective)
 
 
 def _ascent_batches(rng, caps, inactive, count=6):
@@ -474,23 +482,23 @@ def _memo_cases(monkeypatch, seed):
     rng = np.random.default_rng(100 + seed)
     (p0, kernel, region, weights), _ = _model_one_case(seed)
     args = (0.5 * p0, kernel, region, weights)  # the clamp at the bound binds on many rows
-    record = _count_scored(monkeypatch, model_one)
+    record = _count_scored(monkeypatch)
     one = _general_objective(monkeypatch, *args)
     inactive = 2.0 * eval_cost(kernel, region).max() + 4.0
     batches = list(_ascent_batches(rng, np.full(len(p0), 2.0), inactive))
     yield one, _general_reference(*args), batches, record
 
     args, _ = _model_two_case(seed)
-    record = _count_scored(monkeypatch, model_two)
-    two = model_two._batch_subregion_profit(*args)
+    record = _count_scored(monkeypatch)
+    two = _subregion_objective(*args)
     inactive = 2.0 * args[0].cost.max() + 4.0
     yield two, _subregion_profit_reference(*args), list(_ascent_batches(rng, np.full(args[0].free.size, 2.0), inactive)), record
 
     # boundary control's objective, taken on its way into the ascent
-    record = _count_scored(monkeypatch, model_two)
+    record = _count_scored(monkeypatch)
     bc, caps = _boundary_control_objective(monkeypatch, max_candidates=10)
     with monkeypatch.context() as patch:
-        _dense(patch, model_two)
+        _dense(patch)
         dense = _boundary_control_objective(patch, max_candidates=10)[0]
     yield bc, dense, list(_ascent_batches(rng, caps, 10.0)), record
 
@@ -532,7 +540,7 @@ def test_memo_scores_a_batch_larger_than_itself(monkeypatch):
     args, G = _model_one_case(3)
     n = len(args[0])
     monkeypatch.setattr(_search, "MEMO_CELLS", 2 * n)  # two entries
-    record = _count_scored(monkeypatch, model_one)
+    record = _count_scored(monkeypatch)
     memoized = _general_objective(monkeypatch, *args)
     G = np.concatenate([G, G[:5]])
     keys = _keys(record["value"](G))
@@ -556,7 +564,7 @@ def test_objectives_die_without_a_gc_pass():
     bounded = lambda: _search.Objective(  # noqa: E731
         ct._generator_score(*args), *cost_free.shape, value=lambda G: np.min(cost_free + G[:, None, :], axis=2), bound=ct._generator_bound(*args)
     )
-    cases = [(bounded, G), (lambda: model_two._batch_subregion_profit(ctx, weights, tol), G)]
+    cases = [(bounded, G), (lambda: _subregion_objective(ctx, weights, tol), G)]
     gc.disable()
     try:
         for build, batch in cases:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spatial_pricing as sp
-from spatial_pricing import Mask, PartitionContext, SearchConfig, SearchMode, model_two
+from spatial_pricing import Mask, PartitionContext, SearchConfig, SearchMode, model_one, model_two
 from spatial_pricing import ctransform as ct
 from spatial_pricing.ctransform import NotCConcaveError, assignment_table, c_transform_table
 from spatial_pricing.model_two import (
@@ -23,6 +23,7 @@ from helpers import (
     clamp_free_prices,
     random_kernel,
     random_partitioned_region,
+    random_points,
     region_from_points,
 )
 
@@ -73,6 +74,37 @@ class TestContext:
         vals[fixed[0]] = 0.5
         ctx = PartitionContext.build(region, METRIC, sp.PricePattern(vals))
         assert np.isfinite(ctx.v0).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_whole_context_takes_model_two_functions(self, seed):
+        # model one's context is a full one: every point free, p0 = v0 = +inf
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        region = region_from_points(random_points(rng, n, d=1 + seed % 2))
+        kern = random_kernel(rng, n)
+        ctx = PartitionContext.whole(region, kern)
+        assert ctx.fixed.size == 0 and ctx.free.tolist() == list(range(n))
+        assert np.isposinf(ctx.p0.values).all() and np.isposinf(ctx.v0).all() and ctx.v0.shape == (n,)
+        f = sp.CustomerMeasure(rng.uniform(0.1, 2.0, n))
+        p = sp.PricePattern(rng.uniform(0.0, 1.5, n))
+        two = profit_from_prices(p, ctx, f)
+        assert repr(two) == repr(model_one.profit_from_prices(p, kern, region, f))
+        w, q = reformulate(p, ctx)
+        assert w.tobytes() == ct.value_table(p.values, ctx.cost).tobytes()
+        assert q.values.tobytes() == (-c_transform_table(w, ctx.cost)).tobytes()
+        value_side = profit_from_values(w, ctx, f)
+        assert repr(value_side) == repr(model_one.profit_from_values(w, kern, region, f))
+        # the value side is the canonical pattern's profit, which reformulation never lowers
+        assert value_side >= two - ct._check_slack(ctx.tol, f.total_mass)
+
+    def test_searches_refuse_a_context_with_no_fixed_part(self):
+        region = sp.build_interval_region(9, 0.0, 1.0)
+        with pytest.raises(ValueError, match="fixed part"):
+            solve_w_search(PartitionContext.whole(region, METRIC), sp.CustomerMeasure.uniform(9))
+        # the whole context ignores the region's mask: it has no interface
+        masked = sp.build_interval_region(9, 0.0, 1.0, fixed_window=(0.3, 0.7))
+        with pytest.raises(ValueError, match="interface points"):
+            solve_boundary_control(PartitionContext.whole(masked, METRIC), sp.CustomerMeasure.uniform(9))
 
 
 class TestProfit:
@@ -498,3 +530,37 @@ class TestImprovementChain:
         profits = [r_oned.profit, r_w.profit, r_b.profit]
         assert max(profits) - min(profits) <= 0.02
         assert abs(r_oned.diagnostics["p1"] - 1.5) <= 0.01
+
+
+def _search_solves():
+    """Each solve that reports through the one report with its search's score."""
+    line = sp.build_interval_region(6, 0.0, 1.0)
+    f_line = sp.CustomerMeasure(np.linspace(0.5, 1.5, 6))
+    bound = sp.PricePattern(np.full(6, 0.8))
+    ctx, f = window_context(n=21, window=(0.3, 0.7))
+    return {
+        "general_ascent": (model_one, lambda: model_one.solve_general(bound, sp.CostKernel.quadratic(), line, f_line, SearchConfig(levels=5, multistarts=4))),
+        "general_exhaustive": (
+            model_one,
+            lambda: model_one.solve_general(bound, sp.CostKernel.quadratic(), line, f_line, SearchConfig(mode=SearchMode.EXHAUSTIVE, levels=3)),
+        ),
+        "w_search": (model_two, lambda: solve_w_search(ctx, f, SearchConfig(multistarts=4))),
+        "boundary_control": (model_two, lambda: solve_boundary_control(ctx, f, SearchConfig(grid_n=21))),
+    }
+
+
+@pytest.mark.parametrize("solve", ["general_ascent", "general_exhaustive", "w_search", "boundary_control"])
+def test_one_report_checks_every_search_score(monkeypatch, solve):
+    # a search that returns a score 1e-3 off its answer's value-side profit
+    # fails every model-one and model-two solve with the one report's message
+    module, run = _search_solves()[solve]
+    run()
+    for name in ("exhaustive_product", "coordinate_ascent"):
+
+        def shifted(*args, search=getattr(module, name), **kwargs):
+            u, score, diagnostics = search(*args, **kwargs)
+            return u, score + 1e-3, diagnostics
+
+        monkeypatch.setattr(module, name, shifted)
+    with pytest.raises(RuntimeError, match=r"^search score \S+ differs from value-side profit \S+$"):
+        run()

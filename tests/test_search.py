@@ -277,9 +277,10 @@ def test_solver_ascent_reuses_scores(monkeypatch, solver):
 
 @pytest.mark.parametrize("solver", ["solve_general", "solve_w_search"])
 def test_solver_scores_each_value_function_once(monkeypatch, solver):
+    # both solvers build their objective with `model_two._generator_objective`
     module, solve = _ascent_solve(solver)
     with monkeypatch.context() as patch:
-        patch.setattr(module, "Objective", plain_objective)
+        patch.setattr(model_two, "Objective", plain_objective)
         expected = solve()
     scored = {"rows": 0}
 
@@ -292,7 +293,7 @@ def test_solver_scores_each_value_function_once(monkeypatch, solver):
 
         return _search.Objective(counted_score, n, m, value, lambda V: np.full(len(V), np.inf))
 
-    monkeypatch.setattr(module, "Objective", counted)
+    monkeypatch.setattr(model_two, "Objective", counted)
     record = _capture_ascent(monkeypatch, module)
     report = solve()
     assert report.profit == expected.profit
@@ -790,7 +791,7 @@ def test_objective_trials_answer_rows_below_the_floor_with_their_bound():
         scored["rows"] += len(V)
         return score(V)
 
-    objective = model_two._batch_subregion_profit(ctx, f.weights, ctx.tol)
+    objective = model_two._generator_objective(ctx, f, ctx.cost[:, ctx.free], _search.ValueMap(ctx.cost[:, ctx.free]))
     dense = plain_objective(score, *ctx.cost[:, ctx.free].shape, _search.ValueMap(ctx.cost[:, ctx.free]))
     rng = np.random.default_rng(2)
     points, owner, idx, ts = _trial_requests(rng, ctx.free.size, 0.05, 200)
